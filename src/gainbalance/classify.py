@@ -212,18 +212,6 @@ def _match_base(h: Graph) -> Optional[NamedGraphSpec]:
     return None
 
 
-def _base_candidates(max_edges: int) -> list[Graph]:
-    out = [build_named(NamedGraphSpec(MULTI_K2, (m,))) for m in range(1, max_edges + 1)]
-    out += [
-        build_named(NamedGraphSpec(CIRCLE_MULTI, (m, 2, 2)))
-        for m in range(2, max_edges - 4 + 1)
-    ]
-    for a in range(1, max_edges - 4 + 1):
-        for b in range(a, max_edges - 4 - a + 1):
-            out.append(build_named(NamedGraphSpec(K4_OPPOSITE, (b, a))))
-    return out
-
-
 def structural_decomposition(g: Graph) -> Optional[Decomposition]:
     """Per block, a base family plus an extrusion log reaching the block, or
     None when some block admits no such decomposition."""
@@ -235,8 +223,7 @@ def structural_decomposition(g: Graph) -> Optional[Decomposition]:
             continue
         if any(block.is_loop(e) for e in block.edge_list):
             return None
-        prefer = _base_candidates(len(block.edge_list))
-        irreducible, steps = reverse_extrusion_reduce(block, prefer=prefer)
+        irreducible, steps = reverse_extrusion_reduce(block, accept=_match_base)
         base = _match_base(irreducible)
         if base is None:
             return None
@@ -463,6 +450,43 @@ def _signed_chord_rows(g: Graph, circles, chords: Sequence[str]) -> list[list[in
     return rows
 
 
+def _support_masks(g: Graph, circles) -> list[int]:
+    edge_pos = {e: i for i, e in enumerate(g.edge_list)}
+    return [sum(1 << edge_pos[e] for e in c.support) for c in circles]
+
+
+def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[int, dict, list]]:
+    """The numpy oracle kernel for an abelian ``grp``: for each unbalanced
+    switching-reduced assignment whose balanced circles span the cycle space,
+    in ascending assignment index, yield (index, chord gains, balanced
+    circles in the order of ``circles``)."""
+    dim = cycle_space_dimension(g)
+    order = grp.order()
+    forest = spanning_forest(g)
+    chords = [e for e in g.edge_list if e not in forest]
+    elements = grp.elements()
+    rows = np.array(_signed_chord_rows(g, circles, chords), dtype=np.int64)
+    n_assign = order**dim
+    digits = np.zeros((dim, n_assign), dtype=np.int64)
+    idx = np.arange(n_assign)
+    for i in range(dim):
+        digits[i] = (idx // order ** (dim - 1 - i)) % order
+    balanced = np.ones((len(circles), n_assign), dtype=bool)
+    for f, modulus in enumerate(grp.moduli):
+        res = np.array([el.residues[f] for el in elements], dtype=np.int64)
+        gains = rows @ res[digits]
+        balanced &= gains % modulus == 0
+    counts = balanced.sum(axis=0)
+    masks = _support_masks(g, circles)
+    for j in np.nonzero(counts >= dim)[0]:
+        if j == 0:
+            continue
+        items = [(masks[i], circles[i]) for i in range(len(circles)) if balanced[i, j]]
+        if gf2_extract_basis(items, dim) is None:
+            continue
+        yield int(j), {chords[i]: elements[digits[i, j]] for i in range(dim)}, [c for _, c in items]
+
+
 def oracle_circle_goodness(
     g: Graph,
     grp,
@@ -487,37 +511,14 @@ def oracle_circle_goodness(
     if dim == 0 or order == 1:
         return True, None
     circles = enumerate_circles(g)
-    forest = spanning_forest(g)
-    chords = [e for e in g.edge_list if e not in forest]
     n_assign = order**dim
     if n_assign * max(1, len(circles)) > budget:
         raise BudgetError("oracle assignment budget exceeded")
 
-    edge_pos = {e: i for i, e in enumerate(g.edge_list)}
-    masks = [sum(1 << edge_pos[e] for e in c.support) for c in circles]
-
     if isinstance(grp, Group) and grp.is_abelian and grp.is_finite:
-        elements = grp.elements()
-        rows = np.array(_signed_chord_rows(g, circles, chords), dtype=np.int64)
-        digits = np.zeros((dim, n_assign), dtype=np.int64)
-        idx = np.arange(n_assign)
-        for i in range(dim):
-            digits[i] = (idx // order ** (dim - 1 - i)) % order
-        balanced = np.ones((len(circles), n_assign), dtype=bool)
-        for f, modulus in enumerate(grp.moduli):
-            res = np.array([el.residues[f] for el in elements], dtype=np.int64)
-            gains = rows @ res[digits]
-            balanced &= gains % modulus == 0
-        counts = balanced.sum(axis=0)
-        candidates = np.nonzero(counts >= dim)[0]
-        for j in candidates:
-            if j == 0:
-                continue
-            items = [(masks[i], circles[i]) for i in range(len(circles)) if balanced[i, j]]
-            picked = gf2_extract_basis(items, dim)
-            if picked is None:
-                continue
-            gains = {chords[i]: elements[digits[i, j]] for i in range(dim)}
+        # the first spanning set in assignment order is the counterexample
+        for _, gains, balanced in _spanning_assignments(g, grp, circles):
+            picked = gf2_extract_basis(list(zip(_support_masks(g, balanced), balanced)), dim)
             gg = gain_graph(g, grp, gains)
             witness = BadWitness(gg, oriented_basis(g, [c.support for c in picked]), CIRCLE_TEST)
             if not witness.verify():
@@ -526,6 +527,9 @@ def oracle_circle_goodness(
         return True, None
 
     # generic path for small nonabelian table groups
+    forest = spanning_forest(g)
+    chords = [e for e in g.edge_list if e not in forest]
+    masks = _support_masks(g, circles)
     elements = grp.elements()
     ident = grp.identity()
     step_seqs = []
@@ -563,36 +567,9 @@ def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, 
     Used to survey which bases can witness badness (e.g. the wheel basis
     taxonomy) and by the atlas subcommand.
     """
-    dim = cycle_space_dimension(g)
-    order = grp.order()
-    if dim == 0 or order == 1 or not grp.is_abelian:
+    if cycle_space_dimension(g) == 0 or grp.order() == 1 or not grp.is_abelian:
         return
-    circles = enumerate_circles(g)
-    forest = spanning_forest(g)
-    chords = [e for e in g.edge_list if e not in forest]
-    elements = grp.elements()
-    rows = np.array(_signed_chord_rows(g, circles, chords), dtype=np.int64)
-    n_assign = order**dim
-    digits = np.zeros((dim, n_assign), dtype=np.int64)
-    idx = np.arange(n_assign)
-    for i in range(dim):
-        digits[i] = (idx // order ** (dim - 1 - i)) % order
-    balanced = np.ones((len(circles), n_assign), dtype=bool)
-    for f, modulus in enumerate(grp.moduli):
-        res = np.array([el.residues[f] for el in elements], dtype=np.int64)
-        gains = rows @ res[digits]
-        balanced &= gains % modulus == 0
-    counts = balanced.sum(axis=0)
-    edge_pos = {e: i for i, e in enumerate(g.edge_list)}
-    masks = [sum(1 << edge_pos[e] for e in c.support) for c in circles]
-    for j in np.nonzero(counts >= dim)[0]:
-        if j == 0:
-            continue
-        subset = [circles[i] for i in range(len(circles)) if balanced[i, j]]
-        sub_masks = [masks[i] for i in range(len(circles)) if balanced[i, j]]
-        if gf2_extract_basis(list(zip(sub_masks, subset)), dim) is None:
-            continue
-        gains = {chords[i]: elements[digits[i, j]] for i in range(dim)}
+    for _, gains, subset in _spanning_assignments(g, grp, enumerate_circles(g)):
         yield gains, subset
 
 

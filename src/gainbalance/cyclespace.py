@@ -5,6 +5,11 @@ is the edge set of a nontrivial simple closed walk.  Bases here are ordered
 sequences; all GF(2) linear algebra pivots in edge-identifier order so
 results are deterministic.
 
+A 2-regular support is a circle exactly when its canonical walk uses every
+edge, so no separate connectivity search is made.  Fundamental circles and the
+links between the components of a cyclic orientation follow the paths of
+:class:`graphcore.RootedForest`.
+
 Basis text format: one line per member listing its edge identifiers; an
 optional following ``walk:`` line attaches a cyclic orientation as signed
 edge identifiers (``walk: e3 -e7 e3``); a trivial walk is ``walk: @ v``.
@@ -19,8 +24,11 @@ from .errors import BudgetError, GraphError, ParseError
 from .graphcore import (
     ClosedWalk,
     DirectedEdge,
+    DisjointSets,
     Graph,
+    RootedForest,
     components,
+    edge_components,
     spanning_forest,
     walk_support,
     walk_vertices,
@@ -102,69 +110,40 @@ def binary_cycle(g: Graph, edges: Iterable[str]) -> BinaryCycle:
     return BinaryCycle(support)
 
 
-def _support_is_circle(g: Graph, support: frozenset) -> bool:
-    if not support:
-        return False
-    if len(support) == 1:
-        return g.is_loop(next(iter(support)))
-    deg: dict[str, int] = {}
+def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
+    """The canonical walk of ``support`` when it is a circle (a single loop,
+    or connected and 2-regular), else None."""
+    adj: dict[str, list[tuple[str, str, bool]]] = {}
     for e in support:
         t, h = g.ends(e)
         if t == h:
-            return False
-        deg[t] = deg.get(t, 0) + 1
-        deg[h] = deg.get(h, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity over the support subgraph
-    verts = list(deg)
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for e in support:
-        t, h = g.ends(e)
-        adj[t].append(h)
-        adj[h].append(t)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(verts)
+            return ClosedWalk(t, (DirectedEdge(e, True),)) if len(support) == 1 else None
+        adj.setdefault(t, []).append((e, h, True))
+        adj.setdefault(h, []).append((e, t, False))
+    if not adj or any(len(pairs) != 2 for pairs in adj.values()):
+        return None
+    # leaving the least vertex by its lesser edge gives the lexicographically
+    # least edge sequence: the other direction starts with the greater edge
+    start = min(adj)
+    e, at, forward = min(adj[start])
+    steps = [DirectedEdge(e, forward)]
+    while at != start:
+        first, second = adj[at]
+        e, at, forward = second if first[0] == e else first
+        steps.append(DirectedEdge(e, forward))
+    # on a 2-regular support the walk closes after one component, so the
+    # support is connected exactly when the walk uses all of it
+    return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
 
 
 def circle_from_support(g: Graph, edges: Iterable[str]) -> Circle:
     """Build a circle with its canonical walk; raises if the support is not
     connected and 2-regular."""
     support = frozenset(edges)
-    if not _support_is_circle(g, support):
+    walk = _circle_walk(g, support)
+    if walk is None:
         raise GraphError(f"{sorted(support)} is not a circle")
-    if len(support) == 1:
-        e = next(iter(support))
-        return Circle(support, ClosedWalk(g.ends(e)[0], (DirectedEdge(e, True),)))
-    verts = {v for e in support for v in g.ends(e)}
-    start = min(verts)
-    first_edges = sorted(e for e in support if start in g.ends(e))
-
-    def traverse(first: str) -> tuple[tuple[str, ...], ClosedWalk]:
-        steps = []
-        at = start
-        e = first
-        remaining = set(support)
-        while True:
-            t, h = g.ends(e)
-            steps.append(DirectedEdge(e, at == t))
-            at = h if at == t else t
-            remaining.discard(e)
-            if at == start:
-                break
-            e = next(x for x in remaining if at in g.ends(x))
-        return tuple(s.edge for s in steps), ClosedWalk(start, tuple(steps))
-
-    options = [traverse(e) for e in first_edges[:2]]
-    options.sort(key=lambda p: p[0])
-    return Circle(support, options[0][1])
+    return Circle(support, walk)
 
 
 # -- GF(2) helpers -----------------------------------------------------------
@@ -230,7 +209,7 @@ def is_circle_basis(members: Sequence, g: Graph) -> bool:
     """True iff all members are circles and they form a cycle basis."""
     for m in members:
         support = frozenset(getattr(m, "support", m))
-        if not _support_is_circle(g, support):
+        if _circle_walk(g, support) is None:
             return False
     return is_cycle_basis(members, g)
 
@@ -241,46 +220,15 @@ def is_circle_basis(members: Sequence, g: Graph) -> bool:
 def fundamental_circles(g: Graph, forest: frozenset) -> CycleBasis:
     """One circle per non-forest edge: the unique circle in forest + e."""
     _check_forest(g, forest)
-    tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
-    for e in forest:
-        t, h = g.ends(e)
-        tree_adj[t].append((e, h))
-        tree_adj[h].append((e, t))
+    tree = RootedForest(g, forest)
+    return CycleBasis(tuple(fundamental_circle(tree, e) for e in g.edge_list if e not in forest), g)
 
-    def tree_path(a: str, b: str) -> list[str]:
-        if a == b:
-            return []
-        prev: dict[str, tuple[str, str]] = {}
-        stack = [a]
-        seen = {a}
-        while stack:
-            v = stack.pop()
-            for e, u in tree_adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    prev[u] = (v, e)
-                    if u == b:
-                        stack = []
-                        break
-                    stack.append(u)
-        if b not in prev:
-            raise GraphError("endpoints lie in different forest components")
-        path = []
-        at = b
-        while at != a:
-            v, e = prev[at]
-            path.append(e)
-            at = v
-        return path[::-1]
 
-    members = []
-    for e in g.edge_list:
-        if e in forest:
-            continue
-        t, h = g.ends(e)
-        support = {e} if t == h else {e, *tree_path(h, t)}
-        members.append(circle_from_support(g, support))
-    return CycleBasis(tuple(members), g)
+def fundamental_circle(tree: RootedForest, chord: str) -> Circle:
+    """The unique circle in the forest of ``tree`` plus ``chord``."""
+    g = tree.graph
+    t, h = g.ends(chord)
+    return circle_from_support(g, {chord, *(step.edge for step in tree.path(h, t))})
 
 
 def _check_forest(g: Graph, forest: frozenset) -> None:
@@ -288,23 +236,11 @@ def _check_forest(g: Graph, forest: frozenset) -> None:
         g.ends(e)
         if g.is_loop(e):
             raise GraphError("forest contains a loop")
-    parent = {v: v for v in g.vertex_list}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
+    sets = DisjointSets(g.vertex_list)
     for e in sorted(forest):
-        t, h = g.ends(e)
-        rt, rh = find(t), find(h)
-        if rt == rh:
+        if not sets.union(*g.ends(e)):
             raise GraphError("forest contains a cycle")
-        parent[rt] = rh
-        merged += 1
-    if merged != len(g.vertex_list) - len(components(g)):
+    if len(forest) != len(g.vertex_list) - len(components(g)):
         raise GraphError("forest is not maximal")
 
 
@@ -406,68 +342,21 @@ def cyclic_orientations(b: BinaryCycle, g: Graph, budget: int = 4) -> list[Close
     support = frozenset(b.support)
     if not support:
         return [ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())]
-    comp_sets = []
-    left = set(support)
-    while left:
-        e0 = min(left)
-        comp = {e0}
-        verts = set(g.ends(e0))
-        grew = True
-        while grew:
-            grew = False
-            for e in list(left - comp):
-                t, h = g.ends(e)
-                if t in verts or h in verts:
-                    comp.add(e)
-                    verts |= {t, h}
-                    grew = True
-        comp_sets.append((min(verts), frozenset(comp)))
-        left -= comp
-    comp_sets.sort()
-
-    forest = spanning_forest(g)
-    tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
-    for e in forest:
-        t, h = g.ends(e)
-        tree_adj[t].append((e, h))
-        tree_adj[h].append((e, t))
-
-    def tree_walk(a: str, bv: str) -> list[DirectedEdge]:
-        if a == bv:
-            return []
-        prev: dict[str, tuple[str, str]] = {}
-        stack = [a]
-        seen = {a}
-        while stack:
-            v = stack.pop()
-            for e, u in sorted(tree_adj[v]):
-                if u not in seen:
-                    seen.add(u)
-                    prev[u] = (v, e)
-                    stack.append(u)
-        if bv not in prev:
-            raise GraphError("support spans multiple components of a disconnected host")
-        steps = []
-        at = bv
-        while at != a:
-            v, e = prev[at]
-            t, h = g.ends(e)
-            steps.append(DirectedEdge(e, t == v))
-            at = v
-        return steps[::-1]
-
+    comp_sets = [
+        (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in edge_components(g, support)
+    ]
+    tree = RootedForest(g, spanning_forest(g))
     base = comp_sets[0][0]
-    euler = [(anchor, _euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
+    euler = [(tree.path(base, anchor), _euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
 
     out = []
     n = len(euler)
     for flips in range(min(budget, 1 << n)):
         steps: list[DirectedEdge] = []
-        for i, (anchor, tour) in enumerate(euler):
+        for i, (go, tour) in enumerate(euler):
             part = list(tour)
             if (flips >> i) & 1:
                 part = [s.reversed() for s in reversed(part)]
-            go = tree_walk(base, anchor)
             steps.extend(go)
             steps.extend(part)
             steps.extend(s.reversed() for s in reversed(go))
@@ -479,8 +368,9 @@ def natural_orientation(b, g: Graph) -> ClosedWalk:
     """Canonical walk for a circle member, else the canonical linked Euler
     walk."""
     support = frozenset(getattr(b, "support", b))
-    if _support_is_circle(g, support):
-        return circle_from_support(g, support).walk
+    walk = _circle_walk(g, support)
+    if walk is not None:
+        return walk
     return cyclic_orientations(BinaryCycle(support), g, budget=1)[0]
 
 
@@ -515,28 +405,10 @@ def theta_sum(c1: Circle, c2: Circle, g: Graph) -> Optional[Circle]:
         return None
     if any(d not in (2, 3) for d in deg.values()):
         return None
+    # the union is connected: a degree-3 vertex lies on both circles
     summed = c1.support ^ c2.support
-    if not _support_is_circle(g, summed):
-        return None
-    # union must be connected; the sum being a circle plus the shared path
-    # condition guarantees it, but check directly for safety
-    verts = list(deg)
-    adj: dict[str, list[str]] = {v: [] for v in verts}
-    for e in union:
-        t, h = g.ends(e)
-        adj[t].append(h)
-        adj[h].append(t)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != len(verts):
-        return None
-    return circle_from_support(g, summed)
+    walk = _circle_walk(g, summed)
+    return None if walk is None else Circle(summed, walk)
 
 
 def improper_edges(b: CycleBasis) -> frozenset:

@@ -2,9 +2,12 @@
 
 Gains are stored in reference orientation only; traversing an edge against
 its orientation contributes the inverse element.  Balance is decided by
-switching to identity gains on a maximal forest and inspecting the
-fundamental circles; the certificate for an unbalanced graph is the
-least-identifier unbalanced fundamental circle.
+switching to identity gains on a maximal forest: the gain graph is balanced
+exactly when every chord then has identity gain (Zaslavsky, "Biased graphs
+I", JCTB 47, 1989).  The certificate for an unbalanced graph is the
+fundamental circle of the least-identifier chord whose switched gain is not
+the identity, which is the least-identifier unbalanced fundamental circle,
+with its gain in the original graph.
 
 Gain file format: a ``group`` header line, then ``gain <edge-id> <element>``
 lines; edges omitted default to the identity::
@@ -19,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .cyclespace import Circle, fundamental_circles
+from .cyclespace import Circle, fundamental_circle
 from .errors import GraphError, ParseError
-from .graphcore import ClosedWalk, Graph, spanning_forest, walk_vertices
+from .graphcore import ClosedWalk, Graph, RootedForest, spanning_forest, walk_vertices
 from .groups import Group, GroupElement, identity, inverse, op, parse_element, parse_group_header
 
 
@@ -100,31 +103,17 @@ def switch_to_forest(gg: GainGraph, forest: frozenset) -> tuple[GainGraph, Switc
     switching satisfies switch(gg, f) == first result.
     """
     g = gg.graph
-    tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
     for e in forest:
         if e not in g.edges:
             raise GraphError(f"forest edge {e!r} not in graph")
-        t, h = g.ends(e)
-        tree_adj[t].append((e, h))
-        tree_adj[h].append((e, t))
-    values: dict[str, GroupElement] = {}
-    for root in g.vertex_list:
-        if root in values:
-            continue
-        values[root] = identity(gg.group)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e, u in sorted(tree_adj[v]):
-                if u in values:
-                    continue
-                t, _ = g.ends(e)
-                # solve f(tail)^-1 g(e) f(head) = 1 along the traversal
-                if t == v:
-                    values[u] = op(inverse(gg.assignment.gains[e]), values[v])
-                else:
-                    values[u] = op(gg.assignment.gains[e], values[v])
-                stack.append(u)
+    gains = gg.assignment.gains
+    values: dict[str, GroupElement] = dict.fromkeys(g.vertex_list, identity(gg.group))
+    for u, (e, v) in RootedForest(g, forest).up.items():
+        # solve f(tail)^-1 g(e) f(head) = 1 along the parent edge
+        if g.ends(e)[0] == v:
+            values[u] = op(inverse(gains[e]), values[v])
+        else:
+            values[u] = op(gains[e], values[v])
     f = Switching(values)
     switched = switch(gg, f)
     for e in forest:
@@ -144,20 +133,22 @@ class BalanceResult:
 
 
 def is_balanced(gg: GainGraph) -> BalanceResult:
-    """Decide balance via a fundamental system of circles.
+    """Decide balance from the chord gains after switching along a maximal
+    forest.
 
-    If unbalanced, the certificate is the unbalanced fundamental circle whose
-    defining non-forest edge has the least identifier.
+    If unbalanced, the certificate is the fundamental circle of the
+    least-identifier chord with a non-identity switched gain, and the
+    certificate gain is its walk gain in ``gg``.
     """
-    forest = spanning_forest(gg.graph)
+    g = gg.graph
+    forest = spanning_forest(g)
     switched, _ = switch_to_forest(gg, forest)
-    basis = fundamental_circles(gg.graph, forest)
-    # fundamental circles are ordered by their non-forest edge id
-    for circle in basis.members:
-        gain = walk_gain(switched, circle.walk)
-        if not gain.is_identity:
-            original_gain = walk_gain(gg, circle.walk)
-            return BalanceResult(False, circle, original_gain)
+    # forest edges have identity gain after switching, so the first
+    # non-identity edge is a chord
+    for e in g.edge_list:
+        if not switched.assignment.gains[e].is_identity:
+            circle = fundamental_circle(RootedForest(g, forest), e)
+            return BalanceResult(False, circle, walk_gain(gg, circle.walk))
     return BalanceResult(True)
 
 

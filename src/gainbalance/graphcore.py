@@ -136,24 +136,41 @@ class Graph:
         return f"Graph({len(self.vertex_list)} vertices, {len(self.edge_list)} edges)"
 
 
-def components(g: Graph) -> list[frozenset]:
-    """Vertex sets of connected components, ordered by least vertex."""
+def _components(adj: Mapping[str, Iterable[tuple[str, str]]]) -> list[frozenset]:
+    """Vertex sets of the connected components of an (edge, other end)
+    adjacency, ordered by least vertex."""
     seen: set[str] = set()
     out = []
-    for root in g.vertex_list:
+    for root in sorted(adj):
         if root in seen:
             continue
         comp = {root}
         stack = [root]
         while stack:
-            v = stack.pop()
-            for _, u in g.incident(v):
+            for _, u in adj[stack.pop()]:
                 if u not in comp:
                     comp.add(u)
                     stack.append(u)
         seen |= comp
         out.append(frozenset(comp))
     return out
+
+
+def components(g: Graph) -> list[frozenset]:
+    """Vertex sets of connected components, ordered by least vertex."""
+    return _components(g._adj)
+
+
+def edge_components(g: Graph, edges: Iterable[str], vertices: Iterable[str] = ()) -> list[frozenset]:
+    """Vertex sets of the connected components of the subgraph of ``g``
+    formed by ``edges``, their ends and the extra ``vertices``, ordered by
+    least vertex."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for e in edges:
+        t, h = g.ends(e)
+        adj.setdefault(t, []).append((e, h))
+        adj.setdefault(h, []).append((e, t))
+    return _components(adj)
 
 
 def is_connected(g: Graph) -> bool:
@@ -458,26 +475,87 @@ def graph_to_text(g: Graph) -> str:
 # -- spanning forest, blocks, suppression ----------------------------------
 
 
-def spanning_forest(g: Graph) -> frozenset:
-    """Maximal forest picked greedily in edge-identifier order."""
-    parent = {v: v for v in g.vertex_list}
+class DisjointSets:
+    """Union-find over hashable items, with path halving."""
 
-    def find(x):
+    __slots__ = ("_parent",)
+
+    def __init__(self, items: Iterable):
+        self._parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self._parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    chosen = set()
-    for eid in g.edge_list:
-        t, h = g.ends(eid)
-        if t == h:
-            continue
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-            chosen.add(eid)
-    return frozenset(chosen)
+    def union(self, a, b) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[ra] = rb
+        return True
+
+
+class RootedForest:
+    """A forest of ``g`` rooted at the least vertex of each of its components.
+
+    ``up`` maps every non-root vertex to its parent edge and parent vertex, in
+    breadth-first order, so a parent always precedes its children; ``depth``
+    counts the edges from each vertex to its root.
+    """
+
+    __slots__ = ("graph", "up", "depth")
+
+    def __init__(self, g: Graph, forest: Iterable[str]):
+        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
+        for e in forest:
+            t, h = g.ends(e)
+            adj[t].append((e, h))
+            adj[h].append((e, t))
+        up: dict[str, tuple[str, str]] = {}
+        depth: dict[str, int] = {}
+        for root in g.vertex_list:
+            if root in depth:
+                continue
+            depth[root] = 0
+            queue = [root]
+            for v in queue:
+                for e, u in adj[v]:
+                    if u not in depth:
+                        depth[u] = depth[v] + 1
+                        up[u] = (e, v)
+                        queue.append(u)
+        self.graph = g
+        self.up = up
+        self.depth = depth
+
+    def path(self, a: str, b: str) -> list[DirectedEdge]:
+        """Steps of the forest path from ``a`` to ``b``, found by climbing from
+        both ends to the meeting vertex; raises if no such path exists."""
+        g, up, depth = self.graph, self.up, self.depth
+        head: list[DirectedEdge] = []
+        tail: list[DirectedEdge] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                if a not in up:
+                    raise GraphError(f"{a!r} and {b!r} lie in different forest components")
+                e, a_next = up[a]
+                head.append(DirectedEdge(e, g.ends(e)[0] == a))
+                a = a_next
+            else:
+                e, b_next = up[b]
+                tail.append(DirectedEdge(e, g.ends(e)[0] == b_next))
+                b = b_next
+        return head + tail[::-1]
+
+
+def spanning_forest(g: Graph) -> frozenset:
+    """Maximal forest picked greedily in edge-identifier order."""
+    sets = DisjointSets(g.vertex_list)
+    return frozenset(e for e in g.edge_list if sets.union(*g.ends(e)))
 
 
 def blocks(g: Graph) -> list[Graph]:

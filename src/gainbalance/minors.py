@@ -9,14 +9,16 @@ cased: it is present exactly when the host contains any circle.
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain
 solved to keep the circle balanced; lifting along a forest contraction
-splices tree paths (with identity gains) into each walk.
+splices tree paths (with identity gains) into each walk.  Both take their
+tree paths from :class:`graphcore.RootedForest`; contraction classes and the
+forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cyclespace import BinaryCycle, OrientedBasis, enumerate_circles
 from .errors import GraphError
@@ -24,9 +26,12 @@ from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
     ClosedWalk,
     DirectedEdge,
+    DisjointSets,
     Graph,
+    RootedForest,
     canonical_key,
     components,
+    edge_components,
     is_isomorphic,
     spanning_forest,
     walk_support,
@@ -54,26 +59,12 @@ def contract(g: Graph, s: Iterable[str]) -> tuple[Graph, dict[str, str]]:
     component.  Returns the contracted graph and the vertex projection.
     """
     group = set(s)
+    sets = DisjointSets(g.vertex_list)
     for e in group:
-        g.ends(e)
-    parent = {v: v for v in g.vertex_list}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in group:
-        t, h = g.ends(e)
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-    classes: dict[str, list[str]] = {}
-    for v in g.vertex_list:
-        classes.setdefault(find(v), []).append(v)
-    name = {root: min(members) for root, members in classes.items()}
-    vmap = {v: name[find(v)] for v in g.vertex_list}
+        sets.union(*g.ends(e))
+    # vertices come in sorted order, so each class is named by its first
+    name: dict[str, str] = {}
+    vmap = {v: name.setdefault(sets.find(v), v) for v in g.vertex_list}
     edges = {}
     for e in g.edge_list:
         if e in group:
@@ -339,36 +330,6 @@ def doubled_path_target() -> tuple[Graph, str, str]:
 # -- basis and witness lifting -----------------------------------------------------
 
 
-def _tree_path_steps(g: Graph, tree: frozenset, a: str, b: str) -> list[DirectedEdge]:
-    if a == b:
-        return []
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for e in tree:
-        t, h = g.ends(e)
-        adj.setdefault(t, []).append((e, h))
-        adj.setdefault(h, []).append((e, t))
-    prev: dict[str, tuple[str, str]] = {}
-    seen = {a}
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for e, u in sorted(adj.get(v, [])):
-            if u not in seen:
-                seen.add(u)
-                prev[u] = (v, e)
-                stack.append(u)
-    if b not in prev:
-        raise GraphError("no tree path between lift endpoints")
-    steps = []
-    at = b
-    while at != a:
-        v, e = prev[at]
-        t, _ = g.ends(e)
-        steps.append(DirectedEdge(e, t == v))
-        at = v
-    return steps[::-1]
-
-
 def lift_basis_deletion(
     g: Graph,
     s: Iterable[str],
@@ -386,28 +347,13 @@ def lift_basis_deletion(
     reduced = delete(g, s)
     if b.host.edges != reduced.edges:
         raise GraphError("basis does not live on g minus s")
-    comp_index: dict[str, int] = {}
-    for i, comp in enumerate(components(reduced)):
-        for v in comp:
-            comp_index[v] = i
-    parent = list(range(len(components(reduced))))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(g.vertex_list)
+    for e in reduced.edge_list:
+        sets.union(*reduced.ends(e))
     bridge_like: list[str] = []  # the forest T inside s
     rest: list[str] = []
     for e in sorted(s):
-        t, h = g.ends(e)
-        rt, rh = find(comp_index[t]), find(comp_index[h])
-        if rt != rh:
-            parent[rt] = rh
-            bridge_like.append(e)
-        else:
-            rest.append(e)
+        (bridge_like if sets.union(*g.ends(e)) else rest).append(e)
 
     group = gains.group
     new_gains = dict(gains.gains)
@@ -419,7 +365,7 @@ def lift_basis_deletion(
         # circle through e in the edges restored so far plus e
         partial = Graph({x: g.edges[x] for x in present}, g.vertices)
         t, h = g.ends(e)
-        path = _tree_path_steps(partial, spanning_forest(partial), h, t)
+        path = RootedForest(partial, spanning_forest(partial)).path(h, t)
         support = frozenset({e} | {st.edge for st in path})
         walk = ClosedWalk(t, (DirectedEdge(e, True), *path))
         if walk_support(walk) != support:
@@ -464,6 +410,7 @@ def lift_basis_contraction(
     inverse_class: dict[str, list[str]] = {}
     for v in g.vertex_list:
         inverse_class.setdefault(vmap[v], []).append(v)
+    tree = RootedForest(g, t)
 
     def lift_walk(w: ClosedWalk) -> ClosedWalk:
         if not w.steps:
@@ -476,7 +423,7 @@ def lift_basis_contraction(
         for i, st in enumerate(w.steps):
             steps.append(st)
             nxt = ends[(i + 1) % len(ends)][0]
-            steps.extend(_tree_path_steps(g, t, ends[i][1], nxt))
+            steps.extend(tree.path(ends[i][1], nxt))
         start = ends[0][0]
         return ClosedWalk(start, tuple(steps))
 
@@ -555,45 +502,45 @@ def is_extrusion_irreducible(g: Graph) -> bool:
 
 def reverse_extrusion_reduce(
     g: Graph,
-    prefer: Optional[Sequence[Graph]] = None,
+    accept: Optional[Callable[[Graph], object]] = None,
 ) -> tuple[Graph, tuple[ReverseStep, ...]]:
     """Exhaustively search single reverse-extrusion steps down to an
     extrusion-irreducible graph.
 
     Reverse steps need not commute, so all reduction orders are explored with
-    memoization on canonical forms.  When ``prefer`` is given, a reachable
-    irreducible graph isomorphic to one of those is returned if any exists.
+    memoization on canonical forms.  When ``accept`` is given, a reachable
+    irreducible graph for which it returns a true value is returned if any
+    exists; it must give the same answer on isomorphic graphs.
     """
     if any(g.is_loop(e) for e in g.edge_list):
         raise GraphError("reverse extrusion operates on loopless graphs")
-    prefer_keys = {canonical_key(p) for p in (prefer or ())}
     memo: dict[tuple, tuple] = {}
 
     def run(h: Graph) -> tuple:
-        """Returns (preferred result or None, fallback result)."""
+        """Returns (accepted result or None, fallback result)."""
         key = canonical_key(h)
         if key in memo:
             return memo[key]
         moves = _reverse_moves(h)
         if not moves:
-            hit = (h, ()) if (not prefer_keys or key in prefer_keys) else None
+            hit = (h, ()) if accept is None or accept(h) else None
             memo[key] = (hit, (h, ()))
             return memo[key]
-        preferred = None
+        accepted = None
         fallback = None
         for mv in moves:
             reduced, _ = contract(h, {mv.edge})
-            sub_pref, sub_fall = run(reduced)
+            sub_acc, sub_fall = run(reduced)
             if fallback is None:
                 fallback = (sub_fall[0], (mv,) + sub_fall[1])
-            if sub_pref is not None:
-                preferred = (sub_pref[0], (mv,) + sub_pref[1])
+            if sub_acc is not None:
+                accepted = (sub_acc[0], (mv,) + sub_acc[1])
                 break
-        memo[key] = (preferred, fallback)
+        memo[key] = (accepted, fallback)
         return memo[key]
 
-    preferred, fallback = run(g)
-    return preferred if preferred is not None else fallback
+    accepted, fallback = run(g)
+    return accepted if accepted is not None else fallback
 
 
 def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) -> bool:
@@ -672,22 +619,10 @@ def bridges_of_pair(g: Graph, u: str, v: str) -> BridgeReport:
         t, h = g.ends(e)
         if {t, h} <= {u, v}:
             bridges.append(Bridge(g.subgraph([e]), EDGE_BRIDGE))
-    # component bridges
-    comp_of: dict[str, int] = {}
-    nxt = 0
-    for root in g.vertex_list:
-        if root in (u, v) or root in comp_of:
-            continue
-        comp_of[root] = nxt
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for _, y in g.incident(x):
-                if y in (u, v) or y in comp_of:
-                    continue
-                comp_of[y] = nxt
-                stack.append(y)
-        nxt += 1
+    # component bridges: one per component of g minus u and v
+    inner = [x for x in g.vertex_list if x not in (u, v)]
+    inner_edges = [e for e in g.edge_list if u not in g.ends(e) and v not in g.ends(e)]
+    comp_of = {x: i for i, vs in enumerate(edge_components(g, inner_edges, inner)) for x in vs}
     groups: dict[int, set] = {}
     for e in g.edge_list:
         t, h = g.ends(e)
@@ -715,17 +650,8 @@ def _separating_vertex(sub: Graph, u: str, v: str) -> Optional[str]:
     inner = [x for x in sub.vertex_list if x not in (u, v)]
     for w in inner:
         remaining = [e for e in sub.edge_list if w not in sub.ends(e)]
-        h = Graph({e: sub.edges[e] for e in remaining}, set(sub.vertices) - {w})
         # u disconnected from v without w?
-        seen = {u}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for _, y in h.incident(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if v not in seen:
+        if not any(u in vs and v in vs for vs in edge_components(sub, remaining, (u, v))):
             return w
     return None
 

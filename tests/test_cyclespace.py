@@ -58,6 +58,22 @@ def test_circle_canonical_walk_digon():
     assert c.walk.start == "u"
 
 
+def test_circle_from_support_rejects_disconnected_and_figure_eight():
+    two_triangles = Graph(
+        {"a1": ("a", "b"), "a2": ("b", "c"), "a3": ("c", "a"), "b1": ("x", "y"), "b2": ("y", "z"), "b3": ("z", "x")}
+    )
+    figure_eight = Graph(
+        {"a1": ("a", "b"), "a2": ("b", "c"), "a3": ("c", "a"), "b1": ("a", "y"), "b2": ("y", "z"), "b3": ("z", "a")}
+    )
+    for g in (two_triangles, figure_eight):
+        with pytest.raises(GraphError):
+            circle_from_support(g, g.edge_list)
+        assert not is_circle_basis([frozenset(g.edge_list)], g)
+    # two disjoint digons are 2-regular, like two disjoint triangles
+    with pytest.raises(GraphError):
+        circle_from_support(named("2C4"), {"e1", "f1", "e3", "f3"})
+
+
 @pytest.mark.parametrize(
     "tag,count",
     [("2C4", 20), ("C3(3,3,2)", 25), ("K1loop", 1)],

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from gainbalance.cyclespace import circle_from_support, enumerate_circles
+from gainbalance.cyclespace import circle_from_support, enumerate_circles, fundamental_circles
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.gaingraph import (
+    BalanceResult,
     GainGraph,
     Switching,
     gain_graph,
@@ -173,6 +174,46 @@ def test_balance_matches_all_circles():
                 gg = random_gain_graph(g, group, rng)
                 expected = all(walk_gain(gg, c.walk).is_identity for c in circles)
                 assert is_balanced(gg).balanced == expected
+
+
+def reference_is_balanced(gg):
+    """Walk every fundamental circle in the forest-switched graph; the first
+    unbalanced one, by chord identifier, is the certificate."""
+    forest = spanning_forest(gg.graph)
+    switched, _ = switch_to_forest(gg, forest)
+    for circle in fundamental_circles(gg.graph, forest).members:
+        if not walk_gain(switched, circle.walk).is_identity:
+            return BalanceResult(False, circle, walk_gain(gg, circle.walk))
+    return BalanceResult(True)
+
+
+def random_element(group, rng):
+    if group.kind == "FreeOn":
+        word = [(rng.choice(group.symbols), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))]
+        return group.element(word=word)
+    return rng.choice(group.elements())
+
+
+def test_balance_matches_fundamental_circle_reference():
+    # random multigraphs with loops, parallel edges and several components
+    rng = random.Random(59)
+    groups = (Z3, cyclic(5), abelian_product(2, 3), free_on("a", "b"))
+    unbalanced = 0
+    for trial in range(400):
+        group = groups[trial % len(groups)]
+        vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+        g = Graph(
+            {f"e{k:02d}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 12))},
+            vertices,
+        )
+        gains = {e: random_element(group, rng) for e in g.edge_list if rng.random() < 0.4}
+        gg = gain_graph(g, group, gains)
+        got, want = is_balanced(gg), reference_is_balanced(gg)
+        assert got.balanced == want.balanced
+        assert got.certificate == want.certificate
+        assert got.certificate_gain == want.certificate_gain
+        unbalanced += not got.balanced
+    assert 100 < unbalanced < 300
 
 
 def test_balance_invariant_under_switching():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gainbalance.cyclespace import cycle_space_dimension
@@ -7,12 +9,14 @@ from gainbalance.graphcore import (
     DirectedEdge,
     Graph,
     NamedGraphSpec,
+    RootedForest,
     WHEEL,
     blocks,
     build_named,
     canonical_key,
     components,
     edge_bijection,
+    edge_components,
     graph_to_text,
     grid_faces,
     is_isomorphic,
@@ -223,6 +227,86 @@ def test_spanning_forest_examples():
     forest = Graph({"e1": ("a", "b"), "e2": ("c", "d")})
     assert spanning_forest(forest) == {"e1", "e2"}
     assert spanning_forest(named("mK2(5)")) == {"e1"}
+
+
+def brute_force_path(g, forest, a, b):
+    """Breadth-first search over forest edges, independent of RootedForest."""
+    prev = {a: None}
+    queue = [a]
+    for v in queue:
+        for e in sorted(forest):
+            t, h = g.ends(e)
+            if v in (t, h) and g.other_end(e, v) not in prev:
+                prev[g.other_end(e, v)] = (e, v)
+                queue.append(g.other_end(e, v))
+    if b not in prev:
+        return None
+    steps = []
+    while b != a:
+        e, v = prev[b]
+        steps.append(DirectedEdge(e, g.ends(e)[0] == v))
+        b = v
+    return steps[::-1]
+
+
+def random_forest(rng):
+    vertices = [f"v{i}" for i in range(rng.randint(1, 9))]
+    edges = {}
+    for i, v in enumerate(vertices[1:], start=1):
+        if rng.random() < 0.8:
+            u = rng.choice(vertices[:i])
+            edges[f"t{i}"] = (v, u) if rng.random() < 0.5 else (u, v)
+    # chords and loops outside the forest leave the paths unchanged
+    for k in range(rng.randint(0, 3)):
+        edges[f"c{k}"] = (rng.choice(vertices), rng.choice(vertices))
+    g = Graph(edges, vertices)
+    return g, frozenset(e for e in edges if e.startswith("t"))
+
+
+def test_rooted_forest_paths_match_brute_force():
+    rng = random.Random(17)
+    disconnected = 0
+    for _ in range(150):
+        g, forest = random_forest(rng)
+        tree = RootedForest(g, forest)
+        for a in g.vertex_list:
+            assert tree.path(a, a) == []
+            for b in g.vertex_list:
+                want = brute_force_path(g, forest, a, b)
+                if want is None:
+                    disconnected += 1
+                    with pytest.raises(GraphError):
+                        tree.path(a, b)
+                else:
+                    assert tree.path(a, b) == want
+    assert disconnected > 0
+
+
+def test_rooted_forest_roots_are_least_vertices():
+    g = Graph({"x": ("b", "a"), "y": ("c", "b"), "z": ("e", "d")})
+    tree = RootedForest(g, {"x", "y", "z"})
+    assert set(g.vertex_list) - set(tree.up) == {"a", "d"}
+    assert tree.up["c"] == ("y", "b") and tree.depth["c"] == 2
+
+
+def test_edge_components_match_subgraph_components():
+    rng = random.Random(29)
+    for _ in range(100):
+        g, _ = random_forest(rng)
+        edges = [e for e in g.edge_list if rng.random() < 0.5]
+        extra = [v for v in g.vertex_list if rng.random() < 0.3]
+        sub = g.subgraph(edges, extra)
+        # the reference merges the vertex sets at the two ends of each edge
+        parts = [{v} for v in sub.vertex_list]
+        for e in edges:
+            t, h = g.ends(e)
+            pt = next(p for p in parts if t in p)
+            ph = next(p for p in parts if h in p)
+            if pt is not ph:
+                parts.remove(ph)
+                pt |= ph
+        assert edge_components(g, edges, extra) == sorted(map(frozenset, parts), key=min)
+        assert components(sub) == edge_components(g, edges, extra)
 
 
 def test_spanning_forest_skips_loops():

@@ -443,9 +443,9 @@ def test_reverse_extrusion_subdivided_k4():
 
 def test_reverse_extrusion_prefers_requested_base():
     fan = named("Fan(1;1,1)")
-    prefer = [named("mK2(3)")]
-    base, steps = reverse_extrusion_reduce(fan, prefer=prefer)
-    assert is_isomorphic(base, prefer[0])
+    target = named("mK2(3)")
+    base, steps = reverse_extrusion_reduce(fan, accept=lambda h: is_isomorphic(h, target))
+    assert is_isomorphic(base, target)
 
 
 # -- Whitney twist --------------------------------------------------------------------
