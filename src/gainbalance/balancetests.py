@@ -38,7 +38,8 @@ def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:
         raise GraphError("oriented basis belongs to a different graph")
     if not is_cycle_basis(ob.cycles, gg.graph):
         raise GraphError("oriented cycles do not form a basis")
-    return all(walk_gain(gg, w).is_identity for w in ob.walks)
+    ident = gg.group.identity()
+    return all(walk_gain(gg, w) == ident for w in ob.walks)
 
 
 def circle_test(gg: GainGraph, basis) -> bool:
@@ -48,7 +49,8 @@ def circle_test(gg: GainGraph, basis) -> bool:
     circles = [m if isinstance(m, Circle) else circle_from_support(gg.graph, s) for m, s in zip(members, supports)]
     if not is_cycle_basis(circles, gg.graph):
         raise GraphError("members do not form a basis")
-    return all(walk_gain(gg, c.walk).is_identity for c in circles)
+    ident = gg.group.identity()
+    return all(walk_gain(gg, c.walk) == ident for c in circles)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -286,7 +288,8 @@ def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAs
     group = cyclic(d)
     gains = {e: group.element([x[i] % d]) for i, e in enumerate(report.edge_order)}
     gg = gain_graph(report._graph, group, gains)
-    balanced_basis = all(walk_gain(gg, w).is_identity for w in report._basis.walks)
-    if balanced_basis and not walk_gain(gg, z.walk).is_identity and not is_balanced(gg).balanced:
+    ident = group.identity()
+    balanced_basis = all(walk_gain(gg, w) == ident for w in report._basis.walks)
+    if balanced_basis and walk_gain(gg, z.walk) != ident and not is_balanced(gg).balanced:
         return gg.assignment
     raise GraphError("constructed witness failed verification")

@@ -19,16 +19,17 @@ group is admissible; the loop-vertex witness (a loop traversed k times) lifts
 to any graph containing a circle.
 
 The oracle enumerates switching-reduced gain assignments (forest edges pinned
-to the identity) and reports a graph bad as soon as the balanced circles of
-some unbalanced assignment span the cycle space; assignments are enumerated
-lexicographically so the first counterexample is deterministic.
+to the identity) over any finite group, abelian or not, and reports a graph
+bad as soon as the balanced circles of some unbalanced assignment span the
+cycle space; assignments are enumerated lexicographically so the first
+counterexample is deterministic, and it is verified before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .graphcore import (
     spanning_forest,
     walk_int_vector,
 )
-from .groups import Group, GroupClass, class_flags, cyclic, inverse
+from .groups import CyclicProduct, Group, GroupClass, class_flags, cyclic
 from .minors import (
     MinorWitness,
     ReverseStep,
@@ -124,7 +125,9 @@ class BadWitness:
             "test": self.test,
             "group": str(gg.group),
             "edges": {e: list(gg.graph.ends(e)) for e in gg.graph.edge_list},
-            "gains": {e: str(x) for e, x in sorted(gg.assignment.gains.items()) if not x.is_identity},
+            "gains": {
+                e: gg.group.format_element(x) for e, x in sorted(gg.assignment.gains.items()) if x != gg.group.identity()
+            },
             "basis": [
                 {
                     "support": sorted(c.support),
@@ -358,7 +361,7 @@ def lift_witness(host: Graph, mw: MinorWitness, target: Graph, w: BadWitness) ->
     gains_g2 = {}
     for te, he in emap.items():
         x = w.gain_graph.assignment.gains[te]
-        gains_g2[he] = inverse(x) if flip[te] else x
+        gains_g2[he] = group.inverse(x) if flip[te] else x
     gg2 = gain_graph(g2, group, gains_g2)
 
     pairs = []
@@ -442,30 +445,18 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
 # -- brute-force oracle ---------------------------------------------------------------
 
 
-def _signed_chord_rows(g: Graph, circles, chords: Sequence[str]) -> list[list[int]]:
-    rows = []
-    for c in circles:
-        vec = walk_int_vector(c.walk)
-        rows.append([vec.get(e, 0) for e in chords])
-    return rows
-
-
 def _support_masks(g: Graph, circles) -> list[int]:
     edge_pos = {e: i for i, e in enumerate(g.edge_list)}
     return [sum(1 << edge_pos[e] for e in c.support) for c in circles]
 
 
-def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[int, dict, list]]:
-    """The numpy oracle kernel for an abelian ``grp``: for each unbalanced
-    switching-reduced assignment whose balanced circles span the cycle space,
-    in ascending assignment index, yield (index, chord gains, balanced
-    circles in the order of ``circles``)."""
-    dim = cycle_space_dimension(g)
-    order = grp.order()
-    forest = spanning_forest(g)
-    chords = [e for e in g.edge_list if e not in forest]
-    elements = grp.elements()
-    rows = np.array(_signed_chord_rows(g, circles, chords), dtype=np.int64)
+def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, elements: list):
+    """Balanced circles of all assignments at once, by numpy on residues:
+    a circle is balanced when its signed chord counts, dotted with the
+    residues of the chord gains, vanish modulo each modulus."""
+    dim, order = len(chords), len(elements)
+    vecs = [walk_int_vector(c.walk) for c in circles]
+    rows = np.array([[vec.get(e, 0) for e in chords] for vec in vecs], dtype=np.int64)
     n_assign = order**dim
     digits = np.zeros((dim, n_assign), dtype=np.int64)
     idx = np.arange(n_assign)
@@ -473,23 +464,60 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
         digits[i] = (idx // order ** (dim - 1 - i)) % order
     balanced = np.ones((len(circles), n_assign), dtype=bool)
     for f, modulus in enumerate(grp.moduli):
-        res = np.array([el.residues[f] for el in elements], dtype=np.int64)
-        gains = rows @ res[digits]
-        balanced &= gains % modulus == 0
-    counts = balanced.sum(axis=0)
+        res = np.array([el[f] for el in elements], dtype=np.int64)
+        balanced &= rows @ res[digits] % modulus == 0
+    for j in np.nonzero(balanced.sum(axis=0) >= dim)[0]:
+        if j:
+            yield digits[:, j].tolist(), np.nonzero(balanced[:, j])[0].tolist()
+
+
+def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
+    """Balanced circles of one assignment at a time, by multiplying the chord
+    gains along each circle's walk in order; serves any finite group."""
+    ident = grp.identity()
+    inverses = [grp.inverse(x) for x in elements]
+    position = {e: i for i, e in enumerate(chords)}
+    steps = [[(position[s.edge], s.forward) for s in c.walk.steps if s.edge in position] for c in circles]
+    for combo in itertools.product(range(len(elements)), repeat=len(chords)):
+        if not any(combo):
+            continue
+        balanced = []
+        for i, walk in enumerate(steps):
+            acc = ident
+            for k, fwd in walk:
+                acc = grp.op(acc, elements[combo[k]] if fwd else inverses[combo[k]])
+            if acc == ident:
+                balanced.append(i)
+        if len(balanced) >= len(chords):
+            yield combo, balanced
+
+
+def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[dict, list, list]]:
+    """For each unbalanced switching-reduced assignment whose balanced
+    circles span the cycle space, yield (chord gains, balanced circles in the
+    order of ``circles``, the basis greedily extracted from them).
+
+    Assignment j gives chord i the element ``grp.elements()[d_i]`` where
+    d_1 .. d_dim are the base-|G| digits of j, first chord most significant;
+    they come in ascending j.  Cyclic products, whose elements are residue
+    vectors, go through the numpy kernel; other groups through the walk kernel.
+    """
+    dim = cycle_space_dimension(g)
+    forest = spanning_forest(g)
+    chords = [e for e in g.edge_list if e not in forest]
+    elements = grp.elements()
     masks = _support_masks(g, circles)
-    for j in np.nonzero(counts >= dim)[0]:
-        if j == 0:
-            continue
-        items = [(masks[i], circles[i]) for i in range(len(circles)) if balanced[i, j]]
-        if gf2_extract_basis(items, dim) is None:
-            continue
-        yield int(j), {chords[i]: elements[digits[i, j]] for i in range(dim)}, [c for _, c in items]
+    kernel = _residue_kernel if isinstance(grp, CyclicProduct) else _walk_kernel
+    for digits, balanced in kernel(grp, circles, chords, elements):
+        items = [(masks[i], circles[i]) for i in balanced]
+        basis = gf2_extract_basis(items, dim)
+        if basis is not None:
+            yield {chords[i]: elements[d] for i, d in enumerate(digits)}, [c for _, c in items], basis
 
 
 def oracle_circle_goodness(
     g: Graph,
-    grp,
+    grp: Group,
     max_edges: int = 10,
     budget: int = 50_000_000,
 ) -> tuple[bool, Optional[BadWitness]]:
@@ -502,7 +530,7 @@ def oracle_circle_goodness(
     """
     if len(g.edge_list) > max_edges:
         raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {max_edges})")
-    order = getattr(grp, "order", lambda: None)()
+    order = grp.order()
     if order is None:
         raise GraphError("oracle needs a finite gain group")
     if order > 6:
@@ -511,52 +539,14 @@ def oracle_circle_goodness(
     if dim == 0 or order == 1:
         return True, None
     circles = enumerate_circles(g)
-    n_assign = order**dim
-    if n_assign * max(1, len(circles)) > budget:
+    if order**dim * max(1, len(circles)) > budget:
         raise BudgetError("oracle assignment budget exceeded")
-
-    if isinstance(grp, Group) and grp.is_abelian and grp.is_finite:
-        # the first spanning set in assignment order is the counterexample
-        for _, gains, balanced in _spanning_assignments(g, grp, circles):
-            picked = gf2_extract_basis(list(zip(_support_masks(g, balanced), balanced)), dim)
-            gg = gain_graph(g, grp, gains)
-            witness = BadWitness(gg, oriented_basis(g, [c.support for c in picked]), CIRCLE_TEST)
-            if not witness.verify():
-                raise RuntimeError("oracle witness failed verification")
-            return False, witness
-        return True, None
-
-    # generic path for small nonabelian table groups
-    forest = spanning_forest(g)
-    chords = [e for e in g.edge_list if e not in forest]
-    masks = _support_masks(g, circles)
-    elements = grp.elements()
-    ident = grp.identity()
-    step_seqs = []
-    for c in circles:
-        steps = [(s.edge, s.forward) for s in c.walk.steps if s.edge in set(chords)]
-        step_seqs.append(steps)
-    for combo in itertools.product(range(order), repeat=dim):
-        if not any(combo):
-            continue
-        assign = {chords[i]: elements[combo[i]] for i in range(dim)}
-        balanced_items = []
-        for i, steps in enumerate(step_seqs):
-            acc = ident
-            for eid, fwd in steps:
-                x = assign[eid]
-                acc = grp.op(acc, x if fwd else grp.inverse(x))
-            if acc == ident:
-                balanced_items.append((masks[i], circles[i]))
-        if len(balanced_items) < dim:
-            continue
-        picked = gf2_extract_basis(balanced_items, dim)
-        if picked is None:
-            continue
-        # table groups are not GainGraph groups; the construction itself is
-        # the check: the basis is balanced by evaluation and the assignment
-        # is unbalanced because some fundamental circle carries a chord gain
-        return False, None
+    # the first spanning set in assignment order is the counterexample
+    for gains, _, basis in _spanning_assignments(g, grp, circles):
+        witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
+        if not witness.verify():
+            raise RuntimeError("oracle witness failed verification")
+        return False, witness
     return True, None
 
 
@@ -567,46 +557,7 @@ def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, 
     Used to survey which bases can witness badness (e.g. the wheel basis
     taxonomy) and by the atlas subcommand.
     """
-    if cycle_space_dimension(g) == 0 or grp.order() == 1 or not grp.is_abelian:
+    if cycle_space_dimension(g) == 0 or grp.order() == 1:
         return
-    for _, gains, subset in _spanning_assignments(g, grp, enumerate_circles(g)):
+    for gains, subset, _ in _spanning_assignments(g, grp, enumerate_circles(g)):
         yield gains, subset
-
-
-def sym3_table_group():
-    """The symmetric group on three letters as a hard-coded multiplication
-    table, for exercising the oracle beyond abelian groups."""
-
-    class _Sym3:
-        # elements as permutation tuples of (0,1,2)
-        _elems = (
-            (0, 1, 2),
-            (1, 2, 0),
-            (2, 0, 1),
-            (0, 2, 1),
-            (2, 1, 0),
-            (1, 0, 2),
-        )
-
-        is_abelian = False
-        is_finite = True
-
-        def order(self):
-            return 6
-
-        def elements(self):
-            return list(self._elems)
-
-        def identity(self):
-            return self._elems[0]
-
-        def op(self, x, y):
-            return tuple(x[y[i]] for i in range(3))
-
-        def inverse(self, x):
-            inv = [0, 0, 0]
-            for i, v in enumerate(x):
-                inv[v] = i
-            return tuple(inv)
-
-    return _Sym3()

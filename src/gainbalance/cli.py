@@ -68,11 +68,9 @@ def _cmd_balance(args) -> int:
     report = {"balanced": res.balanced}
     lines = [f"balanced: {res.balanced}"]
     if not res.balanced:
-        report["certificate"] = {
-            "circle": sorted(res.certificate.support),
-            "gain": str(res.certificate_gain),
-        }
-        lines.append(f"unbalanced circle: {' '.join(sorted(res.certificate.support))} (gain {res.certificate_gain})")
+        gain = gg.group.format_element(res.certificate_gain)
+        report["certificate"] = {"circle": sorted(res.certificate.support), "gain": gain}
+        lines.append(f"unbalanced circle: {' '.join(sorted(res.certificate.support))} (gain {gain})")
     _emit(report, args.json, lines)
     return 0
 
@@ -88,7 +86,7 @@ def _cmd_circle_test(args) -> int:
         "passes": passes,
         "balanced": balanced,
         "members": [
-            {"support": sorted(c.support), "gain": str(walk_gain(gg, c.walk))} for c in circles
+            {"support": sorted(c.support), "gain": gg.group.format_element(walk_gain(gg, c.walk))} for c in circles
         ],
     }
     lines = [f"circle test: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
@@ -108,7 +106,7 @@ def _cmd_cycle_test(args) -> int:
         "passes": passes,
         "balanced": balanced,
         "members": [
-            {"support": sorted(c.support), "gain": str(walk_gain(gg, w))} for c, w in ob.pairs
+            {"support": sorted(c.support), "gain": gg.group.format_element(walk_gain(gg, w))} for c, w in ob.pairs
         ],
     }
     lines = [f"binary cycle test: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
@@ -141,7 +139,7 @@ def _cmd_witness(args) -> int:
         f"family: {spec}",
         f"test: {w.test}",
         f"group: {w.gain_graph.group}",
-        "gains: " + ", ".join(f"{e}={x}" for e, x in sorted(w.gain_graph.assignment.gains.items()) if not x.is_identity),
+        "gains: " + ", ".join(f"{e}={x}" for e, x in report["gains"].items()),
         f"verified: {w.verify()}",
     ]
     _emit(report, args.json, lines)

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 from .cyclespace import Circle, fundamental_circle
 from .errors import GraphError, ParseError
 from .graphcore import ClosedWalk, Graph, RootedForest, spanning_forest, walk_vertices
-from .groups import Group, GroupElement, identity, inverse, op, parse_element, parse_group_header
+from .groups import Group, parse_group_header
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class GainAssignment:
     """Edge gains in reference orientation; must cover every host edge."""
 
     group: Group
-    gains: Mapping[str, GroupElement]
+    gains: Mapping[str, tuple]
 
-    def gain(self, eid: str, forward: bool = True) -> GroupElement:
+    def gain(self, eid: str, forward: bool = True) -> tuple:
         x = self.gains[eid]
-        return x if forward else inverse(x)
+        return x if forward else self.group.inverse(x)
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,18 @@ class GainGraph:
         return self.assignment.group
 
 
-def gain_graph(g: Graph, group: Group, gains: Mapping[str, GroupElement] | None = None) -> GainGraph:
-    """Build a gain graph, filling unlisted edges with the identity."""
-    full = {e: identity(group) for e in g.edge_list}
+def gain_graph(g: Graph, group: Group, gains: Mapping[str, tuple] | None = None) -> GainGraph:
+    """Build a gain graph, filling unlisted edges with the identity.
+
+    Elements carry no group, so each listed gain is checked here to be an
+    element of ``group``.
+    """
+    full = dict.fromkeys(g.edge_list, group.identity())
     for eid, x in (gains or {}).items():
         if eid not in full:
             raise GraphError(f"gain for unknown edge {eid!r}")
-        if x.group != group:
-            raise GraphError("gain element from a different group")
+        if not group.is_element(x):
+            raise GraphError(f"gain {x!r} of edge {eid!r} is not an element of {group}")
         full[eid] = x
     return GainGraph(g, GainAssignment(group, full))
 
@@ -72,15 +76,16 @@ def gain_graph(g: Graph, group: Group, gains: Mapping[str, GroupElement] | None 
 class Switching:
     """A vertex-indexed group function used to conjugate gains."""
 
-    values: Mapping[str, GroupElement]
+    values: Mapping[str, tuple]
 
 
-def walk_gain(gg: GainGraph, w: ClosedWalk) -> GroupElement:
+def walk_gain(gg: GainGraph, w: ClosedWalk) -> tuple:
     """Ordered product of step gains; reversed steps contribute inverses."""
     walk_vertices(gg.graph, w)
-    acc = identity(gg.group)
+    grp, gain = gg.group, gg.assignment.gain
+    acc = grp.identity()
     for step in w.steps:
-        acc = op(acc, gg.assignment.gain(step.edge, step.forward))
+        acc = grp.op(acc, gain(step.edge, step.forward))
     return acc
 
 
@@ -89,10 +94,11 @@ def switch(gg: GainGraph, f: Switching) -> GainGraph:
     missing = set(gg.graph.vertex_list) - set(f.values)
     if missing:
         raise GraphError(f"switching misses vertices {sorted(missing)}")
+    grp = gg.group
     new = {}
     for eid in gg.graph.edge_list:
         t, h = gg.graph.ends(eid)
-        new[eid] = op(op(inverse(f.values[t]), gg.assignment.gains[eid]), f.values[h])
+        new[eid] = grp.op(grp.op(grp.inverse(f.values[t]), gg.assignment.gains[eid]), f.values[h])
     return GainGraph(gg.graph, GainAssignment(gg.group, new))
 
 
@@ -106,18 +112,19 @@ def switch_to_forest(gg: GainGraph, forest: frozenset) -> tuple[GainGraph, Switc
     for e in forest:
         if e not in g.edges:
             raise GraphError(f"forest edge {e!r} not in graph")
-    gains = gg.assignment.gains
-    values: dict[str, GroupElement] = dict.fromkeys(g.vertex_list, identity(gg.group))
+    grp, gains = gg.group, gg.assignment.gains
+    ident = grp.identity()
+    values = dict.fromkeys(g.vertex_list, ident)
     for u, (e, v) in RootedForest(g, forest).up.items():
         # solve f(tail)^-1 g(e) f(head) = 1 along the parent edge
         if g.ends(e)[0] == v:
-            values[u] = op(inverse(gains[e]), values[v])
+            values[u] = grp.op(grp.inverse(gains[e]), values[v])
         else:
-            values[u] = op(gains[e], values[v])
+            values[u] = grp.op(gains[e], values[v])
     f = Switching(values)
     switched = switch(gg, f)
     for e in forest:
-        if not switched.assignment.gains[e].is_identity:
+        if switched.assignment.gains[e] != ident:
             raise GraphError("forest switching failed to reach identity gains")
     return switched, f
 
@@ -126,7 +133,7 @@ def switch_to_forest(gg: GainGraph, forest: frozenset) -> tuple[GainGraph, Switc
 class BalanceResult:
     balanced: bool
     certificate: Optional[Circle] = None
-    certificate_gain: Optional[GroupElement] = None
+    certificate_gain: Optional[tuple] = None
 
     def __bool__(self):
         return self.balanced
@@ -143,10 +150,11 @@ def is_balanced(gg: GainGraph) -> BalanceResult:
     g = gg.graph
     forest = spanning_forest(g)
     switched, _ = switch_to_forest(gg, forest)
+    ident = gg.group.identity()
     # forest edges have identity gain after switching, so the first
     # non-identity edge is a chord
     for e in g.edge_list:
-        if not switched.assignment.gains[e].is_identity:
+        if switched.assignment.gains[e] != ident:
             circle = fundamental_circle(RootedForest(g, forest), e)
             return BalanceResult(False, circle, walk_gain(gg, circle.walk))
     return BalanceResult(True)
@@ -157,7 +165,7 @@ def is_balanced(gg: GainGraph) -> BalanceResult:
 
 def parse_gain_text(text: str, g: Graph) -> GainGraph:
     group: Optional[Group] = None
-    gains: dict[str, GroupElement] = {}
+    gains: dict[str, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,7 +186,7 @@ def parse_gain_text(text: str, g: Graph) -> GainGraph:
             if eid in gains:
                 raise ParseError(f"duplicate gain for {eid!r}", line=lineno)
             tokens = parts[2:]
-            gains[eid] = identity(group) if not tokens else parse_element(group, tokens)
+            gains[eid] = group.parse_element(tokens) if tokens else group.identity()
         else:
             raise ParseError(f"unrecognized declaration {line!r}", line=lineno)
     if group is None:
@@ -188,13 +196,9 @@ def parse_gain_text(text: str, g: Graph) -> GainGraph:
 
 def gains_to_text(gg: GainGraph) -> str:
     group = gg.group
-    if group.kind == "FreeOn":
-        header = "group free " + " ".join(group.symbols)
-    else:
-        header = "group " + " x ".join(f"Z {k}" for k in group.moduli)
-    lines = [header]
+    lines = ["group " + group.header()]
     for eid in gg.graph.edge_list:
         x = gg.assignment.gains[eid]
-        if not x.is_identity:
-            lines.append(f"gain {eid} {x}")
+        if x != group.identity():
+            lines.append(f"gain {eid} {group.format_element(x)}")
     return "\n".join(lines) + "\n"

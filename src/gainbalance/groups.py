@@ -1,17 +1,36 @@
-"""Gain-group arithmetic: cyclic groups, finite abelian products, free groups.
+"""Gain groups behind one protocol, with elements as plain tuples.
 
-Cyclic and product elements are residue vectors written additively in I/O
-(``gain e1 2``, ``gain e2 1 0``); free-group elements are reduced words of
-signed symbols (``gain e3 a -b``).  A :class:`GroupClass` describes the
-family of admissible gain groups for classification; explicit lists are
-treated as subgroup closed.
+Three frozen group types:
 
-Group header syntax in gain files: ``group Z 3``, ``group Z 2 x Z 3``,
-``group free a b c``.
+* :class:`CyclicProduct` is Z(k1) x ... x Z(kr) (``cyclic(k)``,
+  ``abelian_product(k1, .., kr)``); an element is a tuple of residues.
+* :class:`FreeGroup` is the free group on named symbols (``free_on(*symbols)``);
+  an element is a reduced word, a tuple of ``(symbol, +1 or -1)`` letters.
+* :class:`Symmetric` is S_n (``symmetric(n)``); an element is a permutation
+  of ``range(n)`` as its tuple of images, composed right to left:
+  ``op(x, y)[i] == x[y[i]]``.
+
+Each type provides ``identity()``, ``op``, ``inverse``, ``element`` (builds an
+element from its raw form), ``is_element``, ``elements()`` (finite groups
+only, identity first), ``order()`` (None when infinite), ``element_order``
+(None when infinite), ``element_orders()``, ``is_abelian`` and its text
+forms: ``str(group)`` names the group, ``header()`` is its gain-file header,
+and ``format_element`` / ``parse_element`` write and read elements.
+Elements carry no group, so a foreign element is caught where gains enter a
+gain graph (``gaingraph.gain_graph``), not by ``op``.
+
+Gain files and CLI specs name cyclic products and free groups only: headers
+``group Z 3``, ``group Z 2 x Z 3``, ``group free a b c``; specs ``Z3``,
+``Z2xZ3``, ``free:a,b``.  Symmetric groups are reached through the API; their
+header ``S n`` is written by ``gaingraph.gains_to_text`` but not read back.
+
+A :class:`GroupClass` describes the family of admissible gain groups for
+classification; explicit lists are treated as subgroup closed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -19,182 +38,230 @@ from typing import Optional, Sequence
 
 from .errors import GraphError, ParseError
 
-CYCLIC = "Cyclic"
-ABELIAN_PRODUCT = "AbelianProduct"
-FREE = "FreeOn"
-
 
 @dataclass(frozen=True)
-class Group:
-    """Descriptor: Cyclic(k), AbelianProduct(k1,..,kr), or FreeOn(symbols)."""
+class CyclicProduct:
+    """Z(k1) x ... x Z(kr), written additively; elements are residue tuples."""
 
-    kind: str
-    moduli: tuple[int, ...] = ()
-    symbols: tuple[str, ...] = ()
+    moduli: tuple[int, ...]
+    is_abelian = True
 
     def __post_init__(self):
-        if self.kind in (CYCLIC, ABELIAN_PRODUCT):
-            if not self.moduli or any(k < 1 for k in self.moduli):
-                raise GraphError("cyclic/product moduli must be >= 1")
-            if self.kind == CYCLIC and len(self.moduli) != 1:
-                raise GraphError("Cyclic takes exactly one modulus")
-        elif self.kind == FREE:
-            if len(set(self.symbols)) != len(self.symbols):
-                raise GraphError("free generators must be distinct")
-        else:
-            raise GraphError(f"unknown group kind {self.kind!r}")
+        if not self.moduli or any(k < 1 for k in self.moduli):
+            raise GraphError("cyclic/product moduli must be >= 1")
 
-    # -- structure -------------------------------------------------------
+    def identity(self) -> tuple:
+        return (0,) * len(self.moduli)
 
-    @property
-    def is_abelian(self) -> bool:
-        return self.kind != FREE or len(self.symbols) <= 1
+    def op(self, x: tuple, y: tuple) -> tuple:
+        return tuple([(a + b) % k for a, b, k in zip(x, y, self.moduli)])
 
-    @property
-    def is_finite(self) -> bool:
-        return self.kind != FREE or not self.symbols
+    def inverse(self, x: tuple) -> tuple:
+        return tuple([-a % k for a, k in zip(x, self.moduli)])
 
-    def order(self) -> Optional[int]:
-        if self.kind == FREE:
-            return 1 if not self.symbols else None
+    def element(self, residues: Sequence[int]) -> tuple:
+        if len(residues) != len(self.moduli):
+            raise GraphError("residue vector length mismatch")
+        return tuple(r % k for r, k in zip(residues, self.moduli))
+
+    def is_element(self, x) -> bool:
+        return (isinstance(x, tuple) and len(x) == len(self.moduli)
+                and all(isinstance(r, int) and 0 <= r < k for r, k in zip(x, self.moduli)))
+
+    def elements(self) -> list[tuple]:
+        return list(itertools.product(*map(range, self.moduli)))
+
+    def order(self) -> int:
         return math.prod(self.moduli)
 
-    # -- elements ----------------------------------------------------------
-
-    def identity(self) -> "GroupElement":
-        if self.kind == FREE:
-            return GroupElement(self, word=())
-        return GroupElement(self, residues=(0,) * len(self.moduli))
-
-    def element(self, residues: Sequence[int] = (), word: Sequence[tuple[str, int]] = ()) -> "GroupElement":
-        if self.kind == FREE:
-            return GroupElement(self, word=_reduce_word(tuple(word)))
-        res = tuple(r % k for r, k in zip(residues, self.moduli))
-        if len(res) != len(self.moduli):
-            raise GraphError("residue vector length mismatch")
-        return GroupElement(self, residues=res)
-
-    def generator(self) -> "GroupElement":
-        """A canonical nontrivial element where one exists."""
-        if self.kind == FREE:
-            if not self.symbols:
-                raise GraphError("trivial group has no generator")
-            return GroupElement(self, word=((self.symbols[0], 1),))
-        if all(k == 1 for k in self.moduli):
-            raise GraphError("trivial group has no generator")
-        res = [0] * len(self.moduli)
-        res[next(i for i, k in enumerate(self.moduli) if k > 1)] = 1
-        return GroupElement(self, residues=tuple(res))
-
-    def elements(self) -> list["GroupElement"]:
-        if not self.is_finite:
-            raise GraphError("cannot enumerate an infinite group")
-        if self.kind == FREE:
-            return [self.identity()]
-        out = []
-        counters = [0] * len(self.moduli)
-        while True:
-            out.append(GroupElement(self, residues=tuple(counters)))
-            i = len(counters) - 1
-            while i >= 0:
-                counters[i] += 1
-                if counters[i] < self.moduli[i]:
-                    break
-                counters[i] = 0
-                i -= 1
-            if i < 0:
-                return out
+    def element_order(self, x: tuple) -> int:
+        return math.lcm(*(k // math.gcd(r, k) for r, k in zip(x, self.moduli)))
 
     def element_orders(self) -> set:
-        """All element orders; infinite order is represented as None."""
-        if self.kind == FREE:
-            return {1} if not self.symbols else {1, None}
         exponent = math.lcm(*self.moduli)
         return {d for d in range(1, exponent + 1) if exponent % d == 0}
 
     def __str__(self):
-        if self.kind == CYCLIC:
-            return f"Z{self.moduli[0]}"
-        if self.kind == ABELIAN_PRODUCT:
-            return "x".join(f"Z{k}" for k in self.moduli)
-        return "free(" + ",".join(self.symbols) + ")"
+        return "x".join(f"Z{k}" for k in self.moduli)
 
+    def header(self) -> str:
+        return " x ".join(f"Z {k}" for k in self.moduli)
 
-def cyclic(k: int) -> Group:
-    return Group(CYCLIC, (k,))
+    def format_element(self, x: tuple) -> str:
+        return " ".join(map(str, x))
 
-
-def abelian_product(*moduli: int) -> Group:
-    return Group(ABELIAN_PRODUCT, tuple(moduli))
-
-
-def free_on(*symbols: str) -> Group:
-    return Group(FREE, symbols=tuple(symbols))
-
-
-def _reduce_word(word: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    stack: list[tuple[str, int]] = []
-    for sym, sgn in word:
-        if sgn not in (1, -1):
-            raise GraphError("word letters must carry sign +1 or -1")
-        if stack and stack[-1] == (sym, -sgn):
-            stack.pop()
-        else:
-            stack.append((sym, sgn))
-    return tuple(stack)
+    def parse_element(self, tokens: Sequence[str]) -> tuple:
+        if len(tokens) != len(self.moduli):
+            raise ParseError(f"element for {self} needs {len(self.moduli)} residue(s)")
+        try:
+            return self.element([int(t) for t in tokens])
+        except ValueError:
+            raise ParseError(f"bad residues {tokens!r}") from None
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    group: Group
-    residues: tuple[int, ...] = ()
-    word: tuple[tuple[str, int], ...] = ()
+class FreeGroup:
+    """The free group on ``symbols``; elements are reduced words."""
+
+    symbols: tuple[str, ...]
+
+    def __post_init__(self):
+        if len(set(self.symbols)) != len(self.symbols):
+            raise GraphError("free generators must be distinct")
 
     @property
-    def is_identity(self) -> bool:
-        if self.group.kind == FREE:
-            return not self.word
-        return all(r == 0 for r in self.residues)
+    def is_abelian(self) -> bool:
+        return len(self.symbols) <= 1
+
+    def identity(self) -> tuple:
+        return ()
+
+    def op(self, x: tuple, y: tuple) -> tuple:
+        # both words are reduced, so letters cancel only where they meet
+        i, n = 0, min(len(x), len(y))
+        while i < n and x[-1 - i][0] == y[i][0] and x[-1 - i][1] == -y[i][1]:
+            i += 1
+        return x[: len(x) - i] + y[i:]
+
+    def inverse(self, x: tuple) -> tuple:
+        return tuple([(sym, -s) for sym, s in reversed(x)])
+
+    def element(self, word: Sequence[tuple[str, int]]) -> tuple:
+        stack: list[tuple[str, int]] = []
+        for sym, sgn in word:
+            if sgn not in (1, -1):
+                raise GraphError("word letters must carry sign +1 or -1")
+            if stack and stack[-1] == (sym, -sgn):
+                stack.pop()
+            else:
+                stack.append((sym, sgn))
+        return tuple(stack)
+
+    def is_element(self, x) -> bool:
+        return (isinstance(x, tuple)
+                and all(isinstance(t, tuple) and len(t) == 2 and t[0] in self.symbols and t[1] in (1, -1) for t in x)
+                and all(a != (b[0], -b[1]) for a, b in zip(x, x[1:])))
+
+    def elements(self) -> list[tuple]:
+        if self.symbols:
+            raise GraphError("cannot enumerate an infinite group")
+        return [()]
+
+    def order(self) -> Optional[int]:
+        return None if self.symbols else 1
+
+    def element_order(self, x: tuple) -> Optional[int]:
+        return None if x else 1
+
+    def element_orders(self) -> set:
+        """All element orders; infinite order is represented as None."""
+        return {1, None} if self.symbols else {1}
 
     def __str__(self):
-        if self.group.kind == FREE:
-            return " ".join(("" if s == 1 else "-") + sym for sym, s in self.word) or "1"
-        return " ".join(str(r) for r in self.residues)
+        return "free(" + ",".join(self.symbols) + ")"
+
+    def header(self) -> str:
+        return "free " + " ".join(self.symbols)
+
+    def format_element(self, x: tuple) -> str:
+        return " ".join(("" if s == 1 else "-") + sym for sym, s in x) or "1"
+
+    def parse_element(self, tokens: Sequence[str]) -> tuple:
+        word = []
+        for tok in tokens:
+            sym = tok.removeprefix("-")
+            if sym not in self.symbols:
+                raise ParseError(f"unknown free generator {sym!r}")
+            word.append((sym, -1 if tok.startswith("-") else 1))
+        return self.element(word)
 
 
-def op(x: GroupElement, y: GroupElement) -> GroupElement:
-    if x.group != y.group:
-        raise GraphError("cannot combine elements of different groups")
-    g = x.group
-    if g.kind == FREE:
-        return GroupElement(g, word=_reduce_word(x.word + y.word))
-    return GroupElement(g, residues=tuple((a + b) % k for a, b, k in zip(x.residues, y.residues, g.moduli)))
+@dataclass(frozen=True)
+class Symmetric:
+    """S_n; elements are permutations of ``range(n)`` as image tuples."""
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise GraphError("symmetric groups need n >= 1")
+
+    @property
+    def is_abelian(self) -> bool:
+        return self.n <= 2
+
+    def identity(self) -> tuple:
+        return tuple(range(self.n))
+
+    def op(self, x: tuple, y: tuple) -> tuple:
+        return tuple([x[i] for i in y])
+
+    def inverse(self, x: tuple) -> tuple:
+        inv = [0] * len(x)
+        for i, v in enumerate(x):
+            inv[v] = i
+        return tuple(inv)
+
+    def element(self, images: Sequence[int]) -> tuple:
+        x = tuple(images)
+        if not self.is_element(x):
+            raise GraphError(f"{x!r} is not a permutation of range({self.n})")
+        return x
+
+    def is_element(self, x) -> bool:
+        return isinstance(x, tuple) and all(isinstance(i, int) for i in x) and sorted(x) == list(range(self.n))
+
+    def elements(self) -> list[tuple]:
+        return list(itertools.permutations(range(self.n)))
+
+    def order(self) -> int:
+        return math.factorial(self.n)
+
+    def element_order(self, x: tuple) -> int:
+        k, power, ident = 1, x, self.identity()
+        while power != ident:
+            k, power = k + 1, self.op(power, x)
+        return k
+
+    def element_orders(self) -> set:
+        return {self.element_order(x) for x in self.elements()}
+
+    def __str__(self):
+        return f"S{self.n}"
+
+    def header(self) -> str:
+        return f"S {self.n}"
+
+    def format_element(self, x: tuple) -> str:
+        return " ".join(map(str, x))
+
+    def parse_element(self, tokens: Sequence[str]) -> tuple:
+        try:
+            return self.element([int(t) for t in tokens])
+        except (ValueError, GraphError):
+            raise ParseError(f"bad permutation {tokens!r}") from None
 
 
-def inverse(x: GroupElement) -> GroupElement:
-    g = x.group
-    if g.kind == FREE:
-        return GroupElement(g, word=tuple((sym, -s) for sym, s in reversed(x.word)))
-    return GroupElement(g, residues=tuple((-a) % k for a, k in zip(x.residues, g.moduli)))
+Group = CyclicProduct | FreeGroup | Symmetric
 
 
-def identity(g: Group) -> GroupElement:
-    return g.identity()
+def cyclic(k: int) -> CyclicProduct:
+    return CyclicProduct((k,))
 
 
-def element_order(x: GroupElement) -> Optional[int]:
-    """Least n >= 1 with x^n trivial; None for infinite order."""
-    g = x.group
-    if g.kind == FREE:
-        return 1 if not x.word else None
-    n = 1
-    for r, k in zip(x.residues, g.moduli):
-        if r:
-            n = math.lcm(n, k // math.gcd(r, k))
-    return n
+def abelian_product(*moduli: int) -> CyclicProduct:
+    return CyclicProduct(tuple(moduli))
 
 
-# -- element and group text forms -------------------------------------------
+def free_on(*symbols: str) -> FreeGroup:
+    return FreeGroup(tuple(symbols))
+
+
+def symmetric(n: int) -> Symmetric:
+    return Symmetric(n)
+
+
+# -- group text forms ----------------------------------------------------------
 
 
 def parse_group_header(text: str) -> Group:
@@ -206,8 +273,7 @@ def parse_group_header(text: str) -> Group:
         return free_on(*parts[1:])
     if not re.fullmatch(r"Z \d+( x Z \d+)*", " ".join(parts)):
         raise ParseError(f"unknown group header {text!r}")
-    moduli = [int(tok) for tok in parts if tok.isdigit()]
-    return cyclic(moduli[0]) if len(moduli) == 1 else abelian_product(*moduli)
+    return abelian_product(*[int(tok) for tok in parts if tok.isdigit()])
 
 
 def parse_group_spec(text: str) -> Group:
@@ -215,32 +281,12 @@ def parse_group_spec(text: str) -> Group:
     s = text.strip()
     if s.startswith("free:"):
         return free_on(*[t for t in s[5:].split(",") if t])
-    parts = s.split("x")
     moduli = []
-    for part in parts:
+    for part in s.split("x"):
         if not part.startswith("Z") or not part[1:].isdigit():
             raise ParseError(f"unknown group spec {text!r}")
         moduli.append(int(part[1:]))
-    return cyclic(moduli[0]) if len(moduli) == 1 else abelian_product(*moduli)
-
-
-def parse_element(g: Group, tokens: Sequence[str]) -> GroupElement:
-    if g.kind == FREE:
-        word = []
-        for tok in tokens:
-            sgn = 1
-            if tok.startswith("-"):
-                sgn, tok = -1, tok[1:]
-            if tok not in g.symbols:
-                raise ParseError(f"unknown free generator {tok!r}")
-            word.append((tok, sgn))
-        return g.element(word=word)
-    if len(tokens) != len(g.moduli):
-        raise ParseError(f"element for {g} needs {len(g.moduli)} residue(s)")
-    try:
-        return g.element(residues=[int(t) for t in tokens])
-    except ValueError:
-        raise ParseError(f"bad residues {tokens!r}") from None
+    return abelian_product(*moduli)
 
 
 # -- group classes ----------------------------------------------------------
@@ -248,6 +294,7 @@ def parse_element(g: Group, tokens: Sequence[str]) -> GroupElement:
 ALL = "All"
 ALL_ABELIAN = "AllAbelian"
 EXPLICIT = "ExplicitList"
+_CLASS_SPECS = {ALL: "all", ALL_ABELIAN: "abelian"}
 
 
 @dataclass(frozen=True)
@@ -258,9 +305,9 @@ class GroupClass:
     groups: tuple[Group, ...] = ()
 
     def __str__(self):
-        if self.kind == EXPLICIT:
-            return "groups:" + ",".join(str(g) for g in self.groups)
-        return {ALL: "all", ALL_ABELIAN: "abelian"}[self.kind]
+        if self.kind in _CLASS_SPECS:
+            return _CLASS_SPECS[self.kind]
+        return "groups:" + ",".join(str(g) for g in self.groups)
 
 
 @dataclass(frozen=True)
@@ -274,21 +321,15 @@ class ClassFlags:
 
 def class_flags(c: GroupClass) -> ClassFlags:
     """Derived flags, computed over all subgroups of the listed groups."""
-    if c.kind in (ALL, ALL_ABELIAN):
-        return ClassFlags(True, True, True, c.kind == ALL_ABELIAN, 3)
-    odd_orders: set[int] = set()
-    abelian = True
-    for g in c.groups:
-        abelian = abelian and g.is_abelian
-        for d in g.element_orders():
-            if d is not None and d >= 3 and d % 2 == 1:
-                odd_orders.add(d)
+    if c.kind in _CLASS_SPECS:
+        return ClassFlags(True, True, True, c.kind != ALL, 3)
+    odd_orders = {d for g in c.groups for d in g.element_orders() if d is not None and d >= 3 and d % 2 == 1}
     has_odd = bool(odd_orders)
     return ClassFlags(
         contains_z3=3 in odd_orders,
         contains_nontrivial_odd_order=has_odd,
         has_odd_torsion=has_odd,
-        abelian_only=abelian,
+        abelian_only=all(g.is_abelian for g in c.groups),
         smallest_odd_order=min(odd_orders) if has_odd else None,
     )
 
@@ -296,10 +337,9 @@ def class_flags(c: GroupClass) -> ClassFlags:
 def parse_class_spec(text: str) -> GroupClass:
     """Parse ``all | abelian | contains-z3 | groups:Z3,Z5 | groups:Z2xZ2``."""
     s = text.strip()
-    if s == "all":
-        return GroupClass(ALL)
-    if s == "abelian":
-        return GroupClass(ALL_ABELIAN)
+    for kind, spec in _CLASS_SPECS.items():
+        if s == spec:
+            return GroupClass(kind)
     if s == "contains-z3":
         return GroupClass(EXPLICIT, (cyclic(3),))
     if s.startswith("groups:"):

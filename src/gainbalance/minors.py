@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclespace import BinaryCycle, OrientedBasis, enumerate_circles
-from .errors import GraphError
+from .cyclespace import BinaryCycle, OrientedBasis, enumerate_circles, fundamental_circle
+from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
     ClosedWalk,
@@ -37,7 +37,6 @@ from .graphcore import (
     walk_support,
     walk_vertices,
 )
-from .groups import identity, inverse, op
 
 
 # -- deletion and contraction ---------------------------------------------------
@@ -176,8 +175,11 @@ def _short_circle(g: Graph):
         seen_pairs.add(key)
     try:
         circles = enumerate_circles(g, max_edges=64)
-    except Exception:
-        circles = []
+    except BudgetError:
+        # too many edges to enumerate: the fundamental circle of the least chord
+        forest = spanning_forest(g)
+        chord = next((e for e in g.edge_list if e not in forest), None)
+        circles = [] if chord is None else [fundamental_circle(RootedForest(g, forest), chord)]
     for c in circles:
         yield c.support
         return
@@ -358,7 +360,7 @@ def lift_basis_deletion(
     group = gains.group
     new_gains = dict(gains.gains)
     for e in bridge_like:
-        new_gains[e] = identity(group)
+        new_gains[e] = group.identity()
     pairs = list(b.pairs)
     present = set(reduced.edge_list) | set(bridge_like)
     for e in rest:
@@ -371,11 +373,11 @@ def lift_basis_deletion(
         if walk_support(walk) != support:
             raise GraphError("lift produced an inconsistent circle walk")
         # solve gain(e) so the walk product is the identity
-        acc = identity(group)
+        acc = group.identity()
         for st in path:
             x = new_gains[st.edge]
-            acc = op(acc, x if st.forward else inverse(x))
-        new_gains[e] = inverse(acc)
+            acc = group.op(acc, x if st.forward else group.inverse(x))
+        new_gains[e] = group.inverse(acc)
         pairs.append((BinaryCycle(support), walk))
         present.add(e)
     ob = OrientedBasis(tuple(pairs), g)
@@ -435,7 +437,7 @@ def lift_basis_contraction(
     group = gains.group
     new_gains = dict(gains.gains)
     for e in t:
-        new_gains[e] = identity(group)
+        new_gains[e] = group.identity()
     return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
 
 
@@ -580,7 +582,7 @@ def whitney_twist(gg: GainGraph, u: str, v: str, side: Iterable[str]) -> GainGra
     for e in side:
         t, h = g.ends(e)
         edges[e] = (swap.get(t, t), swap.get(h, h))
-        gains[e] = inverse(gains[e])
+        gains[e] = gg.group.inverse(gains[e])
     return GainGraph(Graph(edges, g.vertices), GainAssignment(gg.group, gains))
 
 

@@ -206,10 +206,10 @@ def test_criterion_7_switching_and_twist_invariance():
         grp = rng.choice(groups)
         els = grp.elements()
         gg = gain_graph(g, grp, {e: rng.choice(els) for e in g.edge_list})
-        before = [walk_gain(gg, c.walk).is_identity for c in circles]
+        before = [walk_gain(gg, c.walk) == gg.group.identity() for c in circles]
         f = Switching({v: rng.choice(els) for v in g.vertex_list})
         switched = switch(gg, f)
-        after = [walk_gain(switched, c.walk).is_identity for c in circles]
+        after = [walk_gain(switched, c.walk) == switched.group.identity() for c in circles]
         assert before == after, trial
         assert is_balanced(gg).balanced == is_balanced(switched).balanced
         if sep is not None:
@@ -267,7 +267,7 @@ def test_criterion_9_w4_basis_taxonomy():
         gains = {chords[i]: Z3.element([assignment[i]]) for i in range(dim)}
         gg = gain_graph(w4, Z3, gains)
         balanced = {
-            frozenset(c.support) for c in circles if walk_gain(gg, c.walk).is_identity
+            frozenset(c.support) for c in circles if walk_gain(gg, c.walk) == gg.group.identity()
         }
         for basis in bases:
             if basis <= balanced:

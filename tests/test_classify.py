@@ -18,7 +18,6 @@ from gainbalance.classify import (
     oracle_circle_goodness,
     oracle_spanning_balanced_sets,
     structural_decomposition,
-    sym3_table_group,
 )
 from gainbalance.cyclespace import (
     circle_from_support,
@@ -36,7 +35,7 @@ from gainbalance.graphcore import (
     parse_graph_spec,
     spanning_forest,
 )
-from gainbalance.groups import ALL, EXPLICIT, GroupClass, abelian_product, cyclic, free_on, parse_class_spec
+from gainbalance.groups import ALL, EXPLICIT, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
 
@@ -95,7 +94,7 @@ def test_bad_witness_unknown_family():
 def test_w4_witness_details():
     w = bad_witness(parse_graph_spec("W4"))
     gg = w.gain_graph
-    assert all(gg.assignment.gains[f"s{i}"].is_identity for i in range(1, 5))
+    assert all(gg.assignment.gains[f"s{i}"] == Z3.identity() for i in range(1, 5))
     rim = circle_from_support(gg.graph, {"r1", "r2", "r3", "r4"})
     from gainbalance.gaingraph import walk_gain
 
@@ -316,10 +315,11 @@ def test_oracle_budget_and_bounds():
 
 
 def test_oracle_sym3():
-    s3 = sym3_table_group()
+    s3 = symmetric(3)
     assert oracle_circle_goodness(named("C3(2,2,2)"), s3)[0]
-    good, _ = oracle_circle_goodness(named("2C4"), s3)
+    good, w = oracle_circle_goodness(named("2C4"), s3)
     assert not good  # S3 contains Z3
+    assert w is not None and w.verify()
 
 
 def test_oracle_first_counterexample_deterministic():

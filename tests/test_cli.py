@@ -4,7 +4,7 @@ import pytest
 
 from gainbalance.cli import run
 from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_text
-from gainbalance.balancetests import circle_test
+from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import parse_graph_text
 from gainbalance.groups import parse_group_header
@@ -90,6 +90,23 @@ def test_classify_command_json_round_trip(capsys):
     assert not is_balanced(gg).balanced
     assert data["rule"] == "forbidden-minor-with-z3"
     assert group.moduli == (3,)
+
+
+def test_classify_binary_test_beyond_circle_enumeration(capsys):
+    # Grid(6,6) has 84 edges, more than circle enumeration takes, so the
+    # loop-vertex witness winds around a fundamental circle instead
+    assert run(["classify", "Grid(6,6)", "--class", "contains-z3", "--test", "cycle", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "Bad"
+    evidence = data["evidence"]
+    g = parse_graph_text("\n".join(f"edge {e} {t} {h}" for e, (t, h) in sorted(evidence["edges"].items())))
+    gains_text = "group Z 3\n" + "\n".join(f"gain {e} {x}" for e, x in evidence["gains"].items())
+    gg = parse_gain_text(gains_text, g)
+    basis_text = "".join(
+        " ".join(m["support"]) + "\nwalk: " + " ".join(m["walk"]) + "\n" for m in evidence["basis"]
+    )
+    assert binary_cycle_test(gg, parse_basis_text(basis_text, g))
+    assert not is_balanced(gg).balanced
 
 
 def test_classify_cycle_command(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gainbalance.errors import GraphError, ParseError
+from gainbalance.gaingraph import gain_graph
 from gainbalance.groups import (
     ALL,
     ALL_ABELIAN,
@@ -10,62 +11,77 @@ from gainbalance.groups import (
     abelian_product,
     class_flags,
     cyclic,
-    element_order,
     free_on,
-    identity,
-    inverse,
-    op,
     parse_class_spec,
-    parse_element,
     parse_group_header,
     parse_group_spec,
+    symmetric,
 )
+from conftest import triangle
 
 
 def test_cyclic_arithmetic():
     z3 = cyclic(3)
-    assert op(z3.element([1]), z3.element([2])) == z3.identity()
-    assert inverse(z3.element([1])) == z3.element([2])
-    assert identity(z3).is_identity
+    assert z3.op(z3.element([1]), z3.element([2])) == z3.identity()
+    assert z3.inverse(z3.element([1])) == z3.element([2])
+    assert z3.identity() == z3.element([0])
 
 
 def test_product_arithmetic():
     p = abelian_product(2, 3)
-    assert inverse(p.element([1, 2])) == p.element([1, 1])
-    assert op(p.element([1, 2]), p.element([1, 1])) == p.identity()
+    assert p.inverse(p.element([1, 2])) == p.element([1, 1])
+    assert p.op(p.element([1, 2]), p.element([1, 1])) == p.identity()
 
 
 def test_free_reduction():
     f = free_on("a", "b")
-    x = f.element(word=[("a", 1), ("b", 1)])
-    y = f.element(word=[("b", -1), ("a", 1)])
-    assert op(x, y) == f.element(word=[("a", 1), ("a", 1)])
-    assert op(x, inverse(x)).is_identity
+    x = f.element([("a", 1), ("b", 1)])
+    y = f.element([("b", -1), ("a", 1)])
+    assert f.op(x, y) == f.element([("a", 1), ("a", 1)])
+    assert f.op(x, f.inverse(x)) == f.identity()
 
 
-def test_mixed_groups_rejected():
-    with pytest.raises(GraphError):
-        op(cyclic(2).element([1]), cyclic(3).element([1]))
+def test_non_elements_rejected_by_gain_graph():
+    # elements carry no group, so gain_graph checks membership
+    g = triangle()
+    foreign = [
+        (cyclic(2), cyclic(3).element([2])),  # residue out of range
+        (cyclic(3), abelian_product(3, 3).element([1, 1])),  # wrong length
+        (cyclic(3), (1.0,)),  # not an integer residue
+        (free_on("a", "b"), (("a", 1), ("a", -1))),  # not reduced
+        (free_on("a", "b"), (("c", 1),)),  # unknown symbol
+        (free_on("a", "b"), (("a", 2),)),  # bad sign
+        (symmetric(3), (0, 1, 1)),  # not a permutation
+        (symmetric(3), symmetric(4).identity()),  # wrong degree
+        (symmetric(3), cyclic(3).element([1])),
+    ]
+    for group, x in foreign:
+        with pytest.raises(GraphError):
+            gain_graph(g, group, {"e1": x})
+    for group, x in ((cyclic(3), (2,)), (free_on("a", "b"), (("a", 1), ("b", -1))), (symmetric(3), (1, 2, 0))):
+        assert gain_graph(g, group, {"e1": x}).assignment.gains["e1"] == x
 
 
 def test_element_order():
-    assert element_order(cyclic(3).generator()) == 3
-    assert element_order(abelian_product(2, 3).element([1, 0])) == 2
-    assert element_order(abelian_product(2, 3).element([1, 1])) == 6
-    assert element_order(free_on("a").element(word=[("a", 1)])) is None
-    assert element_order(cyclic(6).identity()) == 1
+    assert cyclic(3).element_order((1,)) == 3
+    assert abelian_product(2, 3).element_order((1, 0)) == 2
+    assert abelian_product(2, 3).element_order((1, 1)) == 6
+    assert free_on("a").element_order(free_on("a").element([("a", 1)])) is None
+    assert cyclic(6).element_order(cyclic(6).identity()) == 1
+    assert [symmetric(3).element_order(x) for x in ((0, 1, 2), (1, 0, 2), (1, 2, 0))] == [1, 2, 3]
 
 
 def test_enumeration_matches_order():
-    for g in (cyclic(4), abelian_product(2, 3)):
+    for g in (cyclic(4), abelian_product(2, 3), symmetric(3), symmetric(4)):
         els = g.elements()
         assert len(els) == g.order()
         assert len(set(els)) == len(els)
+        assert els[0] == g.identity()
 
 
 # group laws over random triples; hypothesis drives the sampling
 group_strategy = st.sampled_from(
-    [cyclic(2), cyclic(3), cyclic(5), abelian_product(2, 2), abelian_product(2, 3)]
+    [cyclic(2), cyclic(3), cyclic(5), abelian_product(2, 2), abelian_product(2, 3), symmetric(3), symmetric(4)]
 )
 
 
@@ -74,30 +90,32 @@ group_strategy = st.sampled_from(
 def test_group_laws_finite(g, data):
     els = g.elements()
     x, y, z = (data.draw(st.sampled_from(els)) for _ in range(3))
-    assert op(op(x, y), z) == op(x, op(y, z))
-    assert op(x, identity(g)) == x
-    assert op(x, inverse(x)).is_identity
+    assert g.op(g.op(x, y), z) == g.op(x, g.op(y, z))
+    assert g.op(x, g.identity()) == x
+    assert g.op(x, g.inverse(x)) == g.identity()
 
 
 def test_group_laws_bulk_random_triples():
     import random
 
     rng = random.Random(1009)
-    kinds = [cyclic(4), abelian_product(2, 3), free_on("a", "b")]
+    kinds = [cyclic(4), abelian_product(2, 3), free_on("a", "b"), symmetric(3), symmetric(4)]
     for g in kinds:
-        if g.is_finite:
+        if g.order() is not None:
             els = g.elements()
             draw = lambda: rng.choice(els)
         else:
             syms = list(g.symbols)
             draw = lambda: g.element(
-                word=[(rng.choice(syms), rng.choice((1, -1))) for _ in range(rng.randrange(0, 6))]
+                [(rng.choice(syms), rng.choice((1, -1))) for _ in range(rng.randrange(0, 6))]
             )
         for _ in range(10_000):
             x, y, z = draw(), draw(), draw()
-            assert op(op(x, y), z) == op(x, op(y, z))
-            assert op(x, identity(g)) == x
-            assert op(inverse(x), x).is_identity
+            assert g.op(g.op(x, y), z) == g.op(x, g.op(y, z))
+            assert g.op(x, g.identity()) == x
+            assert g.op(g.inverse(x), x) == g.identity()
+    s3 = symmetric(3)
+    assert s3.op((1, 0, 2), (0, 2, 1)) != s3.op((0, 2, 1), (1, 0, 2))  # S3 is not commutative
 
 
 letters = st.lists(
@@ -109,8 +127,8 @@ letters = st.lists(
 @given(letters, letters, letters)
 def test_free_reduction_confluent(u, v, w):
     f = free_on("a", "b", "c")
-    x, y, z = (f.element(word=t) for t in (u, v, w))
-    assert op(op(x, y), z) == op(x, op(y, z))
+    x, y, z = (f.element(t) for t in (u, v, w))
+    assert f.op(f.op(x, y), z) == f.op(x, f.op(y, z))
 
 
 # -- class flags ---------------------------------------------------------------
@@ -175,9 +193,9 @@ def test_class_spec_parsing():
 
 
 def test_element_parsing():
-    assert parse_element(cyclic(3), ["5"]) == cyclic(3).element([2])
-    assert parse_element(abelian_product(2, 3), ["1", "2"]).residues == (1, 2)
+    assert cyclic(3).parse_element(["5"]) == cyclic(3).element([2])
+    assert abelian_product(2, 3).parse_element(["1", "2"]) == (1, 2)
     f = free_on("a", "b")
-    assert parse_element(f, ["a", "-b"]) == f.element(word=[("a", 1), ("b", -1)])
+    assert f.parse_element(["a", "-b"]) == f.element([("a", 1), ("b", -1)])
     with pytest.raises(ParseError):
-        parse_element(cyclic(3), ["1", "2"])
+        cyclic(3).parse_element(["1", "2"])
