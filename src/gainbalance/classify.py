@@ -19,14 +19,20 @@ group is admissible; the loop-vertex witness (a loop traversed k times) lifts
 to any graph containing a circle.
 
 The oracle enumerates switching-reduced gain assignments (forest edges pinned
-to the identity) over any finite group, abelian or not, and reports a graph
-bad as soon as the balanced circles of some unbalanced assignment span the
-cycle space; assignments are enumerated lexicographically so the first
-counterexample is deterministic, and it is verified before it is returned.
+to the identity) over any finite group, abelian or not, in lexicographic
+order, and reports a graph bad at the first unbalanced assignment whose
+balanced circles span the cycle space; that counterexample is verified before
+it is returned.  Cyclic products are evaluated by numpy in blocks of at most
+``ORACLE_BLOCK`` assignments, other groups one assignment at a time by walk
+products.  Many assignments balance the same set of circles, so each distinct
+set gets one GF(2) basis extraction.  The edge bound and the assignment
+budget (|G|^dim times the number of circles) bound the work; the group order
+has no bound of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -450,25 +456,48 @@ def _support_masks(g: Graph, circles) -> list[int]:
     return [sum(1 << edge_pos[e] for e in c.support) for c in circles]
 
 
+ORACLE_BLOCK = 1 << 14  # most assignments the residue kernel holds at once
+
+
+def _digit_matrix(start: int, stop: int, width: int, base: int) -> np.ndarray:
+    """The ``width`` base-``base`` digits of start .. stop-1, most significant
+    first: one row per digit position, one column per number."""
+    return np.arange(start, stop) // base ** np.arange(width - 1, -1, -1)[:, None] % base
+
+
 def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, elements: list):
-    """Balanced circles of all assignments at once, by numpy on residues:
-    a circle is balanced when its signed chord counts, dotted with the
-    residues of the chord gains, vanish modulo each modulus."""
+    """Balanced circles of at most ``ORACLE_BLOCK`` assignments at a time, by
+    numpy on residues: a circle is balanced when its signed chord counts,
+    dotted with the residues of the chord gains, vanish modulo each modulus.
+
+    The dot product is a part over the high digits of j plus a part over the
+    low digits.  A block pairs a run of high values with every low value, so
+    the low part is taken once, the high part once per block, and a circle is
+    balanced where the high part equals minus the low part."""
     dim, order = len(chords), len(elements)
     vecs = [walk_int_vector(c.walk) for c in circles]
     rows = np.array([[vec.get(e, 0) for e in chords] for vec in vecs], dtype=np.int64)
-    n_assign = order**dim
-    digits = np.zeros((dim, n_assign), dtype=np.int64)
-    idx = np.arange(n_assign)
-    for i in range(dim):
-        digits[i] = (idx // order ** (dim - 1 - i)) % order
-    balanced = np.ones((len(circles), n_assign), dtype=bool)
-    for f, modulus in enumerate(grp.moduli):
-        res = np.array([el[f] for el in elements], dtype=np.int64)
-        balanced &= rows @ res[digits] % modulus == 0
-    for j in np.nonzero(balanced.sum(axis=0) >= dim)[0]:
-        if j:
-            yield digits[:, j].tolist(), np.nonzero(balanced[:, j])[0].tolist()
+    low_width = 0
+    while low_width < dim and order ** (low_width + 1) <= ORACLE_BLOCK:
+        low_width += 1
+    split, low = dim - low_width, order**low_width
+    residues = [np.array([el[f] for el in elements], dtype=np.int64) for f in range(len(grp.moduli))]
+    low_digits = _digit_matrix(0, low, low_width, order)
+    minus_lows = [(-(rows[:, split:] @ res[low_digits]) % m)[:, None, :] for res, m in zip(residues, grp.moduli)]
+    step = ORACLE_BLOCK // low
+    for start in range(0, order**split, step):
+        highs = [0] * len(residues)  # a lone block has no high digits
+        if split:
+            digits = _digit_matrix(start, min(start + step, order**split), split, order)
+            highs = [(rows[:, :split] @ res[digits] % m)[:, :, None] for res, m in zip(residues, grp.moduli)]
+        per_factor = (minus_low == high for minus_low, high in zip(minus_lows, highs))
+        balanced = functools.reduce(np.logical_and, per_factor).reshape(len(circles), -1)
+        columns = np.nonzero(balanced.sum(axis=0, dtype=np.int32) >= dim)[0]
+        if not start:
+            columns = columns[1:]  # j = 0, all gains the identity, balances every circle
+        if len(columns):
+            packed = np.packbits(balanced[:, columns].T, axis=1)
+            yield (columns + start * low).tolist(), packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
 def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
@@ -478,18 +507,17 @@ def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
     inverses = [grp.inverse(x) for x in elements]
     position = {e: i for i, e in enumerate(chords)}
     steps = [[(position[s.edge], s.forward) for s in c.walk.steps if s.edge in position] for c in circles]
-    for combo in itertools.product(range(len(elements)), repeat=len(chords)):
-        if not any(combo):
+    for j, combo in enumerate(itertools.product(range(len(elements)), repeat=len(chords))):
+        if not j:
             continue
         balanced = []
-        for i, walk in enumerate(steps):
+        for walk in steps:
             acc = ident
             for k, fwd in walk:
                 acc = grp.op(acc, elements[combo[k]] if fwd else inverses[combo[k]])
-            if acc == ident:
-                balanced.append(i)
-        if len(balanced) >= len(chords):
-            yield combo, balanced
+            balanced.append(acc == ident)
+        if sum(balanced) >= len(chords):
+            yield [j], [np.packbits(balanced).tobytes()]
 
 
 def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[dict, list, list]]:
@@ -499,20 +527,38 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
 
     Assignment j gives chord i the element ``grp.elements()[d_i]`` where
     d_1 .. d_dim are the base-|G| digits of j, first chord most significant;
-    they come in ascending j.  Cyclic products, whose elements are residue
-    vectors, go through the numpy kernel; other groups through the walk kernel.
+    they come in ascending j.  A kernel yields, in batches, each nonzero j
+    with at least dim balanced circles and its key, the ``np.packbits`` of
+    its balanced column: cyclic products, whose elements are residue vectors,
+    go through the numpy kernel; other groups through the walk kernel.  Many
+    assignments balance the same circles, so the basis is extracted once per
+    distinct key.
     """
-    dim = cycle_space_dimension(g)
     forest = spanning_forest(g)
     chords = [e for e in g.edge_list if e not in forest]
+    dim = len(chords)
     elements = grp.elements()
     masks = _support_masks(g, circles)
     kernel = _residue_kernel if isinstance(grp, CyclicProduct) else _walk_kernel
-    for digits, balanced in kernel(grp, circles, chords, elements):
-        items = [(masks[i], circles[i]) for i in balanced]
-        basis = gf2_extract_basis(items, dim)
-        if basis is not None:
-            yield {chords[i]: elements[d] for i, d in enumerate(digits)}, [c for _, c in items], basis
+    seen: set[bytes] = set()
+    spanning: dict[bytes, tuple[list, list]] = {}
+    for js, keys in kernel(grp, circles, chords, elements):
+        for key in set(keys).difference(seen):
+            seen.add(key)
+            bits, top = int.from_bytes(key, "big"), 8 * len(key) - 1
+            items = [(masks[i], circles[i]) for i in range(len(circles)) if bits >> (top - i) & 1]
+            basis = gf2_extract_basis(items, dim)
+            if basis is not None:
+                spanning[key] = ([c for _, c in items], basis)
+        if spanning.keys().isdisjoint(keys):
+            continue
+        for j, key in zip(js, keys):
+            if key in spanning:
+                subset, basis = spanning[key]
+                digits = [0] * dim
+                for i in reversed(range(dim)):
+                    j, digits[i] = divmod(j, len(elements))
+                yield {chords[i]: elements[d] for i, d in enumerate(digits)}, list(subset), basis
 
 
 def oracle_circle_goodness(
@@ -533,8 +579,6 @@ def oracle_circle_goodness(
     order = grp.order()
     if order is None:
         raise GraphError("oracle needs a finite gain group")
-    if order > 6:
-        raise BudgetError("oracle group bound exceeded (order > 6)")
     dim = cycle_space_dimension(g)
     if dim == 0 or order == 1:
         return True, None
@@ -552,10 +596,11 @@ def oracle_circle_goodness(
 
 def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, list]]:
     """For each unbalanced switching-reduced assignment whose balanced
-    circles span the cycle space, yield (chord gains, balanced circles).
+    circles span the cycle space, yield (chord gains, balanced circles), in
+    the assignment order of ``oracle_circle_goodness``.
 
-    Used to survey which bases can witness badness (e.g. the wheel basis
-    taxonomy) and by the atlas subcommand.
+    Surveys which bases can witness badness (the tests use it for the wheel
+    basis taxonomy); no subcommand calls it.  It has no edge bound or budget.
     """
     if cycle_space_dimension(g) == 0 or grp.order() == 1:
         return

@@ -247,18 +247,10 @@ def _check_forest(g: Graph, forest: frozenset) -> None:
 # -- circle enumeration -------------------------------------------------------
 
 
-def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
-    """All circles of g, each once, sorted canonically.
-
-    DFS over simple paths from each minimal vertex, closing back to it; the
-    default edge bound keeps the search at desk scale.
-    """
-    if len(g.edge_list) > max_edges:
-        raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {max_edges})")
-    found: set[frozenset] = set()
-    for e in g.edge_list:
-        if g.is_loop(e):
-            found.add(frozenset({e}))
+def _circle_supports(g: Graph, max_length: int) -> set[frozenset]:
+    """Supports of the circles of g with at most ``max_length`` edges, by DFS
+    over simple paths from each minimal vertex, closing back to it."""
+    found = {frozenset({e}) for e in g.edge_list if g.is_loop(e)}
     order = {v: i for i, v in enumerate(g.vertex_list)}
 
     def dfs(root: str, at: str, used_edges: list[str], visited: set[str]) -> None:
@@ -269,7 +261,7 @@ def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
                 if len(used_edges) >= 2 or eid > used_edges[0]:
                     found.add(frozenset(used_edges + [eid]))
                 continue
-            if order.get(u, -1) <= order[root] or u in visited:
+            if order.get(u, -1) <= order[root] or u in visited or len(used_edges) + 2 > max_length:
                 continue
             visited.add(u)
             used_edges.append(eid)
@@ -279,9 +271,47 @@ def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
 
     for root in g.vertex_list:
         dfs(root, root, [], set())
-    circles = [circle_from_support(g, s) for s in found]
-    circles.sort(key=lambda c: (len(c.support), tuple(sorted(c.support))))
+    return found
+
+
+def _canonical_order(support: frozenset) -> tuple:
+    return len(support), tuple(sorted(support))
+
+
+def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
+    """All circles of g, each once, sorted canonically.
+
+    DFS over simple paths from each minimal vertex, closing back to it; the
+    default edge bound keeps the search at desk scale.
+    """
+    if len(g.edge_list) > max_edges:
+        raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {max_edges})")
+    circles = [circle_from_support(g, s) for s in _circle_supports(g, len(g.edge_list))]
+    circles.sort(key=lambda c: _canonical_order(c.support))
     return circles
+
+
+def least_circle(g: Graph) -> Optional[frozenset]:
+    """The support of ``enumerate_circles(g)[0]`` without listing every circle,
+    or None on a forest.
+
+    The girth is the least, over all edges, of one plus the length of the
+    shortest path between the edge's ends that avoids the edge (one BFS per
+    edge); the DFS then looks only for circles of that length.
+    """
+    girth = None
+    for e in g.edge_list:
+        t, h = g.ends(e)
+        depth, frontier, seen = 0, {t}, {t}
+        while h not in frontier and frontier and (girth is None or depth + 1 < girth):
+            depth += 1
+            frontier = {u for v in frontier for f, u in g.incident(v) if f != e and u not in seen}
+            seen |= frontier
+        if h in frontier:
+            girth = depth + 1
+    if girth is None:
+        return None
+    return min(_circle_supports(g, girth), key=_canonical_order)
 
 
 # -- cyclic orientations ------------------------------------------------------

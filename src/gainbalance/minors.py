@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclespace import BinaryCycle, OrientedBasis, enumerate_circles, fundamental_circle
-from .errors import BudgetError, GraphError
+from .cyclespace import BinaryCycle, OrientedBasis, fundamental_circle, least_circle
+from .errors import GraphError
 from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
     ClosedWalk,
@@ -145,10 +145,7 @@ def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
 
 def _loop_vertex_witness(g: Graph) -> Optional[MinorWitness]:
     """A loop-vertex minor exists iff the host contains any circle."""
-    best: Optional[frozenset] = None
-    for c in _short_circle(g):
-        best = c
-        break
+    best = _short_circle(g)
     if best is None:
         return None
     verts = {v for e in best for v in g.ends(e)}
@@ -159,30 +156,26 @@ def _loop_vertex_witness(g: Graph) -> Optional[MinorWitness]:
     return MinorWitness({target_vertex: frozenset(verts)}, {"e": loop_edge})
 
 
-def _short_circle(g: Graph):
+def _short_circle(g: Graph) -> Optional[frozenset]:
+    """A loop, else a pair of parallel edges, else the least circle in
+    canonical order (the fundamental circle of the least chord past 64
+    edges), or None on a forest."""
     for e in g.edge_list:
         if g.is_loop(e):
-            yield frozenset({e})
-            return
+            return frozenset({e})
     seen_pairs = set()
     for e in g.edge_list:
         t, h = g.ends(e)
         key = frozenset({t, h})
         if key in seen_pairs:
             others = [f for f in g.edges_between(t, h) if f != e]
-            yield frozenset({e, others[0]})
-            return
+            return frozenset({e, others[0]})
         seen_pairs.add(key)
-    try:
-        circles = enumerate_circles(g, max_edges=64)
-    except BudgetError:
-        # too many edges to enumerate: the fundamental circle of the least chord
-        forest = spanning_forest(g)
-        chord = next((e for e in g.edge_list if e not in forest), None)
-        circles = [] if chord is None else [fundamental_circle(RootedForest(g, forest), chord)]
-    for c in circles:
-        yield c.support
-        return
+    if len(g.edge_list) <= 64:
+        return least_circle(g)
+    forest = spanning_forest(g)
+    chord = next((e for e in g.edge_list if e not in forest), None)
+    return None if chord is None else fundamental_circle(RootedForest(g, forest), chord).support
 
 
 def has_minor(

@@ -5,6 +5,7 @@ import pytest
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
+    ORACLE_BLOCK,
     BINARY_TEST,
     CIRCLE_TEST,
     GOOD,
@@ -38,6 +39,7 @@ from gainbalance.graphcore import (
 from gainbalance.groups import ALL, EXPLICIT, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
+from oracle_reference import reference_spanning_assignments, reference_witness_json
 
 
 Z3 = cyclic(3)
@@ -320,6 +322,46 @@ def test_oracle_sym3():
     good, w = oracle_circle_goodness(named("2C4"), s3)
     assert not good  # S3 contains Z3
     assert w is not None and w.verify()
+
+
+def _compare_with_reference(g, grp) -> int:
+    """Assert the oracle's spanning sets and first witness equal the
+    per-assignment reference's; return the number of spanning assignments."""
+    expected = list(reference_spanning_assignments(g, grp))
+    assert list(oracle_spanning_balanced_sets(g, grp)) == [(gains, subset) for gains, subset, _ in expected]
+    good, w = oracle_circle_goodness(g, grp)
+    assert good == (not expected)
+    assert (None if w is None else w.to_json()) == reference_witness_json(g, grp)
+    return len(expected)
+
+
+def test_oracle_matches_reference_on_small_multigraphs():
+    for g in inseparable_multigraphs(7):
+        for grp in (Z3, cyclic(4), cyclic(5), abelian_product(2, 3)):
+            assert _compare_with_reference(g, grp) == 0  # bad graphs need 8 edges
+
+
+def test_oracle_matches_reference_on_bad_and_multi_block_hosts():
+    for tag in ("C3(3,3,2)", "2C4", "K4dd", "W4"):
+        for grp in (Z3, cyclic(5), abelian_product(2, 3)):
+            _compare_with_reference(named(tag), grp)
+    g2c4 = named("2C4")
+    g2c4_plus = Graph({**g2c4.edges, "g1": g2c4.edges["e1"]})
+    mk2 = named("mK2(8)")
+    # 7^5, 9^5, 6^6, 5^7 and 20000 assignments: each host spans several kernel blocks
+    assert min(7**5, 9**5, 6**6, 5**7, 20000) > ORACLE_BLOCK
+    assert _compare_with_reference(g2c4, cyclic(7)) == 0  # good over Z7
+    assert _compare_with_reference(g2c4, abelian_product(3, 3)) == 128
+    assert _compare_with_reference(g2c4_plus, abelian_product(2, 3)) == 144
+    assert _compare_with_reference(mk2, cyclic(5)) == 0
+    assert _compare_with_reference(named("mK2(2)"), cyclic(20000)) == 0  # a group larger than a block
+
+
+def test_oracle_matches_reference_over_sym3():
+    s3 = symmetric(3)
+    for g in inseparable_multigraphs(5):
+        assert _compare_with_reference(g, s3) == 0
+    assert _compare_with_reference(named("2C4"), s3) > 0
 
 
 def test_oracle_first_counterexample_deterministic():

@@ -7,8 +7,9 @@ from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import parse_graph_text
-from gainbalance.groups import parse_group_header
+from gainbalance.groups import parse_group_header, parse_group_spec
 from conftest import named
+from oracle_reference import reference_witness_json
 
 C332_GAINS = """\
 group Z 3
@@ -92,11 +93,9 @@ def test_classify_command_json_round_trip(capsys):
     assert group.moduli == (3,)
 
 
-def test_classify_binary_test_beyond_circle_enumeration(capsys):
-    # Grid(6,6) has 84 edges, more than circle enumeration takes, so the
-    # loop-vertex witness winds around a fundamental circle instead
-    assert run(["classify", "Grid(6,6)", "--class", "contains-z3", "--test", "cycle", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
+def _assert_verified_binary_witness(data: dict) -> None:
+    """The JSON witness, rebuilt from text, passes the binary cycle test while
+    its gain graph is unbalanced."""
     assert data["status"] == "Bad"
     evidence = data["evidence"]
     g = parse_graph_text("\n".join(f"edge {e} {t} {h}" for e, (t, h) in sorted(evidence["edges"].items())))
@@ -107,6 +106,22 @@ def test_classify_binary_test_beyond_circle_enumeration(capsys):
     )
     assert binary_cycle_test(gg, parse_basis_text(basis_text, g))
     assert not is_balanced(gg).balanced
+
+
+def test_classify_binary_test_beyond_circle_enumeration(capsys):
+    # Grid(6,6) has 84 edges, more than circle enumeration takes, so the
+    # loop-vertex witness winds around a fundamental circle instead
+    assert run(["classify", "Grid(6,6)", "--class", "contains-z3", "--test", "cycle", "--json"]) == 0
+    _assert_verified_binary_witness(json.loads(capsys.readouterr().out))
+
+
+def test_classify_binary_test_on_simple_grid_without_listing_circles(capsys):
+    # Grid(5,5) has 60 edges and far too many circles to list; the witness
+    # winds around its least 4-circle, found by girth search
+    assert run(["classify", "Grid(5,5)", "--class", "contains-z3", "--test", "cycle", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    _assert_verified_binary_witness(data)
+    assert data["evidence"]["basis"][0]["support"] == ["h0_0", "h1_0", "v0_0", "v0_1"]
 
 
 def test_classify_cycle_command(capsys):
@@ -141,6 +156,15 @@ def test_oracle_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["good"] is False
     assert "counterexample" in data
+
+
+def test_oracle_beyond_order_six(capsys):
+    # 7^5 assignments of 2C4 over Z7, within the default assignment budget
+    assert run(["oracle", "2C4", "--group", "Z7", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    expected = reference_witness_json(named("2C4"), parse_group_spec("Z7"))
+    assert data["good"] is (expected is None)
+    assert data.get("counterexample") == expected
 
 
 def test_atlas_command(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from gainbalance.cyclespace import (
     improper_edges,
     is_circle_basis,
     is_cycle_basis,
+    least_circle,
     natural_orientation,
     oriented_basis,
     parse_basis_text,
@@ -100,6 +102,31 @@ def test_enumerate_agrees_with_subset_filter(tag):
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
         enumerate_circles(named("Grid(3,3)"), max_edges=12)
+
+
+def random_graph(rng: random.Random, simple: bool) -> Graph:
+    n = rng.randint(1, 9)
+    edges: dict = {}
+    for k in range(rng.randint(0, 22)):
+        a, b = f"v{rng.randrange(n)}", f"v{rng.randrange(n)}"
+        if simple and (a == b or any({a, b} == set(ends) for ends in edges.values())):
+            continue
+        edges[f"e{k}"] = (a, b)
+    return Graph(edges, [f"v{i}" for i in range(n)])
+
+
+def test_least_circle_is_first_enumerated_circle():
+    rng = random.Random(2024)
+    for i in range(600):
+        g = random_graph(rng, simple=i < 400)
+        circles = enumerate_circles(g)
+        assert least_circle(g) == (circles[0].support if circles else None), sorted(g.edges.items())
+
+
+def test_least_circle_past_circle_enumeration():
+    # Grid(5,5) has 60 edges; listing its circles does not finish
+    assert least_circle(named("Grid(5,5)")) == frozenset({"h0_0", "h1_0", "v0_0", "v0_1"})
+    assert least_circle(Graph({"a": ("x", "y"), "b": ("y", "z")})) is None
 
 
 # -- bases ------------------------------------------------------------------------
