@@ -532,8 +532,10 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
     its balanced column: cyclic products, whose elements are residue vectors,
     go through the numpy kernel; other groups through the walk kernel.  Many
     assignments balance the same circles, so the basis is extracted once per
-    distinct key.
+    distinct key.  Without circles there is none.
     """
+    if not circles:
+        return
     forest = spanning_forest(g)
     chords = [e for e in g.edge_list if e not in forest]
     dim = len(chords)
@@ -561,6 +563,25 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
                 yield {chords[i]: elements[d] for i, d in enumerate(digits)}, list(subset), basis
 
 
+def _oracle_circles(g: Graph, grp: Group, max_edges: int = 10, budget: int = 50_000_000) -> list:
+    """The circles of ``g`` that the oracle tests, or [] when every
+    switching-reduced assignment is trivial; raises ``BudgetError`` past the
+    edge bound or the assignment budget (|G|^dim times the number of
+    circles)."""
+    if len(g.edge_list) > max_edges:
+        raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {max_edges})")
+    order = grp.order()
+    if order is None:
+        raise GraphError("oracle needs a finite gain group")
+    dim = cycle_space_dimension(g)
+    if dim == 0 or order == 1:
+        return []
+    circles = enumerate_circles(g)
+    if order**dim * len(circles) > budget:
+        raise BudgetError("oracle assignment budget exceeded")
+    return circles
+
+
 def oracle_circle_goodness(
     g: Graph,
     grp: Group,
@@ -574,19 +595,8 @@ def oracle_circle_goodness(
     first counterexample (lexicographic assignment order, greedy basis
     extraction in canonical circle order) is returned as a verified witness.
     """
-    if len(g.edge_list) > max_edges:
-        raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {max_edges})")
-    order = grp.order()
-    if order is None:
-        raise GraphError("oracle needs a finite gain group")
-    dim = cycle_space_dimension(g)
-    if dim == 0 or order == 1:
-        return True, None
-    circles = enumerate_circles(g)
-    if order**dim * max(1, len(circles)) > budget:
-        raise BudgetError("oracle assignment budget exceeded")
     # the first spanning set in assignment order is the counterexample
-    for gains, _, basis in _spanning_assignments(g, grp, circles):
+    for gains, _, basis in _spanning_assignments(g, grp, _oracle_circles(g, grp, max_edges, budget)):
         witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
         if not witness.verify():
             raise RuntimeError("oracle witness failed verification")
@@ -600,9 +610,8 @@ def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, 
     the assignment order of ``oracle_circle_goodness``.
 
     Surveys which bases can witness badness (the tests use it for the wheel
-    basis taxonomy); no subcommand calls it.  It has no edge bound or budget.
+    basis taxonomy); no subcommand calls it.  It checks the oracle's default
+    edge bound and assignment budget when called, before yielding anything.
     """
-    if cycle_space_dimension(g) == 0 or grp.order() == 1:
-        return
-    for gains, subset, _ in _spanning_assignments(g, grp, enumerate_circles(g)):
-        yield gains, subset
+    spanning = _spanning_assignments(g, grp, _oracle_circles(g, grp))
+    return ((gains, subset) for gains, subset, _ in spanning)

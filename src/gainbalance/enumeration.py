@@ -5,7 +5,13 @@ connected multigraph with m edges and no isolated vertices arises from one
 with m - 1 edges by adding a parallel/new edge, a loop, or a pendant edge to
 a fresh vertex.  Inseparable graphs are generated by open ear decomposition:
 start from a circle and repeatedly attach paths with distinct existing
-endpoints.  Duplicates are removed with the canonical form from graphcore.
+endpoints.  Each candidate is a multiplicity matrix built from its parent's
+cells and canonicalized by the search of graphcore, which also yields
+automorphisms of the candidate; these are kept, moved to canonical positions,
+with each new graph.  A parent is grown once per orbit of its automorphisms:
+one new edge or loop per orbit of vertex pairs, one pendant edge per vertex
+orbit, one ear per orbit of endpoint pairs.  Isomorphic candidates still
+meet in the set of canonical forms.
 
 Graphs are kept in a compact internal form ``(n, ((i, j, mult), ...))`` with
 ``i <= j`` (loops on the diagonal) and materialized as :class:`Graph` values
@@ -17,28 +23,35 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .graphcore import Graph, canonical_labeling
+from .graphcore import DisjointSets, Graph, _canonical_connected
 
 Compact = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
-def _compact_canonical(n: int, cells: dict[tuple[int, int], int]) -> Compact:
-    edges = {}
-    eid = 0
-    for (i, j), mult in cells.items():
-        for _ in range(mult):
-            edges[f"e{eid}"] = (f"v{i}", f"v{j}")
-            eid += 1
-    g = Graph(edges, {f"v{i}" for i in range(n)})
-    _, vmap = canonical_labeling(g)
-    pos = {int(v[1:]): p for v, p in vmap.items()}
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), mult in cells.items():
-        a, b = pos[i], pos[j]
-        if a > b:
-            a, b = b, a
-        out[(a, b)] = out.get((a, b), 0) + mult
-    return n, tuple(sorted((a, b, m) for (a, b), m in out.items()))
+def _compact_canonical(n: int, cells: dict[tuple[int, int], int]) -> tuple[Compact, list[list[int]]]:
+    """Canonical form of the connected multigraph with these cells, and the
+    automorphisms its search found, as images of canonical positions."""
+    mult = [[0] * n for _ in range(n)]
+    for (i, j), m in cells.items():
+        mult[i][j] = mult[j][i] = m
+    key, pos, autos = _canonical_connected(n, mult)
+    at = sorted(range(n), key=pos.__getitem__)  # original index at each position
+    return (n, key), [[pos[a[i]] for i in at] for a in autos]
+
+
+def _pair_orbits(n: int, autos: list[list[int]]) -> list[tuple[int, int]]:
+    """The least pair ``(i, j)``, ``i <= j``, of each orbit of the group
+    generated by ``autos`` on unordered vertex pairs and loops; the loops
+    among them stand for the vertex orbits."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    orbits = DisjointSets(pairs)
+    for a in autos:
+        for i, j in pairs:
+            orbits.union((i, j), (a[i], a[j]) if a[i] <= a[j] else (a[j], a[i]))
+    least: dict = {}
+    for p in pairs:
+        least.setdefault(orbits.find(p), p)
+    return list(least.values())
 
 
 def materialize(c: Compact) -> Graph:
@@ -64,25 +77,24 @@ def connected_multigraphs(max_edges: int) -> tuple[tuple[Compact, ...], ...]:
     Index 0 holds the single-vertex graph.
     """
     levels: list[tuple[Compact, ...]] = [((1, ()),)]
+    autos: dict[Compact, list[list[int]]] = {(1, ()): []}
     for m in range(1, max_edges + 1):
-        seen: set[Compact] = set()
+        seen: dict[Compact, list[list[int]]] = {}
         for base in levels[m - 1]:
-            n, items = base
+            n = base[0]
             cells = _cells(base)
-            candidates: list[tuple[int, dict]] = []
-            for i in range(n):
-                for j in range(i, n):
-                    grown = dict(cells)
-                    grown[(i, j)] = grown.get((i, j), 0) + 1
-                    candidates.append((n, grown))
-            if m >= 1:
-                for i in range(n):  # pendant edge to one fresh vertex
+            for i, j in _pair_orbits(n, autos[base]):
+                grown = dict(cells)
+                grown[(i, j)] = grown.get((i, j), 0) + 1
+                c, found = _compact_canonical(n, grown)
+                seen.setdefault(c, found)
+                if i == j:  # pendant edge to one fresh vertex
                     grown = dict(cells)
                     grown[(i, n)] = 1
-                    candidates.append((n + 1, grown))
-            for nn, grown in candidates:
-                seen.add(_compact_canonical(nn, grown))
+                    c, found = _compact_canonical(n + 1, grown)
+                    seen.setdefault(c, found)
         levels.append(tuple(sorted(seen)))
+        autos = seen
     return tuple(levels)
 
 
@@ -124,47 +136,39 @@ def inseparable_multigraphs(max_edges: int) -> tuple[Graph, ...]:
     """All inseparable multigraphs with 1..max_edges edges up to isomorphism:
     the loop vertex, the single edge, and every 2-connected loopless
     multigraph built by open ear decomposition."""
-    seen: dict[int, set[Compact]] = {m: set() for m in range(max_edges + 1)}
-    if max_edges >= 1:
-        seen[1].add(_compact_canonical(1, {(0, 0): 1}))  # loop vertex
-        seen[1].add(_compact_canonical(2, {(0, 1): 1}))  # single edge
+    seen: dict[int, dict[Compact, list[list[int]]]] = {m: {} for m in range(max_edges + 1)}
+    if max_edges >= 1:  # the loop vertex and the single edge
+        seen[1].update([_compact_canonical(1, {(0, 0): 1}), _compact_canonical(2, {(0, 1): 1})])
     # seed circles: digon, triangle, ... (cycle with k edges)
     frontier: list[Compact] = []
     for k in range(2, max_edges + 1):
         cells = {}
-        if k == 2:
-            cells = {(0, 1): 2}
-        else:
-            for i in range(k):
-                a, b = i, (i + 1) % k
-                if a > b:
-                    a, b = b, a
-                cells[(a, b)] = cells.get((a, b), 0) + 1
-        c = _compact_canonical(k if k > 2 else 2, cells)
-        m = sum(x[2] for x in c[1])
-        if c not in seen[m]:
-            seen[m].add(c)
-            frontier.append(c)
-    # grow by open ears
+        for i in range(k):
+            a, b = sorted((i, (i + 1) % k))
+            cells[(a, b)] = cells.get((a, b), 0) + 1
+        c, found = _compact_canonical(k, cells)
+        seen[k][c] = found
+        frontier.append(c)
+    # grow by open ears, one per orbit of endpoint pairs
     while frontier:
         base = frontier.pop()
         n, items = base
         m = sum(x[2] for x in items)
         cells = _cells(base)
+        ends = [(u, v) for u, v in _pair_orbits(n, seen[m][base]) if u < v]
         for length in range(1, max_edges - m + 1):
             fresh = length - 1
-            for u in range(n):
-                for v in range(u + 1, n):
-                    grown = dict(cells)
-                    path = [u] + [n + t for t in range(fresh)] + [v]
-                    for a, b in zip(path, path[1:]):
-                        aa, bb = (a, b) if a <= b else (b, a)
-                        grown[(aa, bb)] = grown.get((aa, bb), 0) + 1
-                    c = _compact_canonical(n + fresh, grown)
-                    if c not in seen[m + length]:
-                        seen[m + length].add(c)
-                        if m + length < max_edges:
-                            frontier.append(c)
+            for u, v in ends:
+                grown = dict(cells)
+                path = [u] + [n + t for t in range(fresh)] + [v]
+                for a, b in zip(path, path[1:]):
+                    aa, bb = (a, b) if a <= b else (b, a)
+                    grown[(aa, bb)] = grown.get((aa, bb), 0) + 1
+                c, found = _compact_canonical(n + fresh, grown)
+                if c not in seen[m + length]:
+                    seen[m + length][c] = found
+                    if m + length < max_edges:
+                        frontier.append(c)
     out = []
     for m in range(1, max_edges + 1):
         out.extend(materialize(c) for c in sorted(seen[m]))

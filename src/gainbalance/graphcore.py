@@ -655,39 +655,45 @@ def suppress_divalent(g: Graph) -> Graph:
 
 
 # -- isomorphism and canonical forms ----------------------------------------
+#
+# A connected graph's key is the least edge-multiset encoding over the leaves
+# of a search tree that refines the vertex coloring until it is equitable and
+# branches on each vertex of the first non-singleton cell.  Leaves with equal
+# encodings differ by an automorphism, which is kept.  A branch that the kept
+# automorphisms fixing every vertex individualized above it map onto an
+# explored sibling is skipped (orbit pruning, McKay & Piperno, "Practical
+# graph isomorphism II", 2014): its subtree repeats the sibling's encodings
+# later in search order, so key and vertex map are those of the unpruned search.
 
 
-def _canonical_connected(n: int, mult: list[list[int]]) -> tuple[tuple, list[int]]:
-    """Minimal edge-multiset encoding over admissible labelings, plus the
-    permutation achieving it (position of each original index)."""
-    nbrs = [tuple(j for j in range(n) if j != i and mult[i][j]) for i in range(n)]
+def _canonical_connected(n: int, mult: list[list[int]]) -> tuple[tuple, list[int], list[list[int]]]:
+    """Minimal edge-multiset encoding over admissible labelings, the
+    permutation achieving it (position of each original index), and the
+    automorphisms found on the way (image of each original index)."""
+    nbrs = [[(j, mult[i][j]) for j in range(n) if j != i and mult[i][j]] for i in range(n)]
+    edges = [(i, j, mult[i][j]) for i in range(n) for j in range(i, n) if mult[i][j]]
 
     def refine(colors: list[int]) -> list[int]:
+        # dense ranks of (color, loops, neighbor colors) until the cells
+        # stop splitting, which leaves them equitable
+        cells = len(set(colors))
         while True:
-            sig = [
-                (colors[i], mult[i][i], tuple(sorted((colors[j], mult[i][j]) for j in nbrs[i])))
-                for i in range(n)
-            ]
-            rank = {s: r for r, s in enumerate(sorted(set(sig)))}
-            new = [rank[s] for s in sig]
-            if new == colors:
+            sig = [(colors[i], mult[i][i], tuple(sorted([(colors[j], m) for j, m in nbrs[i]]))) for i in range(n)]
+            ordered = sorted(set(sig))
+            rank = {s: r for r, s in enumerate(ordered)}
+            colors = [rank[s] for s in sig]
+            if len(ordered) == cells:
                 return colors
-            colors = new
+            cells = len(ordered)
 
     def encode(pos: list[int]) -> tuple:
-        items = []
-        for i in range(n):
-            for j in range(i, n):
-                if mult[i][j]:
-                    a, b = pos[i], pos[j]
-                    if a > b:
-                        a, b = b, a
-                    items.append((a, b, mult[i][j]))
-        return tuple(sorted(items))
+        return tuple(sorted([(pos[i], pos[j], m) if pos[i] <= pos[j] else (pos[j], pos[i], m) for i, j, m in edges]))
 
     best: list = [None, None]
+    autos: list[list[int]] = []
 
-    def search(colors: list[int]) -> None:
+    def search(colors: list[int], fixed: list[int]) -> None:
+        # refined colors are dense ranks, so at a leaf they are the positions
         colors = refine(colors)
         cells: dict[int, list[int]] = {}
         for i, c in enumerate(colors):
@@ -698,27 +704,39 @@ def _canonical_connected(n: int, mult: list[list[int]]) -> tuple[tuple, list[int
                 target = cells[c]
                 break
         if target is None:
-            order = sorted(range(n), key=lambda i: colors[i])
-            pos = [0] * n
-            for idx, i in enumerate(order):
-                pos[i] = idx
-            key = encode(pos)
+            key = encode(colors)
             if best[0] is None or key < best[0]:
                 best[0] = key
-                best[1] = pos
+                best[1] = colors
+            elif key == best[0]:
+                at = {p: i for i, p in enumerate(best[1])}
+                autos.append([at[p] for p in colors])
             return
+        orbits = DisjointSets(range(n))
+        merged = 0
+        explored: list[int] = []
         for i in target:
+            for a in autos[merged:]:
+                if all(a[v] == v for v in fixed):
+                    for v in range(n):
+                        orbits.union(v, a[v])
+            merged = len(autos)
+            if any(orbits.find(i) == orbits.find(u) for u in explored):
+                continue
+            explored.append(i)
             forced = [c * 2 + 1 for c in colors]
             forced[i] -= 1
-            search(forced)
+            search(forced, fixed + [i])
 
-    search([0] * n)
-    return best[0], best[1]
+    search([0] * n, [])
+    return best[0], best[1], autos
 
 
 def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
     """Canonical key of the unlabeled shape plus one vertex -> position map
-    realizing it.  Equal keys imply isomorphism and vice versa."""
+    realizing it.  Equal keys imply isomorphism and vice versa.  Components
+    are searched with orbit pruning, which leaves key and map as the unpruned
+    search gives them."""
     comps = components(g)
     if len(comps) <= 1:
         verts = g.vertex_list
@@ -733,7 +751,7 @@ def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
             else:
                 mult[i][j] += 1
                 mult[j][i] += 1
-        key, pos = _canonical_connected(n, mult)
+        key, pos, _ = _canonical_connected(n, mult)
         return (n, key), {v: pos[idx[v]] for v in verts}
     # canonicalize each component, order components by key, offset positions
     pieces = []

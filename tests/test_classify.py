@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -314,6 +315,18 @@ def test_oracle_budget_and_bounds():
         oracle_circle_goodness(named("2C4"), Z3, budget=10)
     with pytest.raises(GraphError):
         oracle_circle_goodness(named("W4"), free_on("a"))
+
+
+def test_oracle_spanning_sets_share_the_bounds():
+    # 5^10 assignments past the edge bound, 5^9 x 45 cells past the budget:
+    # both raise when called, before any assignment is tried
+    for tag in ("mK2(11)", "mK2(10)"):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError):
+            oracle_spanning_balanced_sets(named(tag), cyclic(5))
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(GraphError):
+        oracle_spanning_balanced_sets(named("W4"), free_on("a"))
 
 
 def test_oracle_sym3():

@@ -7,6 +7,7 @@ from gainbalance.enumeration import (
     materialize,
 )
 from gainbalance.graphcore import Graph, canonical_key, is_connected, is_inseparable
+from canonical_reference import reference_connected_multigraphs, reference_inseparable_multigraphs
 
 
 def brute_connected_multigraphs(max_edges, max_vertices=5):
@@ -36,8 +37,17 @@ def test_connected_counts_match_brute_force():
 
 
 def test_connected_level_sizes():
-    levels = connected_multigraphs(5)
-    assert [len(l) for l in levels] == [1, 2, 4, 11, 30, 95]
+    levels = connected_multigraphs(7)
+    assert [len(l) for l in levels] == [1, 2, 4, 11, 30, 95, 328, 1211]
+
+
+def test_connected_matches_reference_enumeration():
+    assert connected_multigraphs(6) == reference_connected_multigraphs(6)
+
+
+def test_inseparable_matches_reference_enumeration():
+    expected = [materialize(c) for level in reference_inseparable_multigraphs(7) for c in level]
+    assert list(inseparable_multigraphs(7)) == expected
 
 
 def test_levels_have_no_duplicates():
