@@ -223,16 +223,18 @@ def _match_base(h: Graph) -> Optional[NamedGraphSpec]:
 
 def structural_decomposition(g: Graph) -> Optional[Decomposition]:
     """Per block, a base family plus an extrusion log reaching the block, or
-    None when some block admits no such decomposition."""
+    None when some block admits no such decomposition.
+
+    A loopless block is reduced along one reverse-extrusion path and
+    decomposes exactly when the irreducible end is a base (a base has no
+    reverse step, so it ends at itself with an empty log).  A block with a
+    loop decomposes only as the loop vertex itself."""
     out = []
     for block in blocks(g):
-        direct = _match_base(block)
-        if direct is not None:
-            out.append(BlockDecomposition(block, direct, ()))
-            continue
         if any(block.is_loop(e) for e in block.edge_list):
-            return None
-        irreducible, steps = reverse_extrusion_reduce(block, accept=_match_base)
+            irreducible, steps = block, ()
+        else:
+            irreducible, steps = reverse_extrusion_reduce(block)
         base = _match_base(irreducible)
         if base is None:
             return None

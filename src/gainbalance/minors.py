@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cyclespace import BinaryCycle, OrientedBasis, fundamental_circle, least_circle
 from .errors import GraphError
@@ -29,7 +29,6 @@ from .graphcore import (
     DisjointSets,
     Graph,
     RootedForest,
-    canonical_key,
     components,
     edge_components,
     is_isomorphic,
@@ -250,20 +249,15 @@ def has_minor(
             slack = len(sub.edge_list) - (len(vs) - 1)
             if slack < loops_at_target[tv]:
                 return False
+        where = {v: t for t, vs in assignment.items() for v in vs}
         for j in range(i):
             tu = order[j]
             need = target.multiplicity(tu, tv) if tu != tv else 0
             if need:
-                have = sum(1 for e in g.edge_list if set(map(lambda x: _loc(x, assignment), g.ends(e))) == {tu, tv})
+                have = sum(1 for e in g.edge_list if {where.get(x) for x in g.ends(e)} == {tu, tv})
                 if have < need:
                     return False
         return True
-
-    def _loc(v, asg):
-        for t, vs in asg.items():
-            if v in vs:
-                return t
-        return None
 
     def search(i: int) -> Optional[dict[str, frozenset]]:
         if i == len(order):
@@ -495,47 +489,21 @@ def is_extrusion_irreducible(g: Graph) -> bool:
     return not _reverse_moves(g)
 
 
-def reverse_extrusion_reduce(
-    g: Graph,
-    accept: Optional[Callable[[Graph], object]] = None,
-) -> tuple[Graph, tuple[ReverseStep, ...]]:
-    """Exhaustively search single reverse-extrusion steps down to an
-    extrusion-irreducible graph.
+def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
+    """Take the first reverse-extrusion step until none applies.
 
-    Reverse steps need not commute, so all reduction orders are explored with
-    memoization on canonical forms.  When ``accept`` is given, a reachable
-    irreducible graph for which it returns a true value is returned if any
-    exists; it must give the same answer on isomorphic graphs.
+    One path suffices for a block: each step contracts an edge and keeps the
+    graph loopless and inseparable, so a block free of the four forbidden
+    minors (the minor characterization) ends at a minor free of them too, and
+    the constructive characterization makes that irreducible end a base.
     """
     if any(g.is_loop(e) for e in g.edge_list):
         raise GraphError("reverse extrusion operates on loopless graphs")
-    memo: dict[tuple, tuple] = {}
-
-    def run(h: Graph) -> tuple:
-        """Returns (accepted result or None, fallback result)."""
-        key = canonical_key(h)
-        if key in memo:
-            return memo[key]
-        moves = _reverse_moves(h)
-        if not moves:
-            hit = (h, ()) if accept is None or accept(h) else None
-            memo[key] = (hit, (h, ()))
-            return memo[key]
-        accepted = None
-        fallback = None
-        for mv in moves:
-            reduced, _ = contract(h, {mv.edge})
-            sub_acc, sub_fall = run(reduced)
-            if fallback is None:
-                fallback = (sub_fall[0], (mv,) + sub_fall[1])
-            if sub_acc is not None:
-                accepted = (sub_acc[0], (mv,) + sub_acc[1])
-                break
-        memo[key] = (accepted, fallback)
-        return memo[key]
-
-    accepted, fallback = run(g)
-    return accepted if accepted is not None else fallback
+    steps = []
+    while moves := _reverse_moves(g):
+        g, _ = contract(g, {moves[0].edge})
+        steps.append(moves[0])
+    return g, tuple(steps)
 
 
 def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) -> bool:

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from gainbalance.balancetests import binary_cycle_test, circle_test
+from gainbalance.classify import _match_base, structural_decomposition
 from gainbalance.cyclespace import (
     CycleBasis,
     circle_from_support,
@@ -12,9 +14,10 @@ from gainbalance.cyclespace import (
     is_cycle_basis,
     oriented_basis,
 )
+from gainbalance.enumeration import inseparable_multigraphs
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, walk_gain
-from gainbalance.graphcore import Graph, is_isomorphic, spanning_forest
+from gainbalance.graphcore import Graph, build_named, is_isomorphic, spanning_forest
 from gainbalance.groups import cyclic
 from gainbalance.minors import (
     EDGE_BRIDGE,
@@ -36,6 +39,7 @@ from gainbalance.minors import (
     whitney_twist,
 )
 from conftest import named
+from extrusion_reference import reference_reverse_extrusion_reduce
 
 
 Z3 = cyclic(3)
@@ -444,8 +448,70 @@ def test_reverse_extrusion_subdivided_k4():
 def test_reverse_extrusion_prefers_requested_base():
     fan = named("Fan(1;1,1)")
     target = named("mK2(3)")
-    base, steps = reverse_extrusion_reduce(fan, accept=lambda h: is_isomorphic(h, target))
+    base, steps = reference_reverse_extrusion_reduce(fan, accept=lambda h: is_isomorphic(h, target))
     assert is_isomorphic(base, target)
+    base, steps = reverse_extrusion_reduce(fan)
+    assert is_isomorphic(base, target)
+
+
+def _ear_host(rng, m):
+    """Random inseparable loopless multigraph with ``m`` edges, built by open
+    ear decomposition from a circle of two to four edges."""
+    length = rng.randrange(2, 5)
+    edges = [(i, (i + 1) % length) for i in range(length)]
+    n = length
+    while len(edges) < m:
+        ear = min(rng.randrange(1, 4), m - len(edges))
+        u, v = rng.sample(range(n), 2)
+        path = [u] + list(range(n, n + ear - 1)) + [v]
+        n += ear - 1
+        edges += list(zip(path, path[1:]))
+    return Graph({f"e{i}": (f"y{a}", f"y{b}") for i, (a, b) in enumerate(edges)})
+
+
+def _extrusion_chain(rng, tag, steps):
+    """Apply ``steps`` random extrusions to the named base ``tag``."""
+    g = named(tag)
+    for _ in range(steps):
+        e = rng.choice(g.edge_list)
+        v, w = rng.sample(g.ends(e), 2)
+        between = g.edges_between(v, w)
+        g = extrude(g, v, w, rng.sample(between, rng.randrange(1, len(between) + 1)))
+    return g
+
+
+def test_reverse_extrusion_matches_exhaustive_reference():
+    rng = random.Random(2002)
+    hosts = [g for g in inseparable_multigraphs(9) if not any(g.is_loop(e) for e in g.edge_list)]
+    hosts += [_ear_host(rng, rng.randrange(8, 17)) for _ in range(60)]
+    for tag in ("mK2(3)", "mK2(4)", "C3(2,2,2)", "C3(3,2,2)", "K4(1,1)", "K4(2,1)"):
+        hosts += [_extrusion_chain(rng, tag, rng.randrange(4, 11)) for _ in range(10)]
+    for g in hosts:
+        end, steps = reverse_extrusion_reduce(g)
+        ref_end, ref_steps = reference_reverse_extrusion_reduce(g, accept=_match_base)
+        assert _match_base(end) == _match_base(ref_end)
+        assert end.edges == ref_end.edges
+        assert steps == ref_steps
+
+
+def test_decomposition_single_path_on_large_hosts():
+    # W8 with every rim edge subdivided three times: 40 edges and bad; a
+    # search over every reduction order runs for over a minute here
+    w8 = named("W8")
+    edges = {e: ends for e, ends in w8.edges.items() if e.startswith("s")}
+    for e, (a, b) in w8.edges.items():
+        if e.startswith("r"):
+            path = [a, f"{e}a", f"{e}b", f"{e}c", b]
+            edges.update({f"{e}_{i}": pair for i, pair in enumerate(zip(path, path[1:]))})
+    g = Graph(edges)
+    assert len(g.edge_list) == 40
+    start = time.perf_counter()
+    assert structural_decomposition(g) is None
+    assert time.perf_counter() - start < 1.0
+    d = structural_decomposition(_extrusion_chain(random.Random(60), "K4(1,1)", 60))
+    assert d is not None
+    for blk in d.blocks:
+        assert verify_reverse_steps(blk.block, build_named(blk.base), blk.steps)
 
 
 # -- Whitney twist --------------------------------------------------------------------
