@@ -7,7 +7,8 @@ Verdict logic for the circle test, per subgroup-closed class:
   C3(m,2,2), K4(m,m')): Good for any class;
 * otherwise, if the class contains an order-3 element: Bad, witnessed by an
   explicit construction on a forbidden minor (C3(3,3,2), 2C4, K4'' or W4),
-  lifted to the host graph and re-verified;
+  lifted to the host graph and re-verified; the minor comes from one pass of
+  deletions and contractions that the paper's minor theorem justifies;
 * otherwise, if the class is abelian without odd torsion: Good;
 * otherwise, if the class has an odd cyclic subgroup Z(2k-1) and some block
   is an even wheel W(2k) or doubled circle 2C(2k): Bad via the Hamiltonian /
@@ -82,6 +83,7 @@ from .minors import (
     lift_basis_contraction,
     lift_basis_deletion,
     reverse_extrusion_reduce,
+    verify_minor_witness,
 )
 
 GOOD = "Good"
@@ -346,7 +348,7 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
 # -- witness lifting ---------------------------------------------------------------
 
 
-def lift_witness(host: Graph, mw: MinorWitness, target: Graph, w: BadWitness) -> BadWitness:
+def lift_witness(host: Graph, mw: MinorWitness, w: BadWitness) -> BadWitness:
     """Transport a bad witness from a minor onto the host graph: delete down
     to the model subgraph, undo the branch-set contractions, and re-verify."""
     forest = branch_forest(host, mw.branch_sets)
@@ -399,6 +401,25 @@ def _identity_minor_witness(host: Graph, target: Graph) -> Optional[MinorWitness
     return MinorWitness({tv: frozenset({hv}) for tv, hv in vmap.items()}, emap)
 
 
+def _minimal_bad_minor(g: Graph) -> tuple[Graph, dict[str, str]]:
+    """The first undecomposable block of ``g`` cut down to a minor-minimal
+    undecomposable minor, and the projection of the block's vertices onto it:
+    each edge in turn is deleted, else contracted, while the result stays
+    undecomposable.  One pass suffices, as operations on distinct edges
+    commute and decomposable graphs are minor-closed."""
+    block = next(b for b in blocks(g) if structural_decomposition(b) is None)
+    h, vmap = block, {v: v for v in block.vertex_list}
+    for e in block.edge_list:
+        smaller = delete(h, {e})
+        if structural_decomposition(smaller) is None:
+            h = smaller
+            continue
+        smaller, step = contract(h, {e})
+        if structural_decomposition(smaller) is None:
+            h, vmap = smaller, {v: step[x] for v, x in vmap.items()}
+    return Graph(dict(h.edges)), vmap  # isolated vertices dropped
+
+
 # -- classification -----------------------------------------------------------------
 
 
@@ -413,8 +434,8 @@ def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
         target = build_named(NamedGraphSpec(LOOP_VERTEX))
         mw = has_minor(g, target)
         if mw is None:
-            raise RuntimeError("graph with cycles lacks a loop-vertex minor")
-        w = lift_witness(g, mw, target, bad_witness(NamedGraphSpec(LOOP_VERTEX), k))
+            raise GraphError("graph with cycles lacks a loop-vertex minor")
+        w = lift_witness(g, mw, bad_witness(NamedGraphSpec(LOOP_VERTEX), k))
         return Verdict(BAD, RULE_BINARY_ODD, w)
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
@@ -427,25 +448,28 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
     if decomposition is not None:
         return Verdict(GOOD, RULE_DECOMPOSITION, decomposition)
     if flags.contains_z3:
+        h, vmap = _minimal_bad_minor(g)
         for spec in FORBIDDEN_MINORS:
             target = build_named(spec)
-            mw = has_minor(g, target)
+            mw = _identity_minor_witness(h, target)
             if mw is not None:
-                w = lift_witness(g, mw, target, bad_witness(spec))
-                return Verdict(BAD, RULE_FORBIDDEN_MINOR, w)
-        raise RuntimeError("decomposition failed but no forbidden minor found")
+                mw = MinorWitness({t: frozenset(v for v in vmap if vmap[v] in x) for t, x in mw.branch_sets.items()}, mw.edge_map)
+                if not verify_minor_witness(g, target, mw):
+                    raise GraphError(f"{spec} minor model failed verification")
+                return Verdict(BAD, RULE_FORBIDDEN_MINOR, lift_witness(g, mw, bad_witness(spec)))
+        raise GraphError("minimal undecomposable minor is none of the four forbidden minors: theorem violated")
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
     if flags.smallest_odd_order is not None and flags.smallest_odd_order >= 5:
-        # minor search is bounded, so only blocks that are exactly an even
-        # wheel or doubled circle of the matching size are recognized here
+        # only Z3 classes have a forbidden-minor theorem, so only blocks that
+        # are exactly an even wheel or doubled circle of size n count here
         n = flags.smallest_odd_order + 1
         for spec in (NamedGraphSpec(WHEEL, (n,)), NamedGraphSpec(DOUBLED_CIRCLE, (n,))):
             target = build_named(spec)
             for block in blocks(g):
                 mw = _identity_minor_witness(block, target)
                 if mw is not None:
-                    w = lift_witness(g, mw, target, bad_witness(spec))
+                    w = lift_witness(g, mw, bad_witness(spec))
                     return Verdict(BAD, RULE_WHEEL_FAMILY, w)
     return Verdict(UNKNOWN, RULE_UNKNOWN)
 
@@ -601,7 +625,7 @@ def oracle_circle_goodness(
     for gains, _, basis in _spanning_assignments(g, grp, _oracle_circles(g, grp, max_edges, budget)):
         witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
         if not witness.verify():
-            raise RuntimeError("oracle witness failed verification")
+            raise GraphError("oracle witness failed verification")
         return False, witness
     return True, None
 

@@ -1,10 +1,10 @@
 """Deletion, contraction, minor containment, witness lifting, extrusion,
 Whitney twists, and 2-bridge theory.
 
-Minor search enumerates disjoint connected branch sets by DFS with pruning on
-edge multiplicities; targets are small (at most 6 vertices, 10 edges) so the
-worst case stays manageable at desk scale.  A loop-vertex target is special
-cased: it is present exactly when the host contains any circle.
+Minor search grows disjoint connected branch sets depth first, expanding each
+set once and pruning on edge multiplicities.  It is exponential in the host
+and has no budget; the circle classifier finds forbidden minors without it.
+A loop-vertex target is special cased: present iff the host has a circle.
 
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain
@@ -221,9 +221,10 @@ def has_minor(
             frontier: list[frozenset] = [frozenset({seed})]
             while frontier:
                 cur = frontier.pop()
-                if cur not in emitted:
-                    emitted.add(cur)
-                    yield cur
+                if cur in emitted:  # its subtree was walked when first popped
+                    continue
+                emitted.add(cur)
+                yield cur
                 if len(cur) >= len(host_vertices) - len(used):
                     continue
                 expand = sorted(

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from gainbalance import classify
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
@@ -40,6 +41,7 @@ from gainbalance.graphcore import (
 from gainbalance.groups import ALL, EXPLICIT, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
+from test_minors import _extrusion_chain
 from oracle_reference import reference_spanning_assignments, reference_witness_json
 
 
@@ -228,6 +230,64 @@ def test_circle_goodness_w5():
     # W5 contains W4, so it is bad once Z3 is admissible
     v = circle_goodness(named("W5"), CZ3)
     assert v.status == BAD and v.evidence.verify()
+
+
+def _searched_circle_verdict(g):
+    """The contains-z3 circle verdict and rule by exhaustive minor search over
+    the forbidden quartet: the reference for the minimization pass."""
+    if structural_decomposition(g) is not None:
+        return GOOD, "block-extrusion-decomposition"
+    for spec in FORBIDDEN_MINORS:
+        if has_minor(g, build_named(spec)) is not None:
+            return BAD, "forbidden-minor-with-z3"
+    raise AssertionError(f"undecomposable without a forbidden minor: {sorted(g.edges.items())}")
+
+
+def test_minimized_minor_matches_minor_search():
+    hosts = list(inseparable_multigraphs(9))
+    hosts += [named(t) for t in ("W5", "W6", "2C5", "2C6", "K4dd", "C3(3,3,3)", "Grid(2,2)", "Grid(2,3)")]
+    bad = 0
+    for g in hosts:
+        v = circle_goodness(g, CZ3)
+        assert (v.status, v.rule) == _searched_circle_verdict(g), sorted(g.edges.items())
+        if v.status == BAD:
+            assert v.evidence.verify() and v.evidence.gain_graph.graph == g
+            bad += 1
+    assert bad == 42
+
+
+def test_grids_bad_by_minimization():
+    # has_minor(Grid(3,3), W4) alone takes about 20 s
+    start = time.perf_counter()
+    for tag in ("Grid(3,3)", "Grid(2,4)", "Grid(4,4)", "Grid(5,5)"):
+        g = named(tag)
+        v = circle_goodness(g, CZ3)
+        assert v.status == BAD and v.rule == "forbidden-minor-with-z3", tag
+        assert v.evidence.verify() and v.evidence.gain_graph.graph == g, tag
+    assert time.perf_counter() - start < 5.0
+
+
+def test_minimization_stays_in_the_bad_block():
+    # a 100-step K4(1,1) extrusion chain (good) sharing W4's hub, named so
+    # its block comes first; only the W4 block is cut down
+    chain = _extrusion_chain(random.Random(7), "K4(1,1)", 100)
+    rename = {v: "w" if v == "v1" else f"x{v}" for v in chain.vertex_list}
+    edges = {f"x{e}": (rename[t], rename[h]) for e, (t, h) in chain.edges.items()}
+    g = Graph({**edges, **named("W4").edges})
+    assert len(g.edge_list) == 114
+    start = time.perf_counter()
+    v = circle_goodness(g, CZ3)
+    assert time.perf_counter() - start < 2.0
+    assert v.status == BAD and v.evidence.verify() and v.evidence.gain_graph.graph == g
+    _, projection = classify._minimal_bad_minor(g)
+    assert set(projection) == named("W4").vertices
+
+
+def test_minimization_off_the_quartet_violates_the_theorem(monkeypatch):
+    # Grid(2,2) minimizes to W4, the quartet's last member
+    monkeypatch.setattr(classify, "FORBIDDEN_MINORS", FORBIDDEN_MINORS[:3])
+    with pytest.raises(GraphError, match="theorem"):
+        circle_goodness(named("Grid(2,2)"), CZ3)
 
 
 # -- binary goodness -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_minor_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["present"] is True
     assert all(len(v) == 1 for v in data["witness"]["branch_sets"].values())
+
+
+def test_minor_command_on_grid_ends(capsys):
+    # connected branch sets reached twice are expanded once
+    start = time.perf_counter()
+    assert run(["minor", "Grid(3,3)", "--target", "C3(3,3,2)", "--json"]) == 0
+    assert time.perf_counter() - start < 10.0
+    data = json.loads(capsys.readouterr().out)
+    assert data["present"] is True
 
 
 def test_minor_file_target(capsys, tmp_path):
