@@ -1,5 +1,11 @@
 """Binary Cycle Test, Circle Test, and the exact abelian balance analysis.
 
+Both tests ask whether every basis member's walk has identity gain.  The
+binary cycle test takes the oriented cycles as given; the circle test is the
+binary cycle test on the canonical walks of its member circles
+(:func:`circle_orientation`), and :func:`basis_gains` is the one place either
+test evaluates a walk.
+
 The abelian analysis works in the integer lattice spanned by the signed
 traversal vectors of the basis walks (entry +1 when a walk crosses an edge in
 reference orientation).  The Smith normal form of that lattice decides, for
@@ -28,29 +34,37 @@ from .graphcore import Graph, walk_int_vector
 from .groups import cyclic
 
 
+def basis_gains(gg: GainGraph, ob: OrientedBasis) -> list:
+    """The gain of each attached walk, in basis order, once the oriented
+    cycles are checked to be a basis of ``gg``'s graph."""
+    if ob.host.edges != gg.graph.edges:
+        raise GraphError("oriented basis belongs to a different graph")
+    if not is_cycle_basis(ob.cycles, gg.graph):
+        raise GraphError("oriented cycles do not form a basis")
+    return [walk_gain(gg, w) for w in ob.walks]
+
+
 def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:
     """True iff every attached walk has identity gain.
 
     The orientations are taken as given; no search over alternative cyclic
     orientations is performed.
     """
-    if ob.host.edges != gg.graph.edges:
-        raise GraphError("oriented basis belongs to a different graph")
-    if not is_cycle_basis(ob.cycles, gg.graph):
-        raise GraphError("oriented cycles do not form a basis")
     ident = gg.group.identity()
-    return all(walk_gain(gg, w) == ident for w in ob.walks)
+    return all(x == ident for x in basis_gains(gg, ob))
+
+
+def circle_orientation(g: Graph, members) -> OrientedBasis:
+    """Each member circle paired with its canonical walk; a member given by
+    its support is built with :func:`circle_from_support`, so a member that is
+    not a circle raises."""
+    circles = [m if isinstance(m, Circle) else circle_from_support(g, getattr(m, "support", m)) for m in members]
+    return OrientedBasis(tuple((c.cycle, c.walk) for c in circles), g)
 
 
 def circle_test(gg: GainGraph, basis) -> bool:
     """True iff every member circle's canonical walk has identity gain."""
-    members = list(basis.members)
-    supports = [frozenset(getattr(m, "support", m)) for m in members]
-    circles = [m if isinstance(m, Circle) else circle_from_support(gg.graph, s) for m, s in zip(members, supports)]
-    if not is_cycle_basis(circles, gg.graph):
-        raise GraphError("members do not form a basis")
-    ident = gg.group.identity()
-    return all(walk_gain(gg, c.walk) == ident for c in circles)
+    return binary_cycle_test(gg, circle_orientation(gg.graph, basis.members))
 
 
 # -- Smith normal form ---------------------------------------------------------

@@ -40,12 +40,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .balancetests import binary_cycle_test, circle_test
+from .balancetests import binary_cycle_test, circle_orientation
 from .cyclespace import (
     BinaryCycle,
-    CycleBasis,
     OrientedBasis,
-    circle_from_support,
+    _edge_index,
+    _mask,
     cycle_space_dimension,
     enumerate_circles,
     gf2_extract_basis,
@@ -120,12 +120,8 @@ class BadWitness:
 
     def verify(self) -> bool:
         gg = self.gain_graph
-        if self.test == CIRCLE_TEST:
-            members = tuple(circle_from_support(gg.graph, c.support) for c in self.basis.cycles)
-            passes = circle_test(gg, CycleBasis(members, gg.graph))
-        else:
-            passes = binary_cycle_test(gg, self.basis)
-        return passes and not is_balanced(gg).balanced
+        ob = circle_orientation(gg.graph, self.basis.cycles) if self.test == CIRCLE_TEST else self.basis
+        return binary_cycle_test(gg, ob) and not is_balanced(gg).balanced
 
     def to_json(self) -> dict:
         gg = self.gain_graph
@@ -429,7 +425,7 @@ def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
     flags = class_flags(c)
     if cycle_space_dimension(g) == 0:
         return Verdict(GOOD, RULE_FOREST)
-    if flags.contains_nontrivial_odd_order:
+    if flags.has_odd_torsion:
         k = flags.smallest_odd_order or 3
         target = build_named(NamedGraphSpec(LOOP_VERTEX))
         mw = has_minor(g, target)
@@ -477,12 +473,9 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
 # -- brute-force oracle ---------------------------------------------------------------
 
 
-def _support_masks(g: Graph, circles) -> list[int]:
-    edge_pos = {e: i for i, e in enumerate(g.edge_list)}
-    return [sum(1 << edge_pos[e] for e in c.support) for c in circles]
-
-
 ORACLE_BLOCK = 1 << 14  # most assignments the residue kernel holds at once
+ORACLE_MAX_EDGES = 10  # most host edges the oracle takes
+ORACLE_BUDGET = 50_000_000  # default bound on |G|^dim times the number of circles
 
 
 def _digit_matrix(start: int, stop: int, width: int, base: int) -> np.ndarray:
@@ -566,7 +559,8 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
     chords = [e for e in g.edge_list if e not in forest]
     dim = len(chords)
     elements = grp.elements()
-    masks = _support_masks(g, circles)
+    index = _edge_index(g)
+    masks = [_mask(c.support, index) for c in circles]
     kernel = _residue_kernel if isinstance(grp, CyclicProduct) else _walk_kernel
     seen: set[bytes] = set()
     spanning: dict[bytes, tuple[list, list]] = {}
@@ -589,13 +583,13 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
                 yield {chords[i]: elements[d] for i, d in enumerate(digits)}, list(subset), basis
 
 
-def _oracle_circles(g: Graph, grp: Group, max_edges: int = 10, budget: int = 50_000_000) -> list:
+def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     """The circles of ``g`` that the oracle tests, or [] when every
     switching-reduced assignment is trivial; raises ``BudgetError`` past the
     edge bound or the assignment budget (|G|^dim times the number of
     circles)."""
-    if len(g.edge_list) > max_edges:
-        raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {max_edges})")
+    if len(g.edge_list) > ORACLE_MAX_EDGES:
+        raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {ORACLE_MAX_EDGES})")
     order = grp.order()
     if order is None:
         raise GraphError("oracle needs a finite gain group")
@@ -608,12 +602,7 @@ def _oracle_circles(g: Graph, grp: Group, max_edges: int = 10, budget: int = 50_
     return circles
 
 
-def oracle_circle_goodness(
-    g: Graph,
-    grp: Group,
-    max_edges: int = 10,
-    budget: int = 50_000_000,
-) -> tuple[bool, Optional[BadWitness]]:
+def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> tuple[bool, Optional[BadWitness]]:
     """Exhaustive goodness check for the circle test on one finite group.
 
     Enumerates all |G|^dim switching-reduced assignments; the graph is bad
@@ -622,7 +611,7 @@ def oracle_circle_goodness(
     extraction in canonical circle order) is returned as a verified witness.
     """
     # the first spanning set in assignment order is the counterexample
-    for gains, _, basis in _spanning_assignments(g, grp, _oracle_circles(g, grp, max_edges, budget)):
+    for gains, _, basis in _spanning_assignments(g, grp, _oracle_circles(g, grp, budget)):
         witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
         if not witness.verify():
             raise GraphError("oracle witness failed verification")

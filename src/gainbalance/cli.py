@@ -26,11 +26,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import classify as cls
-from .balancetests import binary_cycle_test, circle_test
-from .cyclespace import CycleBasis, circle_from_support, parse_basis_text
+from .balancetests import basis_gains, circle_orientation
+from .cyclespace import parse_basis_text
 from .enumeration import inseparable_multigraphs
 from .errors import BudgetError, GraphError, ParseError
-from .gaingraph import is_balanced, parse_gain_text, walk_gain
+from .gaingraph import is_balanced, parse_gain_text
 from .graphcore import Graph, build_named, parse_graph_spec, parse_graph_text
 from .groups import parse_class_spec, parse_group_spec
 from .minors import has_minor
@@ -75,43 +75,25 @@ def _cmd_balance(args) -> int:
     return 0
 
 
-def _cmd_circle_test(args) -> int:
+def _cmd_basis_test(args) -> int:
     g = _load_graph(args.graph)
     gg = parse_gain_text(Path(args.gains).read_text(), g)
     ob = parse_basis_text(Path(args.basis).read_text(), g)
-    circles = [circle_from_support(g, c.support) for c in ob.cycles]
-    passes = circle_test(gg, CycleBasis(tuple(circles), g))
+    circle = args.command == "circle-test"
+    if circle:
+        ob = circle_orientation(g, ob.cycles)
+    gains = basis_gains(gg, ob)
+    passes = all(x == gg.group.identity() for x in gains)
     balanced = is_balanced(gg).balanced
     report = {
         "passes": passes,
         "balanced": balanced,
-        "members": [
-            {"support": sorted(c.support), "gain": gg.group.format_element(walk_gain(gg, c.walk))} for c in circles
-        ],
+        "members": [{"support": sorted(c.support), "gain": gg.group.format_element(x)} for c, x in zip(ob.cycles, gains)],
     }
-    lines = [f"circle test: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
+    test, oriented = ("circle test", "basis") if circle else ("binary cycle test", "basis orientation")
+    lines = [f"{test}: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
     if passes and not balanced:
-        lines.append("note: basis is balanced but the gain graph is not (test invalid here)")
-    _emit(report, args.json, lines)
-    return 0
-
-
-def _cmd_cycle_test(args) -> int:
-    g = _load_graph(args.graph)
-    gg = parse_gain_text(Path(args.gains).read_text(), g)
-    ob = parse_basis_text(Path(args.basis).read_text(), g)
-    passes = binary_cycle_test(gg, ob)
-    balanced = is_balanced(gg).balanced
-    report = {
-        "passes": passes,
-        "balanced": balanced,
-        "members": [
-            {"support": sorted(c.support), "gain": gg.group.format_element(walk_gain(gg, w))} for c, w in ob.pairs
-        ],
-    }
-    lines = [f"binary cycle test: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
-    if passes and not balanced:
-        lines.append("note: basis orientation is balanced but the gain graph is not (test invalid here)")
+        lines.append(f"note: {oriented} is balanced but the gain graph is not (test invalid here)")
     _emit(report, args.json, lines)
     return 0
 
@@ -214,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gains")
     p.add_argument("basis")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_circle_test)
+    p.set_defaults(func=_cmd_basis_test)
 
     p = sub.add_parser("cycle-test", help="evaluate the binary cycle test on an oriented basis")
     p.add_argument("graph")
     p.add_argument("gains")
     p.add_argument("basis")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cycle_test)
+    p.set_defaults(func=_cmd_basis_test)
 
     p = sub.add_parser("classify", help="good/bad verdict per group class")
     p.add_argument("graph")
@@ -245,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive circle-test goodness for one finite group")
     p.add_argument("graph")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=cls.ORACLE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("atlas", help="survey all inseparable multigraphs up to an edge bound")
     p.add_argument("--max-edges", type=int, required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=50_000_000)
+    p.add_argument("--budget", type=int, default=cls.ORACLE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_atlas)
     return parser

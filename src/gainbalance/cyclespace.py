@@ -159,19 +159,21 @@ def _mask(support: Iterable[str], index: dict[str, int]) -> int:
     return m
 
 
+def _gf2_insert(lead: dict[int, int], m: int) -> bool:
+    """Reduce ``m`` by the rows of ``lead`` (keyed by leading bit); keep the
+    remainder as a new row and return True when it is nonzero."""
+    while m:
+        h = m.bit_length() - 1
+        if h not in lead:
+            lead[h] = m
+            return True
+        m ^= lead[h]
+    return False
+
+
 def gf2_rank(masks: Iterable[int]) -> int:
     lead: dict[int, int] = {}
-    r = 0
-    for m in masks:
-        while m:
-            h = m.bit_length() - 1
-            if h in lead:
-                m ^= lead[h]
-            else:
-                lead[h] = m
-                r += 1
-                break
-    return r
+    return sum(_gf2_insert(lead, m) for m in masks)
 
 
 def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional[list]:
@@ -180,15 +182,8 @@ def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional
     lead: dict[int, int] = {}
     picked = []
     for m, payload in items:
-        reduced = m
-        while reduced:
-            h = reduced.bit_length() - 1
-            if h in lead:
-                reduced ^= lead[h]
-            else:
-                lead[h] = reduced
-                picked.append(payload)
-                break
+        if _gf2_insert(lead, m):
+            picked.append(payload)
         if len(picked) == dim:
             return picked
     return None

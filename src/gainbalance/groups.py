@@ -19,10 +19,10 @@ and ``format_element`` / ``parse_element`` write and read elements.
 Elements carry no group, so a foreign element is caught where gains enter a
 gain graph (``gaingraph.gain_graph``), not by ``op``.
 
-Gain files and CLI specs name cyclic products and free groups only: headers
-``group Z 3``, ``group Z 2 x Z 3``, ``group free a b c``; specs ``Z3``,
-``Z2xZ3``, ``free:a,b``.  Symmetric groups are reached through the API; their
-header ``S n`` is written by ``gaingraph.gains_to_text`` but not read back.
+Gain-file headers name all three types: ``group Z 3``, ``group Z 2 x Z 3``,
+``group free a b c``, ``group S 3``, so every gain file that
+``gaingraph.gains_to_text`` writes reads back.  CLI specs name cyclic
+products and free groups only: ``Z3``, ``Z2xZ3``, ``free:a,b``.
 
 A :class:`GroupClass` describes the family of admissible gain groups for
 classification; explicit lists are treated as subgroup closed.
@@ -265,12 +265,15 @@ def symmetric(n: int) -> Symmetric:
 
 
 def parse_group_header(text: str) -> Group:
-    """Parse ``Z 3``, ``Z 2 x Z 3``, ``free a b c`` (the part after ``group``)."""
+    """Parse ``Z 3``, ``Z 2 x Z 3``, ``free a b c``, ``S 3`` (the part after
+    ``group``)."""
     parts = text.split()
     if not parts:
         raise ParseError("empty group header")
     if parts[0] == "free":
         return free_on(*parts[1:])
+    if re.fullmatch(r"S [1-9]\d*", " ".join(parts)):
+        return symmetric(int(parts[1]))
     if not re.fullmatch(r"Z \d+( x Z \d+)*", " ".join(parts)):
         raise ParseError(f"unknown group header {text!r}")
     return abelian_product(*[int(tok) for tok in parts if tok.isdigit()])
@@ -313,7 +316,6 @@ class GroupClass:
 @dataclass(frozen=True)
 class ClassFlags:
     contains_z3: bool
-    contains_nontrivial_odd_order: bool
     has_odd_torsion: bool
     abelian_only: bool
     smallest_odd_order: Optional[int] = None
@@ -322,15 +324,13 @@ class ClassFlags:
 def class_flags(c: GroupClass) -> ClassFlags:
     """Derived flags, computed over all subgroups of the listed groups."""
     if c.kind in _CLASS_SPECS:
-        return ClassFlags(True, True, True, c.kind != ALL, 3)
+        return ClassFlags(True, True, c.kind != ALL, 3)
     odd_orders = {d for g in c.groups for d in g.element_orders() if d is not None and d >= 3 and d % 2 == 1}
-    has_odd = bool(odd_orders)
     return ClassFlags(
         contains_z3=3 in odd_orders,
-        contains_nontrivial_odd_order=has_odd,
-        has_odd_torsion=has_odd,
+        has_odd_torsion=bool(odd_orders),
         abelian_only=all(g.is_abelian for g in c.groups),
-        smallest_odd_order=min(odd_orders) if has_odd else None,
+        smallest_odd_order=min(odd_orders, default=None),
     )
 
 

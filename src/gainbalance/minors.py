@@ -528,8 +528,8 @@ def whitney_twist(gg: GainGraph, u: str, v: str, side: Iterable[str]) -> GainGra
     at u and v and their gains are inverted.  Balance status is preserved."""
     g = gg.graph
     side = set(side)
-    report = bridges_of_pair(g, u, v)
-    bridge_edge_sets = [frozenset(b.subgraph.edge_list) for b in report.bridges]
+    singles, spans = _bridge_edges(g, u, v)
+    bridge_edge_sets = [frozenset({e}) for e in singles] + [frozenset(edges) for edges in spans]
     if len(bridge_edge_sets) < 2:
         raise GraphError("pair does not separate: fewer than two bridges")
     chosen = [bs for bs in bridge_edge_sets if bs <= side]
@@ -568,35 +568,38 @@ class BridgeReport:
     bridges: tuple[Bridge, ...]
 
 
-def bridges_of_pair(g: Graph, u: str, v: str) -> BridgeReport:
-    """Partition the edges off {u, v} into bridges and classify each as an
-    edge bridge, type I (no doubled-path minor; carries a separating vertex),
-    or type II."""
+def _bridge_edges(g: Graph, u: str, v: str) -> tuple[list[str], list[set]]:
+    """The edges off {u, v} partitioned into bridges: the single-edge bridges
+    (u-v edges and loops at u or v) in edge order, then one edge set per
+    component of g minus u and v that carries an edge, with the edges
+    attaching it to u and v."""
     if u == v:
         raise GraphError("bridge pair must be two distinct vertices")
     for x in (u, v):
         if x not in g.vertices:
             raise GraphError(f"unknown vertex {x!r}")
-    bridges: list[Bridge] = []
-    # single-edge bridges: u-v edges and loops at u or v
-    for e in g.edge_list:
-        t, h = g.ends(e)
-        if {t, h} <= {u, v}:
-            bridges.append(Bridge(g.subgraph([e]), EDGE_BRIDGE))
-    # component bridges: one per component of g minus u and v
     inner = [x for x in g.vertex_list if x not in (u, v)]
     inner_edges = [e for e in g.edge_list if u not in g.ends(e) and v not in g.ends(e)]
     comp_of = {x: i for i, vs in enumerate(edge_components(g, inner_edges, inner)) for x in vs}
+    singles: list[str] = []
     groups: dict[int, set] = {}
     for e in g.edge_list:
-        t, h = g.ends(e)
-        inner = [x for x in (t, h) if x not in (u, v)]
-        if not inner:
-            continue
-        groups.setdefault(comp_of[inner[0]], set()).add(e)
+        off = [x for x in g.ends(e) if x not in (u, v)]
+        if off:
+            groups.setdefault(comp_of[off[0]], set()).add(e)
+        else:
+            singles.append(e)
+    return singles, [groups[i] for i in sorted(groups)]
+
+
+def bridges_of_pair(g: Graph, u: str, v: str) -> BridgeReport:
+    """Partition the edges off {u, v} into bridges and classify each as an
+    edge bridge, type I (no doubled-path minor; carries a separating vertex),
+    or type II."""
+    singles, spans = _bridge_edges(g, u, v)
+    bridges = [Bridge(g.subgraph([e]), EDGE_BRIDGE) for e in singles]
     target, tu, tv = doubled_path_target()
-    for i in sorted(groups):
-        edges = groups[i]
+    for edges in spans:
         verts = {x for e in edges for x in g.ends(e)}
         sub = g.subgraph(edges, verts)
         if {u, v} <= verts:
@@ -621,11 +624,9 @@ def _separating_vertex(sub: Graph, u: str, v: str) -> Optional[str]:
 
 
 def has_two_separation(g: Graph) -> Optional[tuple[str, str]]:
-    """A vertex pair whose removal disconnects g, i.e. with at least two
-    non-edge bridges; None if no such pair exists."""
+    """A vertex pair with at least two non-edge bridges, i.e. whose removal
+    leaves two components that carry an edge; None if no such pair exists."""
     for u, v in itertools.combinations(g.vertex_list, 2):
-        report = bridges_of_pair(g, u, v)
-        non_edge = [b for b in report.bridges if b.kind != EDGE_BRIDGE]
-        if len(non_edge) >= 2:
+        if len(_bridge_edges(g, u, v)[1]) >= 2:
             return (u, v)
     return None

@@ -7,24 +7,27 @@ from gainbalance.balancetests import (
     QueryReport,
     abelian_witness,
     binary_cycle_test,
+    circle_orientation,
     circle_test,
     implies_balance_abelian,
     smith_normal_form,
 )
 from gainbalance.cyclespace import (
     BinaryCycle,
+    Circle,
     CycleBasis,
     OrientedBasis,
     circle_from_support,
     cycle_space_dimension,
     enumerate_circles,
     fundamental_circles,
+    is_cycle_basis,
     oriented_basis,
 )
 from gainbalance.errors import GraphError
-from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, walk_gain
+from gainbalance.gaingraph import GainGraph, Switching, gain_graph, is_balanced, switch, walk_gain
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, spanning_forest
-from gainbalance.groups import cyclic
+from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
 from conftest import named
 
 
@@ -227,6 +230,80 @@ def test_circle_test_identity_gains():
         gg = gain_graph(g, Z3, {})
         basis = fundamental_circles(g, spanning_forest(g))
         assert circle_test(gg, basis)
+
+
+def reference_circle_test(gg, members):
+    """Every member circle's canonical walk has identity gain, one walk-gain
+    loop over the circles; raises unless the circles form a basis."""
+    circles = [m if isinstance(m, Circle) else circle_from_support(gg.graph, getattr(m, "support", m)) for m in members]
+    if not is_cycle_basis(circles, gg.graph):
+        raise GraphError("members do not form a basis")
+    return all(walk_gain(gg, c.walk) == gg.group.identity() for c in circles)
+
+
+def random_gain(group, rng):
+    if isinstance(group, FreeGroup):
+        return group.element([(rng.choice(group.symbols), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))])
+    return rng.choice(group.elements())
+
+
+def independent_of(masks, c, g):
+    """Append the support mask of ``c`` to ``masks`` when it is independent
+    of them over GF(2); report whether it was."""
+    m = sum(1 << i for i, e in enumerate(g.edge_list) if e in c.support)
+    for row in masks:
+        m = min(m, m ^ row)
+    if m:
+        masks.append(m)
+        masks.sort(reverse=True)
+    return bool(m)
+
+
+def test_circle_test_equals_per_circle_walk_gains():
+    # circle bases drawn at random, given as circles, binary cycles or bare
+    # supports; gains random, or a switching of sparse gains so that many
+    # bases pass; non-bases must raise in both
+    rng = random.Random(71)
+    groups = (Z3, abelian_product(2, 3), symmetric(3), free_on("a", "b"))
+    outcomes = {True: 0, False: 0}
+    for tag in ("W4", "2C4", "K4dd", "Grid(3,3)"):
+        g = named(tag)
+        circles = [c for c in enumerate_circles(g) if len(c) <= 8]
+        dim = cycle_space_dimension(g)
+        for group in groups:
+            for _ in range(25):
+                rng.shuffle(circles)
+                members, masks = [], []
+                for c in circles:
+                    if len(members) < dim and independent_of(masks, c, g):
+                        members.append(c)
+                if rng.random() < 0.2:
+                    members = members[1:]  # too few: not a basis
+                form = rng.choice((lambda c: c, lambda c: c.cycle, lambda c: set(c.support)))
+                basis = CycleBasis(tuple(form(c) for c in members), g)
+                sparse = rng.random() < 0.5
+                gains = {e: random_gain(group, rng) for e in g.edge_list if not sparse or rng.random() < 0.15}
+                gg = gain_graph(g, group, gains)
+                gg = switch(gg, Switching({v: random_gain(group, rng) for v in g.vertex_list}))
+                try:
+                    expected = reference_circle_test(gg, basis.members)
+                except GraphError:
+                    with pytest.raises(GraphError):
+                        circle_test(gg, basis)
+                    continue
+                assert circle_test(gg, basis) == expected
+                outcomes[expected] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20
+
+
+def test_circle_orientation_pairs_canonical_walks():
+    g = named("2C4")
+    members = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+    ob = circle_orientation(g, members)
+    assert [c.support for c in ob.cycles] == members
+    assert list(ob.walks) == [circle_from_support(g, m).walk for m in members]
+    with pytest.raises(GraphError):
+        circle_orientation(g, [{"e1", "f1", "e2", "f2"}])  # two digons, not a circle
 
 
 # -- abelian analysis ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from gainbalance.cli import run
 from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_text
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
-from gainbalance.graphcore import parse_graph_text
+from gainbalance.graphcore import grid_faces, parse_graph_text
 from gainbalance.groups import parse_group_header, parse_group_spec
 from conftest import named
 from oracle_reference import reference_witness_json
@@ -75,6 +76,79 @@ def test_cycle_test_command(capsys, tmp_path):
     assert run(["cycle-test", str(graph), str(gains), str(basis), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["passes"] is True and data["balanced"] is False
+
+
+# Grid(3,3) inputs for the text reports of circle-test and cycle-test.  The
+# face basis passes on identity gains and fails on a gain on the inner edge
+# h1_1.  The boundary edge h0_0 lies on face (0,0) only, so winding that
+# face's walk three times balances the oriented basis over Z3 while the gain
+# graph is not balanced.  The circle-test witness is the one the classifier
+# lifts onto Grid(3,3) for contains-z3.
+GRID_FACES = "".join(" ".join(sorted(face)) + "\n" for face in grid_faces(3, 3))
+GRID_WOUND_FACES = GRID_FACES.replace(
+    "h0_0 h1_0 v0_0 v0_1\n", "h0_0 h1_0 v0_0 v0_1\nwalk:" + " v0_1 -h1_0 -v0_0 h0_0" * 3 + "\n"
+)
+GRID_CIRCLE_WITNESS_GAINS = "group Z 3\n" + "".join(
+    f"gain {e} {x}\n" for e, x in (("v1_0", 1), ("v1_1", 1), ("v1_3", 2), ("v2_0", 1), ("v2_1", 1), ("v2_3", 2))
+)
+GRID_CIRCLE_WITNESS_BASIS = """\
+h1_1 h2_2 h3_1 h3_2 v1_1 v1_2 v2_1 v2_3
+h1_2 h2_1 h3_1 h3_2 v1_2 v1_3 v2_1 v2_3
+h1_1 h1_2 h2_1 h3_2 v1_1 v1_3 v2_2 v2_3
+h1_1 h1_2 h2_2 h3_1 v1_1 v1_3 v2_1 v2_2
+h0_0 h1_0 v0_0 v0_1
+h0_0 h0_1 h1_0 h1_1 v0_0 v0_2
+h0_0 h0_1 h0_2 h1_0 h1_1 h1_2 v0_0 v0_3
+h1_0 h2_0 v1_0 v1_1
+h2_0 h3_0 v2_0 v2_1
+"""
+CIRCLE_NOTE = "note: basis is balanced but the gain graph is not (test invalid here)\n"
+CYCLE_NOTE = "note: basis orientation is balanced but the gain graph is not (test invalid here)\n"
+
+
+@pytest.mark.parametrize(
+    "command, gains, basis, expected",
+    [
+        ("circle-test", "group Z 3\n", GRID_FACES, "circle test: pass\nbalanced: True\n"),
+        ("circle-test", "group Z 3\ngain h1_1 1\n", GRID_FACES, "circle test: fail\nbalanced: False\n"),
+        ("circle-test", GRID_CIRCLE_WITNESS_GAINS, GRID_CIRCLE_WITNESS_BASIS,
+         "circle test: pass\nbalanced: False\n" + CIRCLE_NOTE),
+        ("cycle-test", "group Z 3\n", GRID_FACES, "binary cycle test: pass\nbalanced: True\n"),
+        ("cycle-test", "group Z 3\ngain h1_1 1\n", GRID_FACES, "binary cycle test: fail\nbalanced: False\n"),
+        ("cycle-test", "group Z 3\ngain h0_0 1\n", GRID_WOUND_FACES,
+         "binary cycle test: pass\nbalanced: False\n" + CYCLE_NOTE),
+    ],
+)
+def test_basis_test_text_reports(capsys, tmp_path, command, gains, basis, expected):
+    (tmp_path / "grid.gains").write_text(gains)
+    (tmp_path / "grid.basis").write_text(basis)
+    assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis")]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
+@pytest.mark.parametrize("gains, certificates", [("group Z 3\n", 0), ("group Z 3\ngain h1_1 1\n", 1)])
+def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, command, gains, certificates):
+    # one walk_gain per basis member, plus one for the certificate of an
+    # unbalanced gain graph; the count covers every module that binds it
+    import gainbalance.gaingraph
+
+    original = gainbalance.gaingraph.walk_gain
+    calls = []
+
+    def counted(gg, walk):
+        calls.append(walk)
+        return original(gg, walk)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gainbalance") and getattr(module, "walk_gain", None) is original:
+            monkeypatch.setattr(module, "walk_gain", counted)
+    (tmp_path / "grid.gains").write_text(gains)
+    (tmp_path / "grid.basis").write_text(GRID_FACES)
+    assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis"), "--json"]) == 0
+    members = json.loads(capsys.readouterr().out)["members"]
+    assert len(members) == 9
+    assert len(calls) == len(members) + certificates
 
 
 def test_classify_command_json_round_trip(capsys):

@@ -247,6 +247,22 @@ def test_gain_text_free_group():
     assert gains_to_text(gg).startswith("group free a b")
 
 
+def test_gain_text_round_trip_every_group_type():
+    # gains_to_text writes the header of each group type, S_n included, and
+    # parse_gain_text reads every one back
+    rng = random.Random(31)
+    g = named("2C4")
+    for group in (symmetric(3), abelian_product(2, 3), free_on("a", "b")):
+        gains = {e: random_element(group, rng) for e in g.edge_list}
+        gg = gain_graph(g, group, gains)
+        again = parse_gain_text(gains_to_text(gg), g)
+        assert again.group == group
+        assert again.assignment.gains == gg.assignment.gains
+    assert gains_to_text(gain_graph(g, symmetric(3), {})).startswith("group S 3\n")
+    with pytest.raises(ParseError):
+        parse_gain_text("group S 0\n", g)
+
+
 def test_gain_text_errors():
     g = triangle()
     with pytest.raises(ParseError):

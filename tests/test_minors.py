@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -14,7 +15,7 @@ from gainbalance.cyclespace import (
     is_cycle_basis,
     oriented_basis,
 )
-from gainbalance.enumeration import inseparable_multigraphs
+from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, walk_gain
 from gainbalance.graphcore import Graph, build_named, is_isomorphic, spanning_forest
@@ -559,6 +560,47 @@ def test_twist_preserves_circle_basis_balance(g2c4):
         for c in enumerate_circles(tw.graph):
             w = circle_from_support(tw.graph, c.support)
             assert (walk_gain(tw, w.walk) == tw.group.identity()) == balance_before[c.support]
+
+
+def reference_two_separation(g):
+    """The first vertex pair with two non-edge bridges, by classifying every
+    bridge of every pair."""
+    for u, v in itertools.combinations(g.vertex_list, 2):
+        if sum(b.kind != EDGE_BRIDGE for b in bridges_of_pair(g, u, v).bridges) >= 2:
+            return (u, v)
+    return None
+
+
+def test_separation_and_twist_match_bridge_classification():
+    # every inseparable multigraph with up to 8 edges and every multigraph
+    # with up to 6 edges; at a separating pair, each union of a proper prefix
+    # of the bridges is twisted, and the union of all bridges is refused
+    rng = random.Random(23)
+    corpus = list(inseparable_multigraphs(8)) + list(all_multigraphs(6))
+    twisted = 0
+    for g in corpus:
+        pair = reference_two_separation(g)
+        assert has_two_separation(g) == pair
+        if pair is None:
+            continue
+        u, v = pair
+        sides = bridge_edge_sets(g, u, v)
+        gg = gain_graph(g, Z3, {e: rng.choice(Z3.elements()) for e in g.edge_list})
+        with pytest.raises(GraphError):
+            whitney_twist(gg, u, v, frozenset().union(*sides))
+        swap = {u: v, v: u}
+        for k in range(1, len(sides)):
+            side = frozenset().union(*sides[:k])
+            tw = whitney_twist(gg, u, v, side)
+            for e in g.edge_list:
+                t, h = g.ends(e)
+                x = gg.assignment.gains[e]
+                if e in side:
+                    t, h, x = swap.get(t, t), swap.get(h, h), Z3.inverse(x)
+                assert tw.graph.ends(e) == (t, h) and tw.assignment.gains[e] == x
+            twisted += 1
+    assert len(corpus) == 1538
+    assert twisted > 100
 
 
 def test_twist_validation(w4, g2c4):
