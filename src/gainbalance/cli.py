@@ -20,6 +20,7 @@ Exit codes: 0 completed (verdicts live in the report), 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Optional
 
 from . import classify as cls
 from .balancetests import basis_gains, circle_orientation
-from .cyclespace import parse_basis_text
+from .cyclespace import parse_basis_text, read_basis_text
 from .enumeration import inseparable_multigraphs
 from .errors import BudgetError, GraphError, ParseError
 from .gaingraph import is_balanced, parse_gain_text
@@ -78,10 +79,10 @@ def _cmd_balance(args) -> int:
 def _cmd_basis_test(args) -> int:
     g = _load_graph(args.graph)
     gg = parse_gain_text(Path(args.gains).read_text(), g)
-    ob = parse_basis_text(Path(args.basis).read_text(), g)
+    text = Path(args.basis).read_text()
     circle = args.command == "circle-test"
-    if circle:
-        ob = circle_orientation(g, ob.cycles)
+    # the circle test walks each member's canonical circle walk; a walk line is still checked
+    ob = circle_orientation(g, [s for s, _ in read_basis_text(text, g)]) if circle else parse_basis_text(text, g)
     gains = basis_gains(gg, ob)
     passes = all(x == gg.group.identity() for x in gains)
     balanced = is_balanced(gg).balanced
@@ -181,6 +182,7 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gainbalance", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,22 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, GraphError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

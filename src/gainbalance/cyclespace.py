@@ -190,14 +190,23 @@ def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional
 
 
 def is_cycle_basis(members: Sequence, g: Graph) -> bool:
-    """True iff the member supports are independent and span Z1(g; GF(2))."""
-    index = _edge_index(g)
-    supports = [frozenset(getattr(m, "support", m)) for m in members]
-    if any(not s <= set(g.edge_list) for s in supports):
-        raise GraphError("basis member uses edges outside the host graph")
+    """True iff every member is a binary cycle (a loop meets its vertex twice)
+    and the members are independent and span Z1(g; GF(2))."""
+    vertex_bit = {v: 1 << i for i, v in enumerate(g.vertex_list)}
+    bits = {e: (1 << i, vertex_bit[t] ^ vertex_bit[h]) for i, (e, (t, h)) in enumerate(g.edges.items())}
+    masks, even = [], True
+    for m in members:
+        mask = odd = 0
+        for e in frozenset(getattr(m, "support", m)):
+            if e not in bits:
+                raise GraphError("basis member uses edges outside the host graph")
+            edge_bit, ends_bits = bits[e]
+            mask |= edge_bit
+            odd ^= ends_bits
+        masks.append(mask)
+        even = even and not odd
     dim = cycle_space_dimension(g)
-    masks = [_mask(s, index) for s in supports]
-    return len(members) == dim and gf2_rank(masks) == dim
+    return even and len(masks) == dim and gf2_rank(masks) == dim
 
 
 def is_circle_basis(members: Sequence, g: Graph) -> bool:
@@ -396,20 +405,25 @@ def natural_orientation(b, g: Graph) -> ClosedWalk:
     walk = _circle_walk(g, support)
     if walk is not None:
         return walk
-    return cyclic_orientations(BinaryCycle(support), g, budget=1)[0]
+    return cyclic_orientations(binary_cycle(g, support), g, budget=1)[0]
+
+
+def _checked_walk(g: Graph, i: int, support: frozenset, w: ClosedWalk) -> ClosedWalk:
+    """``w``, checked to be a closed walk of g projecting to member ``i``."""
+    if walk_support(w) != support:
+        raise GraphError(f"walk {i} does not project to its cycle")
+    walk_vertices(g, w)
+    return w
 
 
 def oriented_basis(g: Graph, members: Sequence, walks: Optional[Sequence[ClosedWalk]] = None) -> OrientedBasis:
-    """Pair basis members with orientations (natural ones when not given) and
-    validate the projection invariant."""
+    """Pair members with orientations: a given walk must project to its member;
+    a natural one does by construction (a member not a binary cycle raises)."""
     pairs = []
     for i, m in enumerate(members):
         support = frozenset(getattr(m, "support", m))
-        w = walks[i] if walks is not None and walks[i] is not None else natural_orientation(m, g)
-        if walk_support(w) != support:
-            raise GraphError(f"walk {i} does not project to its cycle")
-        walk_vertices(g, w)
-        pairs.append((BinaryCycle(support), w))
+        w = walks[i] if walks is not None else None
+        pairs.append((BinaryCycle(support), natural_orientation(support, g) if w is None else _checked_walk(g, i, support, w)))
     return OrientedBasis(tuple(pairs), g)
 
 
@@ -463,7 +477,9 @@ def digon_condition(b: CycleBasis, d: Circle) -> bool:
 # -- basis text format --------------------------------------------------------
 
 
-def parse_basis_text(text: str, g: Graph) -> OrientedBasis:
+def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[ClosedWalk]]]:
+    """Each member of a basis file with the walk its ``walk:`` line gives, or
+    None; a given walk that does not project to its member raises GraphError."""
     members: list[frozenset] = []
     walks: list[Optional[ClosedWalk]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -498,8 +514,14 @@ def parse_basis_text(text: str, g: Graph) -> OrientedBasis:
                     raise ParseError(f"unknown edge {eid!r}", line=lineno)
             members.append(frozenset(eids))
             walks.append(None)
+    return [(s, w if w is None else _checked_walk(g, i, s, w)) for i, (s, w) in enumerate(zip(members, walks))]
+
+
+def parse_basis_text(text: str, g: Graph) -> OrientedBasis:
+    """A basis file's members, naturally oriented where no walk line is given."""
     try:
-        return oriented_basis(g, members, walks)
+        pairs = read_basis_text(text, g)
+        return OrientedBasis(tuple((BinaryCycle(s), natural_orientation(s, g) if w is None else w) for s, w in pairs), g)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -151,6 +151,58 @@ def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, comman
     assert len(calls) == len(members) + certificates
 
 
+@pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
+def test_basis_test_builds_each_canonical_walk_once(monkeypatch, capsys, tmp_path, command):
+    # one canonical circle walk per face: the circle test's orientation, or
+    # the cycle test's natural orientation of a member given without a walk
+    import gainbalance.cyclespace
+
+    original = gainbalance.cyclespace._circle_walk
+    calls = []
+
+    def counted(g, support):
+        calls.append(support)
+        return original(g, support)
+
+    monkeypatch.setattr(gainbalance.cyclespace, "_circle_walk", counted)
+    (tmp_path / "grid.gains").write_text("group Z 3\n")
+    (tmp_path / "grid.basis").write_text(GRID_FACES)
+    assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis"), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["members"]) == 9
+    assert len(calls) == 9
+
+
+def test_parser_keeps_no_state_between_runs(capsys, tmp_path):
+    (tmp_path / "grid.gains").write_text("group Z 3\n")
+    (tmp_path / "grid.basis").write_text(GRID_FACES)
+    files = [str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis")]
+    assert run(["cycle-test", "Grid(3,3)", *files, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passes"] is True
+    # --json of the first run does not carry over to the second
+    assert run(["circle-test", "Grid(3,3)", *files]) == 0
+    assert capsys.readouterr().out == "circle test: pass\nbalanced: True\n"
+    assert run(["circle-test", "Grid(3,3)", files[0]]) == 2
+    assert run(["balance", "Grid(3,3)", files[0], "--bogus"]) == 2
+    assert run(["balance", "Grid(3,3)", files[0]]) == 0
+    assert capsys.readouterr().out.endswith("balanced: True\n")
+
+
+def test_circle_test_input_errors(capsys, tmp_path):
+    (tmp_path / "grid.gains").write_text("group Z 3\n")
+    basis = tmp_path / "grid.basis"
+    argv = ["circle-test", "Grid(3,3)", str(tmp_path / "grid.gains"), str(basis)]
+    first_face = "h0_0 h1_0 v0_0 v0_1\n"
+    # a walk line is checked though the circle test walks the canonical walk:
+    # here the walk round face (0,1) follows the member of face (0,0)
+    basis.write_text(GRID_FACES.replace(first_face, first_face + "walk: h0_1 v0_2 -h1_1 -v0_1\n"))
+    assert run(argv) == 2
+    assert "walk 0 does not project to its cycle" in capsys.readouterr().err
+    # faces (0,0) and (2,2) together are a binary cycle but not a circle
+    basis.write_text(GRID_FACES.replace(first_face, "h0_0 h1_0 h2_2 h3_2 v0_0 v0_1 v2_2 v2_3\n"))
+    assert run(argv) == 2
+    assert "is not a circle" in capsys.readouterr().err
+
+
 def test_classify_command_json_round_trip(capsys):
     assert run(["classify", "W4", "--class", "contains-z3", "--test", "circle", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)

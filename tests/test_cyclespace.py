@@ -157,6 +157,91 @@ def test_non_circle_member_rejected(w4):
     assert not is_circle_basis([two] + [c for c in enumerate_circles(w4) if len(c) == 3][:3], w4)
 
 
+def test_is_cycle_basis_rejects_members_that_are_not_cycles(w4):
+    # the rim edges are independent and as many as the dimension, but each
+    # has odd degree at both of its ends
+    rim = [{"r1"}, {"r2"}, {"r3"}, {"r4"}]
+    assert cycle_space_dimension(w4) == len(rim)
+    assert is_cycle_basis(rim, w4) is False
+    assert is_cycle_basis([c.support for c in enumerate_circles(w4) if len(c) == 3], w4) is True
+    # a loop meets its vertex twice, so it is a cycle
+    looped = Graph({"a": ("u", "v"), "b": ("v", "u"), "l": ("v", "v")})
+    assert is_cycle_basis([{"a", "b"}, {"l"}], looped) is True
+    assert is_cycle_basis([{"a"}, {"l"}], looped) is False
+
+
+def _gf2_rank(rows, columns):
+    """Rank over GF(2) by elimination on 0/1 rows indexed by ``columns``."""
+    rows = [[e in row for e in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a != b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_is_cycle_basis(members, g, dim):
+    """None when a member uses an edge outside g, else whether every member
+    has even degree at every vertex and the members are ``dim`` independent
+    vectors."""
+    if any(e not in g.edges for m in members for e in m):
+        return None
+    for m in members:
+        degree = {}
+        for e in m:
+            for v in g.ends(e):  # a loop counts twice
+                degree[v] = degree.get(v, 0) + 1
+        if any(d % 2 for d in degree.values()):
+            return False
+    return len(members) == dim and _gf2_rank(members, g.edge_list) == dim
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named("W4"), named("2C4"), named("K4dd"), named("Grid(3,3)"),
+     Graph({"a": ("u", "v"), "b": ("v", "u"), "c": ("v", "w"), "d": ("w", "u"), "l": ("w", "w")})],
+    ids=["W4", "2C4", "K4dd", "Grid(3,3)", "looped"],
+)
+def test_is_cycle_basis_matches_reference(g):
+    circles = [c.support for c in enumerate_circles(g)]
+    dim = _gf2_rank(circles, g.edge_list)  # the circles span the cycle space
+    start = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+    rng = random.Random(f"is_cycle_basis/{sorted(g.edges.items())}")
+    outcomes = set()
+    for _ in range(300):
+        members = list(start)
+        for _ in range(rng.randrange(4)):
+            kind = rng.randrange(6) if members else 4
+            i = rng.randrange(len(members)) if members else 0
+            if kind == 0:  # a sum of members: the span is kept unless it empties a member
+                members[i] = members[i] ^ members[rng.randrange(len(members))]
+            elif kind == 1:  # another circle: independent or dependent
+                members[i] = rng.choice(circles)
+            elif kind == 2:  # a random edge set, seldom a cycle
+                members[i] = frozenset(rng.sample(g.edge_list, rng.randint(1, 4)))
+            elif kind == 3:  # too few members
+                members.pop(i)
+            elif kind == 4:  # too many members
+                members.append(rng.choice(circles))
+            else:  # an edge missing from the host
+                members[i] = members[i] | {"zz"}
+        rng.shuffle(members)
+        expected = _reference_is_cycle_basis(members, g, dim)
+        outcomes.add(expected)
+        if expected is None:
+            with pytest.raises(GraphError):
+                is_cycle_basis(members, g)
+        else:
+            assert is_cycle_basis(members, g) is expected, members
+    assert outcomes == {None, False, True}
+
+
 def test_fundamental_circles(w4, c332):
     for g in (w4, c332, named("mK2(3)")):
         forest = spanning_forest(g)
