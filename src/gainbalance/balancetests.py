@@ -29,19 +29,22 @@ from typing import Optional, Sequence
 
 from .cyclespace import Circle, OrientedBasis, circle_from_support, is_cycle_basis
 from .errors import GraphError
-from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain
+from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain, walk_product
 from .graphcore import Graph, walk_int_vector
 from .groups import cyclic
 
 
 def basis_gains(gg: GainGraph, ob: OrientedBasis) -> list:
     """The gain of each attached walk, in basis order, once the oriented
-    cycles are checked to be a basis of ``gg``'s graph."""
+    cycles are checked to be a basis of ``gg``'s graph.  The walks were
+    checked where the oriented basis was built (``read_basis_text``,
+    ``oriented_basis``, ``circle_orientation``), so they are not walked
+    through the graph again."""
     if ob.host.edges != gg.graph.edges:
         raise GraphError("oriented basis belongs to a different graph")
     if not is_cycle_basis(ob.cycles, gg.graph):
         raise GraphError("oriented cycles do not form a basis")
-    return [walk_gain(gg, w) for w in ob.walks]
+    return [walk_product(gg, w) for w in ob.walks]
 
 
 def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:

@@ -23,18 +23,24 @@ The oracle enumerates switching-reduced gain assignments (forest edges pinned
 to the identity) over any finite group, abelian or not, in lexicographic
 order, and reports a graph bad at the first unbalanced assignment whose
 balanced circles span the cycle space; that counterexample is verified before
-it is returned.  Cyclic products are evaluated by numpy in blocks of at most
-``ORACLE_BLOCK`` assignments, other groups one assignment at a time by walk
-products.  Many assignments balance the same set of circles, so each distinct
-set gets one GF(2) basis extraction.  The edge bound and the assignment
-budget (|G|^dim times the number of circles) bound the work; the group order
-has no bound of its own.
+it is returned.  Over a single Z_n, scaling every chord gain by a unit
+balances the same circles, so only the indices whose leading nonzero digit
+divides n are tried; each unit orbit keeps its least index, so the first
+counterexample stays the same.  Cyclic products are evaluated by numpy in
+blocks of at most ``ORACLE_BLOCK`` assignments: a block's circle dot products
+are one float32 BLAS matmul, and its candidates are tested for spanning by one
+more matmul against the parity of each circle's chords in each nonzero chord
+set.  Other groups go one assignment at a time by walk products.  Only the
+counterexample gets a GF(2) basis extraction.  The edge bound and the
+assignment budget (|G|^dim times the number of circles) bound the work; the
+group order has no bound of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -473,54 +479,91 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
 # -- brute-force oracle ---------------------------------------------------------------
 
 
-ORACLE_BLOCK = 1 << 14  # most assignments the residue kernel holds at once
+ORACLE_BLOCK = 1 << 12  # most assignments a kernel block holds
 ORACLE_MAX_EDGES = 10  # most host edges the oracle takes
 ORACLE_BUDGET = 50_000_000  # default bound on |G|^dim times the number of circles
 
-
-def _digit_matrix(start: int, stop: int, width: int, base: int) -> np.ndarray:
-    """The ``width`` base-``base`` digits of start .. stop-1, most significant
-    first: one row per digit position, one column per number."""
-    return np.arange(start, stop) // base ** np.arange(width - 1, -1, -1)[:, None] % base
+# the parity of each chord set y of at most ORACLE_MAX_EDGES chords, as a float for BLAS
+_ODD = np.array([bin(y).count("1") & 1 for y in range(1 << ORACLE_MAX_EDGES)], dtype=np.float32)
 
 
-def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, elements: list):
-    """Balanced circles of at most ``ORACLE_BLOCK`` assignments at a time, by
-    numpy on residues: a circle is balanced when its signed chord counts,
-    dotted with the residues of the chord gains, vanish modulo each modulus.
+def _orbit_ranges(n: int, dim: int) -> Iterator[tuple[int, int]]:
+    """The assignment indices over Z_n whose leading nonzero base-n digit
+    divides n, as ascending ranges [d n^e, (d+1) n^e).
 
-    The dot product is a part over the high digits of j plus a part over the
-    low digits.  A block pairs a run of high values with every low value, so
-    the low part is taken once, the high part once per block, and a circle is
-    balanced where the high part equals minus the low part."""
-    dim, order = len(chords), len(elements)
-    vecs = [walk_int_vector(c.walk) for c in circles]
-    rows = np.array([[vec.get(e, 0) for e in chords] for vec in vecs], dtype=np.int64)
-    low_width = 0
-    while low_width < dim and order ** (low_width + 1) <= ORACLE_BLOCK:
-        low_width += 1
-    split, low = dim - low_width, order**low_width
-    residues = [np.array([el[f] for el in elements], dtype=np.int64) for f in range(len(grp.moduli))]
-    low_digits = _digit_matrix(0, low, low_width, order)
-    minus_lows = [(-(rows[:, split:] @ res[low_digits]) % m)[:, None, :] for res, m in zip(residues, grp.moduli)]
-    step = ORACLE_BLOCK // low
-    for start in range(0, order**split, step):
-        highs = [0] * len(residues)  # a lone block has no high digits
-        if split:
-            digits = _digit_matrix(start, min(start + step, order**split), split, order)
-            highs = [(rows[:, :split] @ res[digits] % m)[:, :, None] for res, m in zip(residues, grp.moduli)]
-        per_factor = (minus_low == high for minus_low, high in zip(minus_lows, highs))
-        balanced = functools.reduce(np.logical_and, per_factor).reshape(len(circles), -1)
-        columns = np.nonzero(balanced.sum(axis=0, dtype=np.int32) >= dim)[0]
-        if not start:
-            columns = columns[1:]  # j = 0, all gains the identity, balances every circle
-        if len(columns):
-            packed = np.packbits(balanced[:, columns].T, axis=1)
-            yield (columns + start * low).tolist(), packed.view(f"V{packed.shape[1]}").ravel().tolist()
+    Multiplying every chord gain by a unit balances the same circles, and
+    some unit takes a leading digit d to gcd(d, n) without touching the zero
+    digits before it; so each unit orbit has its least index here, and the
+    first spanning assignment is among these indices."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)} - {n})
+    for e in range(dim):
+        for d in divisors:
+            yield d * n**e, (d + 1) * n**e
+
+
+def _index_blocks(ranges) -> Iterator[np.ndarray]:
+    """The indices of ascending ``ranges`` in arrays of at most
+    ``ORACLE_BLOCK``, short ranges sharing an array."""
+    parts, size = [], 0
+    for start, stop in ranges:
+        while start < stop:
+            take = min(stop - start, ORACLE_BLOCK - size)
+            parts.append(np.arange(start, start + take))
+            start, size = start + take, size + take
+            if size == ORACLE_BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _residue_blocks(moduli: tuple[int, ...], dim: int, every_assignment: bool) -> Iterator[tuple]:
+    """The assignment indices the residue kernel tries, in ascending blocks,
+    each with the residues of its digits, one dim x block array per factor.
+
+    Over a single Z_n these are the unit orbit minima of ``_orbit_ranges``
+    unless ``every_assignment``; otherwise every nonzero index.  Residues are
+    float32, or float64 where dim times a modulus reaches 2^24, so that the
+    kernel's dot products stay exact."""
+    order = math.prod(moduli)
+    single = len(moduli) == 1 and not every_assignment
+    ranges = _orbit_ranges(order, dim) if single else [(1, order**dim)]
+    exact = np.float32 if dim * max(moduli) < 1 << 24 else np.float64
+    for js in _index_blocks(ranges):
+        digits = np.unravel_index(js, (order,) * dim)
+        yield js, [residues.astype(exact) for residues in np.unravel_index(digits, moduli)]
+
+
+@functools.lru_cache(maxsize=64)
+def _one_block(moduli: tuple[int, ...], dim: int, every_assignment: bool) -> tuple:
+    """``_residue_blocks`` kept for the next call where |G|^dim fits one
+    block, so a small search sets up by a table lookup."""
+    return tuple(_residue_blocks(moduli, dim, every_assignment))
+
+
+def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, every_assignment: bool):
+    """For each block of ``_residue_blocks``, the indices with at least dim
+    balanced circles and their balanced columns.  A circle is balanced when
+    its signed chord counts, dotted with the residues of the chord gains,
+    vanish modulo each modulus.  A block's dot products are one BLAS matmul
+    per factor, exact in floating point as every partial sum is an integer
+    below the mantissa bound (float32 rows promote to float64 residues)."""
+    dim = len(chords)
+    key = (grp.moduli, dim, every_assignment)
+    blocks = _one_block(*key) if grp.order() ** dim <= ORACLE_BLOCK else _residue_blocks(*key)
+    rows = np.array([[vec.get(e, 0) for e in chords] for vec in (walk_int_vector(c.walk) for c in circles)], dtype=np.float32)
+    for js, residues in blocks:
+        per_factor = (np.fmod(rows @ res, m) == 0 for res, m in zip(residues, grp.moduli))
+        balanced = functools.reduce(np.logical_and, per_factor)
+        keep = balanced.sum(axis=0) >= dim
+        if keep.any():
+            yield js[keep], balanced[:, keep]
 
 
 def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
-    """Balanced circles of one assignment at a time, by multiplying the chord
+    """Each nonzero assignment index with at least dim balanced circles and
+    its balanced column, one assignment at a time, by multiplying the chord
     gains along each circle's walk in order; serves any finite group."""
     ident = grp.identity()
     inverses = [grp.inverse(x) for x in elements]
@@ -536,51 +579,54 @@ def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
                 acc = grp.op(acc, elements[combo[k]] if fwd else inverses[combo[k]])
             balanced.append(acc == ident)
         if sum(balanced) >= len(chords):
-            yield [j], [np.packbits(balanced).tobytes()]
+            yield np.array([j]), np.array(balanced)[:, None]
 
 
-def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[dict, list, list]]:
+def _parity_matrix(circles: list, chords: list) -> np.ndarray:
+    """The circles x (2^dim - 1) matrix of the parity of each circle's chords
+    within each nonzero chord set y.  A binary cycle is fixed by its chords,
+    so a set of circles spans the cycle space exactly when no nonzero GF(2)
+    functional y on the chords vanishes on all of them: when the set's
+    indicator row times this matrix is positive everywhere."""
+    position = {e: 1 << i for i, e in enumerate(chords)}
+    masks = np.array([sum(position.get(e, 0) for e in c.support) for c in circles])
+    return _ODD[masks[:, None] & np.arange(1, 1 << len(chords))]
+
+
+def _spanning_assignments(g: Graph, grp: Group, circles: list, every_assignment: bool = False) -> Iterator[tuple[dict, list]]:
     """For each unbalanced switching-reduced assignment whose balanced
     circles span the cycle space, yield (chord gains, balanced circles in the
-    order of ``circles``, the basis greedily extracted from them).
+    order of ``circles``).
 
-    Assignment j gives chord i the element ``grp.elements()[d_i]`` where
-    d_1 .. d_dim are the base-|G| digits of j, first chord most significant;
-    they come in ascending j.  A kernel yields, in batches, each nonzero j
-    with at least dim balanced circles and its key, the ``np.packbits`` of
-    its balanced column: cyclic products, whose elements are residue vectors,
-    go through the numpy kernel; other groups through the walk kernel.  Many
-    assignments balance the same circles, so the basis is extracted once per
-    distinct key.  Without circles there is none.
+    Assignment j gives chord i the element of index d_i in
+    ``grp.elements()``, where d_1 .. d_dim are the base-|G| digits of j,
+    first chord most significant; they come in ascending j.  Over a single
+    Z_n only the indices of ``_orbit_ranges`` are tried unless
+    ``every_assignment``; the first spanning assignment is the same either
+    way.  A kernel yields candidates, the indices with at least dim balanced
+    circles, with their balanced columns: cyclic products go through the
+    residue kernel, other groups through the walk kernel.  The candidates of
+    a batch are tested for spanning by one matmul with ``_parity_matrix``,
+    built at the first batch.  Without circles there is none.
     """
     if not circles:
         return
     forest = spanning_forest(g)
     chords = [e for e in g.edge_list if e not in forest]
-    dim = len(chords)
-    elements = grp.elements()
-    index = _edge_index(g)
-    masks = [_mask(c.support, index) for c in circles]
-    kernel = _residue_kernel if isinstance(grp, CyclicProduct) else _walk_kernel
-    seen: set[bytes] = set()
-    spanning: dict[bytes, tuple[list, list]] = {}
-    for js, keys in kernel(grp, circles, chords, elements):
-        for key in set(keys).difference(seen):
-            seen.add(key)
-            bits, top = int.from_bytes(key, "big"), 8 * len(key) - 1
-            items = [(masks[i], circles[i]) for i in range(len(circles)) if bits >> (top - i) & 1]
-            basis = gf2_extract_basis(items, dim)
-            if basis is not None:
-                spanning[key] = ([c for _, c in items], basis)
-        if spanning.keys().isdisjoint(keys):
-            continue
-        for j, key in zip(js, keys):
-            if key in spanning:
-                subset, basis = spanning[key]
-                digits = [0] * dim
-                for i in reversed(range(dim)):
-                    j, digits[i] = divmod(j, len(elements))
-                yield {chords[i]: elements[d] for i, d in enumerate(digits)}, list(subset), basis
+    if isinstance(grp, CyclicProduct):
+        element = lambda d: tuple(map(int, np.unravel_index(d, grp.moduli)))
+        found = _residue_kernel(grp, circles, chords, every_assignment)
+    else:
+        elements = grp.elements()
+        element = elements.__getitem__
+        found = _walk_kernel(grp, circles, chords, elements)
+    odd = None
+    for js, balanced in found:
+        odd = _parity_matrix(circles, chords) if odd is None else odd
+        spans = (balanced.T.astype(np.float32) @ odd).min(axis=1) > 0
+        digits = np.transpose(np.unravel_index(js[spans], (grp.order(),) * len(chords))).tolist()
+        for row, column in zip(digits, balanced.T[spans]):
+            yield dict(zip(chords, map(element, row))), [circles[i] for i in np.flatnonzero(column)]
 
 
 def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
@@ -605,13 +651,16 @@ def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
 def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> tuple[bool, Optional[BadWitness]]:
     """Exhaustive goodness check for the circle test on one finite group.
 
-    Enumerates all |G|^dim switching-reduced assignments; the graph is bad
-    iff some unbalanced assignment balances a spanning set of circles.  The
-    first counterexample (lexicographic assignment order, greedy basis
-    extraction in canonical circle order) is returned as a verified witness.
+    Searches the |G|^dim switching-reduced assignments, over a single Z_n
+    one per unit orbit; the graph is bad iff some unbalanced assignment
+    balances a spanning set of circles.  The first counterexample
+    (lexicographic assignment order, greedy basis extraction in canonical
+    circle order) is returned as a verified witness.
     """
     # the first spanning set in assignment order is the counterexample
-    for gains, _, basis in _spanning_assignments(g, grp, _oracle_circles(g, grp, budget)):
+    for gains, subset in _spanning_assignments(g, grp, _oracle_circles(g, grp, budget)):
+        index = _edge_index(g)
+        basis = gf2_extract_basis([(_mask(c.support, index), c) for c in subset], len(gains))
         witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
         if not witness.verify():
             raise GraphError("oracle witness failed verification")
@@ -625,8 +674,10 @@ def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, 
     the assignment order of ``oracle_circle_goodness``.
 
     Surveys which bases can witness badness (the tests use it for the wheel
-    basis taxonomy); no subcommand calls it.  It checks the oracle's default
-    edge bound and assignment budget when called, before yielding anything.
+    basis taxonomy); no subcommand calls it.  It visits every assignment,
+    also over Z_n where the oracle tries one per unit orbit: a survey wants
+    every spanning set, and the tests compare the whole ascending sequence
+    with a per-assignment reference.  It checks the oracle's default edge
+    bound and assignment budget when called, before yielding anything.
     """
-    spanning = _spanning_assignments(g, grp, _oracle_circles(g, grp))
-    return ((gains, subset) for gains, subset, _ in spanning)
+    return _spanning_assignments(g, grp, _oracle_circles(g, grp), every_assignment=True)

@@ -80,8 +80,15 @@ class Switching:
 
 
 def walk_gain(gg: GainGraph, w: ClosedWalk) -> tuple:
-    """Ordered product of step gains; reversed steps contribute inverses."""
+    """Ordered product of step gains; reversed steps contribute inverses.
+    The walk is first checked to be a closed walk of ``gg``'s graph."""
     walk_vertices(gg.graph, w)
+    return walk_product(gg, w)
+
+
+def walk_product(gg: GainGraph, w: ClosedWalk) -> tuple:
+    """:func:`walk_gain` of a walk already known to be a closed walk of
+    ``gg``'s graph, without checking it again."""
     grp, gain = gg.group, gg.assignment.gain
     acc = grp.identity()
     for step in w.steps:

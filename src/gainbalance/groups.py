@@ -21,8 +21,8 @@ gain graph (``gaingraph.gain_graph``), not by ``op``.
 
 Gain-file headers name all three types: ``group Z 3``, ``group Z 2 x Z 3``,
 ``group free a b c``, ``group S 3``, so every gain file that
-``gaingraph.gains_to_text`` writes reads back.  CLI specs name cyclic
-products and free groups only: ``Z3``, ``Z2xZ3``, ``free:a,b``.
+``gaingraph.gains_to_text`` writes reads back.  CLI specs name all three
+too: ``Z3``, ``Z2xZ3``, ``free:a,b``, ``S3``.
 
 A :class:`GroupClass` describes the family of admissible gain groups for
 classification; explicit lists are treated as subgroup closed.
@@ -224,7 +224,18 @@ class Symmetric:
         return k
 
     def element_orders(self) -> set:
-        return {self.element_order(x) for x in self.elements()}
+        # an order is the lcm of a cycle type, so it occurs exactly when its
+        # prime-power factors, one cycle each, sum to at most n
+        orders = {1: 0}  # order -> sum of its prime-power factors
+        for p in range(2, self.n + 1):
+            if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                continue
+            for order, used in list(orders.items()):
+                q = p
+                while used + q <= self.n:
+                    orders[order * q] = used + q
+                    q *= p
+        return set(orders)
 
     def __str__(self):
         return f"S{self.n}"
@@ -280,10 +291,12 @@ def parse_group_header(text: str) -> Group:
 
 
 def parse_group_spec(text: str) -> Group:
-    """Parse compact CLI specs: ``Z3``, ``Z2xZ3``, ``free:a,b``."""
+    """Parse compact CLI specs: ``Z3``, ``Z2xZ3``, ``free:a,b``, ``S3``."""
     s = text.strip()
     if s.startswith("free:"):
         return free_on(*[t for t in s[5:].split(",") if t])
+    if re.fullmatch(r"S[1-9]\d*", s):
+        return symmetric(int(s[1:]))
     moduli = []
     for part in s.split("x"):
         if not part.startswith("Z") or not part[1:].isdigit():

@@ -9,7 +9,8 @@ from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import grid_faces, parse_graph_text
-from gainbalance.groups import parse_group_header, parse_group_spec
+from gainbalance.classify import oracle_circle_goodness
+from gainbalance.groups import parse_group_header, parse_group_spec, symmetric
 from conftest import named
 from oracle_reference import reference_witness_json
 
@@ -129,11 +130,11 @@ def test_basis_test_text_reports(capsys, tmp_path, command, gains, basis, expect
 @pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
 @pytest.mark.parametrize("gains, certificates", [("group Z 3\n", 0), ("group Z 3\ngain h1_1 1\n", 1)])
 def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, command, gains, certificates):
-    # one walk_gain per basis member, plus one for the certificate of an
+    # one walk product per basis member, plus one for the certificate of an
     # unbalanced gain graph; the count covers every module that binds it
     import gainbalance.gaingraph
 
-    original = gainbalance.gaingraph.walk_gain
+    original = gainbalance.gaingraph.walk_product
     calls = []
 
     def counted(gg, walk):
@@ -141,8 +142,8 @@ def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, comman
         return original(gg, walk)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("gainbalance") and getattr(module, "walk_gain", None) is original:
-            monkeypatch.setattr(module, "walk_gain", counted)
+        if name.startswith("gainbalance") and getattr(module, "walk_product", None) is original:
+            monkeypatch.setattr(module, "walk_product", counted)
     (tmp_path / "grid.gains").write_text(gains)
     (tmp_path / "grid.basis").write_text(GRID_FACES)
     assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis"), "--json"]) == 0
@@ -301,6 +302,16 @@ def test_oracle_beyond_order_six(capsys):
     expected = reference_witness_json(named("2C4"), parse_group_spec("Z7"))
     assert data["good"] is (expected is None)
     assert data.get("counterexample") == expected
+
+
+def test_oracle_over_a_symmetric_group(capsys):
+    assert run(["oracle", "2C4", "--group", "S3", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    good, witness = oracle_circle_goodness(named("2C4"), symmetric(3))
+    assert data == {"good": good, "group": "S3", "counterexample": witness.to_json()}
+    for spec in ("S0", "Sx"):
+        assert run(["oracle", "2C4", "--group", spec, "--json"]) == 2
+        assert "unknown group spec" in capsys.readouterr().err
 
 
 def test_atlas_command(capsys):

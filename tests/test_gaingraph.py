@@ -15,6 +15,7 @@ from gainbalance.gaingraph import (
     switch,
     switch_to_forest,
     walk_gain,
+    walk_product,
 )
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, Graph, concat_walks, spanning_forest
 from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
@@ -77,6 +78,21 @@ def test_invalid_walk_rejected():
     gg = gain_graph(g, Z3, {})
     with pytest.raises(GraphError):
         walk_gain(gg, ClosedWalk("a", (DirectedEdge("e2"),)))
+
+
+def test_walk_gain_checks_the_walks_walk_product_trusts():
+    # basis walks are multiplied by walk_product without a second check;
+    # walk_gain still rejects a walk that is not a closed walk of the graph
+    g = triangle()
+    gg = gain_graph(g, Z3, {"e1": Z3.element([1])})
+    outside = ClosedWalk("a", (DirectedEdge("zz"), DirectedEdge("e3", False)))
+    open_walk = ClosedWalk("a", (DirectedEdge("e1"), DirectedEdge("e2")))
+    for w in (outside, open_walk):
+        with pytest.raises(GraphError):
+            walk_gain(gg, w)
+    rim = circle_from_support(g, {"e1", "e2", "e3"}).walk
+    for w in (rim, rim.reversed()):
+        assert walk_product(gg, w) == walk_gain(gg, w) != Z3.identity()
 
 
 # -- switching -------------------------------------------------------------------

@@ -179,8 +179,20 @@ def test_group_header_parsing():
 def test_group_spec_parsing():
     assert parse_group_spec("Z3") == cyclic(3)
     assert parse_group_spec("Z2xZ2") == abelian_product(2, 2)
-    with pytest.raises(ParseError):
-        parse_group_spec("D4")
+    assert parse_group_spec("S3") == symmetric(3)
+    assert parse_group_spec("S12") == symmetric(12)
+    for bad in ("D4", "S0", "Sx", "S", "S03", "S-3"):
+        with pytest.raises(ParseError):
+            parse_group_spec(bad)
+
+
+def test_symmetric_element_orders_are_cycle_type_lcms():
+    # against the orders of all n! permutations
+    for n in range(1, 8):
+        s = symmetric(n)
+        assert s.element_orders() == {s.element_order(x) for x in s.elements()}, n
+    # Landau's function: the largest order in S_n; read off the cycle types, not n! permutations
+    assert [max(symmetric(n).element_orders()) for n in (12, 19, 30)] == [60, 420, 4620]
 
 
 def test_class_spec_parsing():
