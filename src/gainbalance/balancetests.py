@@ -6,12 +6,17 @@ binary cycle test on the canonical walks of its member circles
 (:func:`circle_orientation`), and :func:`basis_gains` is the one place either
 test evaluates a walk.
 
-The abelian analysis works in the integer lattice spanned by the signed
+The abelian analysis works in the integer lattice L spanned by the signed
 traversal vectors of the basis walks (entry +1 when a walk crosses an edge in
-reference orientation).  The Smith normal form of that lattice decides, for
-any query circle, the order of its image in the quotient: order 1 means the
-basis forces the circle balanced over every abelian gain group; a finite
-order d > 1 admits explicit unbalanced witnesses over suitable cyclic groups;
+reference orientation), inside the flow lattice C of closed-walk vectors.  C
+is the kernel of the incidence map, so Z^E / C is torsion-free and the
+torsion of Z^E / L and every query's order live in C / L.  Projecting onto
+the chords of a spanning forest maps C isomorphically onto Z^chords (a flow
+is determined by its chord values), so the analysis runs the Smith normal
+form of the dim x dim chord matrix of the basis walks.  For any query circle
+it gives the order of its image in the quotient: order 1 means the basis
+forces the circle balanced over every abelian gain group; a finite order
+d > 1 admits explicit unbalanced witnesses over suitable cyclic groups;
 infinite order admits one over the integers.
 
 Switching is ignored throughout the abelian analysis: a switching changes a
@@ -30,7 +35,7 @@ from typing import Optional, Sequence
 from .cyclespace import Circle, OrientedBasis, circle_from_support, is_cycle_basis
 from .errors import GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain, walk_product
-from .graphcore import Graph, walk_int_vector
+from .graphcore import Graph, spanning_forest, walk_int_vector
 from .groups import cyclic
 
 
@@ -128,13 +133,19 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        # minimal absolute value pivot in the remaining block
-        pivot = None
+        # minimal absolute value pivot in the remaining block; no later entry
+        # replaces a unit, so the scan stops at the first one
+        pivot, best = None, 0
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                v = a[i][j]
-                if v and (pivot is None or abs(v) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                v = abs(row[j])
+                if v and (pivot is None or v < best):
+                    pivot, best = (i, j), v
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -158,6 +169,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
+            if abs(a[t][t]) == 1:  # a unit divides the remaining block
+                break
             # enforce divisibility: pivot must divide the remaining block
             offender = None
             for i in range(t + 1, m):
@@ -182,11 +195,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
 def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return [sum(r * v for r, v in zip(row, vec)) for row in mat]
-
-
-def _vec_mat(vec: Sequence[int], mat: Sequence[Sequence[int]]) -> list[int]:
-    n = len(mat[0]) if mat else 0
-    return [sum(vec[i] * mat[i][j] for i in range(len(vec))) for j in range(n)]
 
 
 # -- universal abelian analysis -------------------------------------------------
@@ -227,23 +235,31 @@ class UniversalAbelianReport:
         }
 
 
-def _query_coordinates(report: UniversalAbelianReport, z: Circle) -> list[int]:
-    vec = walk_int_vector(z.walk)
-    v = [vec.get(e, 0) for e in report.edge_order]
-    return _vec_mat(v, report._smith.right)
+def _chords(g: Graph) -> tuple[str, ...]:
+    forest = spanning_forest(g)
+    return tuple(e for e in g.edge_list if e not in forest)
 
 
-def _image_order(diag: Sequence[int], w: Sequence[int], rank: int) -> Optional[int]:
-    if any(w[j] for j in range(rank, len(w))):
+def _query_coordinates(sf: SmithForm, chords: Sequence[str], z: Circle) -> list[int]:
+    """The query's chord vector times ``sf.right``: a sum of ``right`` rows
+    over the chords the query crosses."""
+    pos = {e: i for i, e in enumerate(chords)}
+    w = [0] * len(chords)
+    for e, c in walk_int_vector(z.walk).items():
+        if e in pos:
+            w = [x + c * r for x, r in zip(w, sf.right[pos[e]])]
+    return w
+
+
+def _image_order(diag: Sequence[int], w: Sequence[int]) -> Optional[int]:
+    if any(wj for dj, wj in zip(diag, w) if not dj):
         return None
-    n = 1
-    for j in range(rank):
-        n = math.lcm(n, diag[j] // math.gcd(diag[j], w[j]))
-    return n
+    return math.lcm(*(dj // math.gcd(dj, wj) for dj, wj in zip(diag, w) if dj))
 
 
 def implies_balance_abelian(g: Graph, b: OrientedBasis, queries: Sequence[Circle]) -> UniversalAbelianReport:
-    """Order of each query circle in Z^E modulo the basis walk lattice.
+    """Order of each query circle in Z^E modulo the basis walk lattice,
+    computed in chord coordinates (see the module docstring).
 
     Order 1: the basis forces the circle balanced over every abelian group.
     Finite order d > 1: a witness exists over Cyclic(k) for suitable k (see
@@ -251,29 +267,18 @@ def implies_balance_abelian(g: Graph, b: OrientedBasis, queries: Sequence[Circle
     """
     if not is_cycle_basis(b.cycles, g):
         raise GraphError("oriented cycles do not form a basis")
-    edge_order = tuple(g.edge_list)
-    rows = []
-    for _, w in b.pairs:
-        vec = walk_int_vector(w)
-        rows.append([vec.get(e, 0) for e in edge_order])
-    if not rows:
-        rows = [[0] * len(edge_order)]
-    sf = smith_normal_form(rows)
-    rank = sf.rank
-    diag = sf.diagonal
-    out = []
-    for z in queries:
-        vec = walk_int_vector(z.walk)
-        v = [vec.get(e, 0) for e in edge_order]
-        w = _vec_mat(v, sf.right)
-        out.append(QueryReport(tuple(sorted(z.support)), _image_order(diag, w, rank)))
+    chords = _chords(g)
+    sf = smith_normal_form([[vec.get(e, 0) for e in chords] for vec in map(walk_int_vector, b.walks)])
+    out = [QueryReport(tuple(sorted(z.support)), _image_order(sf.diagonal, _query_coordinates(sf, chords, z)))
+           for z in queries]
     factors = tuple(d for d in sf.invariant_factors if d > 1)
-    return UniversalAbelianReport(edge_order, rank, factors, tuple(out), sf, g, b)
+    return UniversalAbelianReport(tuple(g.edge_list), sf.rank, factors, tuple(out), sf, g, b)
 
 
 def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAssignment:
     """Explicit gains over Cyclic(d) balancing every basis walk while leaving
-    ``z`` unbalanced; verified before return.
+    ``z`` unbalanced, with the spanning forest's edges at the identity;
+    verified before return.
 
     Raises when no such assignment exists over Cyclic(d) (possible even for
     some divisors of the image order).
@@ -281,29 +286,19 @@ def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAs
     if d <= 1:
         raise GraphError("witness group must be nontrivial")
     sf = report._smith
-    rank = sf.rank
-    diag = sf.diagonal
-    w = _query_coordinates(report, z)
-    ncols = len(report.edge_order)
-    y = [0] * ncols
-    chosen = None
-    for j in range(rank):
-        gj = math.gcd(diag[j], d)
-        if w[j] % gj:
+    chords = _chords(report._graph)
+    y = [0] * len(chords)
+    # the basis is square, so a zero diagonal entry d_j gives gcd d: y_j = 1
+    for j, (dj, wj) in enumerate(zip(sf.diagonal, _query_coordinates(sf, chords, z))):
+        gj = math.gcd(dj, d)
+        if wj % gj:
             y[j] = d // gj
-            chosen = j
             break
-    if chosen is None:
-        for j in range(rank, ncols):
-            if w[j] % d:
-                y[j] = 1
-                chosen = j
-                break
-    if chosen is None:
+    else:
         raise GraphError(f"no unbalanced witness over Cyclic({d}) for this query")
     x = _mat_vec(sf.right, y)
     group = cyclic(d)
-    gains = {e: group.element([x[i] % d]) for i, e in enumerate(report.edge_order)}
+    gains = {e: group.element([x[i] % d]) for i, e in enumerate(chords)}
     gg = gain_graph(report._graph, group, gains)
     ident = group.identity()
     balanced_basis = all(walk_gain(gg, w) == ident for w in report._basis.walks)

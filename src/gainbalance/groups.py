@@ -78,8 +78,10 @@ class CyclicProduct:
         return math.lcm(*(k // math.gcd(r, k) for r, k in zip(x, self.moduli)))
 
     def element_orders(self) -> set:
+        # the divisors of the exponent, in pairs d, exponent // d
         exponent = math.lcm(*self.moduli)
-        return {d for d in range(1, exponent + 1) if exponent % d == 0}
+        small = [d for d in range(1, math.isqrt(exponent) + 1) if exponent % d == 0]
+        return {*small, *(exponent // d for d in small)}
 
     def __str__(self):
         return "x".join(f"Z{k}" for k in self.moduli)

@@ -17,17 +17,21 @@ from gainbalance.cyclespace import (
     Circle,
     CycleBasis,
     OrientedBasis,
+    basis_to_text,
     circle_from_support,
     cycle_space_dimension,
     enumerate_circles,
     fundamental_circles,
     is_cycle_basis,
     oriented_basis,
+    parse_basis_text,
 )
+from gainbalance.enumeration import inseparable_multigraphs
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, Switching, gain_graph, is_balanced, switch, walk_gain
-from gainbalance.graphcore import ClosedWalk, DirectedEdge, spanning_forest
+from gainbalance.graphcore import ClosedWalk, DirectedEdge, Graph, grid_faces, spanning_forest, walk_int_vector
 from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
+from abelian_reference import FullEdgeReport, smith_normal_form_full_scan
 from conftest import named
 
 
@@ -441,3 +445,218 @@ def test_report_json_round_trip_fields():
     assert data["invariant_factors"] == [3]
     assert data["queries"][0]["order"] == 3
     assert sorted(data["edge_order"]) == sorted(w4.edge_list)
+
+
+# -- Smith normal form: unit-pivot shortcuts against the full scan ---------------------
+
+
+def bareiss_det(mat):
+    """Exact determinant by fraction-free elimination."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def check_smith(a):
+    """The Smith form of ``a`` equals the full-scan reference's, reconstructs
+    ``a`` exactly through unimodular transforms and has the divisibility chain."""
+    sf = smith_normal_form(a)
+    assert (sf.diagonal, sf.left, sf.right) == smith_normal_form_full_scan(a)
+    m, n = len(a), len(a[0])
+    la = [[sum(sf.left[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    lar = [[sum(la[i][k] * sf.right[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
+    assert lar == [[sf.diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
+    assert abs(bareiss_det(sf.left)) == 1 and abs(bareiss_det(sf.right)) == 1
+    factors = sf.invariant_factors
+    assert all(d > 0 for d in factors) and all(y % x == 0 for x, y in zip(factors, factors[1:]))
+    return sf
+
+
+def test_smith_unit_pivots_match_full_scan_on_sparse_matrices():
+    # sparse 0/+-1 matrices: every pivot is a unit, so both shortcuts run
+    rng = random.Random(1101)
+    for _ in range(150):
+        m, n = rng.randint(1, 12), rng.randint(1, 20)
+        density = rng.choice((0.1, 0.25, 0.5))
+        a = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        check_smith(a)
+
+
+def test_smith_without_unit_entries_matches_full_scan():
+    # no entry of absolute value 1: the first pivots are not units, so the
+    # pivot scan runs to the end and the divisibility scan runs (past 6 x 8
+    # the transforms' entries grow to thousands of bits, here as at the full scan)
+    rng = random.Random(1103)
+    values = (2, -2, 3, -3, 4, 6, -9, 10)
+    nontrivial = 0
+    for _ in range(120):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        a = [[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(m)]
+        nontrivial += any(d > 1 for d in check_smith(a).invariant_factors)
+    assert nontrivial > 60
+
+
+def test_smith_mixed_entries_match_full_scan():
+    # entries up to 3 in absolute value, units among them (up to 8 x 10: at
+    # 12 x 20 some transforms' entries grow to thousands of bits, as above)
+    rng = random.Random(1105)
+    for _ in range(120):
+        m, n = rng.randint(1, 8), rng.randint(1, 10)
+        a = [[rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(n)] for _ in range(m)]
+        check_smith(a)
+    for a in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[4, 6], [2, 2]], [[3]], [[0, 0], [0, 0]], [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]):
+        check_smith(a)
+    rng = random.Random(17)  # the matrices of test_smith_transforms_reconstruct
+    for _ in range(40):
+        m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+        check_smith([[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)])
+
+
+# -- abelian analysis in chord coordinates against the full-edge reference -----------
+
+
+def check_against_reference(g, ob, queries):
+    """The report equals the full-edge reference, its Smith form is the full
+    scan's on the chord matrix, and each query of finite order n > 1 gets a
+    verified witness over Z_n exactly when some map of the quotient to Z_n
+    is nonzero on it, else one over the largest invariant factor.  Returns
+    the report."""
+    rep = implies_balance_abelian(g, ob, queries)
+    ref = FullEdgeReport(g, ob, queries)
+    assert rep.to_json() == ref.to_json()
+    assert (rep.lattice_rank, rep.invariant_factors) == (ref.rank, tuple(d for d in ref.diagonal if d > 1))
+    forest = spanning_forest(g)
+    chords = [e for e in g.edge_list if e not in forest]
+    rows = [[walk_int_vector(w).get(e, 0) for e in chords] for w in ob.walks]
+    if rows:
+        assert (rep._smith.diagonal, rep._smith.left, rep._smith.right) == smith_normal_form_full_scan(rows)
+    for k, z in enumerate(queries):
+        n = rep.queries[k].order
+        if n is None or n == 1:
+            continue
+        if not ref.separated_over(k, n):
+            # e.g. 3 in Z_9: no map to Z_3 sees it, one to Z_9 does
+            with pytest.raises(GraphError):
+                abelian_witness(rep, z, n)
+            n = rep.invariant_factors[-1]
+            assert ref.separated_over(k, n)
+        gg = GainGraph(g, abelian_witness(rep, z, n))
+        ident = gg.group.identity()
+        assert all(walk_gain(gg, w) == ident for w in ob.walks)
+        assert walk_gain(gg, z.walk) != ident
+        assert all(gg.assignment.gains[e] == ident for e in forest)
+    return rep
+
+
+def rectangle(i0, j0, i1, j1):
+    """Boundary of the grid cells [i0, i1) x [j0, j1)."""
+    return {f"h{i}_{j}" for i in (i0, i1) for j in range(j0, j1)} | {f"v{i}_{j}" for i in range(i0, i1) for j in (j0, j1)}
+
+
+def test_abelian_chords_match_reference_on_every_small_circle_basis():
+    import itertools
+
+    bases = 0
+    for g in inseparable_multigraphs(5):
+        circles = enumerate_circles(g)
+        dim = cycle_space_dimension(g)
+        if dim == 0 or dim > 4:
+            continue
+        for combo in itertools.combinations(circles, dim):
+            if is_cycle_basis(combo, g):
+                check_against_reference(g, oriented_basis(g, [c.support for c in combo]), circles)
+                bases += 1
+    assert bases > 100
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_abelian_chords_match_reference_on_wheel_hamiltonian_bases(k):
+    w = named(f"W{2 * k}")
+    circles = enumerate_circles(w)
+    rep = check_against_reference(w, oriented_basis(w, [c.support for c in hamiltonian_basis(w)]), circles)
+    assert rep.order_of(circle_from_support(w, {f"r{i}" for i in range(1, 2 * k + 1)})) == 2 * k - 1
+
+
+@pytest.mark.parametrize("r,c", [(1, 1), (2, 3), (4, 4), (3, 7)])
+def test_abelian_chords_match_reference_on_grid_face_bases(r, c):
+    g = named(f"Grid({r},{c})")
+    rects = {frozenset(rectangle(i0, j0, i1, j1)) for i0 in range(r) for i1 in range(i0 + 1, r + 1)
+             for j0 in range(c) for j1 in range(j0 + 1, c + 1)}
+    queries = [circle_from_support(g, s) for s in sorted(rects, key=sorted)]
+    rep = check_against_reference(g, oriented_basis(g, grid_faces(r, c)), queries)
+    assert all(q.order == 1 for q in rep.queries)
+
+
+def repeated(walk, times):
+    """``walk`` traversed |times| times, reversed when ``times`` < 0."""
+    steps = walk.steps if times > 0 else tuple(s.reversed() for s in reversed(walk.steps))
+    return ClosedWalk(walk.start, steps * abs(times))
+
+
+def path_steps(g, a, b):
+    """Steps of a shortest path from ``a`` to ``b``."""
+    back = {a: None}
+    frontier = [a]
+    while b not in back:
+        nxt = []
+        for v in frontier:
+            for eid, u in g.incident(v):
+                if u not in back:
+                    back[u] = (DirectedEdge(eid, g.ends(eid)[0] == v), v)
+                    nxt.append(u)
+        frontier = nxt
+    steps = []
+    while back[b] is not None:
+        step, b = back[b]
+        steps.append(step)
+    return tuple(reversed(steps))
+
+
+def seeded_walk_basis(g, circles, rng):
+    """A random circle basis whose walks wind their circle an odd number of
+    times and may detour to wind another member an even number of times, so
+    that the mod-2 projection is the member while edge counts reach +-2 or
+    more; written with ``walk:`` lines and read back."""
+    rng.shuffle(circles)
+    members, masks = [], []
+    for c in circles:
+        if len(members) < cycle_space_dimension(g) and independent_of(masks, c, g):
+            members.append(c)
+    walks = []
+    for c in members:
+        w = repeated(c.walk, rng.choice((1, 1, -1, 3, -3)))
+        if rng.random() < 0.5:
+            other = rng.choice(members).walk
+            there = path_steps(g, w.start, other.start)
+            back = tuple(s.reversed() for s in reversed(there))
+            w = ClosedWalk(w.start, w.steps + there + repeated(other, rng.choice((2, -2, 4))).steps + back)
+        walks.append(w)
+    ob = OrientedBasis(tuple((c.cycle, w) for c, w in zip(members, walks)), g)
+    return parse_basis_text(basis_to_text(ob), g)
+
+
+def test_abelian_chords_match_reference_on_walk_line_bases():
+    rng = random.Random(1107)
+    looped = Graph({"a": ("x", "y"), "b": ("x", "y"), "c": ("y", "z"), "d": ("z", "x"), "l": ("z", "z")})
+    hosts = [named(t) for t in ("K1loop", "W4", "W5", "2C4", "K4dd", "C3(3,3,2)", "K4(2,1)", "Grid(2,3)")] + [looped]
+    large_entries = torsion = witnesses = 0
+    for g in hosts:
+        circles = enumerate_circles(g)
+        for _ in range(12):
+            ob = seeded_walk_basis(g, list(circles), rng)
+            large_entries += any(abs(x) >= 2 for w in ob.walks for x in walk_int_vector(w).values())
+            rep = check_against_reference(g, ob, circles)
+            torsion += bool(rep.invariant_factors)
+            witnesses += sum(1 for q in rep.queries if q.order not in (None, 1))
+    assert large_entries > 50 and torsion > 30 and witnesses > 100

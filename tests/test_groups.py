@@ -195,6 +195,25 @@ def test_symmetric_element_orders_are_cycle_type_lcms():
     assert [max(symmetric(n).element_orders()) for n in (12, 19, 30)] == [60, 420, 4620]
 
 
+def test_cyclic_product_element_orders_are_divisors_of_the_exponent():
+    # against the brute-force divisor set, and against the orders of all elements
+    for k in range(1, 61):
+        assert cyclic(k).element_orders() == {d for d in range(1, k + 1) if k % d == 0}, k
+    for moduli in ((2, 6), (2, 2), (4, 6), (3, 5), (2, 3, 4)):
+        grp = abelian_product(*moduli)
+        assert grp.element_orders() == {grp.element_order(x) for x in grp.elements()}, moduli
+    assert abelian_product(2, 6).element_orders() == {1, 2, 3, 6}
+
+
+def test_class_flags_of_a_huge_cyclic_group_are_quick():
+    import time
+
+    start = time.perf_counter()
+    flags = class_flags(parse_class_spec("groups:Z10000000000"))
+    assert time.perf_counter() - start < 1.0
+    assert (flags.contains_z3, flags.has_odd_torsion, flags.smallest_odd_order) == (False, True, 5)
+
+
 def test_class_spec_parsing():
     assert parse_class_spec("all").kind == ALL
     assert parse_class_spec("abelian").kind == ALL_ABELIAN
