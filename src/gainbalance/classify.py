@@ -632,8 +632,10 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list, every_assignment:
 def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     """The circles of ``g`` that the oracle tests, or [] when every
     switching-reduced assignment is trivial; raises ``BudgetError`` past the
-    edge bound or the assignment budget (|G|^dim times the number of
-    circles)."""
+    edge bound or the assignment budget: |G|^dim times the number of
+    circles, plus, for a group the walk kernel serves, the 2|G| elements and
+    inverses it lists times the length of an element, so that the budget
+    bounds that list too."""
     if len(g.edge_list) > ORACLE_MAX_EDGES:
         raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {ORACLE_MAX_EDGES})")
     order = grp.order()
@@ -643,8 +645,11 @@ def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     if dim == 0 or order == 1:
         return []
     circles = enumerate_circles(g)
-    if order**dim * len(circles) > budget:
-        raise BudgetError("oracle assignment budget exceeded")
+    cost = order**dim * len(circles)
+    if not isinstance(grp, CyclicProduct):
+        cost += 2 * order * len(grp.identity())
+    if cost > budget:
+        raise BudgetError(f"oracle assignment budget exceeded ({cost} > {budget})")
     return circles
 
 

@@ -776,8 +776,16 @@ def canonical_key(g: Graph) -> tuple:
     return g._canon
 
 
+def _degree_invariants(g: Graph) -> tuple[int, list[int]]:
+    """The edge count and the sorted degrees: equal on isomorphic graphs and
+    far cheaper than a canonical labeling."""
+    return len(g.edge_list), sorted(g.degree(v) for v in g.vertex_list)
+
+
 def isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
     """A vertex bijection g -> h realizing an isomorphism, or None."""
+    if _degree_invariants(g) != _degree_invariants(h):
+        return None
     kg, mg = canonical_labeling(g)
     kh, mh = canonical_labeling(h)
     if kg != kh:
@@ -787,7 +795,7 @@ def isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_key(g) == canonical_key(h)
+    return _degree_invariants(g) == _degree_invariants(h) and canonical_key(g) == canonical_key(h)
 
 
 def edge_bijection(g: Graph, h: Graph, vmap: Mapping[str, str]) -> dict[str, tuple[str, bool]]:

@@ -16,9 +16,10 @@ forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cyclespace import BinaryCycle, OrientedBasis, fundamental_circle, least_circle
 from .errors import GraphError
@@ -471,40 +472,92 @@ class ReverseStep:
     returned_edges: tuple[str, ...]
 
 
-def _reverse_moves(g: Graph) -> list[ReverseStep]:
-    moves = []
-    for y in g.vertex_list:
-        nbrs = g.neighbors(y)
-        if len(nbrs) != 2 or g.loops_at(y):
+def _neighbour_classes(g: Graph) -> dict[str, dict[str, list[str]]]:
+    """Each vertex's neighbours other than itself, each with the ids of the
+    edges joining the two: one list per pair, shared by both ends."""
+    classes: dict[str, dict[str, list[str]]] = {v: {} for v in g.vertex_list}
+    for e in g.edge_list:
+        t, h = g.ends(e)
+        if t == h:
             continue
-        for kept, other in ((nbrs[0], nbrs[1]), (nbrs[1], nbrs[0])):
-            e = g.edges_between(y, kept)
-            if len(e) == 1:
-                moves.append(ReverseStep(y, kept, other, e[0], g.edges_between(y, other)))
-    return moves
+        if h not in classes[t]:
+            classes[t][h] = classes[h][t] = []
+        classes[t][h].append(e)
+    return classes
+
+
+def _reverse_move(classes: Mapping[str, Sequence[str]], name: Optional[Callable] = None) -> Optional[tuple]:
+    """The (kept, other) neighbours of the reverse step at a loopless vertex
+    with these neighbour classes, or None.  A step needs exactly two
+    neighbours; ``kept`` is the first of them in ``name`` order that is
+    joined to the vertex by a single edge."""
+    if len(classes) != 2:
+        return None
+    a, b = sorted(classes, key=name)
+    if len(classes[a]) == 1:
+        return a, b
+    if len(classes[b]) == 1:
+        return b, a
+    return None
 
 
 def is_extrusion_irreducible(g: Graph) -> bool:
-    """No single reverse-extrusion step applies: every vertex with exactly
-    two neighbors is multiply adjacent to both."""
-    return not _reverse_moves(g)
+    """No single reverse-extrusion step applies: every loopless vertex with
+    exactly two neighbors is multiply adjacent to both."""
+    classes = _neighbour_classes(g)
+    return not any(_reverse_move(classes[v]) and not g.loops_at(v) for v in g.vertex_list)
 
 
 def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
-    """Take the first reverse-extrusion step until none applies.
+    """Take the first reverse-extrusion step until none applies: the step at
+    the least-named vertex that has one, contracting its edge to ``kept``.
 
     One path suffices for a block: each step contracts an edge and keeps the
     graph loopless and inseparable, so a block free of the four forbidden
     minors (the minor characterization) ends at a minor free of them too, and
     the constructive characterization makes that irreducible end a base.
+
+    The steps run on one adjacency of neighbour classes, keyed by the
+    vertices of ``g`` that survive.  A step merges its vertex into ``kept``,
+    which takes the lesser of the two names as ``contract`` does.  Only the
+    merged vertex and ``other`` change their neighbour classes, so they are
+    the only vertices that can gain or lose a step; a heap of (name, vertex)
+    holds every vertex that may have one.  A step costs two heap pushes and
+    a sort of the edges it returns, so the reduction takes O((E + R) log E)
+    time, where R counts the returned edges of all steps.
     """
     if any(g.is_loop(e) for e in g.edge_list):
         raise GraphError("reverse extrusion operates on loopless graphs")
+    classes = _neighbour_classes(g)
+    name = {v: v for v in g.vertex_list}  # surviving vertex -> its name now
+    ends = dict(g.edges)
+    heap = [(v, v) for v in g.vertex_list]  # sorted, hence a heap
     steps = []
-    while moves := _reverse_moves(g):
-        g, _ = contract(g, {moves[0].edge})
-        steps.append(moves[0])
-    return g, tuple(steps)
+    while heap:
+        label, y = heapq.heappop(heap)
+        if name.get(y) != label:
+            continue  # merged away or renamed since it was pushed
+        move = _reverse_move(classes[y], name.__getitem__)
+        if move is None:
+            continue
+        kept, other = move
+        [edge] = classes[y][kept]
+        returned = classes[y][other]
+        steps.append(ReverseStep(label, name[kept], name[other], edge, tuple(sorted(returned))))
+        del classes[y], classes[kept][y], classes[other][y], ends[edge]
+        if other in classes[kept]:
+            classes[kept][other].extend(returned)
+        else:
+            classes[kept][other] = classes[other][kept] = returned
+        for e in returned:
+            t, h = ends[e]
+            ends[e] = (kept, h) if t == y else (t, kept)
+        name[kept] = min(name[kept], name.pop(y))
+        heapq.heappush(heap, (name[kept], kept))
+        heapq.heappush(heap, (name[other], other))
+    if not steps:
+        return g, ()
+    return Graph({e: (name[t], name[h]) for e, (t, h) in ends.items()}, name.values()), tuple(steps)
 
 
 def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) -> bool:

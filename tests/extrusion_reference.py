@@ -1,14 +1,46 @@
-"""Reverse extrusion by exhaustive search over every reduction order.
+"""Reverse extrusion by whole-graph rescans, for reference.
 
-Reference for ``gainbalance.minors.reverse_extrusion_reduce``: reverse steps
-are tried in ``_reverse_moves`` order at every level, with memoization on
+``first_move_reverse_extrusion_reduce`` is the reduction loop as first
+written: list every reverse step of the graph with ``reverse_moves``, take
+the first, contract its edge with ``contract`` and start again.  It is
+quadratic in the length of the reduction, and
+``gainbalance.minors.reverse_extrusion_reduce`` must give the same steps and
+the same end graph.
+
+``reference_reverse_extrusion_reduce`` searches every reduction order: steps
+are tried in ``reverse_moves`` order at every level, with memoization on
 canonical keys.  When ``accept`` is given, the first reachable irreducible
-graph it accepts is returned, else the irreducible end of the first-move path.
+graph it accepts is returned, else the irreducible end of the first-move
+path.
 """
 
 from gainbalance.errors import GraphError
 from gainbalance.graphcore import canonical_key
-from gainbalance.minors import _reverse_moves, contract
+from gainbalance.minors import ReverseStep, contract
+
+
+def reverse_moves(g):
+    """Every reverse step of ``g``: by vertex name, then kept neighbour name."""
+    moves = []
+    for y in g.vertex_list:
+        nbrs = g.neighbors(y)
+        if len(nbrs) != 2 or g.loops_at(y):
+            continue
+        for kept, other in ((nbrs[0], nbrs[1]), (nbrs[1], nbrs[0])):
+            e = g.edges_between(y, kept)
+            if len(e) == 1:
+                moves.append(ReverseStep(y, kept, other, e[0], g.edges_between(y, other)))
+    return moves
+
+
+def first_move_reverse_extrusion_reduce(g):
+    if any(g.is_loop(e) for e in g.edge_list):
+        raise GraphError("reverse extrusion operates on loopless graphs")
+    steps = []
+    while moves := reverse_moves(g):
+        g, _ = contract(g, {moves[0].edge})
+        steps.append(moves[0])
+    return g, tuple(steps)
 
 
 def reference_reverse_extrusion_reduce(g, accept=None):
@@ -21,7 +53,7 @@ def reference_reverse_extrusion_reduce(g, accept=None):
         key = canonical_key(h)
         if key in memo:
             return memo[key]
-        moves = _reverse_moves(h)
+        moves = reverse_moves(h)
         if not moves:
             hit = (h, ()) if accept is None or accept(h) else None
             memo[key] = (hit, (h, ()))

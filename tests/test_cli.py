@@ -10,7 +10,7 @@ from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import grid_faces, parse_graph_text
 from gainbalance.classify import oracle_circle_goodness
-from gainbalance.groups import parse_group_header, parse_group_spec, symmetric
+from gainbalance.groups import Symmetric, parse_group_header, parse_group_spec, symmetric
 from conftest import named
 from oracle_reference import reference_witness_json
 
@@ -326,6 +326,21 @@ def test_exit_codes(capsys, tmp_path):
     gains.write_text("group Z 3\ngain zz 1\n")
     assert run(["balance", "W4", str(gains)]) == 2
     assert run(["oracle", "2C4", "--group", "Z3", "--budget", "5"]) == 3
+
+
+def test_oracle_budget_counts_the_element_list(capsys, monkeypatch):
+    # S11 has 39.9 M elements, so one circle fits the assignment budget, but
+    # listing the elements and their inverses would take gigabytes
+    def unlisted(self):
+        raise AssertionError("the oracle listed the elements before its budget check")
+
+    monkeypatch.setattr(Symmetric, "elements", unlisted)
+    assert run(["oracle", "K1loop", "--group", "S11"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    monkeypatch.undo()
+    # over S4: 24 assignments x 1 circle + 2 x 24 elements of length 4
+    assert run(["oracle", "K1loop", "--group", "S4", "--budget", "215"]) == 3
+    assert run(["oracle", "K1loop", "--group", "S4", "--budget", "216"]) == 0
 
 
 def test_reports_deterministic(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gainbalance.cyclespace import cycle_space_dimension
+from gainbalance.enumeration import inseparable_multigraphs
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.graphcore import (
     ClosedWalk,
@@ -346,20 +347,48 @@ def test_graph_text_isolated_vertex_and_comment():
 # -- isomorphism ------------------------------------------------------------------
 
 
+def _assert_edge_bijection(g, h, vmap):
+    emap = edge_bijection(g, h, vmap)
+    assert len(emap) == len(g.edge_list)
+    for e, (e2, flipped) in emap.items():
+        t, hd = g.ends(e)
+        t2, h2 = h.ends(e2)
+        assert {vmap[t], vmap[hd]} == {t2, h2}
+        assert flipped == ((vmap[t], vmap[hd]) != (t2, h2))
+
+
 def test_isomorphism_relabels(w4):
     vrename = {v: f"z{i}" for i, v in enumerate(w4.vertex_list)}
     relabeled = Graph(
         {f"x{i}": (vrename[t], vrename[h]) for i, (_, (t, h)) in enumerate(sorted(w4.edges.items()))}
     )
     assert is_isomorphic(w4, relabeled)
-    vmap = isomorphism(w4, relabeled)
-    emap = edge_bijection(w4, relabeled, vmap)
-    assert len(emap) == len(w4.edge_list)
-    for e, (e2, flipped) in emap.items():
-        t, h = w4.ends(e)
-        t2, h2 = relabeled.ends(e2)
-        assert {vmap[t], vmap[h]} == {t2, h2}
-        assert flipped == ((vmap[t], vmap[h]) != (t2, h2))
+    _assert_edge_bijection(w4, relabeled, isomorphism(w4, relabeled))
+
+
+def _shuffled_copy(rng, g):
+    """``g`` with fresh vertex and edge names and random orientations."""
+    vrename = dict(zip(g.vertex_list, (f"z{i}" for i in rng.sample(range(100), len(g.vertex_list)))))
+    edges = {}
+    for i, e in enumerate(rng.sample(g.edge_list, len(g.edge_list))):
+        t, h = g.ends(e)
+        edges[f"x{i}"] = (vrename[t], vrename[h]) if rng.random() < 0.5 else (vrename[h], vrename[t])
+    return Graph(edges, vrename.values())
+
+
+def test_isomorphism_agrees_with_canonical_keys():
+    # the degree and edge-count guard rejects only pairs whose canonical keys
+    # differ, and every map it lets through extends to an edge bijection
+    rng = random.Random(6)
+    graphs = inseparable_multigraphs(6)
+    copies = [_shuffled_copy(rng, h) for h in graphs]
+    for g in graphs:
+        for h in copies:
+            same = canonical_key(g) == canonical_key(h)
+            vmap = isomorphism(g, h)
+            assert (vmap is not None) == same == is_isomorphic(g, h)
+            if vmap is not None:
+                _assert_edge_bijection(g, h, vmap)
 
 
 def test_non_isomorphic_pairs():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -40,7 +41,11 @@ from gainbalance.minors import (
     whitney_twist,
 )
 from conftest import named
-from extrusion_reference import reference_reverse_extrusion_reduce
+from extrusion_reference import (
+    first_move_reverse_extrusion_reduce,
+    reference_reverse_extrusion_reduce,
+    reverse_moves,
+)
 
 
 Z3 = cyclic(3)
@@ -493,6 +498,37 @@ def test_reverse_extrusion_matches_exhaustive_reference():
         assert _match_base(end) == _match_base(ref_end)
         assert end.edges == ref_end.edges
         assert steps == ref_steps
+
+
+def test_reverse_extrusion_matches_first_move_loop():
+    # the heap-driven reduction takes the steps of the whole-graph rescan loop
+    rng = random.Random(12)
+    hosts = [g for g in inseparable_multigraphs(9) if not any(g.is_loop(e) for e in g.edge_list)]
+    hosts += [_ear_host(rng, rng.randrange(8, 40)) for _ in range(20)]
+    for tag in ("K4(1,1)", "W4", "C3(2,2,2)"):
+        hosts += [_extrusion_chain(rng, tag, rng.randrange(1, 150)) for _ in range(8)]
+    hosts.append(Graph(dict(hosts[-1].edges), hosts[-1].vertices | {"isolated"}))
+    for g in hosts:
+        end, steps = reverse_extrusion_reduce(g)
+        ref_end, ref_steps = first_move_reverse_extrusion_reduce(g)
+        assert [dataclasses.astuple(s) for s in steps] == [dataclasses.astuple(s) for s in ref_steps]
+        assert end.edges == ref_end.edges
+        assert end.vertex_list == ref_end.vertex_list
+
+
+def test_reverse_extrusion_linear_on_long_chains():
+    g = _extrusion_chain(random.Random(2000), "K4(1,1)", 2000)
+    start = time.perf_counter()
+    end, steps = reverse_extrusion_reduce(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(steps) == 2000
+    assert _match_base(end) == _match_base(named("K4(1,1)"))
+
+
+def test_extrusion_irreducible_matches_reverse_moves():
+    # looped graphs included: a vertex with a loop never has a reverse step
+    for g in all_multigraphs(6):
+        assert is_extrusion_irreducible(g) == (not reverse_moves(g)), sorted(g.edges.items())
 
 
 def test_decomposition_single_path_on_large_hosts():
