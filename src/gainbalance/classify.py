@@ -78,7 +78,7 @@ from .graphcore import (
     spanning_forest,
     walk_int_vector,
 )
-from .groups import CyclicProduct, Group, GroupClass, class_flags, cyclic
+from .groups import CyclicProduct, Group, GroupClass, class_flags, cyclic, divisors
 from .minors import (
     MinorWitness,
     ReverseStep,
@@ -495,10 +495,9 @@ def _orbit_ranges(n: int, dim: int) -> Iterator[tuple[int, int]]:
     some unit takes a leading digit d to gcd(d, n) without touching the zero
     digits before it; so each unit orbit has its least index here, and the
     first spanning assignment is among these indices."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    divisors = sorted({*small, *(n // d for d in small)} - {n})
+    leading = divisors(n)[:-1]  # a digit is less than n
     for e in range(dim):
-        for d in divisors:
+        for d in leading:
             yield d * n**e, (d + 1) * n**e
 
 

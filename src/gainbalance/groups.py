@@ -39,6 +39,13 @@ from typing import Optional, Sequence
 from .errors import GraphError, ParseError
 
 
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1 in ascending order, found in pairs d, n // d
+    by trial division up to the square root."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
 @dataclass(frozen=True)
 class CyclicProduct:
     """Z(k1) x ... x Z(kr), written additively; elements are residue tuples."""
@@ -78,10 +85,7 @@ class CyclicProduct:
         return math.lcm(*(k // math.gcd(r, k) for r, k in zip(x, self.moduli)))
 
     def element_orders(self) -> set:
-        # the divisors of the exponent, in pairs d, exponent // d
-        exponent = math.lcm(*self.moduli)
-        small = [d for d in range(1, math.isqrt(exponent) + 1) if exponent % d == 0]
-        return {*small, *(exponent // d for d in small)}
+        return set(divisors(math.lcm(*self.moduli)))
 
     def __str__(self):
         return "x".join(f"Z{k}" for k in self.moduli)

@@ -2,9 +2,13 @@
 Whitney twists, and 2-bridge theory.
 
 Minor search grows disjoint connected branch sets depth first, expanding each
-set once and pruning on edge multiplicities.  It is exponential in the host
-and has no budget; the circle classifier finds forbidden minors without it.
-A loop-vertex target is special cased: present iff the host has a circle.
+set once and pruning on edge multiplicities.  It is exponential in the host,
+so it stops with ``BudgetError`` after ``MINOR_SEARCH_MAX_NODES`` candidate
+branch sets; the circle classifier finds forbidden minors without it.  A
+loop-vertex target is special cased: present iff the host has a circle.
+Nothing else searches for minors: bridges are typed by their block chains,
+witnesses are checked set by set and edge by edge, and reverse-extrusion
+logs step by step.
 
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cyclespace import BinaryCycle, OrientedBasis, fundamental_circle, least_circle
-from .errors import GraphError
+from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
     ClosedWalk,
@@ -30,6 +34,7 @@ from .graphcore import (
     DisjointSets,
     Graph,
     RootedForest,
+    blocks,
     components,
     edge_components,
     is_isomorphic,
@@ -93,6 +98,7 @@ class MinorWitness:
 
 MINOR_SEARCH_MAX_VERTICES = 6
 MINOR_SEARCH_MAX_EDGES = 10
+MINOR_SEARCH_MAX_NODES = 70_000
 
 
 def branch_forest(g: Graph, branch_sets: Mapping[str, frozenset]) -> frozenset:
@@ -106,7 +112,10 @@ def branch_forest(g: Graph, branch_sets: Mapping[str, frozenset]) -> frozenset:
 
 
 def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
-    """Re-check a witness by performing the deletions and contractions."""
+    """Check disjoint connected branch sets, one per target vertex, and an
+    injective edge map off the branch forest that joins the branch sets of
+    each target edge's ends.  Then deleting the unmapped edges and contracting
+    the forest gives the target, t named min(branch set of t), as it must."""
     seen: set = set()
     for t, vs in w.branch_sets.items():
         if t not in target.vertices or not vs <= g.vertices or seen & vs:
@@ -122,25 +131,11 @@ def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
     forest = branch_forest(g, w.branch_sets)
     if set(w.edge_map.values()) & forest:
         return False
-    location = {}
-    for t, vs in w.branch_sets.items():
-        for v in vs:
-            location[v] = t
+    location = {v: t for t, vs in w.branch_sets.items() for v in vs}
     for te, he in w.edge_map.items():
-        tt, th = target.ends(te)
-        ht, hh = g.ends(he)
-        if ht not in location or hh not in location:
+        if {location.get(x) for x in g.ends(he)} != set(target.ends(te)):
             return False
-        if {location[ht], location[hh]} != {tt, th}:
-            return False
-    keep = set(w.edge_map.values()) | forest
-    reduced = delete(g, set(g.edge_list) - keep)
-    contracted, _ = contract(reduced, forest)
-    trimmed = Graph(
-        dict(contracted.edges),
-        {min(vs) for vs in w.branch_sets.values()},
-    )
-    return is_isomorphic(trimmed, target)
+    return True
 
 
 def _loop_vertex_witness(g: Graph) -> Optional[MinorWitness]:
@@ -178,47 +173,35 @@ def _short_circle(g: Graph) -> Optional[frozenset]:
     return None if chord is None else fundamental_circle(RootedForest(g, forest), chord).support
 
 
-def has_minor(
-    g: Graph,
-    target: Graph,
-    roots: Optional[Mapping[str, str]] = None,
-) -> Optional[MinorWitness]:
+def has_minor(g: Graph, target: Graph) -> Optional[MinorWitness]:
     """A verified MinorWitness if target is a minor of g, else None.
 
-    ``roots`` optionally pins target vertices to host vertices (the branch
-    set of a rooted target vertex must contain its host root).  Respects
-    multiplicities: distinct target parallels need distinct host edges.
+    Respects multiplicities: distinct target parallels need distinct host
+    edges.  Raises ``BudgetError`` once it has tried more than
+    ``MINOR_SEARCH_MAX_NODES`` candidate branch sets.
     """
     if len(target.vertex_list) > MINOR_SEARCH_MAX_VERTICES or len(target.edge_list) > MINOR_SEARCH_MAX_EDGES:
         raise GraphError("minor search bound exceeded (target too large)")
     if len(g.edge_list) < len(target.edge_list) or len(g.vertex_list) < len(target.vertex_list):
         return None
     loops_at_target = {v: len(target.loops_at(v)) for v in target.vertex_list}
-    if not roots and set(target.edge_list) and all(
-        len(target.vertex_list) == 1 and loops_at_target[v] == 1 for v in target.vertex_list
-    ):
+    if len(target.vertex_list) == len(target.edge_list) == 1:
         w = _loop_vertex_witness(g)
         if w is not None:
-            tv = target.vertex_list[0]
-            te = target.edge_list[0]
-            w = MinorWitness({tv: w.branch_sets["v"]}, {te: w.edge_map["e"]})
+            w = MinorWitness({target.vertex_list[0]: w.branch_sets["v"]}, {target.edge_list[0]: w.edge_map["e"]})
             return w if verify_minor_witness(g, target, w) else None
         return None
 
-    tverts = sorted(target.vertex_list, key=lambda v: -target.degree(v))
+    order = sorted(target.vertex_list, key=lambda v: -target.degree(v))
     host_vertices = g.vertex_list
-    roots = dict(roots or {})
 
-    def candidate_sets(tv: str, used: set) -> Iterable[frozenset]:
-        """Connected vertex sets avoiding ``used``; rooted sets must contain
-        the root."""
-        must = roots.get(tv)
-        if must is not None and must in used:
-            return
-        seeds = [must] if must is not None else [v for v in host_vertices if v not in used]
+    def candidate_sets(used: set) -> Iterable[frozenset]:
+        """Connected vertex sets avoiding ``used``, each grown from its least
+        vertex."""
         emitted = set()
-        for seed in seeds:
-            # grow connected sets from the seed
+        for seed in host_vertices:
+            if seed in used:
+                continue
             frontier: list[frozenset] = [frozenset({seed})]
             while frontier:
                 cur = frontier.pop()
@@ -228,25 +211,18 @@ def has_minor(
                 yield cur
                 if len(cur) >= len(host_vertices) - len(used):
                     continue
-                expand = sorted(
-                    {
-                        u
-                        for v in cur
-                        for _, u in g.incident(v)
-                        if u not in cur and u not in used and (must is not None or u > seed)
-                    }
-                )
-                for u in expand:
+                expand = {u for v in cur for _, u in g.incident(v) if u > seed and u not in cur and u not in used}
+                for u in sorted(expand):
                     frontier.append(cur | {u})
 
-    order = tverts
     assignment: dict[str, frozenset] = {}
+    nodes = 0
 
     def feasible_partial(i: int) -> bool:
         tv = order[i]
         vs = assignment[tv]
         # loops need enough cyclomatic slack inside the branch set
-        if loops_at_target[order[i]]:
+        if loops_at_target[tv]:
             sub = g.subgraph([e for e in g.edge_list if set(g.ends(e)) <= vs], vs)
             slack = len(sub.edge_list) - (len(vs) - 1)
             if slack < loops_at_target[tv]:
@@ -262,17 +238,20 @@ def has_minor(
         return True
 
     def search(i: int) -> Optional[dict[str, frozenset]]:
+        nonlocal nodes
         if i == len(order):
             return dict(assignment)
-        tv = order[i]
         used = set().union(*assignment.values()) if assignment else set()
-        for vs in candidate_sets(tv, used):
-            assignment[tv] = vs
+        for vs in candidate_sets(used):
+            nodes += 1
+            if nodes > MINOR_SEARCH_MAX_NODES:
+                raise BudgetError(f"minor search budget exceeded ({nodes} candidate branch sets > {MINOR_SEARCH_MAX_NODES})")
+            assignment[order[i]] = vs
             if feasible_partial(i):
                 res = search(i + 1)
                 if res is not None:
                     return res
-            del assignment[tv]
+            del assignment[order[i]]
         return None
 
     found = search(0)
@@ -280,10 +259,7 @@ def has_minor(
         return None
     # build the explicit edge injection
     forest = branch_forest(g, found)
-    location = {}
-    for t, vs in found.items():
-        for v in vs:
-            location[v] = t
+    location = {v: t for t, vs in found.items() for v in vs}
     pools: dict[frozenset, list[str]] = {}
     for e in g.edge_list:
         if e in forest:
@@ -561,15 +537,23 @@ def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
 
 
 def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) -> bool:
-    """Check a reduction log: applying the contractions in order reaches a
-    graph isomorphic to ``base``, and each step is invertible by extrusion."""
+    """Check a reduction log step by step, then contract: each step's vertex
+    is loopless with exactly the two neighbours ``kept`` != ``other``, its one
+    edge to ``kept`` is ``edge`` and its edges to ``other`` are the returned
+    edges, so the step undoes an extrusion.  The end must be isomorphic to
+    ``base``."""
     h = g
     for step in steps:
-        reduced, vmap = contract(h, {step.edge})
-        rebuilt = extrude(reduced, vmap[step.vertex], vmap[step.other], step.returned_edges)
-        if not is_isomorphic(rebuilt, h):
+        if step.vertex not in h.vertices or h.loops_at(step.vertex) or step.kept == step.other:
             return False
-        h = reduced
+        classes: dict[str, list[str]] = {}
+        for e, x in h.incident(step.vertex):
+            classes.setdefault(x, []).append(e)
+        if set(classes) != {step.kept, step.other} or classes[step.kept] != [step.edge]:
+            return False
+        if classes[step.other] != sorted(step.returned_edges):
+            return False
+        h, _ = contract(h, {step.edge})
     return is_isomorphic(h, base)
 
 
@@ -647,33 +631,42 @@ def _bridge_edges(g: Graph, u: str, v: str) -> tuple[list[str], list[set]]:
 
 def bridges_of_pair(g: Graph, u: str, v: str) -> BridgeReport:
     """Partition the edges off {u, v} into bridges and classify each as an
-    edge bridge, type I (no doubled-path minor; carries a separating vertex),
-    or type II."""
+    edge bridge, type I (no doubled path 2P2 rooted at u and v; carries a
+    separating vertex), or type II."""
     singles, spans = _bridge_edges(g, u, v)
     bridges = [Bridge(g.subgraph([e]), EDGE_BRIDGE) for e in singles]
-    target, tu, tv = doubled_path_target()
     for edges in spans:
-        verts = {x for e in edges for x in g.ends(e)}
-        sub = g.subgraph(edges, verts)
-        if {u, v} <= verts:
-            witness = has_minor(sub, target, roots={tu: u, tv: v})
-            if witness is not None:
-                bridges.append(Bridge(sub, TYPE_II))
-                continue
-        bridges.append(Bridge(sub, TYPE_I, _separating_vertex(sub, u, v)))
+        sub = g.subgraph(edges)
+        bridges.append(Bridge(sub, *_bridge_type(sub, u, v)))
     return BridgeReport((u, v), tuple(bridges))
 
 
-def _separating_vertex(sub: Graph, u: str, v: str) -> Optional[str]:
-    if u not in sub.vertices or v not in sub.vertices:
-        return None
-    inner = [x for x in sub.vertex_list if x not in (u, v)]
-    for w in inner:
-        remaining = [e for e in sub.edge_list if w not in sub.ends(e)]
-        # u disconnected from v without w?
-        if not any(u in vs and v in vs for vs in edge_components(sub, remaining, (u, v))):
-            return w
-    return None
+def _bridge_type(b: Graph, u: str, v: str) -> tuple[str, Optional[str]]:
+    """The type of a non-edge bridge ``b`` of {u, v} and the separating vertex
+    of a type I bridge (None if u or v is unattached), read off the chain of
+    blocks that a u-v path passes through.  A doubled link of 2P2 is two edges
+    on one circle, so in one block with more than one edge (a thick block).
+    So ``b`` is type II if u and v share a block or two chain blocks are
+    thick, type I if none is, and else type II exactly when some non-edge
+    bridge, inside the thick block, of the pair where the path enters and
+    leaves it is.  A type I bridge is separated by its least chain cut vertex."""
+    if u not in b.vertices or v not in b.vertices:
+        return TYPE_I, None
+    block_of = {e: blk for blk in blocks(b) for e in blk.edge_list}
+    chain: list[list] = []  # [block, entry, exit], in path order
+    x = u
+    for step in RootedForest(b, spanning_forest(b)).path(u, v):
+        y = b.other_end(step.edge, x)
+        if chain and chain[-1][0] is block_of[step.edge]:
+            chain[-1][2] = y
+        else:
+            chain.append([block_of[step.edge], x, y])
+        x = y
+    thick = [(blk, a, c) for blk, a, c in chain if len(blk.edge_list) > 1]
+    inner = (_bridge_type(blk.subgraph(edges), a, c)[0] for blk, a, c in thick for edges in _bridge_edges(blk, a, c)[1])
+    if len(chain) == 1 or len(thick) > 1 or TYPE_II in inner:
+        return TYPE_II, None
+    return TYPE_I, min(a for _, a, _ in chain[1:])
 
 
 def has_two_separation(g: Graph) -> Optional[tuple[str, str]]:

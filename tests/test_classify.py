@@ -54,6 +54,9 @@ from oracle_reference import reference_spanning_assignments, reference_witness_j
 Z3 = cyclic(3)
 CZ3 = parse_class_spec("contains-z3")
 
+# every witness that verify_minor_witness accepts here must also realize its target
+pytestmark = pytest.mark.usefixtures("realized_witnesses")
+
 
 # -- witnesses ----------------------------------------------------------------
 

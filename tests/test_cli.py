@@ -11,6 +11,7 @@ from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain
 from gainbalance.graphcore import grid_faces, parse_graph_text
 from gainbalance.classify import oracle_circle_goodness
 from gainbalance.groups import Symmetric, parse_group_header, parse_group_spec, symmetric
+from gainbalance.minors import MINOR_SEARCH_MAX_NODES
 from conftest import named
 from oracle_reference import reference_witness_json
 
@@ -279,6 +280,14 @@ def test_minor_command_on_grid_ends(capsys):
     assert time.perf_counter() - start < 10.0
     data = json.loads(capsys.readouterr().out)
     assert data["present"] is True
+
+
+def test_minor_command_exits_past_its_node_budget(capsys):
+    # W4 in Grid(3,3) takes about 667k candidate branch sets to find
+    assert run(["minor", "Grid(3,3)", "--target", "W4", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"({MINOR_SEARCH_MAX_NODES + 1} candidate branch sets > {MINOR_SEARCH_MAX_NODES})" in captured.err
 
 
 def test_minor_file_target(capsys, tmp_path):

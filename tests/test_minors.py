@@ -6,7 +6,7 @@ import time
 import pytest
 
 from gainbalance.balancetests import binary_cycle_test, circle_test
-from gainbalance.classify import _match_base, structural_decomposition
+from gainbalance.classify import BAD, _match_base, circle_goodness, structural_decomposition
 from gainbalance.cyclespace import (
     CycleBasis,
     circle_from_support,
@@ -16,15 +16,17 @@ from gainbalance.cyclespace import (
     is_cycle_basis,
     oriented_basis,
 )
-from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
+from gainbalance.enumeration import all_multigraphs, connected_multigraphs, inseparable_multigraphs, materialize
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, walk_gain
 from gainbalance.graphcore import Graph, build_named, is_isomorphic, spanning_forest
-from gainbalance.groups import cyclic
+from gainbalance.groups import cyclic, parse_class_spec
 from gainbalance.minors import (
     EDGE_BRIDGE,
     TYPE_I,
     TYPE_II,
+    MinorWitness,
+    branch_forest,
     bridges_of_pair,
     contract,
     delete,
@@ -46,6 +48,11 @@ from extrusion_reference import (
     reference_reverse_extrusion_reduce,
     reverse_moves,
 )
+from minor_reference import extruded_reverse_steps, rooted_bridges_of_pair, rooted_has_minor
+
+
+# every witness that verify_minor_witness accepts here must also realize its target
+pytestmark = pytest.mark.usefixtures("realized_witnesses")
 
 
 Z3 = cyclic(3)
@@ -173,11 +180,15 @@ def test_minor_transitive_samples():
 
 
 def test_rooted_minor():
+    # a doubled path 2P2 rooted at the pair makes a bridge type II
     target, tu, tv = doubled_path_target()
     host = named("2C4")
-    assert has_minor(host, target, roots={tu: "v1", tv: "v3"}) is not None
+    assert rooted_has_minor(host, target, roots={tu: "v1", tv: "v3"}) is not None
+    assert [b.kind for b in bridges_of_pair(host, "v1", "v3").bridges] == [TYPE_II, TYPE_II]
     path = Graph({"e1": ("u", "x"), "e2": ("x", "v")})
-    assert has_minor(path, target, roots={tu: "u", tv: "v"}) is None
+    assert rooted_has_minor(path, target, roots={tu: "u", tv: "v"}) is None
+    [bridge] = bridges_of_pair(path, "u", "v").bridges
+    assert (bridge.kind, bridge.separating_vertex) == (TYPE_I, "x")
 
 
 def test_has_minor_matches_recursive_oracle():
@@ -216,6 +227,60 @@ def test_has_minor_matches_recursive_oracle():
         oracle = make_oracle(target)
         for g in inseparable_multigraphs(7):
             assert (has_minor(g, target) is not None) == oracle(g), (tag, sorted(g.edges.items()))
+
+
+def _witness_corpus():
+    """Minor witnesses the library builds: the circle classifier's on every
+    inseparable multigraph with up to 8 edges, and minor search on a few
+    library pairs, the loop vertex among them."""
+    cz3 = parse_class_spec("contains-z3")
+    bad = sum(circle_goodness(g, cz3).status == BAD for g in inseparable_multigraphs(8))
+    pairs = [("W5", "W4"), ("Grid(2,2)", "W4"), ("C3(3,3,2)", "C3(2,2,2)"), ("2C5", "2C4"), ("W4", "K1loop")]
+    assert all(has_minor(named(host), named(target)) is not None for host, target in pairs)
+    return bad, len(pairs)
+
+
+def test_witness_checks_imply_realization(realized_witnesses):
+    # each accepted witness was also realized by deletion, contraction and
+    # isomorphism (the realized_witnesses fixture asserts it)
+    bad, searched = _witness_corpus()
+    assert bad == 4  # the quartet itself
+    assert len(realized_witnesses) == bad + searched
+
+
+def _mutations(g, target, w):
+    """Invalid variants of a valid witness, each tagged with its kind."""
+    sets, emap = dict(w.branch_sets), dict(w.edge_map)
+    where = {x: t for t, vs in sets.items() for x in vs}
+    for a, b in itertools.combinations(target.edge_list, 2):
+        if set(target.ends(a)) != set(target.ends(b)):
+            yield "edge map entries swapped", MinorWitness(sets, {**emap, a: emap[b], b: emap[a]})
+            break
+    # an end of a mapped edge moves to another branch set
+    x = g.ends(emap[target.edge_list[0]])[0]
+    for t in sets:
+        if t != where[x]:
+            moved = {**sets, where[x]: sets[where[x]] - {x}, t: sets[t] | {x}}
+            yield "vertex moved", MinorWitness(moved, emap)
+    # a branch set joined by a vertex with no edge to it
+    for t, vs in sets.items():
+        for y in g.vertex_list:
+            if y not in vs and not any(z in vs for _, z in g.incident(y)):
+                parted = {s: (vs | {y} if s == t else us - {y}) for s, us in sets.items()}
+                yield "branch set disconnected", MinorWitness(parted, emap)
+                break
+    for e in sorted(branch_forest(g, sets))[:1]:
+        yield "edge mapped onto the branch forest", MinorWitness(sets, {**emap, target.edge_list[0]: e})
+
+
+def test_mutated_witnesses_rejected(realized_witnesses):
+    _witness_corpus()
+    kinds = set()
+    for g, target, w in realized_witnesses:
+        for kind, bad in _mutations(g, target, w):
+            assert not verify_minor_witness(g, target, bad), (kind, bad.to_json())
+            kinds.add(kind)
+    assert len(kinds) == 4
 
 
 # -- lifting ---------------------------------------------------------------------
@@ -486,18 +551,68 @@ def _extrusion_chain(rng, tag, steps):
     return g
 
 
-def test_reverse_extrusion_matches_exhaustive_reference():
+def _reduction_corpus():
+    """Loopless inseparable multigraphs with up to 9 edges, random ear hosts
+    and short random extrusion chains."""
     rng = random.Random(2002)
     hosts = [g for g in inseparable_multigraphs(9) if not any(g.is_loop(e) for e in g.edge_list)]
     hosts += [_ear_host(rng, rng.randrange(8, 17)) for _ in range(60)]
     for tag in ("mK2(3)", "mK2(4)", "C3(2,2,2)", "C3(3,2,2)", "K4(1,1)", "K4(2,1)"):
         hosts += [_extrusion_chain(rng, tag, rng.randrange(4, 11)) for _ in range(10)]
-    for g in hosts:
+    return hosts
+
+
+def test_reverse_extrusion_matches_exhaustive_reference():
+    for g in _reduction_corpus():
         end, steps = reverse_extrusion_reduce(g)
         ref_end, ref_steps = reference_reverse_extrusion_reduce(g, accept=_match_base)
         assert _match_base(end) == _match_base(ref_end)
         assert end.edges == ref_end.edges
         assert steps == ref_steps
+
+
+def _perturbed_steps(h, step):
+    """Every variant of a reverse step of ``h`` that differs in one field,
+    or by one edge dropped from or added to its returned edges."""
+    for x in (*h.vertex_list, "nowhere"):
+        yield from (dataclasses.replace(step, **{f: x}) for f in ("vertex", "kept", "other") if getattr(step, f) != x)
+    for e in h.edge_list:
+        if e != step.edge:
+            yield dataclasses.replace(step, edge=e)
+        if e not in step.returned_edges:
+            yield dataclasses.replace(step, returned_edges=tuple(sorted((*step.returned_edges, e))))
+    for e in step.returned_edges:
+        yield dataclasses.replace(step, returned_edges=tuple(f for f in step.returned_edges if f != e))
+
+
+def test_reduction_logs_verify_and_perturbed_logs_do_not():
+    checked = 0
+    for n, g in enumerate(_reduction_corpus()):
+        end, steps = reverse_extrusion_reduce(g)
+        assert verify_reverse_steps(g, end, steps)
+        if not steps or n % 3:
+            continue
+        # the log undoes by extrusion too; one of its steps is perturbed
+        assert extruded_reverse_steps(g, end, steps)
+        i = n % len(steps)
+        h = g
+        for step in steps[:i]:
+            h, _ = contract(h, {step.edge})
+        for bad in _perturbed_steps(h, steps[i]):
+            assert not verify_reverse_steps(g, end, (*steps[:i], bad, *steps[i + 1:])), (i, bad)
+            checked += 1
+    assert checked > 1000
+
+
+def test_reduction_log_verifies_quickly_on_a_long_chain():
+    # each step is checked on its neighbourhood; isomorphism is tested once
+    g = _extrusion_chain(random.Random(300), "K4(1,1)", 300)
+    end, steps = reverse_extrusion_reduce(g)
+    assert len(steps) == 300
+    start = time.perf_counter()
+    assert verify_reverse_steps(g, named("K4(1,1)"), steps)
+    assert time.perf_counter() - start < 0.5
+    assert not verify_reverse_steps(g, named("K4(2,1)"), steps)
 
 
 def test_reverse_extrusion_matches_first_move_loop():
@@ -697,6 +812,37 @@ def test_at_most_one_type_ii_without_2c4_minor():
         for u, v in itertools.combinations(g.vertex_list, 2):
             report = bridges_of_pair(g, u, v)
             assert sum(1 for b in report.bridges if b.kind == TYPE_II) <= 1, (tag, u, v)
+
+
+def test_bridge_types_match_rooted_search():
+    # every bridge of every vertex pair of every connected multigraph with up
+    # to 6 edges, loops included; 2,368 bridges have both ends attached
+    levels = connected_multigraphs(6)
+    attached = 0
+    for g in (materialize(c) for level in levels[1:] for c in level):
+        for u, v in itertools.combinations(g.vertex_list, 2):
+            got, ref = bridges_of_pair(g, u, v).bridges, rooted_bridges_of_pair(g, u, v).bridges
+            assert [b.subgraph for b in got] == [b.subgraph for b in ref]
+            assert [(b.kind, b.separating_vertex) for b in got] == [
+                (b.kind, b.separating_vertex) for b in ref
+            ], (sorted(g.edges.items()), u, v)
+            attached += sum(b.kind != EDGE_BRIDGE and {u, v} <= b.subgraph.vertices for b in ref)
+    assert attached == 2368
+
+
+def test_bridges_of_every_grid_pair_without_search():
+    # a rooted 2P2 search per bridge is exponential in the bridge
+    g = named("Grid(4,4)")
+    start = time.perf_counter()
+    reports = [bridges_of_pair(g, u, v) for u, v in itertools.combinations(g.vertex_list, 2)]
+    assert time.perf_counter() - start < 2.0
+    type_i = {r.pair: b.separating_vertex for r in reports for b in r.bridges if b.kind == TYPE_I}
+    assert type_i == {
+        ("n0_1", "n1_0"): "n0_0",
+        ("n0_3", "n1_4"): "n0_4",
+        ("n3_0", "n4_1"): "n4_0",
+        ("n3_4", "n4_3"): "n4_4",
+    }
 
 
 def test_two_separation_detection(w4, g2c4):
