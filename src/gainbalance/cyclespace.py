@@ -251,26 +251,32 @@ def _check_forest(g: Graph, forest: frozenset) -> None:
 # -- circle enumeration -------------------------------------------------------
 
 
-def _circle_supports(g: Graph, max_length: int) -> set[frozenset]:
-    """Supports of the circles of g with at most ``max_length`` edges, by DFS
-    over simple paths from each minimal vertex, closing back to it."""
-    found = {frozenset({e}) for e in g.edge_list if g.is_loop(e)}
+def _dfs_circles(g: Graph, max_length: int) -> list[Circle]:
+    """The circles of g with at most ``max_length`` edges, each once with its
+    canonical walk, by DFS over simple paths from each circle's least vertex.
+
+    A circle of two or more edges is met as two paths, one per direction; the
+    one whose first edge is less than its closing edge leaves the least vertex
+    by its lesser edge, which is the canonical walk, and is the one kept.
+    """
+    found = [Circle(frozenset({e}), ClosedWalk(g.ends(e)[0], (DirectedEdge(e, True),)))
+             for e in g.edge_list if g.is_loop(e)]
     order = {v: i for i, v in enumerate(g.vertex_list)}
 
-    def dfs(root: str, at: str, used_edges: list[str], visited: set[str]) -> None:
+    def dfs(root: str, at: str, steps: list[DirectedEdge], visited: set[str]) -> None:
         for eid, u in g.incident(at):
             if u == at:
                 continue
-            if u == root and len(used_edges) >= 1 and eid != used_edges[0]:
-                if len(used_edges) >= 2 or eid > used_edges[0]:
-                    found.add(frozenset(used_edges + [eid]))
+            if u == root and steps and eid > steps[0].edge:
+                walk = ClosedWalk(root, (*steps, DirectedEdge(eid, g.ends(eid)[0] == at)))
+                found.append(Circle(frozenset(s.edge for s in walk.steps), walk))
                 continue
-            if order.get(u, -1) <= order[root] or u in visited or len(used_edges) + 2 > max_length:
+            if order[u] <= order[root] or u in visited or len(steps) + 2 > max_length:
                 continue
             visited.add(u)
-            used_edges.append(eid)
-            dfs(root, u, used_edges, visited)
-            used_edges.pop()
+            steps.append(DirectedEdge(eid, g.ends(eid)[0] == at))
+            dfs(root, u, steps, visited)
+            steps.pop()
             visited.discard(u)
 
     for root in g.vertex_list:
@@ -285,12 +291,13 @@ def _canonical_order(support: frozenset) -> tuple:
 def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
     """All circles of g, each once, sorted canonically.
 
-    DFS over simple paths from each minimal vertex, closing back to it; the
-    default edge bound keeps the search at desk scale.
+    DFS over simple paths from each circle's least vertex, closing back to it
+    in the canonical direction; the default edge bound keeps the search at
+    desk scale.
     """
     if len(g.edge_list) > max_edges:
         raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {max_edges})")
-    circles = [circle_from_support(g, s) for s in _circle_supports(g, len(g.edge_list))]
+    circles = _dfs_circles(g, len(g.edge_list))
     circles.sort(key=lambda c: _canonical_order(c.support))
     return circles
 
@@ -315,7 +322,7 @@ def least_circle(g: Graph) -> Optional[frozenset]:
             girth = depth + 1
     if girth is None:
         return None
-    return min(_circle_supports(g, girth), key=_canonical_order)
+    return min((c.support for c in _dfs_circles(g, girth)), key=_canonical_order)
 
 
 # -- cyclic orientations ------------------------------------------------------

@@ -9,6 +9,15 @@ fundamental circle of the least-identifier chord whose switched gain is not
 the identity, which is the least-identifier unbalanced fundamental circle,
 with its gain in the original graph.
 
+Each gain graph computes that forest switching once, on first use, and keeps
+it.  Switching by f replaces g(e) with f(tail)^-1 g(e) f(head), so every
+original gain is g(e) = f(tail) g'(e) f(head)^-1 in terms of its switched
+gain g', and the f values between consecutive steps of a closed walk cancel.
+A closed walk at v therefore has gain f(v) (product of its chord steps'
+switched gains, inverted on reversed steps) f(v)^-1, since forest edges
+switch to the identity: walk gains and the balance decision both read the
+chords' switched gains alone.
+
 Gain file format: a ``group`` header line, then ``gain <edge-id> <element>``
 lines; edges omitted default to the identity::
 
@@ -20,6 +29,7 @@ lines; edges omitted default to the identity::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .cyclespace import Circle, fundamental_circle
@@ -35,9 +45,21 @@ class GainAssignment:
     group: Group
     gains: Mapping[str, tuple]
 
-    def gain(self, eid: str, forward: bool = True) -> tuple:
-        x = self.gains[eid]
-        return x if forward else self.group.inverse(x)
+
+@dataclass(frozen=True)
+class ForestSwitching:
+    """The switching of a gain graph to identity gains on its spanning forest.
+
+    ``values`` and ``inverses`` hold f(v) and f(v)^-1 for every vertex (the
+    identity at each root of ``tree``); ``chord_gains`` maps each chord whose
+    switched gain f(tail)^-1 g(e) f(head) is not the identity to that gain,
+    in edge-identifier order.
+    """
+
+    tree: RootedForest
+    values: Mapping[str, tuple]
+    inverses: Mapping[str, tuple]
+    chord_gains: Mapping[str, tuple]
 
 
 @dataclass(frozen=True)
@@ -54,6 +76,24 @@ class GainGraph:
     @property
     def group(self) -> Group:
         return self.assignment.group
+
+    @cached_property
+    def forest_switching(self) -> ForestSwitching:
+        """The switching along ``spanning_forest(graph)``, computed on first
+        use and kept: every walk gain and the balance decision read it."""
+        g, grp, gains = self.graph, self.group, self.assignment.gains
+        forest = spanning_forest(g)
+        tree = RootedForest(g, forest)
+        values, inverses = _solve_switching(tree, grp, gains)
+        ident, op = grp.identity(), grp.op
+        chord_gains = {}
+        for e in g.edge_list:
+            if e not in forest:
+                t, h = g.ends(e)
+                x = op(op(inverses[t], gains[e]), values[h])
+                if x != ident:
+                    chord_gains[e] = x
+        return ForestSwitching(tree, values, inverses, chord_gains)
 
 
 def gain_graph(g: Graph, group: Group, gains: Mapping[str, tuple] | None = None) -> GainGraph:
@@ -88,12 +128,28 @@ def walk_gain(gg: GainGraph, w: ClosedWalk) -> tuple:
 
 def walk_product(gg: GainGraph, w: ClosedWalk) -> tuple:
     """:func:`walk_gain` of a walk already known to be a closed walk of
-    ``gg``'s graph, without checking it again."""
-    grp, gain = gg.group, gg.assignment.gain
-    acc = grp.identity()
+    ``gg``'s graph, without checking it again.
+
+    With f the forest switching of ``gg``, the gain is f(start) c f(start)^-1,
+    where c multiplies the switched gains of the walk's chord steps, inverted
+    on reversed steps; forest steps and identity chords cost nothing, and the
+    conjugation is skipped over an abelian group.  A fundamental circle thus
+    costs at most three group operations whatever its length.
+    """
+    sw = gg.forest_switching
+    grp, chord_gains = gg.group, sw.chord_gains
+    acc = None
     for step in w.steps:
-        acc = grp.op(acc, gain(step.edge, step.forward))
-    return acc
+        x = chord_gains.get(step.edge)
+        if x is not None:
+            if not step.forward:
+                x = grp.inverse(x)
+            acc = x if acc is None else grp.op(acc, x)
+    if acc is None:
+        return grp.identity()
+    if grp.is_abelian:
+        return acc
+    return grp.op(grp.op(sw.values[w.start], acc), sw.inverses[w.start])
 
 
 def switch(gg: GainGraph, f: Switching) -> GainGraph:
@@ -119,21 +175,33 @@ def switch_to_forest(gg: GainGraph, forest: frozenset) -> tuple[GainGraph, Switc
     for e in forest:
         if e not in g.edges:
             raise GraphError(f"forest edge {e!r} not in graph")
-    grp, gains = gg.group, gg.assignment.gains
-    ident = grp.identity()
-    values = dict.fromkeys(g.vertex_list, ident)
-    for u, (e, v) in RootedForest(g, forest).up.items():
-        # solve f(tail)^-1 g(e) f(head) = 1 along the parent edge
-        if g.ends(e)[0] == v:
-            values[u] = grp.op(grp.inverse(gains[e]), values[v])
-        else:
-            values[u] = grp.op(gains[e], values[v])
+    values, _ = _solve_switching(RootedForest(g, forest), gg.group, gg.assignment.gains)
     f = Switching(values)
     switched = switch(gg, f)
+    ident = gg.group.identity()
     for e in forest:
         if switched.assignment.gains[e] != ident:
             raise GraphError("forest switching failed to reach identity gains")
     return switched, f
+
+
+def _solve_switching(tree: RootedForest, group: Group, gains: Mapping[str, tuple]) -> tuple[dict, dict]:
+    """f and f^-1 at every vertex, with f the identity at each root of
+    ``tree`` and f(tail)^-1 g(e) f(head) the identity on every forest edge,
+    solved from parent to child."""
+    g = tree.graph
+    op, inverse = group.op, group.inverse
+    values = dict.fromkeys(g.vertex_list, group.identity())
+    inverses = dict(values)
+    for u, (e, v) in tree.up.items():
+        x = gains[e]
+        if g.ends(e)[0] == v:  # e: v -> u, so f(u) = g(e)^-1 f(v)
+            values[u] = op(inverse(x), values[v])
+            inverses[u] = op(inverses[v], x)
+        else:  # e: u -> v, so f(u) = g(e) f(v)
+            values[u] = op(x, values[v])
+            inverses[u] = op(inverses[v], inverse(x))
+    return values, inverses
 
 
 @dataclass(frozen=True)
@@ -147,24 +215,18 @@ class BalanceResult:
 
 
 def is_balanced(gg: GainGraph) -> BalanceResult:
-    """Decide balance from the chord gains after switching along a maximal
-    forest.
+    """Decide balance from the chord gains of ``gg``'s forest switching.
 
     If unbalanced, the certificate is the fundamental circle of the
     least-identifier chord with a non-identity switched gain, and the
     certificate gain is its walk gain in ``gg``.
     """
-    g = gg.graph
-    forest = spanning_forest(g)
-    switched, _ = switch_to_forest(gg, forest)
-    ident = gg.group.identity()
-    # forest edges have identity gain after switching, so the first
-    # non-identity edge is a chord
-    for e in g.edge_list:
-        if switched.assignment.gains[e] != ident:
-            circle = fundamental_circle(RootedForest(g, forest), e)
-            return BalanceResult(False, circle, walk_gain(gg, circle.walk))
-    return BalanceResult(True)
+    sw = gg.forest_switching
+    chord = next(iter(sw.chord_gains), None)
+    if chord is None:
+        return BalanceResult(True)
+    circle = fundamental_circle(sw.tree, chord)
+    return BalanceResult(False, circle, walk_product(gg, circle.walk))
 
 
 # -- gain file format ---------------------------------------------------------

@@ -69,7 +69,8 @@ class Graph:
             adj[t].append((eid, h))
             if h != t:
                 adj[h].append((eid, t))
-        self._adj = {v: tuple(sorted(entries)) for v, entries in adj.items()}
+        # entries were appended in edge-id order, so each tuple is sorted
+        self._adj = {v: tuple(entries) for v, entries in adj.items()}
         self._canon = None
 
     # -- basic accessors -------------------------------------------------

@@ -23,6 +23,7 @@ from gainbalance.cyclespace import (
     parse_basis_text,
     theta_sum,
 )
+from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
 from gainbalance.errors import BudgetError, GraphError
 from gainbalance.graphcore import Graph, grid_faces, spanning_forest, walk_support, walk_vertices
 from conftest import named, triangle
@@ -97,6 +98,21 @@ def test_enumerate_circles_2c4_breakdown():
 def test_enumerate_agrees_with_subset_filter(tag):
     g = named(tag)
     assert {c.support for c in enumerate_circles(g)} == subset_filter_circles(g)
+
+
+def test_enumerated_circles_are_canonical_and_complete():
+    # each circle is built from its DFS path; it must equal the circle
+    # circle_from_support builds from its support, in canonical order, with
+    # every circle of the subset filter present
+    graphs = list(all_multigraphs(6)) + list(inseparable_multigraphs(9))
+    assert len(graphs) == 1817
+    for g in graphs:
+        circles = enumerate_circles(g)
+        assert circles == [circle_from_support(g, c.support) for c in circles], sorted(g.edges.items())
+        keys = [(len(c), sorted(c.support)) for c in circles]
+        assert keys == sorted(keys)
+        supports = {c.support for c in circles}
+        assert len(supports) == len(circles) and supports == subset_filter_circles(g)
 
 
 def test_enumerate_budget():

@@ -1,11 +1,21 @@
+import functools
+import operator
 import random
 
 import pytest
 
-from gainbalance.cyclespace import circle_from_support, enumerate_circles, fundamental_circles
+from gainbalance import gaingraph
+from gainbalance.balancetests import basis_gains
+from gainbalance.cyclespace import (
+    BinaryCycle,
+    circle_from_support,
+    cyclic_orientations,
+    enumerate_circles,
+    fundamental_circles,
+    oriented_basis,
+)
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.gaingraph import (
-    BalanceResult,
     GainGraph,
     Switching,
     gain_graph,
@@ -17,9 +27,10 @@ from gainbalance.gaingraph import (
     walk_gain,
     walk_product,
 )
-from gainbalance.graphcore import ClosedWalk, DirectedEdge, Graph, concat_walks, spanning_forest
+from gainbalance.graphcore import ClosedWalk, DirectedEdge, Graph, RootedForest, components, concat_walks, spanning_forest
 from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
 from conftest import named, triangle
+from gain_reference import reference_is_balanced, reference_walk_gain
 
 
 Z3 = cyclic(3)
@@ -95,6 +106,119 @@ def test_walk_gain_checks_the_walks_walk_product_trusts():
         assert walk_product(gg, w) == walk_gain(gg, w) != Z3.identity()
 
 
+WALK_GROUPS = (Z3, abelian_product(2, 3), free_on("a", "b"), symmetric(3), symmetric(4))
+
+
+def random_closed_walks(g, rng):
+    """Canonical circle walks, linked Euler walks of random binary cycles in
+    each component, k-fold loop walks, the reverses of all of these, and the
+    trivial walk at every vertex."""
+    walks = [c.walk for c in enumerate_circles(g)]
+    members = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+    for comp in components(g):
+        local = [m for m in members if g.ends(min(m))[0] in comp]
+        for _ in range(3):
+            support = functools.reduce(operator.xor, [m for m in local if rng.random() < 0.5], frozenset())
+            if support:
+                walks += cyclic_orientations(BinaryCycle(support), g)
+    for e in g.edge_list:
+        if g.is_loop(e):
+            walks.append(ClosedWalk(g.ends(e)[0], (DirectedEdge(e, rng.random() < 0.5),) * rng.randint(2, 5)))
+    walks += [w.reversed() for w in walks]
+    return walks + [ClosedWalk(v) for v in g.vertex_list]
+
+
+def test_walk_products_match_step_by_step_reference():
+    rng = random.Random(71)
+    walks_seen = nontrivial = 0
+    for trial in range(300):
+        group = WALK_GROUPS[trial % len(WALK_GROUPS)]
+        g = random_multigraph(rng)
+        gg = gain_graph(g, group, {e: random_element(group, rng) for e in g.edge_list})
+        for w in random_closed_walks(g, rng):
+            want = reference_walk_gain(gg, w)
+            assert walk_product(gg, w) == walk_gain(gg, w) == want, (trial, w)
+            walks_seen += 1
+            nontrivial += want != group.identity()
+    assert walks_seen > 8000 and nontrivial > 5000
+
+
+def test_basis_gains_match_step_by_step_reference():
+    # bases of circles and of sums of circles in one component, each member
+    # with one of its cyclic orientations, forward or reversed
+    rng = random.Random(73)
+    for trial in range(150):
+        group = WALK_GROUPS[trial % len(WALK_GROUPS)]
+        g = random_multigraph(rng)
+        gg = gain_graph(g, group, {e: random_element(group, rng) for e in g.edge_list})
+        comp = {v: i for i, vs in enumerate(components(g)) for v in vs}
+        members = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+        for i in range(len(members)):
+            for j in range(i):
+                if rng.random() < 0.3 and comp[g.ends(min(members[i]))[0]] == comp[g.ends(min(members[j]))[0]]:
+                    members[i] ^= members[j]
+        walks = [rng.choice(cyclic_orientations(BinaryCycle(m), g)) for m in members]
+        walks = [w.reversed() if rng.random() < 0.5 else w for w in walks]
+        ob = oriented_basis(g, members, walks)
+        assert basis_gains(gg, ob) == [reference_walk_gain(gg, w) for w in walks]
+
+
+class CountingGroup:
+    """``group`` with its ``op`` and ``inverse`` calls counted."""
+
+    def __init__(self, group):
+        self.group = group
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    def op(self, x, y):
+        self.calls += 1
+        return self.group.op(x, y)
+
+    def inverse(self, x):
+        self.calls += 1
+        return self.group.inverse(x)
+
+
+@pytest.mark.parametrize("group", [abelian_product(2, 3), free_on("a", "b"), symmetric(4)], ids=str)
+def test_walk_product_costs_only_chord_steps(group, monkeypatch):
+    # a fundamental circle costs one chord step and a conjugation, however
+    # long its forest path; is_balanced builds no switched gain graph
+    def unused(*args):
+        raise AssertionError("switched gain graph built")
+
+    monkeypatch.setattr(gaingraph, "switch", unused)
+    monkeypatch.setattr(gaingraph, "switch_to_forest", unused)
+    rng = random.Random(79)
+    counting = CountingGroup(group)
+    for tag in ("W40", "Grid(6,6)"):
+        g = named(tag)
+        gg = gain_graph(g, counting, {e: random_element(group, rng) for e in g.edge_list})
+        forest = spanning_forest(g)
+        counting.calls = 0
+        res = is_balanced(gg)
+        chords = len(g.edge_list) - len(forest)
+        # f and f^-1 along each forest edge, one switched gain per chord, the certificate
+        assert counting.calls <= 3 * len(forest) + 2 * chords + 3
+        assert res == reference_is_balanced(gain_graph(g, group, gg.assignment.gains))
+        per_circle = 1 if group.is_abelian else 3
+        circles = fundamental_circles(g, forest).members
+        assert max(map(len, circles)) >= 12
+        for c in circles:
+            for w in (c.walk, c.walk.reversed()):
+                want = reference_walk_gain(gg, w)
+                counting.calls = 0
+                assert walk_product(gg, w) == want
+                assert counting.calls <= per_circle
+        tree = RootedForest(g, forest)
+        out_and_back = tree.path(g.vertex_list[0], g.vertex_list[-1])
+        counting.calls = 0
+        walk_product(gg, ClosedWalk(g.vertex_list[0], (*out_and_back, *(s.reversed() for s in reversed(out_and_back)))))
+        assert counting.calls == 0
+
+
 # -- switching -------------------------------------------------------------------
 
 
@@ -153,6 +277,30 @@ def test_gain_concentrates_on_chord():
     assert switched.assignment.gains[chord] != Z3.identity()
 
 
+def test_forest_switching_belongs_to_each_gain_graph():
+    # a switched copy and a second assignment on the same Graph each solve
+    # their own switching, the one switch_to_forest returns
+    rng = random.Random(83)
+    group = symmetric(3)
+    g = named("W5")
+    a, b = (gain_graph(g, group, {e: random_element(group, rng) for e in g.edge_list}) for _ in range(2))
+    c = switch(a, Switching({v: random_element(group, rng) for v in g.vertex_list}))
+    assert is_balanced(a) == reference_is_balanced(a)
+    assert a.forest_switching is a.forest_switching
+    assert len({id(gg.forest_switching) for gg in (a, b, c)}) == 3
+    assert a.forest_switching.values != c.forest_switching.values
+    forest = spanning_forest(g)
+    for gg in (a, b, c):
+        switched, f = switch_to_forest(gg, forest)
+        sw = gg.forest_switching
+        assert sw.values == f.values
+        assert all(group.op(sw.values[v], sw.inverses[v]) == group.identity() for v in g.vertex_list)
+        assert sw.chord_gains == {e: x for e, x in switched.assignment.gains.items() if x != group.identity()}
+        assert is_balanced(gg) == reference_is_balanced(gg)
+        for circle in enumerate_circles(g):
+            assert walk_product(gg, circle.walk) == reference_walk_gain(gg, circle.walk)
+
+
 # -- balance ---------------------------------------------------------------------
 
 
@@ -190,22 +338,21 @@ def test_balance_matches_all_circles():
                 assert is_balanced(gg).balanced == expected
 
 
-def reference_is_balanced(gg):
-    """Walk every fundamental circle in the forest-switched graph; the first
-    unbalanced one, by chord identifier, is the certificate."""
-    forest = spanning_forest(gg.graph)
-    switched, _ = switch_to_forest(gg, forest)
-    for circle in fundamental_circles(gg.graph, forest).members:
-        if walk_gain(switched, circle.walk) != switched.group.identity():
-            return BalanceResult(False, circle, walk_gain(gg, circle.walk))
-    return BalanceResult(True)
-
-
 def random_element(group, rng):
     if isinstance(group, FreeGroup):
         word = [(rng.choice(group.symbols), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))]
         return group.element(word)
     return rng.choice(group.elements())
+
+
+def random_multigraph(rng):
+    """Up to 7 vertices and 12 edges, with loops, parallel edges and often
+    several components."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    return Graph(
+        {f"e{k:02d}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 12))},
+        vertices,
+    )
 
 
 def test_balance_matches_fundamental_circle_reference():
@@ -215,11 +362,7 @@ def test_balance_matches_fundamental_circle_reference():
     unbalanced = 0
     for trial in range(400):
         group = groups[trial % len(groups)]
-        vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
-        g = Graph(
-            {f"e{k:02d}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 12))},
-            vertices,
-        )
+        g = random_multigraph(rng)
         gains = {e: random_element(group, rng) for e in g.edge_list if rng.random() < 0.4}
         gg = gain_graph(g, group, gains)
         got, want = is_balanced(gg), reference_is_balanced(gg)

@@ -81,6 +81,28 @@ def test_loops_and_invariants():
         Graph({"e": ("a", "b")}).ends("nope")
 
 
+def test_incident_sorted_whatever_the_insertion_order():
+    # edges listed out of id order, ids whose string order differs from their
+    # numeric order, loops and parallel edges
+    rng = random.Random(17)
+    fixed = Graph({"z": ("a", "b"), "e10": ("b", "a"), "e9": ("a", "a"), "e2": ("a", "b"), "a1": ("b", "b")}, ["c"])
+    assert fixed.incident("a") == (("e10", "b"), ("e2", "b"), ("e9", "a"), ("z", "b"))
+    assert fixed.incident("b") == (("a1", "b"), ("e10", "a"), ("e2", "a"), ("z", "a"))
+    assert fixed.incident("c") == ()
+    graphs = [fixed]
+    for _ in range(200):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 6))]
+        ids = [f"e{k}" for k in range(rng.randint(0, 14))]
+        rng.shuffle(ids)
+        graphs.append(Graph({e: (rng.choice(vertices), rng.choice(vertices)) for e in ids}, vertices))
+    for g in graphs:
+        for v in g.vertex_list:
+            entries = g.incident(v)
+            assert list(entries) == sorted(entries)
+            expected = sorted((e, g.other_end(e, v)) for e in g.edge_list if v in g.ends(e))
+            assert list(entries) == expected
+
+
 def test_parse_spec_errors():
     with pytest.raises(ParseError):
         parse_graph_spec("Q17")
