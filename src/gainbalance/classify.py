@@ -8,7 +8,8 @@ Verdict logic for the circle test, per subgroup-closed class:
 * otherwise, if the class contains an order-3 element: Bad, witnessed by an
   explicit construction on a forbidden minor (C3(3,3,2), 2C4, K4'' or W4),
   lifted to the host graph and re-verified; the minor comes from one pass of
-  deletions and contractions that the paper's minor theorem justifies;
+  deletions and contractions that the paper's minor theorem justifies, and
+  that decomposes only at the steps the theorem leaves open;
 * otherwise, if the class is abelian without odd torsion: Good;
 * otherwise, if the class has an odd cyclic subgroup Z(2k-1) and some block
   is an even wheel W(2k) or doubled circle 2C(2k): Bad via the Hamiltonian /
@@ -225,25 +226,37 @@ def _match_base(h: Graph) -> Optional[NamedGraphSpec]:
     return None
 
 
-def structural_decomposition(g: Graph) -> Optional[Decomposition]:
-    """Per block, a base family plus an extrusion log reaching the block, or
-    None when some block admits no such decomposition.
+def _block_decomposition(block: Graph) -> Optional[BlockDecomposition]:
+    """A base family plus an extrusion log reaching ``block``, or None.
 
     A loopless block is reduced along one reverse-extrusion path and
     decomposes exactly when the irreducible end is a base (a base has no
     reverse step, so it ends at itself with an empty log).  A block with a
-    loop decomposes only as the loop vertex itself."""
+    loop is that loop alone and decomposes as the loop vertex."""
+    if block.is_loop(block.edge_list[0]):
+        irreducible, steps = block, ()
+    else:
+        irreducible, steps = reverse_extrusion_reduce(block)
+    base = _match_base(irreducible)
+    return None if base is None else BlockDecomposition(block, base, steps)
+
+
+def _decompose(g: Graph) -> Decomposition | Graph:
+    """The decomposition of ``g``, or else its first block that has none."""
     out = []
     for block in blocks(g):
-        if any(block.is_loop(e) for e in block.edge_list):
-            irreducible, steps = block, ()
-        else:
-            irreducible, steps = reverse_extrusion_reduce(block)
-        base = _match_base(irreducible)
-        if base is None:
-            return None
-        out.append(BlockDecomposition(block, base, steps))
+        found = _block_decomposition(block)
+        if found is None:
+            return block
+        out.append(found)
     return Decomposition(tuple(out))
+
+
+def structural_decomposition(g: Graph) -> Optional[Decomposition]:
+    """Per block, a base family plus an extrusion log reaching the block, or
+    None when some block admits no such decomposition."""
+    found = _decompose(g)
+    return found if isinstance(found, Decomposition) else None
 
 
 # -- explicit witness constructions ----------------------------------------------
@@ -404,20 +417,60 @@ def _identity_minor_witness(host: Graph, target: Graph) -> Optional[MinorWitness
 
 
 def _minimal_bad_minor(g: Graph) -> tuple[Graph, dict[str, str]]:
-    """The first undecomposable block of ``g`` cut down to a minor-minimal
-    undecomposable minor, and the projection of the block's vertices onto it:
-    each edge in turn is deleted, else contracted, while the result stays
+    """The first undecomposable block of ``g`` cut down by
+    :func:`_minimal_bad_block`."""
+    block = _decompose(g)
+    if isinstance(block, Decomposition):
+        raise GraphError("graph decomposes: no undecomposable block to cut down")
+    return _minimal_bad_block(block)
+
+
+def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
+    """An undecomposable block cut down to a minor-minimal undecomposable
+    minor ``h``, and the projection of the block's vertices onto it: each
+    edge in turn is deleted, else contracted, while the result stays
     undecomposable.  One pass suffices, as operations on distinct edges
-    commute and decomposable graphs are minor-closed."""
-    block = next(b for b in blocks(g) if structural_decomposition(b) is None)
+    commute and decomposable graphs are minor-closed.
+
+    The pass decomposes only where the theorem leaves the answer open.  The
+    block is loopless and ``h`` stays so: a contraction makes a loop only
+    out of a parallel edge, and such a contraction decomposes (below), so it
+    is never taken.  The rules:
+
+    * Floor: the pass stops once ``h`` has as many edges as the smallest
+      forbidden minor (8).  Every multigraph with fewer edges decomposes, so
+      every later deletion or contraction would decompose and leave ``h``.
+    * Parallel edge: when h - e decomposes and e has a parallel edge f,
+      h/e decomposes too.  Contracting e turns f into a loop, and h/e
+      minus the loop f is (h - e)/f, a minor of h - e; the loop is a block
+      of its own and decomposes as the loop vertex.
+    * Three vertices: when h - e decomposes and ``h`` has three vertices,
+      h/e has two, and every graph on at most two vertices decomposes (its
+      blocks are loops and multiple edges mK2).
+    * Divalent end: when h - e decomposes and an end of e has degree two,
+      h/e is undecomposable and is contracted without a test.  The other
+      edge e' at that end does not join e's other end (it would be parallel
+      to e), so ``h`` is h/e with e' subdivided, which is an extrusion of
+      h/e.  Decomposable graphs are closed under extrusion, so h/e cannot
+      decompose while ``h`` does not.
+
+    Every other step decomposes, so minor and projection are those of the
+    pass that tests every step.
+    """
+    floor = min(len(build_named(spec).edge_list) for spec in FORBIDDEN_MINORS)
     h, vmap = block, {v: v for v in block.vertex_list}
     for e in block.edge_list:
+        if len(h.edge_list) <= floor:
+            break
         smaller = delete(h, {e})
         if structural_decomposition(smaller) is None:
             h = smaller
             continue
+        t, u = h.ends(e)
+        if h.multiplicity(t, u) > 1 or len(h.vertex_list) == 3:
+            continue
         smaller, step = contract(h, {e})
-        if structural_decomposition(smaller) is None:
+        if 2 in (h.degree(t), h.degree(u)) or structural_decomposition(smaller) is None:
             h, vmap = smaller, {v: step[x] for v, x in vmap.items()}
     return Graph(dict(h.edges)), vmap  # isolated vertices dropped
 
@@ -446,11 +499,11 @@ def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
 
 def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
     flags = class_flags(c)
-    decomposition = structural_decomposition(g)
-    if decomposition is not None:
-        return Verdict(GOOD, RULE_DECOMPOSITION, decomposition)
+    found = _decompose(g)
+    if isinstance(found, Decomposition):
+        return Verdict(GOOD, RULE_DECOMPOSITION, found)
     if flags.contains_z3:
-        h, vmap = _minimal_bad_minor(g)
+        h, vmap = _minimal_bad_block(found)
         for spec in FORBIDDEN_MINORS:
             target = build_named(spec)
             mw = _identity_minor_witness(h, target)

@@ -233,6 +233,8 @@ def is_balanced(gg: GainGraph) -> BalanceResult:
 
 
 def parse_gain_text(text: str, g: Graph) -> GainGraph:
+    """Read a gain file for ``g``; unlisted edges get the identity.  Each
+    element is validated once, by the group's ``parse_element``."""
     group: Optional[Group] = None
     gains: dict[str, tuple] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,13 +256,19 @@ def parse_gain_text(text: str, g: Graph) -> GainGraph:
                 raise ParseError(f"unknown edge {eid!r}", line=lineno)
             if eid in gains:
                 raise ParseError(f"duplicate gain for {eid!r}", line=lineno)
-            tokens = parts[2:]
-            gains[eid] = group.parse_element(tokens) if tokens else group.identity()
+            try:
+                gains[eid] = group.parse_element(parts[2:]) if parts[2:] else group.identity()
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
         else:
             raise ParseError(f"unrecognized declaration {line!r}", line=lineno)
     if group is None:
         raise ParseError("gain file lacks a group header")
-    return gain_graph(g, group, gains)
+    # parse_element returns elements of the header's group, so the check in
+    # gain_graph would only repeat it
+    full = dict.fromkeys(g.edge_list, group.identity())
+    full.update(gains)
+    return GainGraph(g, GainAssignment(group, full))
 
 
 def gains_to_text(gg: GainGraph) -> str:

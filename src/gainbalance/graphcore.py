@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import GraphError, ParseError
 
@@ -181,10 +181,12 @@ def is_connected(g: Graph) -> bool:
 # -- walks ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """An edge together with a traversal direction relative to its reference
-    orientation."""
+    orientation.
+
+    A named tuple, as walks build many of them; so a step compares and hashes
+    equal to the plain tuple ``(edge, forward)``."""
 
     edge: str
     forward: bool = True
@@ -561,11 +563,18 @@ def spanning_forest(g: Graph) -> frozenset:
 
 def blocks(g: Graph) -> list[Graph]:
     """Maximal inseparable subgraphs; every edge lies in exactly one block,
-    isolated vertices are dropped.  Loops form single-edge blocks."""
+    isolated vertices are dropped.  Loops form single-edge blocks.  An
+    inseparable ``g`` without isolated vertices is its own block and comes
+    back as ``g`` itself, not a copy."""
+    whole = all(g.incident(v) for v in g.vertex_list)
+
+    def block(edge_ids: list[str]) -> Graph:
+        return g if whole and len(edge_ids) == len(g.edge_list) else g.subgraph(edge_ids)
+
     out: list[Graph] = []
     for v in g.vertex_list:
         for eid in g.loops_at(v):
-            out.append(g.subgraph([eid]))
+            out.append(block([eid]))
 
     disc: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -608,7 +617,7 @@ def blocks(g: Graph) -> list[Graph]:
                         blk.append(e)
                         if e == fe:
                             break
-                    out.append(g.subgraph(blk))
+                    out.append(block(blk))
 
     for root in g.vertex_list:
         if root not in disc:

@@ -13,9 +13,10 @@ logs step by step.
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain
 solved to keep the circle balanced; lifting along a forest contraction
-splices tree paths (with identity gains) into each walk.  Both take their
-tree paths from :class:`graphcore.RootedForest`; contraction classes and the
-forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
+splices tree paths (with identity gains) into each walk.  Contraction takes
+its tree paths from :class:`graphcore.RootedForest`; deletion keeps one least
+spanning forest, updated as each edge is restored.  Contraction classes and
+the forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
 """
 
 from __future__ import annotations
@@ -306,9 +307,19 @@ def lift_basis_deletion(
     """Extend a basis and gains from g - s to g.
 
     Deleted edges that reconnect components get identity gain and join the
-    implicit forest; each remaining deleted edge e contributes the circle
-    through e in (g - s') + e, its gain solved so the circle is balanced.
-    Identity-gain walks stay identity-gain and unbalancedness is preserved.
+    implicit forest; each remaining deleted edge e, in edge-id order,
+    contributes the circle through e in (g - s') + e, its gain solved so the
+    circle is balanced.  Identity-gain walks stay identity-gain and
+    unbalancedness is preserved.
+
+    The circle closes e with the path between its ends in the least spanning
+    forest in edge-id order (``spanning_forest``) of the edges present before
+    e, and one such forest is kept throughout.  Edge ids are distinct
+    weights, so by the cycle property of minimum spanning forests the
+    greatest edge f of the circle is the one outside the least forest of the
+    edges present with e: that forest is the old one with e swapped in for f
+    when f, the greatest edge on the path, is greater than e, and the old one
+    otherwise.  A restored edge costs one search of the forest.
     """
     s = set(s)
     reduced = delete(g, s)
@@ -327,12 +338,15 @@ def lift_basis_deletion(
     for e in bridge_like:
         new_gains[e] = group.identity()
     pairs = list(b.pairs)
-    present = set(reduced.edge_list) | set(bridge_like)
-    for e in rest:
-        # circle through e in the edges restored so far plus e
-        partial = Graph({x: g.edges[x] for x in present}, g.vertices)
+    forest: dict[str, dict[str, str]] = {v: {} for v in g.vertex_list}  # vertex -> {edge: other end}
+    sets = DisjointSets(g.vertex_list)
+    for e in sorted((*reduced.edge_list, *bridge_like)):
         t, h = g.ends(e)
-        path = RootedForest(partial, spanning_forest(partial)).path(h, t)
+        if sets.union(t, h):
+            forest[t][e], forest[h][e] = h, t
+    for e in rest:
+        t, h = g.ends(e)
+        path = _forest_path(g, forest, h, t)
         support = frozenset({e} | {st.edge for st in path})
         walk = ClosedWalk(t, (DirectedEdge(e, True), *path))
         if walk_support(walk) != support:
@@ -344,9 +358,34 @@ def lift_basis_deletion(
             acc = group.op(acc, x if st.forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
         pairs.append((BinaryCycle(support), walk))
-        present.add(e)
+        top = max((st.edge for st in path), default=e)
+        if top > e:
+            a, c = g.ends(top)
+            del forest[a][top], forest[c][top]
+            forest[t][e], forest[h][e] = h, t
     ob = OrientedBasis(tuple(pairs), g)
     return ob, GainAssignment(group, new_gains)
+
+
+def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: str) -> list[DirectedEdge]:
+    """Steps of the path from ``a`` to ``b`` in a forest of ``g`` given as
+    vertex -> {edge: other end}, found by a search from ``a``."""
+    back: dict[str, tuple[str, str]] = {a: ("", a)}
+    stack = [a]
+    while b not in back:
+        if not stack:
+            raise GraphError(f"{a!r} and {b!r} lie in different forest components")
+        v = stack.pop()
+        for e, u in forest[v].items():
+            if u not in back:
+                back[u] = (e, v)
+                stack.append(u)
+    steps = []
+    while b != a:
+        e, v = back[b]
+        steps.append(DirectedEdge(e, g.ends(e)[0] == v))
+        b = v
+    return steps[::-1]
 
 
 def lift_basis_contraction(
@@ -477,6 +516,21 @@ def _reverse_move(classes: Mapping[str, Sequence[str]], name: Optional[Callable]
     return None
 
 
+def _contract_step(classes: dict, ends: dict, y: str, kept: str, other: str, edge: str) -> None:
+    """Contract ``edge``, the one edge joining ``y`` to ``kept``, in place on
+    neighbour classes and an edge -> ends map: ``y`` merges into ``kept`` and
+    its edges to ``other`` join the class of ``kept`` and ``other``."""
+    returned = classes[y][other]
+    del classes[y], classes[kept][y], classes[other][y], ends[edge]
+    if other in classes[kept]:
+        classes[kept][other].extend(returned)
+    else:
+        classes[kept][other] = classes[other][kept] = returned
+    for e in returned:
+        t, h = ends[e]
+        ends[e] = (kept, h) if t == y else (t, kept)
+
+
 def is_extrusion_irreducible(g: Graph) -> bool:
     """No single reverse-extrusion step applies: every loopless vertex with
     exactly two neighbors is multiply adjacent to both."""
@@ -518,16 +572,8 @@ def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
             continue
         kept, other = move
         [edge] = classes[y][kept]
-        returned = classes[y][other]
-        steps.append(ReverseStep(label, name[kept], name[other], edge, tuple(sorted(returned))))
-        del classes[y], classes[kept][y], classes[other][y], ends[edge]
-        if other in classes[kept]:
-            classes[kept][other].extend(returned)
-        else:
-            classes[kept][other] = classes[other][kept] = returned
-        for e in returned:
-            t, h = ends[e]
-            ends[e] = (kept, h) if t == y else (t, kept)
+        steps.append(ReverseStep(label, name[kept], name[other], edge, tuple(sorted(classes[y][other]))))
+        _contract_step(classes, ends, y, kept, other, edge)
         name[kept] = min(name[kept], name.pop(y))
         heapq.heappush(heap, (name[kept], kept))
         heapq.heappush(heap, (name[other], other))
@@ -541,20 +587,32 @@ def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) ->
     is loopless with exactly the two neighbours ``kept`` != ``other``, its one
     edge to ``kept`` is ``edge`` and its edges to ``other`` are the returned
     edges, so the step undoes an extrusion.  The end must be isomorphic to
-    ``base``."""
-    h = g
+    ``base``.
+
+    The steps contract in place as in ``reverse_extrusion_reduce``: neighbour
+    classes keyed by the vertices of ``g`` that survive, each with its name
+    now, so a step costs its returned edges and the end is one ``Graph``."""
+    classes = _neighbour_classes(g)
+    loopy = {t for t, h in g.edges.values() if t == h}  # a valid step makes no loop
+    name = {v: v for v in g.vertex_list}  # surviving vertex -> its name now
+    vertex = dict(name)  # name now -> surviving vertex
+    ends = dict(g.edges)
     for step in steps:
-        if step.vertex not in h.vertices or h.loops_at(step.vertex) or step.kept == step.other:
+        y = vertex.get(step.vertex)
+        if y is None or y in loopy or step.kept == step.other:
             return False
-        classes: dict[str, list[str]] = {}
-        for e, x in h.incident(step.vertex):
-            classes.setdefault(x, []).append(e)
-        if set(classes) != {step.kept, step.other} or classes[step.kept] != [step.edge]:
+        kept, other = vertex.get(step.kept), vertex.get(step.other)
+        near = classes[y]
+        if near.keys() != {kept, other} or near[kept] != [step.edge]:
             return False
-        if classes[step.other] != sorted(step.returned_edges):
+        if sorted(near[other]) != sorted(step.returned_edges):
             return False
-        h, _ = contract(h, {step.edge})
-    return is_isomorphic(h, base)
+        _contract_step(classes, ends, y, kept, other, step.edge)
+        del name[y], vertex[step.vertex], vertex[step.kept]
+        name[kept] = min(step.vertex, step.kept)
+        vertex[name[kept]] = kept
+    end = Graph({e: (name[t], name[h]) for e, (t, h) in ends.items()}, name.values())
+    return is_isomorphic(end, base)
 
 
 # -- Whitney twist ---------------------------------------------------------------

@@ -49,6 +49,7 @@ from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
 from test_minors import _extrusion_chain
 from oracle_reference import reference_spanning_assignments, reference_witness_json
+from classify_reference import reference_circle_goodness, reference_minimal_bad_minor
 
 
 Z3 = cyclic(3)
@@ -290,6 +291,47 @@ def test_minimization_stays_in_the_bad_block():
     assert v.status == BAD and v.evidence.verify() and v.evidence.gain_graph.graph == g
     _, projection = classify._minimal_bad_minor(g)
     assert set(projection) == named("W4").vertices
+
+
+BAD_TAGS = ("C3(3,3,2)", "C3(3,3,3)", "2C4", "2C5", "2C6", "K4dd", "W4", "W5", "W6", "W8",
+            "Grid(2,2)", "Grid(2,3)", "Grid(3,3)", "Grid(2,4)", "Grid(4,4)")
+
+
+def test_minimization_matches_the_unpruned_pass():
+    # the rules skip only steps whose outcome the theorem decides, and the
+    # one-forest lift restores the same circles: minor, projection and
+    # witness are those of the pass that decomposes at every step
+    hosts = [*inseparable_multigraphs(10), *map(named, BAD_TAGS)]
+    bad = 0
+    for g in hosts:
+        v = circle_goodness(g, CZ3)
+        if v.status != BAD:
+            continue
+        bad += 1
+        assert classify._minimal_bad_minor(g) == reference_minimal_bad_minor(g), sorted(g.edges.items())
+        assert v.to_json() == reference_circle_goodness(g, CZ3).to_json(), sorted(g.edges.items())
+    assert bad == 231 + len(BAD_TAGS)
+
+
+def test_minimization_decomposes_nothing_on_a_forbidden_minor(monkeypatch):
+    calls = []
+    decompose = classify.structural_decomposition
+    monkeypatch.setattr(classify, "structural_decomposition", lambda g: calls.append(g) or decompose(g))
+    for spec in FORBIDDEN_MINORS:
+        g = build_named(spec)
+        h, vmap = classify._minimal_bad_minor(g)
+        assert h == g and vmap == {v: v for v in g.vertex_list}
+    assert calls == []
+
+
+def test_graphs_below_eight_edges_decompose():
+    # the floor of the minimization: every forbidden minor has 8 edges
+    assert {len(build_named(spec).edge_list) for spec in FORBIDDEN_MINORS} == {8}
+    count = 0
+    for g in all_multigraphs(7):
+        assert structural_decomposition(g) is not None, sorted(g.edges.items())
+        count += 1
+    assert count == 5151
 
 
 def test_minimization_off_the_quartet_violates_the_theorem(monkeypatch):

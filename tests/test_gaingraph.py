@@ -422,6 +422,34 @@ def test_gain_text_round_trip_every_group_type():
         parse_gain_text("group S 0\n", g)
 
 
+def test_parsed_gains_are_elements_of_the_header_group():
+    # parse_gain_text keeps what parse_element returns without checking it again
+    g = named("2C4")
+    texts = {
+        abelian_product(2, 3): "group Z 2 x Z 3\ngain e1 1 5\ngain f2 -1 7\ngain e3\n",
+        free_on("a", "b"): "group free a b\ngain e1 a -b b\ngain f3 -a a\ngain e2 b\n",
+        symmetric(3): "group S 3\ngain e1 1 2 0\ngain f4 2 1 0\n",
+    }
+    for group, text in texts.items():
+        gg = parse_gain_text(text, g)
+        assert gg.group == group
+        assert set(gg.assignment.gains) == set(g.edge_list)
+        assert all(group.is_element(x) for x in gg.assignment.gains.values()), text
+    assert parse_gain_text(texts[abelian_product(2, 3)], g).assignment.gains["f2"] == (1, 1)
+    assert parse_gain_text(texts[free_on("a", "b")], g).assignment.gains["f3"] == ()
+
+
+@pytest.mark.parametrize(
+    "header, token",
+    [("Z 3", "x"), ("Z 2 x Z 3", "1"), ("free a b", "c"), ("free a b", "-"), ("S 3", "0 0 1"), ("S 3", "0 1 3"), ("S 3", "a b c")],
+)
+def test_bad_gain_tokens_raise_with_their_line(header, token):
+    g = triangle()
+    with pytest.raises(ParseError, match="^line 4: ") as err:
+        parse_gain_text(f"group {header}\n# a comment\ngain e1\ngain e2 {token}\n", g)
+    assert err.value.line == 4
+
+
 def test_gain_text_errors():
     g = triangle()
     with pytest.raises(ParseError):

@@ -143,6 +143,19 @@ def test_walk_out_and_back_cancels():
     assert walk_int_vector(w) == {}
 
 
+def test_directed_edge_repr_equality_and_hash():
+    step = DirectedEdge("e1")
+    assert repr(step) == "DirectedEdge(edge='e1', forward=True)"
+    assert repr(step.reversed()) == "DirectedEdge(edge='e1', forward=False)"
+    assert step.reversed().reversed() == step and step.reversed() != step
+    assert step == DirectedEdge("e1", True) and hash(step) == hash(DirectedEdge("e1", True))
+    assert DirectedEdge("e1") != DirectedEdge("e2")
+    assert len({DirectedEdge("e1"), DirectedEdge("e1", True), DirectedEdge("e1", False)}) == 2
+    # a step is a named tuple, so it equals the plain tuple (edge, forward)
+    assert step == ("e1", True) and hash(step) == hash(("e1", True))
+    assert (step.edge, step.forward) == tuple(step)
+
+
 # -- blocks -------------------------------------------------------------------
 
 
@@ -164,6 +177,21 @@ def test_blocks_two_triangles_share_vertex():
 
 def test_blocks_wheel_is_one_block(w4):
     assert len(blocks(w4)) == 1
+
+
+def test_blocks_return_an_inseparable_graph_itself():
+    for tag in ("W4", "K1loop", "2C4", "C3(3,3,2)"):
+        g = named(tag)
+        [block] = blocks(g)
+        assert block is g, tag
+    # an isolated vertex or a second block makes every block a subgraph
+    w4 = named("W4")
+    lonely = Graph(w4.edges, w4.vertices | {"z"})
+    [block] = blocks(lonely)
+    assert block is not lonely and block == w4
+    two = Graph({**w4.edges, "x": ("w", "p"), "y": ("w", "p")})
+    assert sorted(len(b.edge_list) for b in blocks(two)) == [2, 8]
+    assert all(b is not two for b in blocks(two))
 
 
 def test_blocks_path():

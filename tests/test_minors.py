@@ -444,6 +444,34 @@ def test_lifted_witnesses_stay_bad_sample():
         assert not is_balanced(gg).balanced
 
 
+def test_lift_deletion_matches_the_per_edge_rebuild():
+    # one least forest updated by swaps gives the circles and gains of a
+    # forest rebuilt for every restored edge
+    from classify_reference import reference_lift_basis_deletion
+    from gainbalance.groups import free_on
+    from test_gaingraph import random_element
+
+    rng = random.Random(515)
+    groups = (cyclic(5), free_on("a", "b"))
+    for trial in range(150):
+        core = _ear_host(rng, rng.randrange(3, 25))
+        edges = dict(core.edges)
+        verts = list(core.vertex_list) + ["p0", "p1"]  # p0, p1 may stay isolated or hang off
+        for i in range(rng.randrange(0, 8)):
+            edges[f"x{i}"] = (rng.choice(verts), rng.choice(verts))  # loops and parallels too
+        g = Graph(edges, verts)
+        s = {e for e in g.edge_list if rng.random() < 0.4}
+        reduced = delete(g, s)
+        ob = oriented_basis(reduced, [c.support for c in fundamental_circles(reduced, spanning_forest(reduced)).members])
+        grp = groups[trial % 2]
+        ga = gain_graph(reduced, grp, {e: random_element(grp, rng) for e in reduced.edge_list}).assignment
+        got = lift_basis_deletion(g, s, ob, ga)
+        ref = reference_lift_basis_deletion(g, s, ob, ga)
+        assert got[0].pairs == ref[0].pairs, (sorted(g.edges.items()), sorted(s))
+        assert got[1] == ref[1]
+        assert len(got[0].pairs) == cycle_space_dimension(g)
+
+
 # -- extrusion ----------------------------------------------------------------------
 
 
@@ -650,6 +678,18 @@ def test_reduction_log_verifies_quickly_on_a_long_chain():
     assert verify_reverse_steps(g, named("K4(1,1)"), steps)
     assert time.perf_counter() - start < 0.5
     assert not verify_reverse_steps(g, named("K4(2,1)"), steps)
+
+
+def test_reduction_log_verifies_in_linear_time():
+    # the steps contract in place, so the check is linear in the log
+    g = _extrusion_chain(random.Random(2000), "K4(1,1)", 2000)
+    end, steps = reverse_extrusion_reduce(g)
+    assert len(steps) == 2000
+    start = time.perf_counter()
+    assert verify_reverse_steps(g, named("K4(1,1)"), steps)
+    assert not verify_reverse_steps(g, named("W4"), steps)
+    assert not verify_reverse_steps(g, named("K4(1,1)"), steps[:-1])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_reverse_extrusion_matches_first_move_loop():
