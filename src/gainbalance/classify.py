@@ -17,8 +17,16 @@ Verdict logic for the circle test, per subgroup-closed class:
 * otherwise Unknown - the classifier cites a rule or refuses, never guesses.
 
 The binary cycle test is valid only on forests once any nontrivial odd-order
-group is admissible; the loop-vertex witness (a loop traversed k times) lifts
-to any graph containing a circle.
+group is admissible.  The witness is the paper's construction, built on the
+host without a minor search: a short circle C with the greatest of its edges
+c, gain 1 in Z_k on c (k the least admissible odd order), and the walk that
+goes k times along c and back through a spanning forest F of the subgraph
+induced on C's vertices.  It balances, while C does not; every other edge
+closes a circle balanced by its gain.
+
+The forbidden-minor target graphs, the edge floor of the minimization and the
+verified witness of each family and order are built once per process, on
+first use, and shared; every witness lifted to a host is verified.
 
 The oracle enumerates switching-reduced gain assignments (forest edges pinned
 to the identity) over any finite group, abelian or not, in lexicographic
@@ -59,7 +67,7 @@ from .cyclespace import (
     oriented_basis,
 )
 from .errors import BudgetError, GraphError
-from .gaingraph import GainGraph, gain_graph, is_balanced
+from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced
 from .graphcore import (
     CIRCLE_MULTI,
     DOUBLED_CIRCLE,
@@ -72,6 +80,7 @@ from .graphcore import (
     DirectedEdge,
     Graph,
     NamedGraphSpec,
+    RootedForest,
     blocks,
     build_named,
     isomorphism,
@@ -83,10 +92,10 @@ from .groups import CyclicProduct, Group, GroupClass, class_flags, cyclic, divis
 from .minors import (
     MinorWitness,
     ReverseStep,
+    _loop_vertex_witness,
     branch_forest,
     contract,
     delete,
-    has_minor,
     lift_basis_contraction,
     lift_basis_deletion,
     reverse_extrusion_reduce,
@@ -262,11 +271,23 @@ def structural_decomposition(g: Graph) -> Optional[Decomposition]:
 # -- explicit witness constructions ----------------------------------------------
 
 
+_target = functools.cache(build_named)  # the graph of a named family, built once and shared
+
+
+@functools.cache
+def _edge_floor() -> int:
+    """The fewest edges of a forbidden minor (8)."""
+    return min(len(_target(spec).edge_list) for spec in FORBIDDEN_MINORS)
+
+
+@functools.cache
 def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> BadWitness:
     """The explicit bad witness for a named family, verified before return.
 
     ``cyclic_order`` selects the gain group for the loop vertex (odd, >= 3,
-    default 3); the other families fix their own groups.
+    default 3); the other families fix their own groups.  A witness is built
+    and verified once per process for each argument list and then shared, so
+    it must not be mutated.
     """
     fam, p = spec.family, spec.params
     if fam == LOOP_VERTEX:
@@ -457,7 +478,7 @@ def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
     Every other step decomposes, so minor and projection are those of the
     pass that tests every step.
     """
-    floor = min(len(build_named(spec).edge_list) for spec in FORBIDDEN_MINORS)
+    floor = _edge_floor()
     h, vmap = block, {v: v for v in block.vertex_list}
     for e in block.edge_list:
         if len(h.edge_list) <= floor:
@@ -475,6 +496,38 @@ def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
     return Graph(dict(h.edges)), vmap  # isolated vertices dropped
 
 
+def _binary_witness(g: Graph, k: int) -> BadWitness:
+    """The binary-test witness over Z_k (k odd) on a graph with a circle,
+    built on ``g`` by the paper's construction and verified.
+
+    C is the short circle of the loop-vertex minor model, c its greatest
+    edge and F the least spanning forest of the subgraph induced on C's
+    vertices; c is not in F, as it is the greatest edge of a circle there.
+    c gets the element 1 and F the identity.  The walk from tail(c) that
+    takes c and then the F-path back, k times over, has gain k = 0, and its
+    support (k is odd) is c plus that path: a circle of gain 1, so the gain
+    graph is unbalanced.  Restoring the other edges by
+    ``lift_basis_deletion`` adds one balanced circle each.  This is the
+    loop-vertex witness lifted along the model, edge for edge, without
+    searching for the model or contracting F."""
+    mw = _loop_vertex_witness(g)
+    [c] = mw.edge_map.values()
+    forest = branch_forest(g, mw.branch_sets)
+    t, h = g.ends(c)
+    path = RootedForest(g, forest).path(h, t)
+    walk = ClosedWalk(t, (DirectedEdge(c, True), *path) * k)
+    grp = cyclic(k)
+    gains = dict.fromkeys(forest, grp.identity())
+    gains[c] = grp.element([1])
+    core = Graph({e: g.ends(e) for e in gains}, g.vertices)
+    ob = OrientedBasis(((BinaryCycle(frozenset({c, *(st.edge for st in path)})), walk),), core)
+    ob, ga = lift_basis_deletion(g, set(g.edge_list) - gains.keys(), ob, GainAssignment(grp, gains))
+    w = BadWitness(GainGraph(g, ga), ob, BINARY_TEST)
+    if not w.verify():
+        raise GraphError("binary-test witness failed verification")
+    return w
+
+
 # -- classification -----------------------------------------------------------------
 
 
@@ -485,13 +538,7 @@ def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
     if cycle_space_dimension(g) == 0:
         return Verdict(GOOD, RULE_FOREST)
     if flags.has_odd_torsion:
-        k = flags.smallest_odd_order or 3
-        target = build_named(NamedGraphSpec(LOOP_VERTEX))
-        mw = has_minor(g, target)
-        if mw is None:
-            raise GraphError("graph with cycles lacks a loop-vertex minor")
-        w = lift_witness(g, mw, bad_witness(NamedGraphSpec(LOOP_VERTEX), k))
-        return Verdict(BAD, RULE_BINARY_ODD, w)
+        return Verdict(BAD, RULE_BINARY_ODD, _binary_witness(g, flags.smallest_odd_order or 3))
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
     return Verdict(UNKNOWN, RULE_UNKNOWN)
@@ -505,7 +552,7 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
     if flags.contains_z3:
         h, vmap = _minimal_bad_block(found)
         for spec in FORBIDDEN_MINORS:
-            target = build_named(spec)
+            target = _target(spec)
             mw = _identity_minor_witness(h, target)
             if mw is not None:
                 mw = MinorWitness({t: frozenset(v for v in vmap if vmap[v] in x) for t, x in mw.branch_sets.items()}, mw.edge_map)
@@ -520,7 +567,7 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
         # are exactly an even wheel or doubled circle of size n count here
         n = flags.smallest_odd_order + 1
         for spec in (NamedGraphSpec(WHEEL, (n,)), NamedGraphSpec(DOUBLED_CIRCLE, (n,))):
-            target = build_named(spec)
+            target = _target(spec)
             for block in blocks(g):
                 mw = _identity_minor_witness(block, target)
                 if mw is not None:

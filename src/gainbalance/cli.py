@@ -15,6 +15,9 @@ Graph arguments accept named tags (``W4``, ``2C4``, ``K4dd``, ``C3(3,3,2)``,
 ``K4(2,1)``, ``mK2(5)``, ``K1loop``, ...) wherever file paths are accepted.
 Exit codes: 0 completed (verdicts live in the report), 2 input error,
 3 budget exceeded.
+
+The classifier module, and numpy with it, is imported only by the
+subcommands that use it (classify, witness, oracle, atlas).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import classify as cls
 from .balancetests import basis_gains, circle_orientation
 from .cyclespace import parse_basis_text, read_basis_text
 from .enumeration import inseparable_multigraphs
@@ -100,6 +102,8 @@ def _cmd_basis_test(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify as cls
+
     g = _load_graph(args.graph)
     c = parse_class_spec(args.group_class)
     if args.test == "circle":
@@ -115,6 +119,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import classify as cls
+
     spec = parse_graph_spec(args.family)
     w = cls.bad_witness(spec, args.order)
     report = w.to_json()
@@ -143,9 +149,12 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import classify as cls
+
     g = _load_graph(args.graph)
     grp = parse_group_spec(args.group)
-    good, witness = cls.oracle_circle_goodness(g, grp, budget=args.budget)
+    budget = cls.ORACLE_BUDGET if args.budget is None else args.budget
+    good, witness = cls.oracle_circle_goodness(g, grp, budget=budget)
     report: dict = {"good": good, "group": str(grp)}
     lines = [f"good for {grp}: {good}"]
     if witness is not None:
@@ -156,12 +165,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    from . import classify as cls
+
     grp = parse_group_spec(args.group)
     c = parse_class_spec(f"groups:{args.group}")
+    budget = cls.ORACLE_BUDGET if args.budget is None else args.budget
     rows = []
     for g in inseparable_multigraphs(args.max_edges):
         verdict = cls.circle_goodness(g, c)
-        good, _ = cls.oracle_circle_goodness(g, grp, budget=args.budget)
+        good, _ = cls.oracle_circle_goodness(g, grp, budget=budget)
         row = {
             "vertices": len(g.vertex_list),
             "edges": sorted(g.edge_list),
@@ -229,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive circle-test goodness for one finite group")
     p.add_argument("graph")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=cls.ORACLE_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("atlas", help="survey all inseparable multigraphs up to an edge bound")
     p.add_argument("--max-edges", type=int, required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=cls.ORACLE_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_atlas)
     return parser

@@ -242,26 +242,26 @@ def parse_gain_text(text: str, g: Graph) -> GainGraph:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "group":
-            if group is not None:
-                raise ParseError("duplicate group header", line=lineno)
-            group = parse_group_header(" ".join(parts[1:]))
-        elif parts[0] == "gain":
-            if group is None:
-                raise ParseError("gain line before group header", line=lineno)
-            if len(parts) < 2:
-                raise ParseError("gain line needs an edge id", line=lineno)
-            eid = parts[1]
-            if eid not in g.edges:
-                raise ParseError(f"unknown edge {eid!r}", line=lineno)
-            if eid in gains:
-                raise ParseError(f"duplicate gain for {eid!r}", line=lineno)
-            try:
+        try:  # every error on a line carries its number, raised here or by the group
+            if parts[0] == "group":
+                if group is not None:
+                    raise ParseError("duplicate group header")
+                group = parse_group_header(" ".join(parts[1:]))
+            elif parts[0] == "gain":
+                if group is None:
+                    raise ParseError("gain line before group header")
+                if len(parts) < 2:
+                    raise ParseError("gain line needs an edge id")
+                eid = parts[1]
+                if eid not in g.edges:
+                    raise ParseError(f"unknown edge {eid!r}")
+                if eid in gains:
+                    raise ParseError(f"duplicate gain for {eid!r}")
                 gains[eid] = group.parse_element(parts[2:]) if parts[2:] else group.identity()
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        else:
-            raise ParseError(f"unrecognized declaration {line!r}", line=lineno)
+            else:
+                raise ParseError(f"unrecognized declaration {line!r}")
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if group is None:
         raise ParseError("gain file lacks a group header")
     # parse_element returns elements of the header's group, so the check in

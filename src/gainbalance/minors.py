@@ -4,11 +4,11 @@ Whitney twists, and 2-bridge theory.
 Minor search grows disjoint connected branch sets depth first, expanding each
 set once and pruning on edge multiplicities.  It is exponential in the host,
 so it stops with ``BudgetError`` after ``MINOR_SEARCH_MAX_NODES`` candidate
-branch sets; the circle classifier finds forbidden minors without it.  A
-loop-vertex target is special cased: present iff the host has a circle.
-Nothing else searches for minors: bridges are typed by their block chains,
-witnesses are checked set by set and edge by edge, and reverse-extrusion
-logs step by step.
+branch sets; neither classifier calls it.  A loop-vertex target is special
+cased: present iff the host has a circle, and modelled on a short one, which
+the binary classifier takes directly.  Nothing else searches for minors:
+bridges are typed by their block chains, witnesses are checked set by set
+and edge by edge, and reverse-extrusion logs step by step.
 
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain

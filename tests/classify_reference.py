@@ -14,26 +14,48 @@ forest and must give the same basis and gains.
 
 ``reference_circle_goodness`` is ``circle_goodness`` with both references in
 place of the library's pass and lift.
+
+``reference_binary_cycle_goodness`` is the binary classifier as first
+written: search for a loop-vertex minor, rebuild its witness and lift it by
+deleting, contracting the branch forest and lifting back.
+``gainbalance.classify.binary_cycle_goodness`` builds the witness on the host
+directly and must give the same verdict, byte for byte.
 """
 
 from unittest import mock
 
 from gainbalance import classify
-from gainbalance.classify import structural_decomposition
-from gainbalance.cyclespace import BinaryCycle, OrientedBasis
+from gainbalance.classify import (
+    BAD,
+    GOOD,
+    RULE_ABELIAN_NO_ODD,
+    RULE_BINARY_ODD,
+    RULE_FOREST,
+    RULE_UNKNOWN,
+    UNKNOWN,
+    Verdict,
+    bad_witness,
+    lift_witness,
+    structural_decomposition,
+)
+from gainbalance.cyclespace import BinaryCycle, OrientedBasis, cycle_space_dimension
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainAssignment
 from gainbalance.graphcore import (
+    LOOP_VERTEX,
     ClosedWalk,
     DirectedEdge,
     DisjointSets,
     Graph,
+    NamedGraphSpec,
     RootedForest,
     blocks,
+    build_named,
     spanning_forest,
     walk_support,
 )
-from gainbalance.minors import contract, delete
+from gainbalance.groups import class_flags
+from gainbalance.minors import contract, delete, has_minor
 
 
 def reference_minimal_bad_block(block):
@@ -91,3 +113,18 @@ def reference_circle_goodness(g, c):
         classify, "lift_basis_deletion", reference_lift_basis_deletion
     ):
         return classify.circle_goodness(g, c)
+
+
+def reference_binary_cycle_goodness(g, c):
+    flags = class_flags(c)
+    if cycle_space_dimension(g) == 0:
+        return Verdict(GOOD, RULE_FOREST)
+    if flags.has_odd_torsion:
+        k = flags.smallest_odd_order or 3
+        mw = has_minor(g, build_named(NamedGraphSpec(LOOP_VERTEX)))
+        if mw is None:
+            raise GraphError("graph with cycles lacks a loop-vertex minor")
+        return Verdict(BAD, RULE_BINARY_ODD, lift_witness(g, mw, bad_witness(NamedGraphSpec(LOOP_VERTEX), k)))
+    if flags.abelian_only and not flags.has_odd_torsion:
+        return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
+    return Verdict(UNKNOWN, RULE_UNKNOWN)

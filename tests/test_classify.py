@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from gainbalance import classify
+from gainbalance import classify, minors
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
@@ -39,6 +39,7 @@ from gainbalance.gaingraph import gain_graph
 from gainbalance.graphcore import (
     Graph,
     build_named,
+    components,
     grid_faces,
     is_isomorphic,
     parse_graph_spec,
@@ -49,7 +50,7 @@ from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
 from test_minors import _extrusion_chain
 from oracle_reference import reference_spanning_assignments, reference_witness_json
-from classify_reference import reference_circle_goodness, reference_minimal_bad_minor
+from classify_reference import reference_binary_cycle_goodness, reference_circle_goodness, reference_minimal_bad_minor
 
 
 Z3 = cyclic(3)
@@ -373,6 +374,70 @@ def test_binary_two_groups_good():
 def test_binary_unknown_for_free():
     v = binary_cycle_goodness(named("W4"), GroupClass(EXPLICIT, (free_on("a", "b"),)))
     assert v.status == UNKNOWN
+
+
+BINARY_CLASSES = [parse_class_spec(s) for s in ("contains-z3", "groups:Z5", "groups:Z7", "all", "abelian")]
+
+
+def _random_multigraph(rng):
+    """Up to 9 vertices with up to 14 random edges, loops among them, and up
+    to 2 vertices that no edge meets."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 9))]
+    edges = {}
+    for i in range(rng.randint(0, 14)):
+        a = rng.choice(vs)
+        edges[f"e{rng.randrange(100):02d}_{i}"] = (a, a if rng.random() < 0.1 else rng.choice(vs))
+    return Graph(edges, vs + [f"z{i}" for i in range(rng.randint(0, 2))])
+
+
+def test_binary_witness_matches_the_lifted_minor_witness():
+    # the witness built on the host is the loop-vertex witness of the minor
+    # search lifted through the contraction, byte for byte
+    rng = random.Random(16)
+    hosts = [_random_multigraph(rng) for _ in range(300)]
+    assert any(g.is_loop(e) for g in hosts for e in g.edge_list)
+    assert any(g.multiplicity(*g.ends(e)) > 1 for g in hosts for e in g.edge_list if not g.is_loop(e))
+    assert any(len([c for c in components(g) if len(c) > 1]) > 1 for g in hosts)
+    assert any(g.degree(v) == 0 for g in hosts for v in g.vertex_list)
+    statuses = set()
+    for g in [*all_multigraphs(6), *hosts]:
+        for c in BINARY_CLASSES:
+            v = binary_cycle_goodness(g, c)
+            assert v.to_json() == reference_binary_cycle_goodness(g, c).to_json(), (sorted(g.edges.items()), c)
+            statuses.add((v.status, v.evidence.gain_graph.group.order() if v.evidence else None))
+    assert statuses == {(GOOD, None), (BAD, 3), (BAD, 5), (BAD, 7)}
+
+
+def test_binary_witness_takes_no_minor_search_or_contraction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the binary witness is built on the host")
+
+    for module, name in [(minors, "has_minor"), (classify, "bad_witness"), (classify, "contract"), (classify, "lift_basis_contraction")]:
+        monkeypatch.setattr(module, name, refuse)
+    for tag in ("K1loop", "mK2(3)", "W4", "Grid(6,6)"):
+        v = binary_cycle_goodness(named(tag), CZ3)
+        assert v.status == BAD and v.evidence.verify()
+
+
+def test_bad_witness_is_built_once_and_stays_verified():
+    for spec, order in [*((spec, None) for spec in FORBIDDEN_MINORS), (parse_graph_spec("W6"), None), (parse_graph_spec("K1loop"), 5)]:
+        first = bad_witness(spec, order)
+        assert bad_witness(spec, order) is first and first.verify()
+        assert first == bad_witness.__wrapped__(spec, order)  # as a fresh build
+
+
+def test_forbidden_minor_constants_are_built_once(monkeypatch):
+    assert classify._edge_floor() == 8
+    for spec in FORBIDDEN_MINORS:
+        assert classify._target(spec) is classify._target(spec) == build_named(spec)
+    first = circle_goodness(named("Grid(2,2)"), CZ3)
+
+    def refuse(spec):
+        raise AssertionError(f"{spec} rebuilt")
+
+    monkeypatch.setattr(classify, "build_named", refuse)
+    again = circle_goodness(named("Grid(2,2)"), CZ3)
+    assert again.status == BAD and again.to_json() == first.to_json()
 
 
 # -- oracle ------------------------------------------------------------------------------

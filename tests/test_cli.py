@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gainbalance
 from gainbalance.cli import run
 from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_text
 from gainbalance.balancetests import binary_cycle_test, circle_test
@@ -203,6 +207,25 @@ def test_circle_test_input_errors(capsys, tmp_path):
     basis.write_text(GRID_FACES.replace(first_face, "h0_0 h1_0 h2_2 h3_2 v0_0 v0_1 v2_2 v2_3\n"))
     assert run(argv) == 2
     assert "is not a circle" in capsys.readouterr().err
+
+
+def test_cli_loads_numpy_only_for_the_classifier(gain_file):
+    # a fresh process: importing the frontend and balance leave numpy unloaded,
+    # classify loads it
+    src = str(Path(gainbalance.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from gainbalance.cli import run\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert run(argv.split()) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    argvs = [f"balance C3(3,3,2) {gain_file}", "classify W4 --class contains-z3"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *argvs], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 def test_classify_command_json_round_trip(capsys):

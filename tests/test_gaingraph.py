@@ -450,6 +450,13 @@ def test_bad_gain_tokens_raise_with_their_line(header, token):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("header", ["S 0", "Z", "Z 3 x", "Q 3", ""])
+def test_bad_group_headers_raise_with_their_line(header):
+    with pytest.raises(ParseError, match=f"^line 2: (unknown group header {header!r}|empty group header)$") as err:
+        parse_gain_text(f"# c\ngroup {header}\n", triangle())
+    assert err.value.line == 2
+
+
 def test_gain_text_errors():
     g = triangle()
     with pytest.raises(ParseError):
