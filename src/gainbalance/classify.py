@@ -17,12 +17,18 @@ Verdict logic for the circle test, per subgroup-closed class:
 * otherwise Unknown - the classifier cites a rule or refuses, never guesses.
 
 The binary cycle test is valid only on forests once any nontrivial odd-order
-group is admissible.  The witness is the paper's construction, built on the
-host without a minor search: a short circle C with the greatest of its edges
-c, gain 1 in Z_k on c (k the least admissible odd order), and the walk that
-goes k times along c and back through a spanning forest F of the subgraph
-induced on C's vertices.  It balances, while C does not; every other edge
-closes a circle balanced by its gain.
+group is admissible.  The witness is the paper's construction, with no minor
+search: the loop-vertex witness over Z_k (k the least admissible odd order)
+carried along the model of a short circle C, whose loop edge is the greatest
+edge c of C and whose branch forest F spans the subgraph induced on C's
+vertices.  So c gets gain 1, and the basis walk goes k times along c and back
+through F.  It balances, while C does not; every other edge closes a circle
+balanced by its gain.
+
+Every Bad verdict, binary, forbidden-minor or wheel-family, reaches the host
+by one transport, ``lift_witness``: along the minor model edge for edge, with
+branch-forest paths spliced into each walk, the other edges restored by
+``lift_basis_deletion``, and the result verified.
 
 The forbidden-minor target graphs, the edge floor of the minimization and the
 verified witness of each family and order are built once per process, on
@@ -87,6 +93,7 @@ from .graphcore import (
     edge_bijection,
     spanning_forest,
     walk_int_vector,
+    walk_support,
 )
 from .groups import CyclicProduct, Group, GroupClass, class_flags, cyclic, divisors
 from .minors import (
@@ -96,9 +103,9 @@ from .minors import (
     branch_forest,
     contract,
     delete,
-    lift_basis_contraction,
     lift_basis_deletion,
     reverse_extrusion_reduce,
+    splice_tree_paths,
     verify_minor_witness,
 )
 
@@ -385,43 +392,36 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
 
 
 def lift_witness(host: Graph, mw: MinorWitness, w: BadWitness) -> BadWitness:
-    """Transport a bad witness from a minor onto the host graph: delete down
-    to the model subgraph, undo the branch-set contractions, and re-verify."""
+    """Transport a bad witness from a minor onto the host graph along the
+    model ``mw``, and verify it.
+
+    Each mapped host edge takes its target edge's gain, inverted when the
+    host edge's tail is not in the branch set of the target edge's tail, and
+    the branch forest F takes the identity.  Each basis walk takes its
+    mapped steps, reversed likewise, with the F-path from the head of each
+    step to the tail of the next spliced in after it (``splice_tree_paths``),
+    so it keeps its gain.  This is the minor witness lifted back through the
+    contraction of F, without building the contraction.
+    ``lift_basis_deletion`` then restores the other edges, each closing a
+    balanced circle."""
     forest = branch_forest(host, mw.branch_sets)
-    model_edges = set(mw.edge_map.values()) | forest
-    s = set(host.edge_list) - model_edges
-    g1 = delete(host, s)
-    g2, vmap = contract(g1, forest)
-    location = {v: t for t, vs in mw.branch_sets.items() for v in vs}
-    tv_to_g2 = {location[v]: vmap[v] for v in location}
-
-    flip: dict[str, bool] = {}
-    emap = dict(mw.edge_map)
-    tgraph = w.gain_graph.graph
-    for te, he in emap.items():
-        tt, th = tgraph.ends(te)
-        g2t, _ = g2.ends(he)
-        flip[te] = g2t != tv_to_g2[tt]
-
-    group = w.gain_graph.group
-    gains_g2 = {}
-    for te, he in emap.items():
+    group, target = w.gain_graph.group, w.gain_graph.graph
+    flip = {te: host.ends(he)[0] not in mw.branch_sets[target.ends(te)[0]] for te, he in mw.edge_map.items()}
+    gains = dict.fromkeys(forest, group.identity())
+    for te, he in mw.edge_map.items():
         x = w.gain_graph.assignment.gains[te]
-        gains_g2[he] = group.inverse(x) if flip[te] else x
-    gg2 = gain_graph(g2, group, gains_g2)
-
+        gains[he] = group.inverse(x) if flip[te] else x
+    tree = RootedForest(host, forest)
     pairs = []
-    for cyc, walk in w.basis.pairs:
-        steps = tuple(
-            DirectedEdge(emap[s_.edge], s_.forward ^ flip[s_.edge]) for s_ in walk.steps
-        )
-        new_walk = ClosedWalk(tv_to_g2[walk.start], steps)
-        pairs.append((BinaryCycle(frozenset(emap[e] for e in cyc.support)), new_walk))
-    ob2 = OrientedBasis(tuple(pairs), g2)
-
-    ob1, ga1 = lift_basis_contraction(g1, forest, ob2, gg2.assignment)
-    ob0, ga0 = lift_basis_deletion(host, s, ob1, ga1)
-    lifted = BadWitness(GainGraph(host, ga0), ob0, w.test)
+    for _, walk in w.basis.pairs:
+        steps = [DirectedEdge(mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps]
+        spliced = splice_tree_paths(tree, steps, min(mw.branch_sets[walk.start]))
+        pairs.append((BinaryCycle(walk_support(spliced)), spliced))
+    model = Graph({e: host.ends(e) for e in gains}, host.vertices)
+    ob, ga = lift_basis_deletion(
+        host, set(host.edge_list) - gains.keys(), OrientedBasis(tuple(pairs), model), GainAssignment(group, gains)
+    )
+    lifted = BadWitness(GainGraph(host, ga), ob, w.test)
     if not lifted.verify():
         raise GraphError("lifted witness failed verification")
     return lifted
@@ -496,38 +496,6 @@ def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
     return Graph(dict(h.edges)), vmap  # isolated vertices dropped
 
 
-def _binary_witness(g: Graph, k: int) -> BadWitness:
-    """The binary-test witness over Z_k (k odd) on a graph with a circle,
-    built on ``g`` by the paper's construction and verified.
-
-    C is the short circle of the loop-vertex minor model, c its greatest
-    edge and F the least spanning forest of the subgraph induced on C's
-    vertices; c is not in F, as it is the greatest edge of a circle there.
-    c gets the element 1 and F the identity.  The walk from tail(c) that
-    takes c and then the F-path back, k times over, has gain k = 0, and its
-    support (k is odd) is c plus that path: a circle of gain 1, so the gain
-    graph is unbalanced.  Restoring the other edges by
-    ``lift_basis_deletion`` adds one balanced circle each.  This is the
-    loop-vertex witness lifted along the model, edge for edge, without
-    searching for the model or contracting F."""
-    mw = _loop_vertex_witness(g)
-    [c] = mw.edge_map.values()
-    forest = branch_forest(g, mw.branch_sets)
-    t, h = g.ends(c)
-    path = RootedForest(g, forest).path(h, t)
-    walk = ClosedWalk(t, (DirectedEdge(c, True), *path) * k)
-    grp = cyclic(k)
-    gains = dict.fromkeys(forest, grp.identity())
-    gains[c] = grp.element([1])
-    core = Graph({e: g.ends(e) for e in gains}, g.vertices)
-    ob = OrientedBasis(((BinaryCycle(frozenset({c, *(st.edge for st in path)})), walk),), core)
-    ob, ga = lift_basis_deletion(g, set(g.edge_list) - gains.keys(), ob, GainAssignment(grp, gains))
-    w = BadWitness(GainGraph(g, ga), ob, BINARY_TEST)
-    if not w.verify():
-        raise GraphError("binary-test witness failed verification")
-    return w
-
-
 # -- classification -----------------------------------------------------------------
 
 
@@ -538,7 +506,8 @@ def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
     if cycle_space_dimension(g) == 0:
         return Verdict(GOOD, RULE_FOREST)
     if flags.has_odd_torsion:
-        return Verdict(BAD, RULE_BINARY_ODD, _binary_witness(g, flags.smallest_odd_order or 3))
+        loop = bad_witness(NamedGraphSpec(LOOP_VERTEX), flags.smallest_odd_order or 3)
+        return Verdict(BAD, RULE_BINARY_ODD, lift_witness(g, _loop_vertex_witness(g), loop))
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
     return Verdict(UNKNOWN, RULE_UNKNOWN)
@@ -617,17 +586,16 @@ def _index_blocks(ranges) -> Iterator[np.ndarray]:
         yield np.concatenate(parts)
 
 
-def _residue_blocks(moduli: tuple[int, ...], dim: int, every_assignment: bool) -> Iterator[tuple]:
+def _residue_blocks(moduli: tuple[int, ...], dim: int) -> Iterator[tuple]:
     """The assignment indices the residue kernel tries, in ascending blocks,
     each with the residues of its digits, one dim x block array per factor.
 
-    Over a single Z_n these are the unit orbit minima of ``_orbit_ranges``
-    unless ``every_assignment``; otherwise every nonzero index.  Residues are
-    float32, or float64 where dim times a modulus reaches 2^24, so that the
-    kernel's dot products stay exact."""
+    Over a single Z_n these are the unit orbit minima of ``_orbit_ranges``;
+    otherwise every nonzero index.  Residues are float32, or float64 where
+    dim times a modulus reaches 2^24, so that the kernel's dot products stay
+    exact."""
     order = math.prod(moduli)
-    single = len(moduli) == 1 and not every_assignment
-    ranges = _orbit_ranges(order, dim) if single else [(1, order**dim)]
+    ranges = _orbit_ranges(order, dim) if len(moduli) == 1 else [(1, order**dim)]
     exact = np.float32 if dim * max(moduli) < 1 << 24 else np.float64
     for js in _index_blocks(ranges):
         digits = np.unravel_index(js, (order,) * dim)
@@ -635,13 +603,13 @@ def _residue_blocks(moduli: tuple[int, ...], dim: int, every_assignment: bool) -
 
 
 @functools.lru_cache(maxsize=64)
-def _one_block(moduli: tuple[int, ...], dim: int, every_assignment: bool) -> tuple:
+def _one_block(moduli: tuple[int, ...], dim: int) -> tuple:
     """``_residue_blocks`` kept for the next call where |G|^dim fits one
     block, so a small search sets up by a table lookup."""
-    return tuple(_residue_blocks(moduli, dim, every_assignment))
+    return tuple(_residue_blocks(moduli, dim))
 
 
-def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, every_assignment: bool):
+def _residue_kernel(grp: CyclicProduct, circles: list, chords: list):
     """For each block of ``_residue_blocks``, the indices with at least dim
     balanced circles and their balanced columns.  A circle is balanced when
     its signed chord counts, dotted with the residues of the chord gains,
@@ -649,7 +617,7 @@ def _residue_kernel(grp: CyclicProduct, circles: list, chords: list, every_assig
     per factor, exact in floating point as every partial sum is an integer
     below the mantissa bound (float32 rows promote to float64 residues)."""
     dim = len(chords)
-    key = (grp.moduli, dim, every_assignment)
+    key = (grp.moduli, dim)
     blocks = _one_block(*key) if grp.order() ** dim <= ORACLE_BLOCK else _residue_blocks(*key)
     rows = np.array([[vec.get(e, 0) for e in chords] for vec in (walk_int_vector(c.walk) for c in circles)], dtype=np.float32)
     for js, residues in blocks:
@@ -692,7 +660,7 @@ def _parity_matrix(circles: list, chords: list) -> np.ndarray:
     return _ODD[masks[:, None] & np.arange(1, 1 << len(chords))]
 
 
-def _spanning_assignments(g: Graph, grp: Group, circles: list, every_assignment: bool = False) -> Iterator[tuple[dict, list]]:
+def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[dict, list]]:
     """For each unbalanced switching-reduced assignment whose balanced
     circles span the cycle space, yield (chord gains, balanced circles in the
     order of ``circles``).
@@ -700,9 +668,8 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list, every_assignment:
     Assignment j gives chord i the element of index d_i in
     ``grp.elements()``, where d_1 .. d_dim are the base-|G| digits of j,
     first chord most significant; they come in ascending j.  Over a single
-    Z_n only the indices of ``_orbit_ranges`` are tried unless
-    ``every_assignment``; the first spanning assignment is the same either
-    way.  A kernel yields candidates, the indices with at least dim balanced
+    Z_n only the indices of ``_orbit_ranges`` are tried, and the first
+    spanning assignment is the same as over every index.  A kernel yields candidates, the indices with at least dim balanced
     circles, with their balanced columns: cyclic products go through the
     residue kernel, other groups through the walk kernel.  The candidates of
     a batch are tested for spanning by one matmul with ``_parity_matrix``,
@@ -714,7 +681,7 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list, every_assignment:
     chords = [e for e in g.edge_list if e not in forest]
     if isinstance(grp, CyclicProduct):
         element = lambda d: tuple(map(int, np.unravel_index(d, grp.moduli)))
-        found = _residue_kernel(grp, circles, chords, every_assignment)
+        found = _residue_kernel(grp, circles, chords)
     else:
         elements = grp.elements()
         element = elements.__getitem__
@@ -771,17 +738,3 @@ def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) ->
         return False, witness
     return True, None
 
-
-def oracle_spanning_balanced_sets(g: Graph, grp: Group) -> Iterator[tuple[dict, list]]:
-    """For each unbalanced switching-reduced assignment whose balanced
-    circles span the cycle space, yield (chord gains, balanced circles), in
-    the assignment order of ``oracle_circle_goodness``.
-
-    Surveys which bases can witness badness (the tests use it for the wheel
-    basis taxonomy); no subcommand calls it.  It visits every assignment,
-    also over Z_n where the oracle tries one per unit orbit: a survey wants
-    every spanning set, and the tests compare the whole ascending sequence
-    with a per-assignment reference.  It checks the oracle's default edge
-    bound and assignment budget when called, before yielding anything.
-    """
-    return _spanning_assignments(g, grp, _oracle_circles(g, grp), every_assignment=True)

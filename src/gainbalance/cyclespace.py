@@ -34,6 +34,8 @@ from .graphcore import (
     walk_vertices,
 )
 
+CIRCLE_ENUMERATION_MAX_EDGES = 24  # most host edges enumerate_circles takes
+
 
 @dataclass(frozen=True)
 class BinaryCycle:
@@ -288,15 +290,15 @@ def _canonical_order(support: frozenset) -> tuple:
     return len(support), tuple(sorted(support))
 
 
-def enumerate_circles(g: Graph, max_edges: int = 24) -> list[Circle]:
+def enumerate_circles(g: Graph) -> list[Circle]:
     """All circles of g, each once, sorted canonically.
 
     DFS over simple paths from each circle's least vertex, closing back to it
-    in the canonical direction; the default edge bound keeps the search at
-    desk scale.
+    in the canonical direction; the edge bound ``CIRCLE_ENUMERATION_MAX_EDGES``
+    keeps the search at desk scale.
     """
-    if len(g.edge_list) > max_edges:
-        raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {max_edges})")
+    if len(g.edge_list) > CIRCLE_ENUMERATION_MAX_EDGES:
+        raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {CIRCLE_ENUMERATION_MAX_EDGES})")
     circles = _dfs_circles(g, len(g.edge_list))
     circles.sort(key=lambda c: _canonical_order(c.support))
     return circles

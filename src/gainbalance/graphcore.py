@@ -236,10 +236,13 @@ def walk_vertices(g: Graph, w: ClosedWalk) -> list[str]:
 
 def walk_support(w: ClosedWalk) -> frozenset:
     """Edges used an odd number of times (the mod-2 projection)."""
-    counts: dict[str, int] = {}
-    for step in w.steps:
-        counts[step.edge] = counts.get(step.edge, 0) + 1
-    return frozenset(e for e, c in counts.items() if c % 2)
+    odd: set[str] = set()
+    for e, _ in w.steps:
+        if e in odd:
+            odd.remove(e)
+        else:
+            odd.add(e)
+    return frozenset(odd)
 
 
 def walk_int_vector(w: ClosedWalk) -> dict[str, int]:

@@ -291,7 +291,7 @@ def parse_group_header(text: str) -> Group:
         return free_on(*parts[1:])
     if re.fullmatch(r"S [1-9]\d*", " ".join(parts)):
         return symmetric(int(parts[1]))
-    if not re.fullmatch(r"Z \d+( x Z \d+)*", " ".join(parts)):
+    if not re.fullmatch(r"Z [1-9]\d*( x Z [1-9]\d*)*", " ".join(parts)):
         raise ParseError(f"unknown group header {text!r}")
     return abelian_product(*[int(tok) for tok in parts if tok.isdigit()])
 

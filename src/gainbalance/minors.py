@@ -13,8 +13,10 @@ and edge by edge, and reverse-extrusion logs step by step.
 The basis-lifting constructions preserve bad witnesses: lifting a basis along
 an edge deletion adds one circle per restored non-forest edge, with its gain
 solved to keep the circle balanced; lifting along a forest contraction
-splices tree paths (with identity gains) into each walk.  Contraction takes
-its tree paths from :class:`graphcore.RootedForest`; deletion keeps one least
+splices tree paths (with identity gains) into each walk.  The splicing is
+``splice_tree_paths``, on the paths of :class:`graphcore.RootedForest`; the
+classifier's witness transport splices the branch forest of a minor model
+with it too, on the host, without contracting.  Deletion keeps one least
 spanning forest, updated as each edge is restored.  Contraction classes and
 the forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
 """
@@ -41,7 +43,6 @@ from .graphcore import (
     is_isomorphic,
     spanning_forest,
     walk_support,
-    walk_vertices,
 )
 
 
@@ -388,6 +389,26 @@ def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: s
     return steps[::-1]
 
 
+def splice_tree_paths(tree: RootedForest, steps: Sequence[DirectedEdge], start: str) -> ClosedWalk:
+    """The closed walk of ``tree``'s graph that takes each of ``steps`` in
+    turn, each followed by the tree path from its head to the tail of the
+    next step (after the last, of the first); with no steps, the empty walk
+    at ``start``.  It is closed by construction; a step pair with no tree
+    path between them raises.  A repeated pair reuses its path."""
+    g = tree.graph
+    ends = [g.ends(e) if forward else g.ends(e)[::-1] for e, forward in steps]
+    paths: dict[tuple[str, str], list[DirectedEdge]] = {}
+    out: list[DirectedEdge] = []
+    for i, st in enumerate(steps):
+        gap = (ends[i][1], ends[i + 1 - len(ends)][0])  # the first step follows the last
+        path = paths.get(gap)
+        if path is None:
+            path = paths[gap] = tree.path(*gap)
+        out.append(st)
+        out += path
+    return ClosedWalk(ends[0][0] if ends else start, tuple(out))
+
+
 def lift_basis_contraction(
     g: Graph,
     t: Iterable[str],
@@ -396,11 +417,12 @@ def lift_basis_contraction(
 ) -> tuple[OrientedBasis, GainAssignment]:
     """Lift a basis and gains from g/t (t a forest) back to g.
 
-    Each walk has the unique tree path spliced in between consecutive edges;
-    contracted edges receive identity gain, so walk gains are unchanged.
+    Each walk has the unique tree path spliced in between consecutive edges
+    (``splice_tree_paths``); contracted edges receive identity gain, so walk
+    gains are unchanged.
     """
     t = frozenset(t)
-    contracted, vmap = contract(g, t)
+    contracted, _ = contract(g, t)
     if b.host.edges != contracted.edges:
         raise GraphError("basis does not live on g/t")
     for e in t:
@@ -413,30 +435,12 @@ def lift_basis_contraction(
     if len(tsub.edge_list) != len(tsub.vertices) - len(components(tsub)):
         raise GraphError("contraction set contains a circle")
 
-    inverse_class: dict[str, list[str]] = {}
-    for v in g.vertex_list:
-        inverse_class.setdefault(vmap[v], []).append(v)
     tree = RootedForest(g, t)
-
-    def lift_walk(w: ClosedWalk) -> ClosedWalk:
-        if not w.steps:
-            return ClosedWalk(min(inverse_class[w.start]), ())
-        ends = []
-        for st in w.steps:
-            a, bb = g.ends(st.edge)
-            ends.append((a, bb) if st.forward else (bb, a))
-        steps: list[DirectedEdge] = []
-        for i, st in enumerate(w.steps):
-            steps.append(st)
-            nxt = ends[(i + 1) % len(ends)][0]
-            steps.extend(tree.path(ends[i][1], nxt))
-        start = ends[0][0]
-        return ClosedWalk(start, tuple(steps))
-
     pairs = []
-    for cycle, w in b.pairs:
-        lw = lift_walk(w)
-        walk_vertices(g, lw)
+    for _, w in b.pairs:
+        # contract() names each class by its least vertex, so an empty walk
+        # stays where it was
+        lw = splice_tree_paths(tree, w.steps, w.start)
         pairs.append((BinaryCycle(walk_support(lw)), lw))
     group = gains.group
     new_gains = dict(gains.gains)

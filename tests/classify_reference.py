@@ -12,14 +12,23 @@ graph of the edges present, its least spanning forest and a rooting of it,
 as the library once did; ``gainbalance.minors.lift_basis_deletion`` keeps one
 forest and must give the same basis and gains.
 
-``reference_circle_goodness`` is ``circle_goodness`` with both references in
-place of the library's pass and lift.
+``reference_lift_witness`` transports a bad witness the way the library
+first did: delete down to the model, contract the branch forest, relabel the
+witness onto the contraction and lift it back with ``lift_basis_contraction``,
+then restore the deleted edges.  ``gainbalance.classify.lift_witness`` walks
+the model on the host without contracting and must give the same witness.
+It restores edges through ``classify.lift_basis_deletion``, so a patch of
+that name reaches it too.
+
+``reference_circle_goodness`` is ``circle_goodness`` with the three
+references in place of the library's pass, deletion lift and transport.
 
 ``reference_binary_cycle_goodness`` is the binary classifier as first
-written: search for a loop-vertex minor, rebuild its witness and lift it by
-deleting, contracting the branch forest and lifting back.
-``gainbalance.classify.binary_cycle_goodness`` builds the witness on the host
-directly and must give the same verdict, byte for byte.
+written: search for a loop-vertex minor, rebuild its witness and transport
+it with ``reference_lift_witness``.
+``gainbalance.classify.binary_cycle_goodness`` takes the model of a short
+circle and the cached loop-vertex witness, and must give the same verdict,
+byte for byte.
 """
 
 from unittest import mock
@@ -33,14 +42,14 @@ from gainbalance.classify import (
     RULE_FOREST,
     RULE_UNKNOWN,
     UNKNOWN,
+    BadWitness,
     Verdict,
     bad_witness,
-    lift_witness,
     structural_decomposition,
 )
 from gainbalance.cyclespace import BinaryCycle, OrientedBasis, cycle_space_dimension
 from gainbalance.errors import GraphError
-from gainbalance.gaingraph import GainAssignment
+from gainbalance.gaingraph import GainAssignment, GainGraph, gain_graph
 from gainbalance.graphcore import (
     LOOP_VERTEX,
     ClosedWalk,
@@ -55,7 +64,7 @@ from gainbalance.graphcore import (
     walk_support,
 )
 from gainbalance.groups import class_flags
-from gainbalance.minors import contract, delete, has_minor
+from gainbalance.minors import branch_forest, contract, delete, has_minor, lift_basis_contraction
 
 
 def reference_minimal_bad_block(block):
@@ -108,10 +117,36 @@ def reference_lift_basis_deletion(g, s, b, gains):
     return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
 
 
+def reference_lift_witness(host, mw, w):
+    forest = branch_forest(host, mw.branch_sets)
+    s = set(host.edge_list) - set(mw.edge_map.values()) - forest
+    g1 = delete(host, s)
+    g2, vmap = contract(g1, forest)
+    location = {v: t for t, vs in mw.branch_sets.items() for v in vs}
+    tv_to_g2 = {location[v]: vmap[v] for v in location}
+    tgraph, group = w.gain_graph.graph, w.gain_graph.group
+    flip = {te: g2.ends(he)[0] != tv_to_g2[tgraph.ends(te)[0]] for te, he in mw.edge_map.items()}
+    gains_g2 = {}
+    for te, he in mw.edge_map.items():
+        x = w.gain_graph.assignment.gains[te]
+        gains_g2[he] = group.inverse(x) if flip[te] else x
+    gg2 = gain_graph(g2, group, gains_g2)
+    pairs = []
+    for cyc, walk in w.basis.pairs:
+        steps = tuple(DirectedEdge(mw.edge_map[st.edge], st.forward ^ flip[st.edge]) for st in walk.steps)
+        pairs.append((BinaryCycle(frozenset(mw.edge_map[e] for e in cyc.support)), ClosedWalk(tv_to_g2[walk.start], steps)))
+    ob1, ga1 = lift_basis_contraction(g1, forest, OrientedBasis(tuple(pairs), g2), gg2.assignment)
+    ob0, ga0 = classify.lift_basis_deletion(host, s, ob1, ga1)
+    lifted = BadWitness(GainGraph(host, ga0), ob0, w.test)
+    if not lifted.verify():
+        raise GraphError("lifted witness failed verification")
+    return lifted
+
+
 def reference_circle_goodness(g, c):
     with mock.patch.object(classify, "_minimal_bad_block", reference_minimal_bad_block), mock.patch.object(
         classify, "lift_basis_deletion", reference_lift_basis_deletion
-    ):
+    ), mock.patch.object(classify, "lift_witness", reference_lift_witness):
         return classify.circle_goodness(g, c)
 
 
@@ -124,7 +159,7 @@ def reference_binary_cycle_goodness(g, c):
         mw = has_minor(g, build_named(NamedGraphSpec(LOOP_VERTEX)))
         if mw is None:
             raise GraphError("graph with cycles lacks a loop-vertex minor")
-        return Verdict(BAD, RULE_BINARY_ODD, lift_witness(g, mw, bad_witness(NamedGraphSpec(LOOP_VERTEX), k)))
+        return Verdict(BAD, RULE_BINARY_ODD, reference_lift_witness(g, mw, bad_witness(NamedGraphSpec(LOOP_VERTEX), k)))
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
     return Verdict(UNKNOWN, RULE_UNKNOWN)

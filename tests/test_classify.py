@@ -23,7 +23,6 @@ from gainbalance.classify import (
     circle_goodness,
     lift_witness,
     oracle_circle_goodness,
-    oracle_spanning_balanced_sets,
     structural_decomposition,
 )
 from gainbalance.cyclespace import (
@@ -45,12 +44,17 @@ from gainbalance.graphcore import (
     parse_graph_spec,
     spanning_forest,
 )
-from gainbalance.groups import ALL, EXPLICIT, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
+from gainbalance.groups import ALL, EXPLICIT, CyclicProduct, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from conftest import named, triangle
 from test_minors import _extrusion_chain
 from oracle_reference import reference_spanning_assignments, reference_witness_json
-from classify_reference import reference_binary_cycle_goodness, reference_circle_goodness, reference_minimal_bad_minor
+from classify_reference import (
+    reference_binary_cycle_goodness,
+    reference_circle_goodness,
+    reference_lift_witness,
+    reference_minimal_bad_minor,
+)
 
 
 Z3 = cyclic(3)
@@ -391,8 +395,8 @@ def _random_multigraph(rng):
 
 
 def test_binary_witness_matches_the_lifted_minor_witness():
-    # the witness built on the host is the loop-vertex witness of the minor
-    # search lifted through the contraction, byte for byte
+    # the witness carried along a short circle is the loop-vertex witness of
+    # the minor search lifted through the contraction, byte for byte
     rng = random.Random(16)
     hosts = [_random_multigraph(rng) for _ in range(300)]
     assert any(g.is_loop(e) for g in hosts for e in g.edge_list)
@@ -410,13 +414,37 @@ def test_binary_witness_matches_the_lifted_minor_witness():
 
 def test_binary_witness_takes_no_minor_search_or_contraction(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the binary witness is built on the host")
+        raise AssertionError("the binary witness is carried along a short circle")
 
-    for module, name in [(minors, "has_minor"), (classify, "bad_witness"), (classify, "contract"), (classify, "lift_basis_contraction")]:
+    for module, name in [(minors, "has_minor"), (classify, "contract"), (minors, "lift_basis_contraction")]:
         monkeypatch.setattr(module, name, refuse)
-    for tag in ("K1loop", "mK2(3)", "W4", "Grid(6,6)"):
-        v = binary_cycle_goodness(named(tag), CZ3)
-        assert v.status == BAD and v.evidence.verify()
+    # the loop-vertex witness of each order is built once per process
+    for c in BINARY_CLASSES[:3]:
+        misses = None
+        for tag in ("K1loop", "mK2(3)", "W4", "Grid(6,6)"):
+            v = binary_cycle_goodness(named(tag), c)
+            assert v.status == BAD and v.evidence.verify()
+            misses = bad_witness.cache_info().misses if misses is None else misses
+            assert bad_witness.cache_info().misses == misses
+
+
+def test_lift_witness_matches_the_contracting_reference_on_searched_models():
+    # circle verdicts take their models from minimization; has_minor grows
+    # branch sets of several vertices and maps edges against their
+    # orientation, and the transport must still equal the lift through the
+    # contraction of the branch forest
+    rng = random.Random(17)
+    tags = ("C3(3,3,2)", "2C4", "K4dd", "W4")
+    models = [(_extrusion_chain(rng, tag, steps), tag) for tag in tags for steps in (1, 1, 1, 2, 2, 2)]
+    models += [(named("W5"), "W4"), (named("2C5"), "2C4")]
+    widest = reversed_edges = 0
+    for g, tag in models:
+        target, witness = named(tag), bad_witness(parse_graph_spec(tag))
+        mw = has_minor(g, target)
+        assert lift_witness(g, mw, witness).to_json() == reference_lift_witness(g, mw, witness).to_json(), sorted(g.edges.items())
+        widest = max(widest, *map(len, mw.branch_sets.values()))
+        reversed_edges += sum(g.ends(he)[0] not in mw.branch_sets[target.ends(te)[0]] for te, he in mw.edge_map.items())
+    assert widest >= 2 and reversed_edges > 0
 
 
 def test_bad_witness_is_built_once_and_stays_verified():
@@ -462,7 +490,7 @@ def test_oracle_2c4_bad_odd_sequence_resolution():
         frozenset({f"f{i}"} | {f"e{j}" for j in range(1, 5) if j != i}) for i in range(1, 5)
     }
     seen_any = False
-    for gains, subset in oracle_spanning_balanced_sets(g, Z3):
+    for gains, subset, _ in reference_spanning_assignments(g, Z3):
         seen_any = True
         supports = {frozenset(c.support) for c in subset}
         assert not weight_one_family <= supports
@@ -493,16 +521,14 @@ def test_oracle_budget_and_bounds():
         oracle_circle_goodness(named("W4"), free_on("a"))
 
 
-def test_oracle_spanning_sets_share_the_bounds():
+def test_oracle_bounds_raise_before_any_assignment():
     # 5^10 assignments past the edge bound, 5^9 x 45 cells past the budget:
-    # both raise when called, before any assignment is tried
+    # both raise before any assignment is tried
     for tag in ("mK2(11)", "mK2(10)"):
         start = time.perf_counter()
         with pytest.raises(BudgetError):
-            oracle_spanning_balanced_sets(named(tag), cyclic(5))
+            oracle_circle_goodness(named(tag), cyclic(5))
         assert time.perf_counter() - start < 1.0
-    with pytest.raises(GraphError):
-        oracle_spanning_balanced_sets(named("W4"), free_on("a"))
 
 
 def test_oracle_sym3():
@@ -513,11 +539,29 @@ def test_oracle_sym3():
     assert w is not None and w.verify()
 
 
+def _tried(grp, dim):
+    """Whether the oracle tries an assignment, given its chord element
+    indices: over a single Z_n the indices of ``_orbit_ranges``, otherwise
+    every one."""
+    if not isinstance(grp, CyclicProduct) or len(grp.moduli) > 1:
+        return lambda digits: True
+    ranges = list(classify._orbit_ranges(grp.order(), dim))
+    index = lambda digits: functools.reduce(lambda j, d: j * grp.order() + d, digits, 0)
+    return lambda digits: any(start <= index(digits) < stop for start, stop in ranges)
+
+
 def _compare_with_reference(g, grp) -> int:
-    """Assert the oracle's spanning sets and first witness equal the
-    per-assignment reference's; return the number of spanning assignments."""
-    expected = list(reference_spanning_assignments(g, grp))
-    assert list(oracle_spanning_balanced_sets(g, grp)) == [(gains, subset) for gains, subset, _ in expected]
+    """Assert the oracle's spanning sets, over the indices it tries, and its
+    first witness equal the per-assignment reference's; return the number of
+    spanning assignments the oracle yields."""
+    elements = grp.elements()
+    tried = _tried(grp, cycle_space_dimension(g))
+    expected = [
+        (gains, subset)
+        for gains, subset, _ in reference_spanning_assignments(g, grp)
+        if tried([elements.index(x) for x in gains.values()])
+    ]
+    assert list(classify._spanning_assignments(g, grp, classify._oracle_circles(g, grp))) == expected
     good, w = oracle_circle_goodness(g, grp)
     assert good == (not expected)
     assert (None if w is None else w.to_json()) == reference_witness_json(g, grp)
@@ -550,7 +594,7 @@ def test_oracle_matches_reference_on_bad_and_multi_block_hosts():
 def test_oracle_unit_orbits_match_reference_on_composite_and_prime_moduli(n):
     # over Z4, Z6 and Z9 a unit orbit's least index may lead with a proper
     # divisor of n (2, 3) instead of 1; the verdict, the witness JSON and the
-    # every-assignment spanning sequence must equal the reference's
+    # spanning sequence over the tried indices must equal the reference's
     grp = cyclic(n)
     for g in inseparable_multigraphs(7):
         assert _compare_with_reference(g, grp) == 0
@@ -586,15 +630,19 @@ def test_kernel_blocks_never_exceed_oracle_block(monkeypatch):
             yield block
 
     monkeypatch.setattr(classify, "_index_blocks", recorded)
-    # mK2(8) over Z5: (5^7 - 1) / 4 orbit minima, 5^7 - 1 assignments in all;
-    # mK2(2) over Z20000: the 29 proper divisors of 20000, then all 19999
-    for tag, grp, tried, every in (("mK2(8)", cyclic(5), 19531, 78124), ("mK2(2)", cyclic(20000), 29, 19999)):
-        for run, expected in ((lambda: oracle_circle_goodness(named(tag), grp), tried),
-                              (lambda: list(oracle_spanning_balanced_sets(named(tag), grp)), every)):
-            widths.clear()
-            run()
-            assert sum(widths) == expected and max(widths) <= ORACLE_BLOCK
-            assert len(widths) == -(-expected // ORACLE_BLOCK)  # full blocks but the last
+    # unit orbit minima over a single Z_n: (5^7 - 1) / 4 for mK2(8) over Z5,
+    # the 29 proper divisors of 20000 for mK2(2) over Z20000; every index over
+    # a product: 6^5 - 1 for mK2(6) over Z2xZ3, 19999 for mK2(2) over Z20000xZ1
+    for tag, grp, tried, width in (
+        ("mK2(8)", cyclic(5), 19531, 5),
+        ("mK2(2)", cyclic(20000), 29, 1),
+        ("mK2(6)", abelian_product(2, 3), 7775, 2),
+        ("mK2(2)", abelian_product(20000, 1), 19999, 5),
+    ):
+        widths.clear()
+        assert oracle_circle_goodness(named(tag), grp)[0]
+        assert sum(widths) == tried and max(widths) <= ORACLE_BLOCK
+        assert len(widths) == width == -(-tried // ORACLE_BLOCK)  # full blocks but the last
 
 
 def test_span_matmul_matches_gf2_extraction():
@@ -624,11 +672,11 @@ def test_span_matmul_matches_gf2_extraction():
 
 
 def test_residue_kernel_stays_exact_past_float32():
-    # mK2(2) over Z(2^25): one circle, so every index j balances it iff
-    # j = 0 mod 2^25; in float32, j = 2^25 - 1 would round to 2^25
-    big = cyclic(1 << 25)
-    assert list(oracle_spanning_balanced_sets(named("mK2(2)"), big)) == []
-    assert oracle_circle_goodness(named("mK2(2)"), big) == (True, None)
+    # mK2(2) over Z(2^25) x Z1: one circle, so index j balances it iff
+    # j = 0 mod 2^25, and over a product every index is tried; in float32,
+    # j = 2^25 - 1 would round to 2^25
+    assert oracle_circle_goodness(named("mK2(2)"), abelian_product(1 << 25, 1)) == (True, None)
+    assert oracle_circle_goodness(named("mK2(2)"), cyclic(1 << 25)) == (True, None)
 
 
 def test_oracle_matches_reference_over_sym3():
@@ -649,7 +697,7 @@ def test_w4_basis_taxonomy_smoke():
     w4 = named("W4")
     hams = {frozenset(c.support) for c in enumerate_circles(w4) if len(c.support) == 5}
     seen = 0
-    for gains, subset in oracle_spanning_balanced_sets(w4, Z3):
+    for gains, subset, _ in reference_spanning_assignments(w4, Z3):
         seen += 1
         assert {frozenset(c.support) for c in subset} == hams
     assert seen == 2  # the generator and its inverse

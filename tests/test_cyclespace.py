@@ -4,6 +4,7 @@ import random
 import pytest
 
 from gainbalance.cyclespace import (
+    CIRCLE_ENUMERATION_MAX_EDGES,
     BinaryCycle,
     CycleBasis,
     binary_cycle,
@@ -116,8 +117,10 @@ def test_enumerated_circles_are_canonical_and_complete():
 
 
 def test_enumerate_budget():
+    g = named("Grid(3,4)")
+    assert len(g.edge_list) == 31 > CIRCLE_ENUMERATION_MAX_EDGES
     with pytest.raises(BudgetError):
-        enumerate_circles(named("Grid(3,3)"), max_edges=12)
+        enumerate_circles(g)
 
 
 def random_graph(rng: random.Random, simple: bool) -> Graph:

@@ -450,7 +450,7 @@ def test_bad_gain_tokens_raise_with_their_line(header, token):
     assert err.value.line == 4
 
 
-@pytest.mark.parametrize("header", ["S 0", "Z", "Z 3 x", "Q 3", ""])
+@pytest.mark.parametrize("header", ["S 0", "Z", "Z 3 x", "Q 3", "", "Z 0", "Z 3 x Z 0"])
 def test_bad_group_headers_raise_with_their_line(header):
     with pytest.raises(ParseError, match=f"^line 2: (unknown group header {header!r}|empty group header)$") as err:
         parse_gain_text(f"# c\ngroup {header}\n", triangle())
