@@ -65,6 +65,7 @@ from .balancetests import binary_cycle_test, circle_orientation
 from .cyclespace import (
     BinaryCycle,
     OrientedBasis,
+    _checked_walk,
     _edge_index,
     _mask,
     cycle_space_dimension,
@@ -142,7 +143,15 @@ class BadWitness:
     test: str  # BINARY_TEST or CIRCLE_TEST
 
     def verify(self) -> bool:
+        """True iff every basis walk is a closed walk of the graph projecting
+        to its member, the basis passes the stated test, and the gain graph
+        is unbalanced."""
         gg = self.gain_graph
+        try:
+            for i, (c, w) in enumerate(self.basis.pairs):
+                _checked_walk(gg.graph, i, c.support, w)
+        except GraphError:
+            return False
         ob = circle_orientation(gg.graph, self.basis.cycles) if self.test == CIRCLE_TEST else self.basis
         return binary_cycle_test(gg, ob) and not is_balanced(gg).balanced
 

@@ -13,6 +13,8 @@ links between the components of a cyclic orientation follow the paths of
 Basis text format: one line per member listing its edge identifiers; an
 optional following ``walk:`` line attaches a cyclic orientation as signed
 edge identifiers (``walk: e3 -e7 e3``); a trivial walk is ``walk: @ v``.
+A member line is checked against the host's edges with one set comparison;
+only a line that fails it is scanned for its first unknown identifier.
 """
 
 from __future__ import annotations
@@ -115,27 +117,42 @@ def binary_cycle(g: Graph, edges: Iterable[str]) -> BinaryCycle:
 def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
     """The canonical walk of ``support`` when it is a circle (a single loop,
     or connected and 2-regular), else None."""
-    adj: dict[str, list[tuple[str, str, bool]]] = {}
+    ends = g.edges
+    adj: dict[str, list[str]] = {}
     for e in support:
-        t, h = g.ends(e)
+        try:
+            t, h = ends[e]
+        except KeyError:
+            raise GraphError(f"unknown edge {e!r}") from None
         if t == h:
             return ClosedWalk(t, (DirectedEdge(e, True),)) if len(support) == 1 else None
-        adj.setdefault(t, []).append((e, h, True))
-        adj.setdefault(h, []).append((e, t, False))
-    if not adj or any(len(pairs) != 2 for pairs in adj.values()):
+        adj.setdefault(t, []).append(e)
+        adj.setdefault(h, []).append(e)
+    if set(map(len, adj.values())) != {2}:
         return None
     # leaving the least vertex by its lesser edge gives the lexicographically
     # least edge sequence: the other direction starts with the greater edge
     start = min(adj)
-    e, at, forward = min(adj[start])
-    steps = [DirectedEdge(e, forward)]
-    while at != start:
+    at, e = start, min(adj[start])
+    steps = []
+    while True:
+        t, h = ends[e]
+        if t == at:
+            steps.append((e, True))
+            at = h
+        else:
+            steps.append((e, False))
+            at = t
+        if at == start:
+            break
         first, second = adj[at]
-        e, at, forward = second if first[0] == e else first
-        steps.append(DirectedEdge(e, forward))
+        e = second if first == e else first
     # on a 2-regular support the walk closes after one component, so the
     # support is connected exactly when the walk uses all of it
-    return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
+    if len(steps) != len(support):
+        return None
+    # tuple.__new__ makes each step without the named tuple's Python-level constructor
+    return ClosedWalk(start, tuple([tuple.__new__(DirectedEdge, s) for s in steps]))
 
 
 def circle_from_support(g: Graph, edges: Iterable[str]) -> Circle:
@@ -200,9 +217,10 @@ def is_cycle_basis(members: Sequence, g: Graph) -> bool:
     for m in members:
         mask = odd = 0
         for e in frozenset(getattr(m, "support", m)):
-            if e not in bits:
-                raise GraphError("basis member uses edges outside the host graph")
-            edge_bit, ends_bits = bits[e]
+            try:
+                edge_bit, ends_bits = bits[e]
+            except KeyError:
+                raise GraphError("basis member uses edges outside the host graph") from None
             mask |= edge_bit
             odd ^= ends_bits
         masks.append(mask)
@@ -410,7 +428,7 @@ def cyclic_orientations(b: BinaryCycle, g: Graph, budget: int = 4) -> list[Close
 def natural_orientation(b, g: Graph) -> ClosedWalk:
     """Canonical walk for a circle member, else the canonical linked Euler
     walk."""
-    support = frozenset(getattr(b, "support", b))
+    support = b if isinstance(b, frozenset) else frozenset(getattr(b, "support", b))
     walk = _circle_walk(g, support)
     if walk is not None:
         return walk
@@ -518,10 +536,11 @@ def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[Close
             walks[-1] = ClosedWalk(t if first.forward else h, tuple(steps))
         else:
             eids = line.split()
-            for eid in eids:
-                if eid not in g.edges:
-                    raise ParseError(f"unknown edge {eid!r}", line=lineno)
-            members.append(frozenset(eids))
+            support = frozenset(eids)
+            if not support <= g.edges.keys():
+                unknown = next(eid for eid in eids if eid not in g.edges)
+                raise ParseError(f"unknown edge {unknown!r}", line=lineno)
+            members.append(support)
             walks.append(None)
     return [(s, w if w is None else _checked_walk(g, i, s, w)) for i, (s, w) in enumerate(zip(members, walks))]
 

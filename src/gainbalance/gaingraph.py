@@ -24,6 +24,9 @@ lines; edges omitted default to the identity::
     group Z 3
     gain f12 1
     gain g12 2
+
+A file's elements are parsed once per distinct text: lines with the same
+element tokens share one parsed element.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ class GainGraph:
     assignment: GainAssignment
 
     def __post_init__(self):
-        missing = set(self.graph.edge_list) - set(self.assignment.gains)
-        extra = set(self.assignment.gains) - set(self.graph.edge_list)
-        if missing or extra:
+        if self.assignment.gains.keys() != self.graph.edges.keys():
+            missing = set(self.graph.edge_list) - set(self.assignment.gains)
+            extra = set(self.assignment.gains) - set(self.graph.edge_list)
             raise GraphError(f"gain assignment mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
 
     @property
@@ -85,11 +88,11 @@ class GainGraph:
         forest = spanning_forest(g)
         tree = RootedForest(g, forest)
         values, inverses = _solve_switching(tree, grp, gains)
-        ident, op = grp.identity(), grp.op
+        ident, op, ends = grp.identity(), grp.op, g.edges
         chord_gains = {}
         for e in g.edge_list:
             if e not in forest:
-                t, h = g.ends(e)
+                t, h = ends[e]
                 x = op(op(inverses[t], gains[e]), values[h])
                 if x != ident:
                     chord_gains[e] = x
@@ -190,12 +193,12 @@ def _solve_switching(tree: RootedForest, group: Group, gains: Mapping[str, tuple
     ``tree`` and f(tail)^-1 g(e) f(head) the identity on every forest edge,
     solved from parent to child."""
     g = tree.graph
-    op, inverse = group.op, group.inverse
+    op, inverse, ends = group.op, group.inverse, g.edges
     values = dict.fromkeys(g.vertex_list, group.identity())
     inverses = dict(values)
     for u, (e, v) in tree.up.items():
         x = gains[e]
-        if g.ends(e)[0] == v:  # e: v -> u, so f(u) = g(e)^-1 f(v)
+        if ends[e][0] == v:  # e: v -> u, so f(u) = g(e)^-1 f(v)
             values[u] = op(inverse(x), values[v])
             inverses[u] = op(inverses[v], x)
         else:  # e: u -> v, so f(u) = g(e) f(v)
@@ -234,9 +237,11 @@ def is_balanced(gg: GainGraph) -> BalanceResult:
 
 def parse_gain_text(text: str, g: Graph) -> GainGraph:
     """Read a gain file for ``g``; unlisted edges get the identity.  Each
-    element is validated once, by the group's ``parse_element``."""
+    distinct element text is parsed and validated once, by the group's
+    ``parse_element``."""
     group: Optional[Group] = None
     gains: dict[str, tuple] = {}
+    parsed: dict[tuple, tuple] = {}  # element by its tokens
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -257,7 +262,11 @@ def parse_gain_text(text: str, g: Graph) -> GainGraph:
                     raise ParseError(f"unknown edge {eid!r}")
                 if eid in gains:
                     raise ParseError(f"duplicate gain for {eid!r}")
-                gains[eid] = group.parse_element(parts[2:]) if parts[2:] else group.identity()
+                tokens = parts[2:]
+                key = tuple(tokens)
+                if key not in parsed:
+                    parsed[key] = group.parse_element(tokens) if tokens else group.identity()
+                gains[eid] = parsed[key]
             else:
                 raise ParseError(f"unrecognized declaration {line!r}")
         except ParseError as exc:

@@ -517,8 +517,9 @@ class RootedForest:
 
     def __init__(self, g: Graph, forest: Iterable[str]):
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
+        ends = g.edges
         for e in forest:
-            t, h = g.ends(e)
+            t, h = ends[e]
             adj[t].append((e, h))
             adj[h].append((e, t))
         up: dict[str, tuple[str, str]] = {}
@@ -541,7 +542,7 @@ class RootedForest:
     def path(self, a: str, b: str) -> list[DirectedEdge]:
         """Steps of the forest path from ``a`` to ``b``, found by climbing from
         both ends to the meeting vertex; raises if no such path exists."""
-        g, up, depth = self.graph, self.up, self.depth
+        ends, up, depth = self.graph.edges, self.up, self.depth
         head: list[DirectedEdge] = []
         tail: list[DirectedEdge] = []
         while a != b:
@@ -549,19 +550,19 @@ class RootedForest:
                 if a not in up:
                     raise GraphError(f"{a!r} and {b!r} lie in different forest components")
                 e, a_next = up[a]
-                head.append(DirectedEdge(e, g.ends(e)[0] == a))
+                head.append(DirectedEdge(e, ends[e][0] == a))
                 a = a_next
             else:
                 e, b_next = up[b]
-                tail.append(DirectedEdge(e, g.ends(e)[0] == b_next))
+                tail.append(DirectedEdge(e, ends[e][0] == b_next))
                 b = b_next
         return head + tail[::-1]
 
 
 def spanning_forest(g: Graph) -> frozenset:
     """Maximal forest picked greedily in edge-identifier order."""
-    sets = DisjointSets(g.vertex_list)
-    return frozenset(e for e in g.edge_list if sets.union(*g.ends(e)))
+    sets, ends = DisjointSets(g.vertex_list), g.edges
+    return frozenset(e for e in g.edge_list if sets.union(*ends[e]))
 
 
 def blocks(g: Graph) -> list[Graph]:

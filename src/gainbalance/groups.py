@@ -61,10 +61,16 @@ class CyclicProduct:
         return (0,) * len(self.moduli)
 
     def op(self, x: tuple, y: tuple) -> tuple:
-        return tuple([(a + b) % k for a, b, k in zip(x, y, self.moduli)])
+        moduli = self.moduli
+        if len(moduli) == 1:
+            return ((x[0] + y[0]) % moduli[0],)
+        return tuple([(a + b) % k for a, b, k in zip(x, y, moduli)])
 
     def inverse(self, x: tuple) -> tuple:
-        return tuple([-a % k for a, k in zip(x, self.moduli)])
+        moduli = self.moduli
+        if len(moduli) == 1:
+            return (-x[0] % moduli[0],)
+        return tuple([-a % k for a, k in zip(x, moduli)])
 
     def element(self, residues: Sequence[int]) -> tuple:
         if len(residues) != len(self.moduli):
@@ -283,32 +289,31 @@ def symmetric(n: int) -> Symmetric:
 
 def parse_group_header(text: str) -> Group:
     """Parse ``Z 3``, ``Z 2 x Z 3``, ``free a b c``, ``S 3`` (the part after
-    ``group``)."""
+    ``group``).  Orders are ASCII digits without a leading zero: ``\\d`` and
+    ``str.isdigit`` would also take the digits of other scripts."""
     parts = text.split()
     if not parts:
         raise ParseError("empty group header")
     if parts[0] == "free":
         return free_on(*parts[1:])
-    if re.fullmatch(r"S [1-9]\d*", " ".join(parts)):
+    if re.fullmatch(r"S [1-9][0-9]*", " ".join(parts)):
         return symmetric(int(parts[1]))
-    if not re.fullmatch(r"Z [1-9]\d*( x Z [1-9]\d*)*", " ".join(parts)):
+    if not re.fullmatch(r"Z [1-9][0-9]*( x Z [1-9][0-9]*)*", " ".join(parts)):
         raise ParseError(f"unknown group header {text!r}")
     return abelian_product(*[int(tok) for tok in parts if tok.isdigit()])
 
 
 def parse_group_spec(text: str) -> Group:
-    """Parse compact CLI specs: ``Z3``, ``Z2xZ3``, ``free:a,b``, ``S3``."""
+    """Parse compact CLI specs: ``Z3``, ``Z2xZ3``, ``free:a,b``, ``S3``, with
+    orders written as in :func:`parse_group_header`."""
     s = text.strip()
     if s.startswith("free:"):
         return free_on(*[t for t in s[5:].split(",") if t])
-    if re.fullmatch(r"S[1-9]\d*", s):
+    if re.fullmatch(r"S[1-9][0-9]*", s):
         return symmetric(int(s[1:]))
-    moduli = []
-    for part in s.split("x"):
-        if not part.startswith("Z") or not part[1:].isdigit():
-            raise ParseError(f"unknown group spec {text!r}")
-        moduli.append(int(part[1:]))
-    return abelian_product(*moduli)
+    if not re.fullmatch(r"Z[1-9][0-9]*(xZ[1-9][0-9]*)*", s):
+        raise ParseError(f"unknown group spec {text!r}")
+    return abelian_product(*[int(part[1:]) for part in s.split("x")])
 
 
 # -- group classes ----------------------------------------------------------

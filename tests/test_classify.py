@@ -26,6 +26,7 @@ from gainbalance.classify import (
     structural_decomposition,
 )
 from gainbalance.cyclespace import (
+    OrientedBasis,
     circle_from_support,
     cycle_space_dimension,
     enumerate_circles,
@@ -36,6 +37,7 @@ from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
 from gainbalance.errors import BudgetError, GraphError
 from gainbalance.gaingraph import gain_graph
 from gainbalance.graphcore import (
+    ClosedWalk,
     Graph,
     build_named,
     components,
@@ -43,6 +45,7 @@ from gainbalance.graphcore import (
     is_isomorphic,
     parse_graph_spec,
     spanning_forest,
+    walk_vertices,
 )
 from gainbalance.groups import ALL, EXPLICIT, CyclicProduct, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
@@ -452,6 +455,18 @@ def test_bad_witness_is_built_once_and_stays_verified():
         first = bad_witness(spec, order)
         assert bad_witness(spec, order) is first and first.verify()
         assert first == bad_witness.__wrapped__(spec, order)  # as a fresh build
+
+
+def test_bad_witness_verify_walks_its_basis():
+    # the binary test reads gains from chord steps alone, so a walk that is
+    # not a closed walk of the graph is caught only by walking it
+    w = binary_cycle_goodness(named("W4"), CZ3).evidence
+    (cycle, walk), *rest = w.basis.pairs
+    tampered = ClosedWalk(walk.start, walk.steps[::-1])
+    with pytest.raises(GraphError, match="does not continue from"):
+        walk_vertices(w.gain_graph.graph, tampered)
+    assert w.verify()
+    assert not BadWitness(w.gain_graph, OrientedBasis(((cycle, tampered), *rest), w.basis.host), w.test).verify()
 
 
 def test_forbidden_minor_constants_are_built_once(monkeypatch):

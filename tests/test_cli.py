@@ -360,6 +360,18 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["oracle", "2C4", "--group", "Z3", "--budget", "5"]) == 3
 
 
+def test_malformed_group_specs_exit_2(capsys):
+    # "\u00b2".isdigit() is True but int() rejects it: taken by pattern, the spec is an input error, not a crash
+    assert run(["oracle", "W4", "--group", "Z\u00b2"]) == 2
+    assert run(["classify", "W4", "--class", "groups:Z\u00b2"]) == 2
+    assert run(["oracle", "W4", "--group", "Z0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: unknown group spec 'Z\u00b2'",
+        "input error: unknown group spec 'Z\u00b2'",
+        "input error: unknown group spec 'Z0'",
+    ]
+
+
 def test_oracle_budget_counts_the_element_list(capsys, monkeypatch):
     # S11 has 39.9 M elements, so one circle fits the assignment budget, but
     # listing the elements and their inverses would take gigabytes

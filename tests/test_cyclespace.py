@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gainbalance import cyclespace
 from gainbalance.cyclespace import (
     CIRCLE_ENUMERATION_MAX_EDGES,
     BinaryCycle,
@@ -22,12 +23,14 @@ from gainbalance.cyclespace import (
     natural_orientation,
     oriented_basis,
     parse_basis_text,
+    read_basis_text,
     theta_sum,
 )
-from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
-from gainbalance.errors import BudgetError, GraphError
+from gainbalance.enumeration import all_multigraphs, connected_multigraphs, inseparable_multigraphs, materialize
+from gainbalance.errors import BudgetError, GraphError, ParseError
 from gainbalance.graphcore import Graph, grid_faces, spanning_forest, walk_support, walk_vertices
 from conftest import named, triangle
+from cyclespace_reference import reference_circle_walk
 
 
 def subset_filter_circles(g):
@@ -76,6 +79,44 @@ def test_circle_from_support_rejects_disconnected_and_figure_eight():
     # two disjoint digons are 2-regular, like two disjoint triangles
     with pytest.raises(GraphError):
         circle_from_support(named("2C4"), {"e1", "f1", "e3", "f3"})
+
+
+def test_circle_walk_matches_reference_on_every_small_support():
+    # every edge subset of every connected multigraph up to 6 edges, loops and
+    # parallel edges included: the same walk, or None for a non-circle
+    supports = circles = 0
+    for g in (materialize(c) for level in connected_multigraphs(6) for c in level):
+        for r in range(len(g.edge_list) + 1):
+            for sub in itertools.combinations(g.edge_list, r):
+                support = frozenset(sub)
+                walk = cyclespace._circle_walk(g, support)
+                assert walk == reference_circle_walk(g, support), (sorted(g.edges.items()), sorted(support))
+                supports += 1
+                circles += walk is not None
+    assert (supports, circles) == (24621, 1324)
+
+
+def test_circle_walk_matches_reference_on_large_bases():
+    grid, w100 = named("Grid(30,30)"), named("W100")
+    faces = [frozenset(f) for f in grid_faces(30, 30)]
+    fundamental = [c.support for c in fundamental_circles(grid, spanning_forest(grid)).members]
+    hamiltonian = [
+        frozenset({f"s{i}", f"s{i % 100 + 1}"} | {f"r{k}" for k in range(1, 101) if k != i}) for i in range(1, 101)
+    ]
+    # faces[0], [1], [31] and [62] are the faces (0,0), (0,1), (1,1) and (2,2)
+    not_circles = [
+        faces[0] | faces[62],  # two disjoint faces
+        faces[0] | faces[1],  # a theta: two faces sharing an edge
+        faces[0] | faces[31],  # a figure eight: two faces sharing a corner
+        frozenset({"h0_0", "v0_1", "h1_1"}),  # a path
+    ]
+    for g, supports in ((grid, faces), (grid, fundamental), (w100, hamiltonian)):
+        walks = [cyclespace._circle_walk(g, s) for s in supports]
+        assert walks == [reference_circle_walk(g, s) for s in supports] and None not in walks
+    assert [cyclespace._circle_walk(grid, s) for s in not_circles] == [None] * 4
+    assert [reference_circle_walk(grid, s) for s in not_circles] == [None] * 4
+    with pytest.raises(GraphError, match="^unknown edge 'nope'$"):
+        circle_from_support(grid, {"h0_0", "nope"})
 
 
 @pytest.mark.parametrize(
@@ -455,3 +496,12 @@ def test_basis_text_custom_walk(w4):
     ob = parse_basis_text(text, w4)
     assert ob.pairs[0][1].start == "w"
     assert is_cycle_basis(ob.cycles, w4) is False  # one member in dimension four
+
+
+def test_basis_line_names_its_first_unknown_edge():
+    g = named("Grid(3,3)")
+    text = "h0_0 h1_0 v0_0 v0_1\n# a comment\nh0_1 zz h1_1 v0_1 aa v0_2\n"
+    with pytest.raises(ParseError, match="^line 3: unknown edge 'zz'$"):
+        read_basis_text(text, g)
+    with pytest.raises(ParseError, match="^line 3: unknown edge 'zz'$"):
+        parse_basis_text(text, g)

@@ -450,7 +450,16 @@ def test_bad_gain_tokens_raise_with_their_line(header, token):
     assert err.value.line == 4
 
 
-@pytest.mark.parametrize("header", ["S 0", "Z", "Z 3 x", "Q 3", "", "Z 0", "Z 3 x Z 0"])
+def test_bad_element_after_repeated_good_ones_keeps_its_message():
+    # each distinct element text is parsed once; an error still names its line and tokens
+    text = "group Z 3\ngain e1 1\ngain e2 1\ngain e3 x\n"
+    with pytest.raises(ParseError, match=r"^line 4: bad residues \['x'\]$"):
+        parse_gain_text(text, triangle())
+    gains = parse_gain_text(text.replace("x", "1"), triangle()).assignment.gains
+    assert gains == {"e1": (1,), "e2": (1,), "e3": (1,)}
+
+
+@pytest.mark.parametrize("header", ["S 0", "Z", "Z 3 x", "Q 3", "", "Z 0", "Z 3 x Z 0", "Z 1\u0663", "S 1\u0663"])
 def test_bad_group_headers_raise_with_their_line(header):
     with pytest.raises(ParseError, match=f"^line 2: (unknown group header {header!r}|empty group header)$") as err:
         parse_gain_text(f"# c\ngroup {header}\n", triangle())

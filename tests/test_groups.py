@@ -181,7 +181,9 @@ def test_group_spec_parsing():
     assert parse_group_spec("Z2xZ2") == abelian_product(2, 2)
     assert parse_group_spec("S3") == symmetric(3)
     assert parse_group_spec("S12") == symmetric(12)
-    for bad in ("D4", "S0", "Sx", "S", "S03", "S-3"):
+    assert parse_group_spec("Z2xZ3xZ12") == abelian_product(2, 3, 12)
+    # orders in ASCII digits without a leading zero, as the gain-file header takes them
+    for bad in ("D4", "S0", "Sx", "S", "S03", "S-3", "S1\u0663", "Z0", "Z03", "Z\u00b2", "Z1\u0663", "Z2xZ0", "Z3x", "Z 3"):
         with pytest.raises(ParseError):
             parse_group_spec(bad)
 
