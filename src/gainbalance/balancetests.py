@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cyclespace import Circle, OrientedBasis, circle_from_support, is_cycle_basis
 from .errors import GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain, walk_product
-from .graphcore import Graph, spanning_forest, walk_int_vector
+from .graphcore import Graph, spanning_tree, walk_int_vector
 from .groups import cyclic
 
 
@@ -62,17 +62,16 @@ def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:
     return all(x == ident for x in basis_gains(gg, ob))
 
 
-def circle_orientation(g: Graph, members) -> OrientedBasis:
-    """Each member circle paired with its canonical walk; a member given by
-    its support is built with :func:`circle_from_support`, so a member that is
-    not a circle raises."""
-    circles = [m if isinstance(m, Circle) else circle_from_support(g, getattr(m, "support", m)) for m in members]
-    return OrientedBasis(tuple((c.cycle, c.walk) for c in circles), g)
+def circle_orientation(g: Graph, members: Iterable[Iterable[str]]) -> OrientedBasis:
+    """Each member, a set of edge ids, paired with its canonical circle walk
+    by :func:`circle_from_support`, so a member that is not a circle raises."""
+    circles = [circle_from_support(g, m) for m in members]
+    return OrientedBasis(tuple((c.support, c.walk) for c in circles), g)
 
 
-def circle_test(gg: GainGraph, basis) -> bool:
+def circle_test(gg: GainGraph, members: Iterable[Iterable[str]]) -> bool:
     """True iff every member circle's canonical walk has identity gain."""
-    return binary_cycle_test(gg, circle_orientation(gg.graph, basis.members))
+    return binary_cycle_test(gg, circle_orientation(gg.graph, members))
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -215,6 +214,7 @@ class UniversalAbelianReport:
     invariant_factors: tuple[int, ...]  # the nontrivial ones (> 1)
     queries: tuple[QueryReport, ...]
     _smith: SmithForm
+    _chords: tuple[str, ...]  # the columns of the Smith form's matrix
     _graph: Graph
     _basis: OrientedBasis
 
@@ -233,11 +233,6 @@ class UniversalAbelianReport:
                 {"support": sorted(q.support), "order": q.order} for q in self.queries
             ],
         }
-
-
-def _chords(g: Graph) -> tuple[str, ...]:
-    forest = spanning_forest(g)
-    return tuple(e for e in g.edge_list if e not in forest)
 
 
 def _query_coordinates(sf: SmithForm, chords: Sequence[str], z: Circle) -> list[int]:
@@ -267,12 +262,13 @@ def implies_balance_abelian(g: Graph, b: OrientedBasis, queries: Sequence[Circle
     """
     if not is_cycle_basis(b.cycles, g):
         raise GraphError("oriented cycles do not form a basis")
-    chords = _chords(g)
+    forest = spanning_tree(g).forest
+    chords = tuple(e for e in g.edge_list if e not in forest)
     sf = smith_normal_form([[vec.get(e, 0) for e in chords] for vec in map(walk_int_vector, b.walks)])
     out = [QueryReport(tuple(sorted(z.support)), _image_order(sf.diagonal, _query_coordinates(sf, chords, z)))
            for z in queries]
     factors = tuple(d for d in sf.invariant_factors if d > 1)
-    return UniversalAbelianReport(tuple(g.edge_list), sf.rank, factors, tuple(out), sf, g, b)
+    return UniversalAbelianReport(tuple(g.edge_list), sf.rank, factors, tuple(out), sf, chords, g, b)
 
 
 def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAssignment:
@@ -285,8 +281,7 @@ def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAs
     """
     if d <= 1:
         raise GraphError("witness group must be nontrivial")
-    sf = report._smith
-    chords = _chords(report._graph)
+    sf, chords = report._smith, report._chords
     y = [0] * len(chords)
     # the basis is square, so a zero diagonal entry d_j gives gcd d: y_j = 1
     for j, (dj, wj) in enumerate(zip(sf.diagonal, _query_coordinates(sf, chords, z))):

@@ -63,7 +63,6 @@ import numpy as np
 
 from .balancetests import binary_cycle_test, circle_orientation
 from .cyclespace import (
-    BinaryCycle,
     OrientedBasis,
     _checked_walk,
     _edge_index,
@@ -149,7 +148,7 @@ class BadWitness:
         gg = self.gain_graph
         try:
             for i, (c, w) in enumerate(self.basis.pairs):
-                _checked_walk(gg.graph, i, c.support, w)
+                _checked_walk(gg.graph, i, c, w)
         except GraphError:
             return False
         ob = circle_orientation(gg.graph, self.basis.cycles) if self.test == CIRCLE_TEST else self.basis
@@ -166,7 +165,7 @@ class BadWitness:
             },
             "basis": [
                 {
-                    "support": sorted(c.support),
+                    "support": sorted(c),
                     "walk": [("" if s.forward else "-") + s.edge for s in w.steps],
                     "start": w.start,
                 }
@@ -314,7 +313,7 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
         grp = cyclic(k)
         gg = gain_graph(g, grp, {"e": grp.element([1])})
         walk = ClosedWalk("v", (DirectedEdge("e", True),) * k)
-        ob = OrientedBasis(((BinaryCycle(frozenset({"e"})), walk),), g)
+        ob = OrientedBasis(((frozenset({"e"}), walk),), g)
         w = BadWitness(gg, ob, BINARY_TEST)
     elif fam == CIRCLE_MULTI and p == (3, 3, 2):
         g = build_named(spec)
@@ -425,7 +424,7 @@ def lift_witness(host: Graph, mw: MinorWitness, w: BadWitness) -> BadWitness:
     for _, walk in w.basis.pairs:
         steps = [DirectedEdge(mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps]
         spliced = splice_tree_paths(tree, steps, min(mw.branch_sets[walk.start]))
-        pairs.append((BinaryCycle(walk_support(spliced)), spliced))
+        pairs.append((walk_support(spliced), spliced))
     model = Graph({e: host.ends(e) for e in gains}, host.vertices)
     ob, ga = lift_basis_deletion(
         host, set(host.edge_list) - gains.keys(), OrientedBasis(tuple(pairs), model), GainAssignment(group, gains)
@@ -704,6 +703,13 @@ def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple
             yield dict(zip(chords, map(element, row))), [circles[i] for i in np.flatnonzero(column)]
 
 
+def check_oracle_edges(m: int) -> None:
+    """Raise ``BudgetError`` when a host of ``m`` edges is past the oracle's
+    edge bound."""
+    if m > ORACLE_MAX_EDGES:
+        raise BudgetError(f"oracle edge bound exceeded ({m} > {ORACLE_MAX_EDGES})")
+
+
 def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     """The circles of ``g`` that the oracle tests, or [] when every
     switching-reduced assignment is trivial; raises ``BudgetError`` past the
@@ -711,8 +717,7 @@ def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     circles, plus, for a group the walk kernel serves, the 2|G| elements and
     inverses it lists times the length of an element, so that the budget
     bounds that list too."""
-    if len(g.edge_list) > ORACLE_MAX_EDGES:
-        raise BudgetError(f"oracle edge bound exceeded ({len(g.edge_list)} > {ORACLE_MAX_EDGES})")
+    check_oracle_edges(len(g.edge_list))
     order = grp.order()
     if order is None:
         raise GraphError("oracle needs a finite gain group")

@@ -91,7 +91,7 @@ def _cmd_basis_test(args) -> int:
     report = {
         "passes": passes,
         "balanced": balanced,
-        "members": [{"support": sorted(c.support), "gain": gg.group.format_element(x)} for c, x in zip(ob.cycles, gains)],
+        "members": [{"support": sorted(c), "gain": gg.group.format_element(x)} for c, x in zip(ob.cycles, gains)],
     }
     test, oriented = ("circle test", "basis") if circle else ("binary cycle test", "basis orientation")
     lines = [f"{test}: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
@@ -159,7 +159,7 @@ def _cmd_oracle(args) -> int:
     lines = [f"good for {grp}: {good}"]
     if witness is not None:
         report["counterexample"] = witness.to_json()
-        lines.append("counterexample basis: " + "; ".join(" ".join(sorted(c.support)) for c, _ in witness.basis.pairs))
+        lines.append("counterexample basis: " + "; ".join(" ".join(sorted(c)) for c in witness.basis.cycles))
     _emit(report, args.json, lines)
     return 0
 
@@ -170,6 +170,9 @@ def _cmd_atlas(args) -> int:
     grp = parse_group_spec(args.group)
     c = parse_class_spec(f"groups:{args.group}")
     budget = cls.ORACLE_BUDGET if args.budget is None else args.budget
+    # past the bound the run could only end at its first graph with too many
+    # edges, after enumerating every smaller one
+    cls.check_oracle_edges(args.max_edges)
     rows = []
     for g in inseparable_multigraphs(args.max_edges):
         verdict = cls.circle_goodness(g, c)

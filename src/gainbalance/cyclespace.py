@@ -1,18 +1,23 @@
 """GF(2) cycle-space algebra: binary cycles, circles, bases, orientations.
 
 A binary cycle is an edge set meeting every vertex in even degree; a circle
-is the edge set of a nontrivial simple closed walk.  Bases here are ordered
-sequences; all GF(2) linear algebra pivots in edge-identifier order so
-results are deterministic.
+is the edge set of a nontrivial simple closed walk.  A basis is an ordered
+sequence of members, and a member is the frozenset of its edge identifiers:
+functions here take any iterable of edge ids per member and freeze it once,
+and a caller holding circles passes their supports.  All GF(2) linear
+algebra pivots in edge-identifier order so results are deterministic.
 
 A 2-regular support is a circle exactly when its canonical walk uses every
 edge, so no separate connectivity search is made.  Fundamental circles and the
 links between the components of a cyclic orientation follow the paths of
-:class:`graphcore.RootedForest`.
+:class:`graphcore.RootedForest`; the links use the graph's one spanning tree
+(:func:`graphcore.spanning_tree`), so orienting a basis builds it at most
+once.
 
 Basis text format: one line per member listing its edge identifiers; an
 optional following ``walk:`` line attaches a cyclic orientation as signed
-edge identifiers (``walk: e3 -e7 e3``); a trivial walk is ``walk: @ v``.
+edge identifiers (``walk: e3 -e7 e3``, one leading ``-`` reversing a step);
+a trivial walk is ``walk: @ v``.
 A member line is checked against the host's edges with one set comparison;
 only a line that fails it is scanned for its first unknown identifier.
 """
@@ -31,25 +36,12 @@ from .graphcore import (
     RootedForest,
     components,
     edge_components,
-    spanning_forest,
+    spanning_tree,
     walk_support,
     walk_vertices,
 )
 
 CIRCLE_ENUMERATION_MAX_EDGES = 24  # most host edges enumerate_circles takes
-
-
-@dataclass(frozen=True)
-class BinaryCycle:
-    """An element of the binary cycle space, by its support edge set."""
-
-    support: frozenset
-
-    def __iter__(self):
-        return iter(self.support)
-
-    def __len__(self):
-        return len(self.support)
 
 
 @dataclass(frozen=True)
@@ -60,20 +52,8 @@ class Circle:
     support: frozenset
     walk: ClosedWalk
 
-    @property
-    def cycle(self) -> BinaryCycle:
-        return BinaryCycle(self.support)
-
     def __len__(self):
         return len(self.support)
-
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """An ordered basis of the binary cycle space of ``host``."""
-
-    members: tuple
-    host: Graph
 
 
 @dataclass(frozen=True)
@@ -81,7 +61,7 @@ class OrientedBasis:
     """Basis members paired with cyclic orientations (closed walks whose
     mod-2 edge counts reproduce the member)."""
 
-    pairs: tuple  # of (BinaryCycle, ClosedWalk)
+    pairs: tuple  # of (frozenset of edge ids, ClosedWalk)
     host: Graph
 
     @property
@@ -97,9 +77,8 @@ def cycle_space_dimension(g: Graph) -> int:
     return len(g.edge_list) - len(g.vertex_list) + len(components(g))
 
 
-def binary_cycle(g: Graph, edges: Iterable[str]) -> BinaryCycle:
-    """Validated constructor: every vertex must have even degree in the
-    support subgraph."""
+def binary_cycle(g: Graph, edges: Iterable[str]) -> frozenset:
+    """The edge set, checked to have even degree at every vertex."""
     support = frozenset(edges)
     deg: dict[str, int] = {}
     for e in support:
@@ -111,7 +90,7 @@ def binary_cycle(g: Graph, edges: Iterable[str]) -> BinaryCycle:
     odd = [v for v, d in deg.items() if d % 2]
     if odd:
         raise GraphError(f"support has odd degree at {sorted(odd)}")
-    return BinaryCycle(support)
+    return support
 
 
 def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
@@ -208,7 +187,7 @@ def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional
     return None
 
 
-def is_cycle_basis(members: Sequence, g: Graph) -> bool:
+def is_cycle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
     """True iff every member is a binary cycle (a loop meets its vertex twice)
     and the members are independent and span Z1(g; GF(2))."""
     vertex_bit = {v: 1 << i for i, v in enumerate(g.vertex_list)}
@@ -216,7 +195,7 @@ def is_cycle_basis(members: Sequence, g: Graph) -> bool:
     masks, even = [], True
     for m in members:
         mask = odd = 0
-        for e in frozenset(getattr(m, "support", m)):
+        for e in frozenset(m):
             try:
                 edge_bit, ends_bits = bits[e]
             except KeyError:
@@ -229,23 +208,22 @@ def is_cycle_basis(members: Sequence, g: Graph) -> bool:
     return even and len(masks) == dim and gf2_rank(masks) == dim
 
 
-def is_circle_basis(members: Sequence, g: Graph) -> bool:
+def is_circle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
     """True iff all members are circles and they form a cycle basis."""
-    for m in members:
-        support = frozenset(getattr(m, "support", m))
-        if _circle_walk(g, support) is None:
-            return False
-    return is_cycle_basis(members, g)
+    supports = [frozenset(m) for m in members]
+    if any(_circle_walk(g, s) is None for s in supports):
+        return False
+    return is_cycle_basis(supports, g)
 
 
 # -- fundamental systems ------------------------------------------------------
 
 
-def fundamental_circles(g: Graph, forest: frozenset) -> CycleBasis:
+def fundamental_circles(g: Graph, forest: frozenset) -> tuple[Circle, ...]:
     """One circle per non-forest edge: the unique circle in forest + e."""
     _check_forest(g, forest)
     tree = RootedForest(g, forest)
-    return CycleBasis(tuple(fundamental_circle(tree, e) for e in g.edge_list if e not in forest), g)
+    return tuple(fundamental_circle(tree, e) for e in g.edge_list if e not in forest)
 
 
 def fundamental_circle(tree: RootedForest, chord: str) -> Circle:
@@ -396,19 +374,21 @@ def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
     return walk
 
 
-def cyclic_orientations(b: BinaryCycle, g: Graph, budget: int = 4) -> list[ClosedWalk]:
-    """Closed walks projecting to ``b``: the canonical one first (per-component
-    Euler walks linked by out-and-back forest paths), then alternate direction
-    choices, up to ``budget`` walks."""
-    support = frozenset(b.support)
+def cyclic_orientations(b: Iterable[str], g: Graph, budget: int = 4) -> list[ClosedWalk]:
+    """Closed walks projecting to the binary cycle ``b``: the canonical one
+    first (per-component Euler walks linked by out-and-back paths of the
+    graph's spanning tree), then alternate direction choices, up to
+    ``budget`` walks."""
+    support = frozenset(b)
     if not support:
         return [ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())]
     comp_sets = [
         (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in edge_components(g, support)
     ]
-    tree = RootedForest(g, spanning_forest(g))
     base = comp_sets[0][0]
-    euler = [(tree.path(base, anchor), _euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
+    # one component needs no link, so only a split member reads the tree
+    links = [[]] if len(comp_sets) == 1 else [spanning_tree(g).path(base, anchor) for anchor, _ in comp_sets]
+    euler = [(go, _euler_walk(g, comp, anchor)) for go, (anchor, comp) in zip(links, comp_sets)]
 
     out = []
     n = len(euler)
@@ -425,10 +405,10 @@ def cyclic_orientations(b: BinaryCycle, g: Graph, budget: int = 4) -> list[Close
     return out
 
 
-def natural_orientation(b, g: Graph) -> ClosedWalk:
+def natural_orientation(b: Iterable[str], g: Graph) -> ClosedWalk:
     """Canonical walk for a circle member, else the canonical linked Euler
-    walk."""
-    support = b if isinstance(b, frozenset) else frozenset(getattr(b, "support", b))
+    walk; a member that is not a binary cycle raises."""
+    support = frozenset(b)
     walk = _circle_walk(g, support)
     if walk is not None:
         return walk
@@ -443,15 +423,11 @@ def _checked_walk(g: Graph, i: int, support: frozenset, w: ClosedWalk) -> Closed
     return w
 
 
-def oriented_basis(g: Graph, members: Sequence, walks: Optional[Sequence[ClosedWalk]] = None) -> OrientedBasis:
-    """Pair members with orientations: a given walk must project to its member;
-    a natural one does by construction (a member not a binary cycle raises)."""
-    pairs = []
-    for i, m in enumerate(members):
-        support = frozenset(getattr(m, "support", m))
-        w = walks[i] if walks is not None else None
-        pairs.append((BinaryCycle(support), natural_orientation(support, g) if w is None else _checked_walk(g, i, support, w)))
-    return OrientedBasis(tuple(pairs), g)
+def oriented_basis(g: Graph, members: Iterable[Iterable[str]]) -> OrientedBasis:
+    """Pair each member with its natural orientation (a member not a binary
+    cycle raises)."""
+    supports = map(frozenset, members)
+    return OrientedBasis(tuple((s, natural_orientation(s, g)) for s in supports), g)
 
 
 # -- theta sums, improper edges, digons --------------------------------------
@@ -477,21 +453,21 @@ def theta_sum(c1: Circle, c2: Circle, g: Graph) -> Optional[Circle]:
     return None if walk is None else Circle(summed, walk)
 
 
-def improper_edges(b: CycleBasis) -> frozenset:
+def improper_edges(members: Iterable[Iterable[str]]) -> frozenset:
     """Edges lying in exactly one member of the basis."""
     counts: dict[str, int] = {}
-    for m in b.members:
-        for e in getattr(m, "support", m):
+    for m in members:
+        for e in frozenset(m):
             counts[e] = counts.get(e, 0) + 1
     return frozenset(e for e, c in counts.items() if c == 1)
 
 
-def digon_condition(b: CycleBasis, d: Circle) -> bool:
+def digon_condition(members: Iterable[Iterable[str]], d: Circle) -> bool:
     """True iff the basis neither contains the digon nor two members summing
     to it."""
     if len(d.support) != 2:
         raise GraphError("digon condition requires a 2-edge circle")
-    supports = [frozenset(getattr(m, "support", m)) for m in b.members]
+    supports = [frozenset(m) for m in members]
     if d.support in supports:
         return False
     for i in range(len(supports)):
@@ -524,8 +500,8 @@ def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[Close
                 continue
             steps = []
             for tok in tokens:
-                fwd = not tok.startswith("-")
-                eid = tok.lstrip("-")
+                eid = tok.removeprefix("-")  # one sign only: "--e" names an edge "-e"
+                fwd = eid == tok
                 if eid not in g.edges:
                     raise ParseError(f"unknown edge {eid!r} in walk", line=lineno)
                 steps.append(DirectedEdge(eid, fwd))
@@ -549,7 +525,7 @@ def parse_basis_text(text: str, g: Graph) -> OrientedBasis:
     """A basis file's members, naturally oriented where no walk line is given."""
     try:
         pairs = read_basis_text(text, g)
-        return OrientedBasis(tuple((BinaryCycle(s), natural_orientation(s, g) if w is None else w) for s, w in pairs), g)
+        return OrientedBasis(tuple((s, natural_orientation(s, g) if w is None else w) for s, w in pairs), g)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -557,7 +533,7 @@ def parse_basis_text(text: str, g: Graph) -> OrientedBasis:
 def basis_to_text(ob: OrientedBasis) -> str:
     lines = []
     for cycle, walk in ob.pairs:
-        lines.append(" ".join(sorted(cycle.support)))
+        lines.append(" ".join(sorted(cycle)))
         if walk.is_trivial:
             lines.append(f"walk: @ {walk.start}")
         else:

@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 
 from .cyclespace import Circle, fundamental_circle
 from .errors import GraphError, ParseError
-from .graphcore import ClosedWalk, Graph, RootedForest, spanning_forest, walk_vertices
+from .graphcore import ClosedWalk, Graph, RootedForest, spanning_tree, walk_vertices
 from .groups import Group, parse_group_header
 
 
@@ -82,11 +82,11 @@ class GainGraph:
 
     @cached_property
     def forest_switching(self) -> ForestSwitching:
-        """The switching along ``spanning_forest(graph)``, computed on first
+        """The switching along the graph's spanning tree, computed on first
         use and kept: every walk gain and the balance decision read it."""
         g, grp, gains = self.graph, self.group, self.assignment.gains
-        forest = spanning_forest(g)
-        tree = RootedForest(g, forest)
+        tree = spanning_tree(g)
+        forest = tree.forest
         values, inverses = _solve_switching(tree, grp, gains)
         ident, op, ends = grp.identity(), grp.op, g.edges
         chord_gains = {}

@@ -51,7 +51,7 @@ class Graph:
     after construction; derived structure (adjacency, degrees) is cached.
     """
 
-    __slots__ = ("_edges", "_vertices", "vertex_list", "edge_list", "_adj", "_canon")
+    __slots__ = ("_edges", "_vertices", "vertex_list", "edge_list", "_adj", "_canon", "_tree")
 
     def __init__(self, edges: Mapping[str, tuple[str, str]], vertices: Iterable[str] = ()):
         edict = dict(edges)
@@ -72,6 +72,7 @@ class Graph:
         # entries were appended in edge-id order, so each tuple is sorted
         self._adj = {v: tuple(entries) for v, entries in adj.items()}
         self._canon = None
+        self._tree = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -400,30 +401,30 @@ def grid_faces(r: int, c: int) -> list[frozenset]:
 
 
 _SPEC_PATTERNS = (
-    (re.compile(r"^W(\d+)$"), lambda m: NamedGraphSpec(WHEEL, (int(m.group(1)),))),
-    (re.compile(r"^2C(\d+)$"), lambda m: NamedGraphSpec(DOUBLED_CIRCLE, (int(m.group(1)),))),
+    (re.compile(r"^W([0-9]+)$"), lambda m: NamedGraphSpec(WHEEL, (int(m.group(1)),))),
+    (re.compile(r"^2C([0-9]+)$"), lambda m: NamedGraphSpec(DOUBLED_CIRCLE, (int(m.group(1)),))),
     (re.compile(r"^K4dd$"), lambda m: NamedGraphSpec(K4_ADJACENT_DOUBLED)),
     (re.compile(r"^K1loop$"), lambda m: NamedGraphSpec(LOOP_VERTEX)),
-    (re.compile(r"^mK2\((\d+)\)$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
-    (re.compile(r"^(\d+)K2$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
+    (re.compile(r"^mK2\(([0-9]+)\)$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
+    (re.compile(r"^([0-9]+)K2$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
     (
-        re.compile(r"^C(\d+)\(([\d,]+)\)$"),
+        re.compile(r"^C([0-9]+)\(([0-9]+(?:,[0-9]+)*)\)$"),
         lambda m: NamedGraphSpec(CIRCLE_MULTI, tuple(int(x) for x in m.group(2).split(","))),
     ),
     (
-        re.compile(r"^C(\d+)-(\d+)$"),
+        re.compile(r"^C([0-9]+)-([0-9]+)$"),
         lambda m: NamedGraphSpec(CIRCLE_MULTI, tuple(int(d) for d in m.group(2))),
     ),
     (
-        re.compile(r"^K4\((\d+),(\d+)\)$"),
+        re.compile(r"^K4\(([0-9]+),([0-9]+)\)$"),
         lambda m: NamedGraphSpec(K4_OPPOSITE, (int(m.group(1)), int(m.group(2)))),
     ),
     (
-        re.compile(r"^Grid\((\d+),(\d+)\)$"),
+        re.compile(r"^Grid\(([0-9]+),([0-9]+)\)$"),
         lambda m: NamedGraphSpec(GRID, (int(m.group(1)), int(m.group(2)))),
     ),
     (
-        re.compile(r"^Fan\((\d+);([\d,]+)\)$"),
+        re.compile(r"^Fan\(([0-9]+);([0-9]+(?:,[0-9]+)*)\)$"),
         lambda m: NamedGraphSpec(TRIPARTITE_FAN, (int(m.group(1)),) + tuple(int(x) for x in m.group(2).split(","))),
     ),
 )
@@ -508,14 +509,16 @@ class DisjointSets:
 class RootedForest:
     """A forest of ``g`` rooted at the least vertex of each of its components.
 
-    ``up`` maps every non-root vertex to its parent edge and parent vertex, in
-    breadth-first order, so a parent always precedes its children; ``depth``
-    counts the edges from each vertex to its root.
+    ``forest`` is its edge set.  ``up`` maps every non-root vertex to its
+    parent edge and parent vertex, in breadth-first order, so a parent always
+    precedes its children; ``depth`` counts the edges from each vertex to its
+    root.
     """
 
-    __slots__ = ("graph", "up", "depth")
+    __slots__ = ("graph", "forest", "up", "depth")
 
     def __init__(self, g: Graph, forest: Iterable[str]):
+        forest = frozenset(forest)
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
         ends = g.edges
         for e in forest:
@@ -536,6 +539,7 @@ class RootedForest:
                         up[u] = (e, v)
                         queue.append(u)
         self.graph = g
+        self.forest = forest
         self.up = up
         self.depth = depth
 
@@ -563,6 +567,21 @@ def spanning_forest(g: Graph) -> frozenset:
     """Maximal forest picked greedily in edge-identifier order."""
     sets, ends = DisjointSets(g.vertex_list), g.edges
     return frozenset(e for e in g.edge_list if sets.union(*ends[e]))
+
+
+def spanning_tree(g: Graph) -> RootedForest:
+    """``RootedForest(g, spanning_forest(g))``, built on first use and kept
+    with ``g``.  The graph keeps the tree's fields rather than the tree, which
+    refers back to it, so that no graph sits in a reference cycle and each
+    is freed as soon as it is dropped."""
+    if g._tree is None:
+        tree = RootedForest(g, spanning_forest(g))
+        g._tree = (tree.forest, tree.up, tree.depth)
+        return tree
+    tree = RootedForest.__new__(RootedForest)
+    tree.graph = g
+    tree.forest, tree.up, tree.depth = g._tree
+    return tree
 
 
 def blocks(g: Graph) -> list[Graph]:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cyclespace import BinaryCycle, OrientedBasis, fundamental_circle, least_circle
+from .cyclespace import OrientedBasis, fundamental_circle, least_circle
 from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
@@ -42,6 +42,7 @@ from .graphcore import (
     edge_components,
     is_isomorphic,
     spanning_forest,
+    spanning_tree,
     walk_support,
 )
 
@@ -141,16 +142,14 @@ def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
 
 
 def _loop_vertex_witness(g: Graph) -> Optional[MinorWitness]:
-    """A loop-vertex minor exists iff the host contains any circle."""
+    """A loop-vertex minor exists iff the host contains any circle.  It is
+    modelled on a short circle, its loop edge the circle's greatest edge: the
+    one edge of a circle left out of its spanning forest in edge-id order."""
     best = _short_circle(g)
     if best is None:
         return None
-    verts = {v for e in best for v in g.ends(e)}
-    sub = g.subgraph(best, verts)
-    tree = spanning_forest(sub)
-    loop_edge = min(best - tree)
-    target_vertex = "v"
-    return MinorWitness({target_vertex: frozenset(verts)}, {"e": loop_edge})
+    verts = frozenset(v for e in best for v in g.ends(e))
+    return MinorWitness({"v": verts}, {"e": max(best)})
 
 
 def _short_circle(g: Graph) -> Optional[frozenset]:
@@ -170,9 +169,9 @@ def _short_circle(g: Graph) -> Optional[frozenset]:
         seen_pairs.add(key)
     if len(g.edge_list) <= 64:
         return least_circle(g)
-    forest = spanning_forest(g)
-    chord = next((e for e in g.edge_list if e not in forest), None)
-    return None if chord is None else fundamental_circle(RootedForest(g, forest), chord).support
+    tree = spanning_tree(g)
+    chord = next((e for e in g.edge_list if e not in tree.forest), None)
+    return None if chord is None else fundamental_circle(tree, chord).support
 
 
 def has_minor(g: Graph, target: Graph) -> Optional[MinorWitness]:
@@ -358,7 +357,7 @@ def lift_basis_deletion(
             x = new_gains[st.edge]
             acc = group.op(acc, x if st.forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
-        pairs.append((BinaryCycle(support), walk))
+        pairs.append((support, walk))
         top = max((st.edge for st in path), default=e)
         if top > e:
             a, c = g.ends(top)
@@ -441,7 +440,7 @@ def lift_basis_contraction(
         # contract() names each class by its least vertex, so an empty walk
         # stays where it was
         lw = splice_tree_paths(tree, w.steps, w.start)
-        pairs.append((BinaryCycle(walk_support(lw)), lw))
+        pairs.append((walk_support(lw), lw))
     group = gains.group
     new_gains = dict(gains.gains)
     for e in t:

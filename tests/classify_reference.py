@@ -47,7 +47,7 @@ from gainbalance.classify import (
     bad_witness,
     structural_decomposition,
 )
-from gainbalance.cyclespace import BinaryCycle, OrientedBasis, cycle_space_dimension
+from gainbalance.cyclespace import OrientedBasis, cycle_space_dimension
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainAssignment, GainGraph, gain_graph
 from gainbalance.graphcore import (
@@ -112,7 +112,7 @@ def reference_lift_basis_deletion(g, s, b, gains):
             x = new_gains[st.edge]
             acc = group.op(acc, x if st.forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
-        pairs.append((BinaryCycle(walk_support(walk)), walk))
+        pairs.append((walk_support(walk), walk))
         present.add(e)
     return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
 
@@ -134,7 +134,7 @@ def reference_lift_witness(host, mw, w):
     pairs = []
     for cyc, walk in w.basis.pairs:
         steps = tuple(DirectedEdge(mw.edge_map[st.edge], st.forward ^ flip[st.edge]) for st in walk.steps)
-        pairs.append((BinaryCycle(frozenset(mw.edge_map[e] for e in cyc.support)), ClosedWalk(tv_to_g2[walk.start], steps)))
+        pairs.append((frozenset(mw.edge_map[e] for e in cyc), ClosedWalk(tv_to_g2[walk.start], steps)))
     ob1, ga1 = lift_basis_contraction(g1, forest, OrientedBasis(tuple(pairs), g2), gg2.assignment)
     ob0, ga0 = classify.lift_basis_deletion(host, s, ob1, ga1)
     lifted = BadWitness(GainGraph(host, ga0), ob0, w.test)

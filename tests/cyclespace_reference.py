@@ -1,13 +1,19 @@
 """Canonical circle walks by one adjacency of (edge, other end, direction)
-entries.
+entries, and natural orientations member by member.
 
 Reference for ``gainbalance.cyclespace._circle_walk``, which walks by edge
 identifiers alone and builds the steps once the walk has closed.  Here each
 support edge is looked up through ``Graph.ends`` and each step is built as
 the walk reaches it.
+
+Reference for ``cyclic_orientations`` and ``natural_orientation``, which
+link the components of a member along the graph's one spanning tree, built
+once per graph and only for a member of more than one component.  Here
+every member builds that tree afresh.
 """
 
-from gainbalance.graphcore import ClosedWalk, DirectedEdge
+from gainbalance.cyclespace import _euler_walk, binary_cycle
+from gainbalance.graphcore import ClosedWalk, DirectedEdge, RootedForest, edge_components, spanning_forest
 
 
 def reference_circle_walk(g, support):
@@ -34,3 +40,40 @@ def reference_circle_walk(g, support):
     # on a 2-regular support the walk closes after one component, so the
     # support is connected exactly when the walk uses all of it
     return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
+
+
+def reference_cyclic_orientations(b, g, budget=4):
+    """Closed walks projecting to the binary cycle ``b``: per-component Euler
+    walks linked by out-and-back paths of a spanning tree built for this
+    member, then alternate direction choices, up to ``budget`` walks."""
+    support = frozenset(b)
+    if not support:
+        return [ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())]
+    comp_sets = [
+        (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in edge_components(g, support)
+    ]
+    tree = RootedForest(g, spanning_forest(g))
+    base = comp_sets[0][0]
+    euler = [(tree.path(base, anchor), _euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
+    out = []
+    for flips in range(min(budget, 1 << len(euler))):
+        steps = []
+        for i, (go, tour) in enumerate(euler):
+            part = list(tour)
+            if (flips >> i) & 1:
+                part = [s.reversed() for s in reversed(part)]
+            steps.extend(go)
+            steps.extend(part)
+            steps.extend(s.reversed() for s in reversed(go))
+        out.append(ClosedWalk(base, tuple(steps)))
+    return out
+
+
+def reference_natural_orientation(b, g):
+    """The canonical walk of a circle member, else the first linked Euler
+    walk; a member that is not a binary cycle raises."""
+    support = frozenset(b)
+    walk = reference_circle_walk(g, support)
+    if walk is not None:
+        return walk
+    return reference_cyclic_orientations(binary_cycle(g, support), g, budget=1)[0]

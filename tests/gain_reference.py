@@ -30,7 +30,7 @@ def reference_is_balanced(gg):
     whose switched gain is not the identity."""
     forest = spanning_forest(gg.graph)
     ident = gg.group.identity()
-    for circle in fundamental_circles(gg.graph, forest).members:
+    for circle in fundamental_circles(gg.graph, forest):
         gain = reference_walk_gain(gg, circle.walk)
         if gain != ident:
             return BalanceResult(False, circle, gain)

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import gainbalance
+from gainbalance import cli
 from gainbalance.cli import run
-from gainbalance.cyclespace import CycleBasis, circle_from_support, parse_basis_text
+from gainbalance.cyclespace import parse_basis_text
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import grid_faces, parse_graph_text
@@ -238,8 +239,7 @@ def test_classify_command_json_round_trip(capsys):
     group = parse_group_header("Z 3")
     gains_text = "group Z 3\n" + "\n".join(f"gain {e} {x}" for e, x in evidence["gains"].items())
     gg = parse_gain_text(gains_text, g)
-    members = tuple(circle_from_support(g, frozenset(m["support"])) for m in evidence["basis"])
-    assert circle_test(gg, CycleBasis(members, g))
+    assert circle_test(gg, [m["support"] for m in evidence["basis"]])
     assert not is_balanced(gg).balanced
     assert data["rule"] == "forbidden-minor-with-z3"
     assert group.moduli == (3,)
@@ -370,6 +370,24 @@ def test_malformed_group_specs_exit_2(capsys):
         "input error: unknown group spec 'Z\u00b2'",
         "input error: unknown group spec 'Z0'",
     ]
+
+
+def test_malformed_graph_tags_exit_2(capsys):
+    # an empty number in a list raised a ValueError from int(); a digit of
+    # another script read as its ASCII value ("W\u0664" as W4)
+    for tag, group_class in (("C3(,)", "all"), ("C3(3,3,)", "all"), ("Fan(1;,)", "all"), ("W\u0664", "contains-z3")):
+        assert run(["classify", tag, "--class", group_class]) == 2
+        assert capsys.readouterr().err == f"input error: {tag!r} is neither a known graph tag nor a file\n"
+
+
+def test_atlas_past_the_oracle_edge_bound_exits_3_before_enumerating(capsys, monkeypatch):
+    def unreachable(max_edges):
+        raise AssertionError("atlas enumerated graphs it could not run the oracle on")
+
+    monkeypatch.setattr(cli, "inseparable_multigraphs", unreachable)
+    assert run(["atlas", "--max-edges", "40", "--group", "Z3"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: oracle edge bound exceeded (40 > 10)\n"
+    assert run(["atlas", "--max-edges", "11", "--group", "Z3", "--json"]) == 3
 
 
 def test_oracle_budget_counts_the_element_list(capsys, monkeypatch):

@@ -1,13 +1,12 @@
 import itertools
+import operator
 import random
 
 import pytest
 
-from gainbalance import cyclespace
+from gainbalance import cyclespace, graphcore
 from gainbalance.cyclespace import (
     CIRCLE_ENUMERATION_MAX_EDGES,
-    BinaryCycle,
-    CycleBasis,
     binary_cycle,
     basis_to_text,
     circle_from_support,
@@ -28,9 +27,9 @@ from gainbalance.cyclespace import (
 )
 from gainbalance.enumeration import all_multigraphs, connected_multigraphs, inseparable_multigraphs, materialize
 from gainbalance.errors import BudgetError, GraphError, ParseError
-from gainbalance.graphcore import Graph, grid_faces, spanning_forest, walk_support, walk_vertices
+from gainbalance.graphcore import Graph, edge_components, grid_faces, spanning_forest, walk_support, walk_vertices
 from conftest import named, triangle
-from cyclespace_reference import reference_circle_walk
+from cyclespace_reference import reference_circle_walk, reference_cyclic_orientations, reference_natural_orientation
 
 
 def subset_filter_circles(g):
@@ -53,7 +52,7 @@ def subset_filter_circles(g):
 
 def test_binary_cycle_validation():
     g = triangle()
-    assert binary_cycle(g, {"e1", "e2", "e3"}).support == {"e1", "e2", "e3"}
+    assert binary_cycle(g, {"e1", "e2", "e3"}) == {"e1", "e2", "e3"}
     with pytest.raises(GraphError):
         binary_cycle(g, {"e1"})
 
@@ -99,7 +98,7 @@ def test_circle_walk_matches_reference_on_every_small_support():
 def test_circle_walk_matches_reference_on_large_bases():
     grid, w100 = named("Grid(30,30)"), named("W100")
     faces = [frozenset(f) for f in grid_faces(30, 30)]
-    fundamental = [c.support for c in fundamental_circles(grid, spanning_forest(grid)).members]
+    fundamental = [c.support for c in fundamental_circles(grid, spanning_forest(grid))]
     hamiltonian = [
         frozenset({f"s{i}", f"s{i % 100 + 1}"} | {f"r{k}" for k in range(1, 101) if k != i}) for i in range(1, 101)
     ]
@@ -193,28 +192,28 @@ def test_least_circle_past_circle_enumeration():
 
 
 def test_hamiltonian_basis_of_w4(w4):
-    hams = [c for c in enumerate_circles(w4) if len(c) == 5]
+    hams = [c.support for c in enumerate_circles(w4) if len(c) == 5]
     assert len(hams) == 4
     assert is_circle_basis(hams, w4)
 
 
 def test_triangles_of_w4_form_basis(w4):
     # the four triangles are independent and the dimension is four
-    tris = [c for c in enumerate_circles(w4) if len(c) == 3]
+    tris = [c.support for c in enumerate_circles(w4) if len(c) == 3]
     assert len(tris) == 4
     assert cycle_space_dimension(w4) == 4
     assert is_circle_basis(tris, w4)
 
 
 def test_triangles_plus_rim_dependent(w4):
-    tris = [c for c in enumerate_circles(w4) if len(c) == 3]
-    rim = circle_from_support(w4, {"r1", "r2", "r3", "r4"})
+    tris = [c.support for c in enumerate_circles(w4) if len(c) == 3]
+    rim = {"r1", "r2", "r3", "r4"}
     assert not is_circle_basis(tris + [rim], w4)
 
 
 def test_non_circle_member_rejected(w4):
-    two = BinaryCycle(frozenset({"s1", "r1", "s2", "s3", "r3", "s4"}))  # two triangles
-    assert not is_circle_basis([two] + [c for c in enumerate_circles(w4) if len(c) == 3][:3], w4)
+    two = binary_cycle(w4, {"s1", "r1", "s2", "s3", "r3", "s4"})  # two triangles
+    assert not is_circle_basis([two] + [c.support for c in enumerate_circles(w4) if len(c) == 3][:3], w4)
 
 
 def test_is_cycle_basis_rejects_members_that_are_not_cycles(w4):
@@ -271,7 +270,7 @@ def _reference_is_cycle_basis(members, g, dim):
 def test_is_cycle_basis_matches_reference(g):
     circles = [c.support for c in enumerate_circles(g)]
     dim = _gf2_rank(circles, g.edge_list)  # the circles span the cycle space
-    start = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+    start = [c.support for c in fundamental_circles(g, spanning_forest(g))]
     rng = random.Random(f"is_cycle_basis/{sorted(g.edges.items())}")
     outcomes = set()
     for _ in range(300):
@@ -306,10 +305,10 @@ def test_fundamental_circles(w4, c332):
     for g in (w4, c332, named("mK2(3)")):
         forest = spanning_forest(g)
         basis = fundamental_circles(g, forest)
-        assert is_circle_basis(basis.members, g)
-        assert len(basis.members) == cycle_space_dimension(g)
+        assert is_circle_basis([c.support for c in basis], g)
+        assert len(basis) == cycle_space_dimension(g)
     mk3 = named("mK2(3)")
-    digons = fundamental_circles(mk3, spanning_forest(mk3)).members
+    digons = fundamental_circles(mk3, spanning_forest(mk3))
     assert all(len(c) == 2 for c in digons)
 
 
@@ -325,7 +324,7 @@ def test_fundamental_circles_invalid_forest(w4):
 
 def test_orientation_of_circle_is_simple(w4):
     rim = circle_from_support(w4, {"r1", "r2", "r3", "r4"})
-    w = natural_orientation(rim, w4)
+    w = natural_orientation(rim.support, w4)
     assert len(w.steps) == 4
     assert walk_support(w) == rim.support
 
@@ -347,7 +346,7 @@ def test_orientation_disconnected_support_uses_connectors():
     assert len(walks) == 4
     for w in walks:
         walk_vertices(g, w)
-        assert walk_support(w) == b.support
+        assert walk_support(w) == b
         assert sum(1 for s in w.steps if s.edge == "c") == 2
 
 
@@ -360,7 +359,51 @@ def test_oriented_basis_validates(w4):
     hams = [c.support for c in enumerate_circles(w4) if len(c) == 5]
     ob = oriented_basis(w4, hams)
     for cyc, w in ob.pairs:
-        assert walk_support(w) == cyc.support
+        assert walk_support(w) == cyc
+
+
+def basis_text(members):
+    """A basis file listing ``members`` without walk lines."""
+    return "".join(" ".join(sorted(m)) + "\n" for m in members)
+
+
+def test_natural_orientations_match_reference_on_small_cumulative_bases():
+    # the bases c1, c1 + c2, ... of the fundamental circles of every connected
+    # multigraph up to 6 edges: most later members are not circles, and many
+    # fall into several components linked along the spanning tree
+    members = split = 0
+    for g in (materialize(c) for level in connected_multigraphs(6) for c in level):
+        basis = list(itertools.accumulate((c.support for c in fundamental_circles(g, spanning_forest(g))), operator.xor))
+        expected = [reference_natural_orientation(m, g) for m in basis]
+        assert list(oriented_basis(g, basis).walks) == expected, sorted(g.edges.items())
+        fresh = Graph(g.edges, g.vertices)
+        assert list(parse_basis_text(basis_text(basis), fresh).walks) == expected, sorted(g.edges.items())
+        for m in basis:
+            assert cyclic_orientations(m, g, budget=4) == reference_cyclic_orientations(m, g, budget=4)
+            split += len(edge_components(g, m)) > 1
+        members += len(basis)
+    assert (members, split) == (1110, 207)
+
+
+def split_grid_basis(r):
+    """The faces of Grid(r, r), each face edge-disjoint from face 0 summed
+    with it: face 0, the two faces beside it, one figure eight, and two
+    disjoint faces for the rest."""
+    faces = grid_faces(r, r)
+    return [f ^ faces[0] if f.isdisjoint(faces[0]) else f for f in faces]
+
+
+def test_natural_orientations_of_a_split_grid_basis_build_one_tree(monkeypatch):
+    basis = split_grid_basis(30)
+    g = named("Grid(30,30)")
+    spanning, built = graphcore.spanning_forest, []
+    monkeypatch.setattr(graphcore, "spanning_forest", lambda h: built.append(h) or spanning(h))
+    ob = parse_basis_text(basis_text(basis), g)
+    assert built == [g]
+    monkeypatch.undo()
+    assert sum(len(edge_components(g, m)) > 1 for m in basis) == 896
+    assert list(ob.walks) == [reference_natural_orientation(m, g) for m in basis]
+    assert oriented_basis(named("Grid(30,30)"), basis) == ob
 
 
 # -- theta sums -----------------------------------------------------------------------
@@ -419,14 +462,13 @@ def test_theta_sum_parallel_digons():
 def test_improper_fundamental(w4):
     forest = spanning_forest(w4)
     basis = fundamental_circles(w4, forest)
-    assert improper_edges(basis) == frozenset(w4.edge_list) - forest
+    assert improper_edges(c.support for c in basis) == frozenset(w4.edge_list) - forest
 
 
 def test_improper_grid_faces_outer_boundary():
     g = named("Grid(2,2)")
-    basis = CycleBasis(tuple(circle_from_support(g, f) for f in grid_faces(2, 2)), g)
     inner = {"h1_0", "h1_1", "v0_1", "v1_1"}
-    assert improper_edges(basis) == frozenset(g.edge_list) - inner
+    assert improper_edges(grid_faces(2, 2)) == frozenset(g.edge_list) - inner
 
 
 def test_improper_hamiltonian_basis_empty(w4):
@@ -437,15 +479,15 @@ def test_improper_hamiltonian_basis_empty(w4):
         for e in c.support:
             counts[e] = counts.get(e, 0) + 1
     assert min(counts.values()) >= 2
-    assert improper_edges(CycleBasis(tuple(hams), w4)) == frozenset()
+    assert improper_edges(c.support for c in hams) == frozenset()
 
 
 def quad_basis(g, patterns):
     members = []
     for bits in patterns:
         support = frozenset((f"f{i+1}" if b else f"e{i+1}") for i, b in enumerate(bits))
-        members.append(circle_from_support(g, support))
-    return CycleBasis(tuple(members), g)
+        members.append(circle_from_support(g, support).support)
+    return members
 
 
 def test_digon_condition_2c4(g2c4):
@@ -460,7 +502,7 @@ def test_digon_condition_2c4(g2c4):
 
 def test_digon_condition_rejects_member(g2c4):
     d = circle_from_support(g2c4, {"e1", "f1"})
-    basis = CycleBasis((d,) + quad_basis(g2c4, [(0, 0, 0, 0), (1, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)]).members, g2c4)
+    basis = [d.support] + quad_basis(g2c4, [(0, 0, 0, 0), (1, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)])
     assert not digon_condition(basis, d)
 
 
@@ -487,8 +529,21 @@ def test_basis_text_round_trip(g2c4):
     )
     text = basis_to_text(ob)
     again = parse_basis_text(text, g2c4)
-    assert [c.support for c, _ in again.pairs] == [c.support for c, _ in ob.pairs]
+    assert again.cycles == ob.cycles
     assert [w for _, w in again.pairs] == [w for _, w in ob.pairs]
+
+
+def test_walk_step_takes_one_sign(w4):
+    # "--r4" is not a doubly reversed r4 but the edge "-r4", which W4 lacks
+    with pytest.raises(ParseError, match="^line 2: unknown edge '-r4' in walk$"):
+        read_basis_text("r1 r2 r3 r4\nwalk: --r4 --r3 --r2 --r1\n", w4)
+    [(rim, walk)] = read_basis_text("r1 r2 r3 r4\nwalk: -r4 -r3 -r2 -r1\n", w4)
+    assert walk == circle_from_support(w4, rim).walk.reversed()
+    # an edge whose identifier starts with "-" is reversed by one more
+    g = Graph({"-a": ("x", "y"), "b": ("y", "x")})
+    [(digon, walk)] = read_basis_text("-a b\nwalk: --a -b\n", g)
+    assert digon == {"-a", "b"} and walk.start == "y"
+    assert [(s.edge, s.forward) for s in walk.steps] == [("-a", False), ("b", False)]
 
 
 def test_basis_text_custom_walk(w4):

@@ -7,12 +7,11 @@ import pytest
 from gainbalance import gaingraph
 from gainbalance.balancetests import basis_gains
 from gainbalance.cyclespace import (
-    BinaryCycle,
+    OrientedBasis,
     circle_from_support,
     cyclic_orientations,
     enumerate_circles,
     fundamental_circles,
-    oriented_basis,
 )
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.gaingraph import (
@@ -114,13 +113,13 @@ def random_closed_walks(g, rng):
     each component, k-fold loop walks, the reverses of all of these, and the
     trivial walk at every vertex."""
     walks = [c.walk for c in enumerate_circles(g)]
-    members = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+    members = [c.support for c in fundamental_circles(g, spanning_forest(g))]
     for comp in components(g):
         local = [m for m in members if g.ends(min(m))[0] in comp]
         for _ in range(3):
             support = functools.reduce(operator.xor, [m for m in local if rng.random() < 0.5], frozenset())
             if support:
-                walks += cyclic_orientations(BinaryCycle(support), g)
+                walks += cyclic_orientations(support, g)
     for e in g.edge_list:
         if g.is_loop(e):
             walks.append(ClosedWalk(g.ends(e)[0], (DirectedEdge(e, rng.random() < 0.5),) * rng.randint(2, 5)))
@@ -152,14 +151,14 @@ def test_basis_gains_match_step_by_step_reference():
         g = random_multigraph(rng)
         gg = gain_graph(g, group, {e: random_element(group, rng) for e in g.edge_list})
         comp = {v: i for i, vs in enumerate(components(g)) for v in vs}
-        members = [c.support for c in fundamental_circles(g, spanning_forest(g)).members]
+        members = [c.support for c in fundamental_circles(g, spanning_forest(g))]
         for i in range(len(members)):
             for j in range(i):
                 if rng.random() < 0.3 and comp[g.ends(min(members[i]))[0]] == comp[g.ends(min(members[j]))[0]]:
                     members[i] ^= members[j]
-        walks = [rng.choice(cyclic_orientations(BinaryCycle(m), g)) for m in members]
+        walks = [rng.choice(cyclic_orientations(m, g)) for m in members]
         walks = [w.reversed() if rng.random() < 0.5 else w for w in walks]
-        ob = oriented_basis(g, members, walks)
+        ob = OrientedBasis(tuple(zip(members, walks)), g)
         assert basis_gains(gg, ob) == [reference_walk_gain(gg, w) for w in walks]
 
 
@@ -204,7 +203,7 @@ def test_walk_product_costs_only_chord_steps(group, monkeypatch):
         assert counting.calls <= 3 * len(forest) + 2 * chords + 3
         assert res == reference_is_balanced(gain_graph(g, group, gg.assignment.gains))
         per_circle = 1 if group.is_abelian else 3
-        circles = fundamental_circles(g, forest).members
+        circles = fundamental_circles(g, forest)
         assert max(map(len, circles)) >= 12
         for c in circles:
             for w in (c.walk, c.walk.reversed()):

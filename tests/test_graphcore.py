@@ -6,11 +6,13 @@ from gainbalance.cyclespace import cycle_space_dimension
 from gainbalance.enumeration import inseparable_multigraphs
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.graphcore import (
+    CIRCLE_MULTI,
     ClosedWalk,
     DirectedEdge,
     Graph,
     NamedGraphSpec,
     RootedForest,
+    TRIPARTITE_FAN,
     WHEEL,
     blocks,
     build_named,
@@ -25,6 +27,7 @@ from gainbalance.graphcore import (
     parse_graph_spec,
     parse_graph_text,
     spanning_forest,
+    spanning_tree,
     suppress_divalent,
     walk_int_vector,
     walk_support,
@@ -108,6 +111,26 @@ def test_parse_spec_errors():
         parse_graph_spec("Q17")
     with pytest.raises(GraphError):
         build_named(NamedGraphSpec(WHEEL, (2,)))
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["C3(,)", "C3(3,3,)", "C3(3,,3)", "C3(,3,3)", "Fan(1;,)", "Fan(1;)", "Fan(;1)", "K4(2,)", "Grid(,3)",
+     # decimal digits of other scripts match \d but name no ASCII number
+     "W\u0664", "2C\u0664", "mK2(\u0665)", "\u0665K2", "C3(3,3,\u0662)", "C3-33\u0662", "K4(2,\u0661)",
+     "Grid(\u0663,3)", "Fan(1;1,\u0661)"],
+)
+def test_parse_spec_rejects_empty_and_non_ascii_numbers(tag):
+    with pytest.raises(ParseError, match="^unknown graph tag "):
+        parse_graph_spec(tag)
+
+
+def test_parse_spec_reads_number_lists():
+    assert parse_graph_spec("C3(3,3,2)") == NamedGraphSpec(CIRCLE_MULTI, (3, 3, 2))
+    assert parse_graph_spec("C3-332") == NamedGraphSpec(CIRCLE_MULTI, (3, 3, 2))
+    assert parse_graph_spec("Fan(2;2,1,1)") == NamedGraphSpec(TRIPARTITE_FAN, (2, 2, 1, 1))
+    assert parse_graph_spec("Fan(1;3)") == NamedGraphSpec(TRIPARTITE_FAN, (1, 3))
+    assert parse_graph_spec("W12") == NamedGraphSpec(WHEEL, (12,))
 
 
 def test_grid_and_faces():
@@ -363,6 +386,20 @@ def test_edge_components_match_subgraph_components():
 def test_spanning_forest_skips_loops():
     g = Graph({"a": ("x", "x"), "b": ("x", "y")})
     assert spanning_forest(g) == {"b"}
+
+
+def test_spanning_tree_is_built_once_per_graph():
+    rng = random.Random(31)
+    for _ in range(50):
+        g, _ = random_forest(rng)
+        tree = spanning_tree(g)
+        fresh = RootedForest(g, spanning_forest(g))
+        assert (tree.graph, tree.forest, tree.up, tree.depth) == (g, fresh.forest, fresh.up, fresh.depth)
+        again = spanning_tree(g)
+        assert again.graph is g and (again.forest, again.up, again.depth) == (tree.forest, tree.up, tree.depth)
+        assert again.up is tree.up and again.depth is tree.depth
+        # an equal graph is another object and builds its own
+        assert spanning_tree(Graph(g.edges, g.vertices)).up is not tree.up
 
 
 # -- dimension invariant ----------------------------------------------------------
