@@ -336,12 +336,18 @@ def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
         if h != t:
             remaining.setdefault(h, []).append(e)
     used: set[str] = set()
+    # edges only ever become used, so each vertex's least unused edge moves
+    # forward through its sorted list: one cursor per vertex keeps the walk
+    # linear in the support
+    cursor: dict[str, int] = {}
 
     def pick(v: str) -> Optional[str]:
-        for e in remaining.get(v, []):
-            if e not in used:
-                return e
-        return None
+        edges = remaining.get(v, ())
+        k = cursor.get(v, 0)
+        while k < len(edges) and edges[k] in used:
+            k += 1
+        cursor[v] = k
+        return edges[k] if k < len(edges) else None
 
     def tour(v0: str) -> list[DirectedEdge]:
         walk = []

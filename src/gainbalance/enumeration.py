@@ -13,6 +13,21 @@ one new edge or loop per orbit of vertex pairs, one pendant edge per vertex
 orbit, one ear per orbit of endpoint pairs.  Isomorphic candidates still
 meet in the set of canonical forms.
 
+A grown connected candidate is labeled only when its new edge lies in its
+canonical deletion class (McKay's canonical augmentation, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998), read off its cells without
+any labeling: the deletable edges (all but a simple bridge with no degree-1
+end) of highest rank by (kind, multiplicity, sorted end degrees), where kind
+is loop 3 > parallel copy 2 > pendant 1 > other 0.  Every graph is still
+reached.  Deleting an edge of its class, and the leaf with a pendant, leaves
+a connected parent on the previous level; that parent is grown at the orbit
+representative of the deleted edge's pair (or end), an automorphism of the
+parent carries the deleted edge there, and it extends to an isomorphism from
+the graph to the candidate that maps the deleted edge onto the new one.  The
+rank is invariant under isomorphisms, so that new edge is in the class too.
+Candidates that pass from several parents or pairs still meet in the set of
+canonical forms.
+
 Graphs are kept in a compact internal form ``(n, ((i, j, mult), ...))`` with
 ``i <= j`` (loops on the diagonal) and materialized as :class:`Graph` values
 with vertices ``v0..`` and edges ``e0..`` on demand.
@@ -54,6 +69,43 @@ def _pair_orbits(n: int, autos: list[list[int]]) -> list[tuple[int, int]]:
     return list(least.values())
 
 
+def _is_canonical_deletion(n: int, cells: dict[tuple[int, int], int], new: tuple[int, int]) -> bool:
+    """Whether the edge just added at cell ``new`` lies in the canonical
+    deletion class of the connected multigraph with these cells: its
+    deletable edges of highest :func:`_deletion_rank`.  Every edge is
+    deletable except a simple bridge with no degree-1 end."""
+    deg = [0] * n
+    for (i, j), m in cells.items():
+        deg[i] += m
+        deg[j] += m
+    top = _deletion_rank(deg, new, cells[new])
+    for cell, m in cells.items():
+        rank = _deletion_rank(deg, cell, m)
+        # loops, parallel copies and pendants are always deletable
+        if rank > top and (rank[0] or not _is_bridge(cells, *cell)):
+            return False
+    return True
+
+
+def _deletion_rank(deg: list[int], cell: tuple[int, int], m: int) -> tuple:
+    """(kind, multiplicity, sorted end degrees) of an edge in ``cell``, kind
+    being loop 3 > parallel copy 2 > pendant 1 > other 0; isomorphisms
+    preserve it."""
+    i, j = cell
+    a, b = deg[i], deg[j]
+    kind = 3 if i == j else 2 if m > 1 else 1 if a == 1 or b == 1 else 0
+    return (kind, m, a, b) if a <= b else (kind, m, b, a)
+
+
+def _is_bridge(cells: dict[tuple[int, int], int], a: int, b: int) -> bool:
+    """Whether deleting the single edge ``a``-``b`` separates its ends."""
+    parts = DisjointSets({v for cell in cells for v in cell})
+    for i, j in cells:
+        if (i, j) != (a, b):
+            parts.union(i, j)
+    return parts.find(a) != parts.find(b)
+
+
 def materialize(c: Compact) -> Graph:
     n, items = c
     edges = {}
@@ -86,13 +138,15 @@ def connected_multigraphs(max_edges: int) -> tuple[tuple[Compact, ...], ...]:
             for i, j in _pair_orbits(n, autos[base]):
                 grown = dict(cells)
                 grown[(i, j)] = grown.get((i, j), 0) + 1
-                c, found = _compact_canonical(n, grown)
-                seen.setdefault(c, found)
+                if _is_canonical_deletion(n, grown, (i, j)):
+                    c, found = _compact_canonical(n, grown)
+                    seen.setdefault(c, found)
                 if i == j:  # pendant edge to one fresh vertex
                     grown = dict(cells)
                     grown[(i, n)] = 1
-                    c, found = _compact_canonical(n + 1, grown)
-                    seen.setdefault(c, found)
+                    if _is_canonical_deletion(n + 1, grown, (i, n)):
+                        c, found = _compact_canonical(n + 1, grown)
+                        seen.setdefault(c, found)
         levels.append(tuple(sorted(seen)))
         autos = seen
     return tuple(levels)
@@ -102,33 +156,27 @@ def all_multigraphs(max_edges: int) -> Iterator[Graph]:
     """All multigraphs with 1..max_edges edges and no isolated vertices, up
     to isomorphism: connected ones plus every disjoint union."""
     levels = connected_multigraphs(max_edges)
-    conn: list[Compact] = [c for m in range(1, max_edges + 1) for c in levels[m]]
-    conn.sort(key=lambda c: (sum(x[2] for x in c[1]), c))
+    # per component, by edge count and then compact form: edge count, vertex
+    # count and one (i, j) per edge copy
+    tables = [
+        (m, n, [(i, j) for i, j, mult in items for _ in range(mult)])
+        for m in range(1, max_edges + 1)
+        for n, items in levels[m]
+    ]
+    names_v = [f"v{k}" for k in range(2 * max_edges)]
+    names_e = [f"e{k}" for k in range(max_edges)]
 
-    def unions(start: int, remaining: int) -> Iterator[tuple[Compact, ...]]:
-        for idx in range(start, len(conn)):
-            c = conn[idx]
-            m = sum(x[2] for x in c[1])
+    def unions(start: int, remaining: int, ends: tuple, off: int) -> Iterator[tuple[tuple, int]]:
+        for idx in range(start, len(tables)):
+            m, n, pairs = tables[idx]
             if m > remaining:
                 break
-            yield (c,)
-            for tail in unions(idx, remaining - m):
-                yield (c,) + tail
+            here = ends + tuple((names_v[i + off], names_v[j + off]) for i, j in pairs)
+            yield here, off + n
+            yield from unions(idx, remaining - m, here, off + n)
 
-    for combo in unions(0, max_edges):
-        n_off = 0
-        edges = {}
-        eid = 0
-        verts = set()
-        for c in combo:
-            n, items = c
-            for i, j, mult in items:
-                for _ in range(mult):
-                    edges[f"e{eid}"] = (f"v{i + n_off}", f"v{j + n_off}")
-                    eid += 1
-            verts |= {f"v{k + n_off}" for k in range(n)}
-            n_off += n
-        yield Graph(edges, verts)
+    for ends, n in unions(0, max_edges, (), 0):
+        yield Graph(dict(zip(names_e, ends)), names_v[:n])
 
 
 @lru_cache(maxsize=None)

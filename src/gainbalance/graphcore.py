@@ -400,31 +400,34 @@ def grid_faces(r: int, c: int) -> list[frozenset]:
     return faces
 
 
+# an ASCII number without a leading zero, as group orders are read; each
+# digit after ``C<k>-`` is a multiplicity of its own
+_NUMBER = "(?:0|[1-9][0-9]*)"
 _SPEC_PATTERNS = (
-    (re.compile(r"^W([0-9]+)$"), lambda m: NamedGraphSpec(WHEEL, (int(m.group(1)),))),
-    (re.compile(r"^2C([0-9]+)$"), lambda m: NamedGraphSpec(DOUBLED_CIRCLE, (int(m.group(1)),))),
+    (re.compile(rf"^W({_NUMBER})$"), lambda m: NamedGraphSpec(WHEEL, (int(m.group(1)),))),
+    (re.compile(rf"^2C({_NUMBER})$"), lambda m: NamedGraphSpec(DOUBLED_CIRCLE, (int(m.group(1)),))),
     (re.compile(r"^K4dd$"), lambda m: NamedGraphSpec(K4_ADJACENT_DOUBLED)),
     (re.compile(r"^K1loop$"), lambda m: NamedGraphSpec(LOOP_VERTEX)),
-    (re.compile(r"^mK2\(([0-9]+)\)$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
-    (re.compile(r"^([0-9]+)K2$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
+    (re.compile(rf"^mK2\(({_NUMBER})\)$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
+    (re.compile(rf"^({_NUMBER})K2$"), lambda m: NamedGraphSpec(MULTI_K2, (int(m.group(1)),))),
     (
-        re.compile(r"^C([0-9]+)\(([0-9]+(?:,[0-9]+)*)\)$"),
+        re.compile(rf"^C({_NUMBER})\(({_NUMBER}(?:,{_NUMBER})*)\)$"),
         lambda m: NamedGraphSpec(CIRCLE_MULTI, tuple(int(x) for x in m.group(2).split(","))),
     ),
     (
-        re.compile(r"^C([0-9]+)-([0-9]+)$"),
+        re.compile(rf"^C({_NUMBER})-([0-9]+)$"),
         lambda m: NamedGraphSpec(CIRCLE_MULTI, tuple(int(d) for d in m.group(2))),
     ),
     (
-        re.compile(r"^K4\(([0-9]+),([0-9]+)\)$"),
+        re.compile(rf"^K4\(({_NUMBER}),({_NUMBER})\)$"),
         lambda m: NamedGraphSpec(K4_OPPOSITE, (int(m.group(1)), int(m.group(2)))),
     ),
     (
-        re.compile(r"^Grid\(([0-9]+),([0-9]+)\)$"),
+        re.compile(rf"^Grid\(({_NUMBER}),({_NUMBER})\)$"),
         lambda m: NamedGraphSpec(GRID, (int(m.group(1)), int(m.group(2)))),
     ),
     (
-        re.compile(r"^Fan\(([0-9]+);([0-9]+(?:,[0-9]+)*)\)$"),
+        re.compile(rf"^Fan\(({_NUMBER});({_NUMBER}(?:,{_NUMBER})*)\)$"),
         lambda m: NamedGraphSpec(TRIPARTITE_FAN, (int(m.group(1)),) + tuple(int(x) for x in m.group(2).split(","))),
     ),
 )

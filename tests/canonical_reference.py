@@ -165,3 +165,37 @@ def reference_inseparable_multigraphs(max_edges):
                         if m + length < max_edges:
                             frontier.append(c)
     return [sorted(seen[m]) for m in range(max_edges + 1)]
+
+
+def reference_all_multigraphs(levels):
+    """Every disjoint union of the connected graphs in ``levels`` (as
+    ``connected_multigraphs`` returns them) with at most ``len(levels) - 1``
+    edges, as ``all_multigraphs`` orders them, each edge name and end
+    formatted as it is added."""
+    max_edges = len(levels) - 1
+    conn = [c for m in range(1, max_edges + 1) for c in levels[m]]
+    conn.sort(key=lambda c: (sum(x[2] for x in c[1]), c))
+
+    def unions(start, remaining):
+        for idx in range(start, len(conn)):
+            c = conn[idx]
+            m = sum(x[2] for x in c[1])
+            if m > remaining:
+                break
+            yield (c,)
+            for tail in unions(idx, remaining - m):
+                yield (c,) + tail
+
+    for combo in unions(0, max_edges):
+        n_off = 0
+        edges = {}
+        eid = 0
+        verts = set()
+        for n, items in combo:
+            for i, j, mult in items:
+                for _ in range(mult):
+                    edges[f"e{eid}"] = (f"v{i + n_off}", f"v{j + n_off}")
+                    eid += 1
+            verts |= {f"v{k + n_off}" for k in range(n)}
+            n_off += n
+        yield Graph(edges, verts)

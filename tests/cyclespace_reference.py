@@ -10,9 +10,13 @@ Reference for ``cyclic_orientations`` and ``natural_orientation``, which
 link the components of a member along the graph's one spanning tree, built
 once per graph and only for a member of more than one component.  Here
 every member builds that tree afresh.
+
+Reference for ``gainbalance.cyclespace._euler_walk``, which keeps one cursor
+per vertex into its sorted edge list.  Here each edge choice rescans the
+list from its start.
 """
 
-from gainbalance.cyclespace import _euler_walk, binary_cycle
+from gainbalance.cyclespace import binary_cycle
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, RootedForest, edge_components, spanning_forest
 
 
@@ -42,6 +46,53 @@ def reference_circle_walk(g, support):
     return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
 
 
+def reference_euler_walk(g, support, start):
+    """Closed Euler walk on a connected even-degree support, Hierholzer with
+    least-identifier-first edge choice."""
+    remaining = {}
+    for e in sorted(support):
+        t, h = g.ends(e)
+        remaining.setdefault(t, []).append(e)
+        if h != t:
+            remaining.setdefault(h, []).append(e)
+    used = set()
+
+    def pick(v):
+        for e in remaining.get(v, []):
+            if e not in used:
+                return e
+        return None
+
+    def tour(v0):
+        walk = []
+        at = v0
+        while True:
+            e = pick(at)
+            if e is None:
+                break
+            used.add(e)
+            t, h = g.ends(e)
+            walk.append(DirectedEdge(e, at == t))
+            at = h if at == t else t
+        return walk
+
+    walk = tour(start)
+    # splice in detours at vertices with unused edges
+    i = 0
+    at = start
+    while i <= len(walk):
+        if pick(at) is not None:
+            walk[i:i] = tour(at)
+            continue
+        if i == len(walk):
+            break
+        step = walk[i]
+        t, h = g.ends(step.edge)
+        at = h if step.forward else t
+        i += 1
+    return walk
+
+
 def reference_cyclic_orientations(b, g, budget=4):
     """Closed walks projecting to the binary cycle ``b``: per-component Euler
     walks linked by out-and-back paths of a spanning tree built for this
@@ -54,7 +105,7 @@ def reference_cyclic_orientations(b, g, budget=4):
     ]
     tree = RootedForest(g, spanning_forest(g))
     base = comp_sets[0][0]
-    euler = [(tree.path(base, anchor), _euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
+    euler = [(tree.path(base, anchor), reference_euler_walk(g, comp, anchor)) for anchor, comp in comp_sets]
     out = []
     for flips in range(min(budget, 1 << len(euler))):
         steps = []

@@ -378,6 +378,9 @@ def test_malformed_graph_tags_exit_2(capsys):
     for tag, group_class in (("C3(,)", "all"), ("C3(3,3,)", "all"), ("Fan(1;,)", "all"), ("W\u0664", "contains-z3")):
         assert run(["classify", tag, "--class", group_class]) == 2
         assert capsys.readouterr().err == f"input error: {tag!r} is neither a known graph tag nor a file\n"
+    # a leading zero read "W04" as W4
+    assert run(["classify", "W04", "--class", "contains-z3"]) == 2
+    assert capsys.readouterr().err == "input error: 'W04' is neither a known graph tag nor a file\n"
 
 
 def test_atlas_past_the_oracle_edge_bound_exits_3_before_enumerating(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 
+from gainbalance import enumeration
 from gainbalance.enumeration import (
     all_multigraphs,
     connected_multigraphs,
@@ -7,7 +8,11 @@ from gainbalance.enumeration import (
     materialize,
 )
 from gainbalance.graphcore import Graph, canonical_key, is_connected, is_inseparable
-from canonical_reference import reference_connected_multigraphs, reference_inseparable_multigraphs
+from canonical_reference import (
+    reference_all_multigraphs,
+    reference_connected_multigraphs,
+    reference_inseparable_multigraphs,
+)
 
 
 def brute_connected_multigraphs(max_edges, max_vertices=5):
@@ -42,7 +47,36 @@ def test_connected_level_sizes():
 
 
 def test_connected_matches_reference_enumeration():
-    assert connected_multigraphs(6) == reference_connected_multigraphs(6)
+    assert connected_multigraphs(7) == reference_connected_multigraphs(7)
+
+
+def test_connected_labels_only_canonical_deletions(monkeypatch):
+    # 5,785 candidates were labeled at 7 edges before the canonical-deletion
+    # filter, for 1,682 graphs
+    calls = []
+    labeling = enumeration._compact_canonical
+
+    def counting(n, cells):
+        calls.append(n)
+        return labeling(n, cells)
+
+    monkeypatch.setattr(enumeration, "_compact_canonical", counting)
+    connected_multigraphs.cache_clear()
+    try:
+        levels = connected_multigraphs(7)
+    finally:
+        connected_multigraphs.cache_clear()
+    assert sum(map(len, levels)) == 1682
+    assert len(calls) < 2000, len(calls)
+
+
+def test_all_multigraphs_matches_reference_union_builder():
+    ours = list(all_multigraphs(6))
+    expected = list(reference_all_multigraphs(connected_multigraphs(6)))
+    assert len(ours) == len(expected) == 1388
+    for g, h in zip(ours, expected):
+        assert list(g.edges.items()) == list(h.edges.items())
+        assert g.vertex_list == h.vertex_list
 
 
 def test_inseparable_matches_reference_enumeration():

@@ -10,6 +10,8 @@ from gainbalance.graphcore import (
     ClosedWalk,
     DirectedEdge,
     Graph,
+    K4_OPPOSITE,
+    MULTI_K2,
     NamedGraphSpec,
     RootedForest,
     TRIPARTITE_FAN,
@@ -118,7 +120,10 @@ def test_parse_spec_errors():
     ["C3(,)", "C3(3,3,)", "C3(3,,3)", "C3(,3,3)", "Fan(1;,)", "Fan(1;)", "Fan(;1)", "K4(2,)", "Grid(,3)",
      # decimal digits of other scripts match \d but name no ASCII number
      "W\u0664", "2C\u0664", "mK2(\u0665)", "\u0665K2", "C3(3,3,\u0662)", "C3-33\u0662", "K4(2,\u0661)",
-     "Grid(\u0663,3)", "Fan(1;1,\u0661)"],
+     "Grid(\u0663,3)", "Fan(1;1,\u0661)",
+     # a leading zero, as group orders reject it ("Z03")
+     "W04", "2C04", "mK2(007)", "07K2", "C3(03,3,2)", "C03(3,3,2)", "C03-332", "K4(01,1)", "K4(0,00)",
+     "Grid(02,2)", "Fan(01;1)", "Fan(1;1,01)"],
 )
 def test_parse_spec_rejects_empty_and_non_ascii_numbers(tag):
     with pytest.raises(ParseError, match="^unknown graph tag "):
@@ -131,6 +136,11 @@ def test_parse_spec_reads_number_lists():
     assert parse_graph_spec("Fan(2;2,1,1)") == NamedGraphSpec(TRIPARTITE_FAN, (2, 2, 1, 1))
     assert parse_graph_spec("Fan(1;3)") == NamedGraphSpec(TRIPARTITE_FAN, (1, 3))
     assert parse_graph_spec("W12") == NamedGraphSpec(WHEEL, (12,))
+    # a lone zero is still a number, and a C<k>- digit string may start with one
+    assert parse_graph_spec("K4(0,1)") == NamedGraphSpec(K4_OPPOSITE, (0, 1))
+    assert parse_graph_spec("K4(10,0)") == NamedGraphSpec(K4_OPPOSITE, (10, 0))
+    assert parse_graph_spec("0K2") == NamedGraphSpec(MULTI_K2, (0,))
+    assert parse_graph_spec("C3-032") == NamedGraphSpec(CIRCLE_MULTI, (0, 3, 2))
 
 
 def test_grid_and_faces():
