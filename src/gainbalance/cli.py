@@ -16,8 +16,9 @@ Graph arguments accept named tags (``W4``, ``2C4``, ``K4dd``, ``C3(3,3,2)``,
 Exit codes: 0 completed (verdicts live in the report), 2 input error,
 3 budget exceeded.
 
-The classifier module, and numpy with it, is imported only by the
-subcommands that use it (classify, witness, oracle, atlas).
+The classifier is imported only by the subcommands that use it (classify,
+witness, atlas), and the oracle with its array kernel only by oracle and
+atlas.
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from . import classify as cls
+    from . import oracle
 
     g = _load_graph(args.graph)
     grp = parse_group_spec(args.group)
-    budget = cls.ORACLE_BUDGET if args.budget is None else args.budget
-    good, witness = cls.oracle_circle_goodness(g, grp, budget=budget)
+    budget = oracle.ORACLE_BUDGET if args.budget is None else args.budget
+    good, witness = oracle.oracle_circle_goodness(g, grp, budget=budget)
     report: dict = {"good": good, "group": str(grp)}
     lines = [f"good for {grp}: {good}"]
     if witness is not None:
@@ -165,18 +166,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    from . import classify as cls
+    from . import classify as cls, oracle
 
     grp = parse_group_spec(args.group)
     c = parse_class_spec(f"groups:{args.group}")
-    budget = cls.ORACLE_BUDGET if args.budget is None else args.budget
+    budget = oracle.ORACLE_BUDGET if args.budget is None else args.budget
     # past the bound the run could only end at its first graph with too many
     # edges, after enumerating every smaller one
-    cls.check_oracle_edges(args.max_edges)
+    oracle.check_oracle_edges(args.max_edges)
     rows = []
     for g in inseparable_multigraphs(args.max_edges):
         verdict = cls.circle_goodness(g, c)
-        good, _ = cls.oracle_circle_goodness(g, grp, budget=budget)
+        good, _ = oracle.oracle_circle_goodness(g, grp, budget=budget)
         row = {
             "vertices": len(g.vertex_list),
             "edges": sorted(g.edge_list),
@@ -195,6 +196,18 @@ def _cmd_atlas(args) -> int:
         )
     _emit(report, args.json, lines)
     return 0
+
+
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer, such as an edge bound or a
+    budget."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
 
 
 @functools.cache
@@ -244,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive circle-test goodness for one finite group")
     p.add_argument("graph")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("atlas", help="survey all inseparable multigraphs up to an edge bound")
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--max-edges", type=_count, required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_atlas)
     return parser

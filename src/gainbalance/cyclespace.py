@@ -208,14 +208,6 @@ def is_cycle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
     return even and len(masks) == dim and gf2_rank(masks) == dim
 
 
-def is_circle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
-    """True iff all members are circles and they form a cycle basis."""
-    supports = [frozenset(m) for m in members]
-    if any(_circle_walk(g, s) is None for s in supports):
-        return False
-    return is_cycle_basis(supports, g)
-
-
 # -- fundamental systems ------------------------------------------------------
 
 

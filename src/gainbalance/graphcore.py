@@ -175,10 +175,6 @@ def edge_components(g: Graph, edges: Iterable[str], vertices: Iterable[str] = ()
     return _components(adj)
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
 # -- walks ----------------------------------------------------------------
 
 
@@ -253,12 +249,6 @@ def walk_int_vector(w: ClosedWalk) -> dict[str, int]:
     for step in w.steps:
         vec[step.edge] = vec.get(step.edge, 0) + (1 if step.forward else -1)
     return {e: c for e, c in vec.items() if c}
-
-
-def concat_walks(a: ClosedWalk, b: ClosedWalk) -> ClosedWalk:
-    if a.start != b.start:
-        raise GraphError("concatenated walks must share their base point")
-    return ClosedWalk(a.start, a.steps + b.steps)
 
 
 # -- named graphs ----------------------------------------------------------
@@ -649,16 +639,6 @@ def blocks(g: Graph) -> list[Graph]:
         if root not in disc:
             dfs(root)
     return out
-
-
-def is_inseparable(g: Graph) -> bool:
-    """True iff g has at least one edge and exactly one block covering it all."""
-    if not g.edge_list:
-        return False
-    if not is_connected(g):
-        return False
-    b = blocks(g)
-    return len(b) == 1
 
 
 def suppress_divalent(g: Graph) -> Graph:

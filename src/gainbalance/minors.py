@@ -408,46 +408,6 @@ def splice_tree_paths(tree: RootedForest, steps: Sequence[DirectedEdge], start: 
     return ClosedWalk(ends[0][0] if ends else start, tuple(out))
 
 
-def lift_basis_contraction(
-    g: Graph,
-    t: Iterable[str],
-    b: OrientedBasis,
-    gains: GainAssignment,
-) -> tuple[OrientedBasis, GainAssignment]:
-    """Lift a basis and gains from g/t (t a forest) back to g.
-
-    Each walk has the unique tree path spliced in between consecutive edges
-    (``splice_tree_paths``); contracted edges receive identity gain, so walk
-    gains are unchanged.
-    """
-    t = frozenset(t)
-    contracted, _ = contract(g, t)
-    if b.host.edges != contracted.edges:
-        raise GraphError("basis does not live on g/t")
-    for e in t:
-        te, th = g.ends(e)
-        if te == th:
-            raise GraphError("contraction set contains a loop")
-    # contract() tolerates cycles in t; the lift needs a forest, since a
-    # contracted circle would collapse a dimension
-    tsub = g.subgraph(t, set())
-    if len(tsub.edge_list) != len(tsub.vertices) - len(components(tsub)):
-        raise GraphError("contraction set contains a circle")
-
-    tree = RootedForest(g, t)
-    pairs = []
-    for _, w in b.pairs:
-        # contract() names each class by its least vertex, so an empty walk
-        # stays where it was
-        lw = splice_tree_paths(tree, w.steps, w.start)
-        pairs.append((walk_support(lw), lw))
-    group = gains.group
-    new_gains = dict(gains.gains)
-    for e in t:
-        new_gains[e] = group.identity()
-    return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
-
-
 # -- extrusion -----------------------------------------------------------------
 
 

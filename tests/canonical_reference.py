@@ -5,9 +5,13 @@ enumerators of ``gainbalance.enumeration``: the canonical search visits every
 leaf of its search tree, and enumeration builds a :class:`Graph` for every
 candidate, once per vertex pair, and canonicalizes it through
 :func:`reference_canonical_labeling`.
+
+``is_connected`` and ``is_inseparable`` are the definitions the enumerators'
+tests check ``connected_multigraphs`` and ``inseparable_multigraphs``
+against: one component, and one block covering every edge.
 """
 
-from gainbalance.graphcore import Graph, components
+from gainbalance.graphcore import Graph, blocks, components
 
 
 def reference_canonical_connected(n, mult):
@@ -199,3 +203,17 @@ def reference_all_multigraphs(levels):
             verts |= {f"v{k + n_off}" for k in range(n)}
             n_off += n
         yield Graph(edges, verts)
+
+
+def is_connected(g):
+    return len(components(g)) <= 1
+
+
+def is_inseparable(g):
+    """True iff g has at least one edge and exactly one block covering it all."""
+    if not g.edge_list:
+        return False
+    if not is_connected(g):
+        return False
+    b = blocks(g)
+    return len(b) == 1

@@ -3,7 +3,7 @@
 ``reference_minimal_bad_minor`` is the forbidden-minor pass as first
 written: find the first block of the host that ``structural_decomposition``
 rejects, then delete each of its edges in turn, else contract it, testing
-every step by a decomposition.  ``gainbalance.classify._minimal_bad_minor``
+every step by a decomposition.  ``gainbalance.classify._minimal_bad_block``
 skips the steps the theorem decides and must give the same minor and the
 same vertex projection.
 
@@ -14,8 +14,9 @@ forest and must give the same basis and gains.
 
 ``reference_lift_witness`` transports a bad witness the way the library
 first did: delete down to the model, contract the branch forest, relabel the
-witness onto the contraction and lift it back with ``lift_basis_contraction``,
-then restore the deleted edges.  ``gainbalance.classify.lift_witness`` walks
+witness onto the contraction and lift it back with ``lift_basis_contraction``
+(which the library no longer needs, so it lives here), then restore the
+deleted edges.  ``gainbalance.classify.lift_witness`` walks
 the model on the host without contracting and must give the same witness.
 It restores edges through ``classify.lift_basis_deletion``, so a patch of
 that name reaches it too.
@@ -60,11 +61,12 @@ from gainbalance.graphcore import (
     RootedForest,
     blocks,
     build_named,
+    components,
     spanning_forest,
     walk_support,
 )
 from gainbalance.groups import class_flags
-from gainbalance.minors import branch_forest, contract, delete, has_minor, lift_basis_contraction
+from gainbalance.minors import branch_forest, contract, delete, has_minor, splice_tree_paths
 
 
 def reference_minimal_bad_block(block):
@@ -114,6 +116,41 @@ def reference_lift_basis_deletion(g, s, b, gains):
         new_gains[e] = group.inverse(acc)
         pairs.append((walk_support(walk), walk))
         present.add(e)
+    return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
+
+
+def lift_basis_contraction(g, t, b, gains):
+    """Lift a basis and gains from g/t (t a forest) back to g.
+
+    Each walk has the unique tree path spliced in between consecutive edges
+    (``splice_tree_paths``); contracted edges receive identity gain, so walk
+    gains are unchanged.
+    """
+    t = frozenset(t)
+    contracted, _ = contract(g, t)
+    if b.host.edges != contracted.edges:
+        raise GraphError("basis does not live on g/t")
+    for e in t:
+        te, th = g.ends(e)
+        if te == th:
+            raise GraphError("contraction set contains a loop")
+    # contract() tolerates cycles in t; the lift needs a forest, since a
+    # contracted circle would collapse a dimension
+    tsub = g.subgraph(t, set())
+    if len(tsub.edge_list) != len(tsub.vertices) - len(components(tsub)):
+        raise GraphError("contraction set contains a circle")
+
+    tree = RootedForest(g, t)
+    pairs = []
+    for _, w in b.pairs:
+        # contract() names each class by its least vertex, so an empty walk
+        # stays where it was
+        lw = splice_tree_paths(tree, w.steps, w.start)
+        pairs.append((walk_support(lw), lw))
+    group = gains.group
+    new_gains = dict(gains.gains)
+    for e in t:
+        new_gains[e] = group.identity()
     return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
 
 

@@ -14,9 +14,12 @@ every member builds that tree afresh.
 Reference for ``gainbalance.cyclespace._euler_walk``, which keeps one cursor
 per vertex into its sorted edge list.  Here each edge choice rescans the
 list from its start.
+
+``is_circle_basis`` checks a basis of circles member by member.  No library
+code needs it, so it lives with the tests that do.
 """
 
-from gainbalance.cyclespace import binary_cycle
+from gainbalance.cyclespace import _circle_walk, binary_cycle, is_cycle_basis
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, RootedForest, edge_components, spanning_forest
 
 
@@ -128,3 +131,11 @@ def reference_natural_orientation(b, g):
     if walk is not None:
         return walk
     return reference_cyclic_orientations(binary_cycle(g, support), g, budget=1)[0]
+
+
+def is_circle_basis(members, g):
+    """True iff all members are circles and they form a cycle basis."""
+    supports = [frozenset(m) for m in members]
+    if any(_circle_walk(g, s) is None for s in supports):
+        return False
+    return is_cycle_basis(supports, g)

@@ -1,6 +1,6 @@
 """The brute-force circle-test oracle as one plain loop over assignments.
 
-Reference for the oracle kernel of ``gainbalance.classify``: assignments come
+Reference for the oracle kernel of ``gainbalance.oracle``: assignments come
 in ascending index (base-|G| digits, first chord most significant), balanced
 circles are computed for all of them at once by residues (cyclic products) or
 one assignment at a time by walk products (other groups), and every candidate

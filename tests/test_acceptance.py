@@ -23,7 +23,6 @@ from gainbalance.classify import (
     bad_witness,
     binary_cycle_goodness,
     circle_goodness,
-    oracle_circle_goodness,
     structural_decomposition,
 )
 from gainbalance.cyclespace import (
@@ -52,6 +51,7 @@ from gainbalance.minors import (
     bridges_of_pair,
     whitney_twist,
 )
+from gainbalance.oracle import oracle_circle_goodness
 from conftest import named
 from test_minors import random_lift_trial
 

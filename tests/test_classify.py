@@ -7,11 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from gainbalance import classify, minors
+from gainbalance import classify, minors, oracle
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
-    ORACLE_BLOCK,
     BINARY_TEST,
     CIRCLE_TEST,
     GOOD,
@@ -22,7 +21,6 @@ from gainbalance.classify import (
     binary_cycle_goodness,
     circle_goodness,
     lift_witness,
-    oracle_circle_goodness,
     structural_decomposition,
 )
 from gainbalance.cyclespace import (
@@ -49,6 +47,7 @@ from gainbalance.graphcore import (
 )
 from gainbalance.groups import ALL, EXPLICIT, CyclicProduct, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
+from gainbalance.oracle import ORACLE_BLOCK, oracle_circle_goodness
 from conftest import named, triangle
 from test_minors import _extrusion_chain
 from oracle_reference import reference_spanning_assignments, reference_witness_json
@@ -107,6 +106,16 @@ def test_bad_witness_families_verify(tag, order):
 def test_bad_witness_rejects_even_loop_order():
     with pytest.raises(GraphError):
         bad_witness(parse_graph_spec("K1loop"), 4)
+
+
+def test_bad_witness_takes_an_order_only_for_the_loop_vertex():
+    # the other families fix their own group, so an order would only build
+    # the same witness again under another cache entry
+    for tag in ("W4", "W6", "2C4", "2C6", "C3(3,3,2)", "K4dd"):
+        for order in (3, 7, 11):
+            with pytest.raises(GraphError, match="fixes its own gain group"):
+                bad_witness(parse_graph_spec(tag), order)
+    assert bad_witness(parse_graph_spec("K1loop"), 5).gain_graph.group == cyclic(5)
 
 
 def test_bad_witness_unknown_family():
@@ -297,7 +306,7 @@ def test_minimization_stays_in_the_bad_block():
     v = circle_goodness(g, CZ3)
     assert time.perf_counter() - start < 2.0
     assert v.status == BAD and v.evidence.verify() and v.evidence.gain_graph.graph == g
-    _, projection = classify._minimal_bad_minor(g)
+    _, projection = classify._minimal_bad_block(classify._decompose(g))
     assert set(projection) == named("W4").vertices
 
 
@@ -316,7 +325,7 @@ def test_minimization_matches_the_unpruned_pass():
         if v.status != BAD:
             continue
         bad += 1
-        assert classify._minimal_bad_minor(g) == reference_minimal_bad_minor(g), sorted(g.edges.items())
+        assert classify._minimal_bad_block(classify._decompose(g)) == reference_minimal_bad_minor(g), sorted(g.edges.items())
         assert v.to_json() == reference_circle_goodness(g, CZ3).to_json(), sorted(g.edges.items())
     assert bad == 231 + len(BAD_TAGS)
 
@@ -327,7 +336,7 @@ def test_minimization_decomposes_nothing_on_a_forbidden_minor(monkeypatch):
     monkeypatch.setattr(classify, "structural_decomposition", lambda g: calls.append(g) or decompose(g))
     for spec in FORBIDDEN_MINORS:
         g = build_named(spec)
-        h, vmap = classify._minimal_bad_minor(g)
+        h, vmap = classify._minimal_bad_block(classify._decompose(g))
         assert h == g and vmap == {v: v for v in g.vertex_list}
     assert calls == []
 
@@ -419,7 +428,7 @@ def test_binary_witness_takes_no_minor_search_or_contraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the binary witness is carried along a short circle")
 
-    for module, name in [(minors, "has_minor"), (classify, "contract"), (minors, "lift_basis_contraction")]:
+    for module, name in [(minors, "has_minor"), (classify, "contract")]:
         monkeypatch.setattr(module, name, refuse)
     # the loop-vertex witness of each order is built once per process
     for c in BINARY_CLASSES[:3]:
@@ -560,7 +569,7 @@ def _tried(grp, dim):
     every one."""
     if not isinstance(grp, CyclicProduct) or len(grp.moduli) > 1:
         return lambda digits: True
-    ranges = list(classify._orbit_ranges(grp.order(), dim))
+    ranges = list(oracle._orbit_ranges(grp.order(), dim))
     index = lambda digits: functools.reduce(lambda j, d: j * grp.order() + d, digits, 0)
     return lambda digits: any(start <= index(digits) < stop for start, stop in ranges)
 
@@ -576,7 +585,7 @@ def _compare_with_reference(g, grp) -> int:
         for gains, subset, _ in reference_spanning_assignments(g, grp)
         if tried([elements.index(x) for x in gains.values()])
     ]
-    assert list(classify._spanning_assignments(g, grp, classify._oracle_circles(g, grp))) == expected
+    assert list(oracle._spanning_assignments(g, grp, oracle._oracle_circles(g, grp))) == expected
     good, w = oracle_circle_goodness(g, grp)
     assert good == (not expected)
     assert (None if w is None else w.to_json()) == reference_witness_json(g, grp)
@@ -623,7 +632,7 @@ def test_orbit_ranges_hold_every_unit_orbit_minimum(n):
     # multiplication by the units of Z_n must be tried, in ascending order
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     for dim in (1, 2, 3):
-        tried = [j for start, stop in classify._orbit_ranges(n, dim) for j in range(start, stop)]
+        tried = [j for start, stop in oracle._orbit_ranges(n, dim) for j in range(start, stop)]
         assert tried == sorted(set(tried)) and 0 not in tried and tried[-1] < n**dim
         minima = set()
         for digits in itertools.product(range(n), repeat=dim):
@@ -637,14 +646,14 @@ def test_orbit_ranges_hold_every_unit_orbit_minimum(n):
 
 def test_kernel_blocks_never_exceed_oracle_block(monkeypatch):
     widths = []
-    original = classify._index_blocks
+    original = oracle._index_blocks
 
     def recorded(ranges):
         for block in original(ranges):
             widths.append(len(block))
             yield block
 
-    monkeypatch.setattr(classify, "_index_blocks", recorded)
+    monkeypatch.setattr(oracle, "_index_blocks", recorded)
     # unit orbit minima over a single Z_n: (5^7 - 1) / 4 for mK2(8) over Z5,
     # the 29 proper divisors of 20000 for mK2(2) over Z20000; every index over
     # a product: 6^5 - 1 for mK2(6) over Z2xZ3, 19999 for mK2(2) over Z20000xZ1
@@ -673,7 +682,7 @@ def test_span_matmul_matches_gf2_extraction():
         circles = enumerate_circles(g)
         forest = spanning_forest(g)
         chords = [e for e in g.edge_list if e not in forest]
-        odd = classify._parity_matrix(circles, chords)
+        odd = oracle._parity_matrix(circles, chords)
         position = {e: i for i, e in enumerate(g.edge_list)}
         masks = [sum(1 << position[e] for e in c.support) for c in circles]
         subsets = [[True] * len(circles), [False] * len(circles)]

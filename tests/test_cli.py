@@ -14,9 +14,9 @@ from gainbalance.cyclespace import parse_basis_text
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
 from gainbalance.graphcore import grid_faces, parse_graph_text
-from gainbalance.classify import oracle_circle_goodness
 from gainbalance.groups import Symmetric, parse_group_header, parse_group_spec, symmetric
 from gainbalance.minors import MINOR_SEARCH_MAX_NODES
+from gainbalance.oracle import oracle_circle_goodness
 from conftest import named
 from oracle_reference import reference_witness_json
 
@@ -210,10 +210,17 @@ def test_circle_test_input_errors(capsys, tmp_path):
     assert "is not a circle" in capsys.readouterr().err
 
 
-def test_cli_loads_numpy_only_for_the_classifier(gain_file):
-    # a fresh process: importing the frontend and balance leave numpy unloaded,
-    # classify loads it
+def _fresh_process(code: str, *args: str) -> str:
+    """The last line that ``code`` prints, run in a new interpreter."""
     src = str(Path(gainbalance.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_loads_numpy_only_for_the_oracle(gain_file):
+    # a fresh process: importing the frontend, balance, classify and witness
+    # leave numpy unloaded, the oracle loads it
     code = (
         "import sys\n"
         "from gainbalance.cli import run\n"
@@ -223,10 +230,22 @@ def test_cli_loads_numpy_only_for_the_classifier(gain_file):
         "    loaded.append('numpy' in sys.modules)\n"
         "print(loaded)\n"
     )
-    argvs = [f"balance C3(3,3,2) {gain_file}", "classify W4 --class contains-z3"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code, *argvs], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "[False, False, True]"
+    argvs = [f"balance C3(3,3,2) {gain_file}", "classify W4 --class contains-z3", "witness --family W6", "oracle 2C4 --group Z3"]
+    assert _fresh_process(code, *argvs) == "[False, False, False, False, True]"
+
+
+def test_classify_imports_without_numpy_and_reexports_the_oracle():
+    # the classifier proves its verdicts without numpy; its one re-export
+    # imports the oracle on first access and keeps it as a module attribute
+    code = (
+        "import sys\n"
+        "from gainbalance import classify\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "first = classify.oracle_circle_goodness\n"
+        "from gainbalance.oracle import oracle_circle_goodness\n"
+        "print([loaded, first is oracle_circle_goodness, vars(classify).get('oracle_circle_goodness') is first])\n"
+    )
+    assert _fresh_process(code) == "[False, True, True]"
 
 
 def test_classify_command_json_round_trip(capsys):
@@ -287,6 +306,16 @@ def test_witness_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["group"] == "Z5"
     assert data["test"] == "circle"
+
+
+def test_witness_order_is_only_for_the_loop_vertex(capsys):
+    # every other family fixes its own group, so an order there is an input error
+    assert run(["witness", "--family", "2C6", "--order", "7", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: DoubledCircle(6) fixes its own gain group: a cyclic order is only for the loop vertex\n"
+    assert run(["witness", "--family", "K1loop", "--order", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"] == "Z5"
 
 
 def test_minor_command(capsys):
@@ -381,6 +410,28 @@ def test_malformed_graph_tags_exit_2(capsys):
     # a leading zero read "W04" as W4
     assert run(["classify", "W04", "--class", "contains-z3"]) == 2
     assert capsys.readouterr().err == "input error: 'W04' is neither a known graph tag nor a file\n"
+
+
+def test_atlas_rejects_a_negative_edge_bound(capsys):
+    # a negative bound is an input error, not an empty survey
+    assert run(["atlas", "--max-edges", "-1", "--group", "Z3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("argument --max-edges: expected a nonnegative integer, got '-1'\n")
+    assert run(["atlas", "--max-edges", "0", "--group", "Z3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["graphs"] == []
+
+
+def test_oracle_and_atlas_reject_a_negative_budget(capsys):
+    # an input error whether or not the graph has a circle (a forest is
+    # decided before the budget is read)
+    for argv in (["oracle", "mK2(2)", "--group", "Z3"], ["oracle", "mK2(1)", "--group", "Z3"],
+                 ["atlas", "--max-edges", "2", "--group", "Z3"]):
+        assert run([*argv, "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("argument --budget: expected a nonnegative integer, got '-1'\n")
+    assert run(["oracle", "K1loop", "--group", "Z3", "--budget", "0"]) == 3
 
 
 def test_atlas_past_the_oracle_edge_bound_exits_3_before_enumerating(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from gainbalance.cyclespace import (
     enumerate_circles,
     fundamental_circles,
     improper_edges,
-    is_circle_basis,
     is_cycle_basis,
     least_circle,
     natural_orientation,
@@ -31,6 +30,7 @@ from gainbalance.errors import BudgetError, GraphError, ParseError
 from gainbalance.graphcore import Graph, edge_components, grid_faces, spanning_forest, walk_support, walk_vertices
 from conftest import named, triangle
 from cyclespace_reference import (
+    is_circle_basis,
     reference_circle_walk,
     reference_cyclic_orientations,
     reference_euler_walk,

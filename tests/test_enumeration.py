@@ -7,8 +7,10 @@ from gainbalance.enumeration import (
     inseparable_multigraphs,
     materialize,
 )
-from gainbalance.graphcore import Graph, canonical_key, is_connected, is_inseparable
+from gainbalance.graphcore import Graph, canonical_key
 from canonical_reference import (
+    is_connected,
+    is_inseparable,
     reference_all_multigraphs,
     reference_connected_multigraphs,
     reference_inseparable_multigraphs,

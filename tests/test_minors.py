@@ -35,13 +35,13 @@ from gainbalance.minors import (
     has_minor,
     has_two_separation,
     is_extrusion_irreducible,
-    lift_basis_contraction,
     lift_basis_deletion,
     reverse_extrusion_reduce,
     verify_minor_witness,
     verify_reverse_steps,
     whitney_twist,
 )
+from classify_reference import lift_basis_contraction
 from conftest import named
 from extrusion_reference import (
     first_move_reverse_extrusion_reduce,
