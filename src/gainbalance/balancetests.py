@@ -15,9 +15,14 @@ the chords of a spanning forest maps C isomorphically onto Z^chords (a flow
 is determined by its chord values), so the analysis runs the Smith normal
 form of the dim x dim chord matrix of the basis walks.  For any query circle
 it gives the order of its image in the quotient: order 1 means the basis
-forces the circle balanced over every abelian gain group; a finite order
-d > 1 admits explicit unbalanced witnesses over suitable cyclic groups;
-infinite order admits one over the integers.
+forces the circle balanced over every abelian gain group, and an order
+d > 1 admits explicit unbalanced witnesses over suitable cyclic groups.
+
+Every order is finite and odd.  Each walk projects mod 2 onto its member and
+the members form a GF(2) basis, so the chord matrix is invertible mod 2: its
+determinant is odd, and every invariant factor and every query order divides
+it.  This is the lattice form of the paper's rule that abelian groups without
+odd torsion validate both tests.
 
 Switching is ignored throughout the abelian analysis: a switching changes a
 closed walk's gain by a telescoping product that cancels, so it moves no
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cyclespace import Circle, OrientedBasis, circle_from_support, is_cycle_basis
 from .errors import GraphError
@@ -79,40 +84,31 @@ def circle_test(gg: GainGraph, members: Iterable[Iterable[str]]) -> bool:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = left @ A @ right with left/right unimodular and D diagonal with
-    the divisibility chain d1 | d2 | ... ."""
+    """D = U @ A @ right for some unimodular U (not kept) and unimodular
+    ``right``, with D diagonal and the divisibility chain d1 | d2 | ... ."""
 
     diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
-    shape: tuple[int, int]
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d != 0)
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
-    """Exact Smith normal form with minimal-absolute-value pivoting."""
+    """Exact Smith normal form with minimal-absolute-value pivoting; only the
+    column transform is kept."""
     a = [list(map(int, row)) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     if any(len(row) != n for row in a):
         raise GraphError("ragged matrix")
-    left = [[int(i == j) for j in range(m)] for i in range(m)]
     right = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row i -= q * row j
         ai, aj = a[i], a[j]
-        li, lj = left[i], left[j]
         for k in range(n):
             ai[k] -= q * aj[k]
-        for k in range(m):
-            li[k] -= q * lj[k]
 
     def col_op(i, j, q):  # col i -= q * col j
         for row in a:
@@ -122,7 +118,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -182,18 +177,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithForm:
             if offender is None:
                 break
             row_op(t, offender, -1)
-        if a[t][t] < 0:
-            for k in range(n):
-                a[t][k] = -a[t][k]
-            for k in range(m):
-                left[t][k] = -left[t][k]
+        a[t][t] = abs(a[t][t])  # the rest of row and column t is zero
         t += 1
     diagonal = tuple(a[i][i] for i in range(min(m, n)))
-    return SmithForm(diagonal, tuple(map(tuple, left)), tuple(map(tuple, right)), (m, n))
-
-
-def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
-    return [sum(r * v for r, v in zip(row, vec)) for row in mat]
+    return SmithForm(diagonal, tuple(map(tuple, right)))
 
 
 # -- universal abelian analysis -------------------------------------------------
@@ -202,7 +189,7 @@ def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class QueryReport:
     support: tuple[str, ...]
-    order: Optional[int]  # None encodes infinite order
+    order: int
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ class UniversalAbelianReport:
     """Torsion data of Z^E modulo the lattice of basis traversal vectors."""
 
     edge_order: tuple[str, ...]
-    lattice_rank: int
+    lattice_rank: int  # the number of chords: the basis walks span a full-rank lattice
     invariant_factors: tuple[int, ...]  # the nontrivial ones (> 1)
     queries: tuple[QueryReport, ...]
     _smith: SmithForm
@@ -218,7 +205,7 @@ class UniversalAbelianReport:
     _graph: Graph
     _basis: OrientedBasis
 
-    def order_of(self, z: Circle) -> Optional[int]:
+    def order_of(self, z: Circle) -> int:
         for q in self.queries:
             if set(q.support) == set(z.support):
                 return q.order
@@ -246,10 +233,8 @@ def _query_coordinates(sf: SmithForm, chords: Sequence[str], z: Circle) -> list[
     return w
 
 
-def _image_order(diag: Sequence[int], w: Sequence[int]) -> Optional[int]:
-    if any(wj for dj, wj in zip(diag, w) if not dj):
-        return None
-    return math.lcm(*(dj // math.gcd(dj, wj) for dj, wj in zip(diag, w) if dj))
+def _image_order(diag: Sequence[int], w: Sequence[int]) -> int:
+    return math.lcm(*(dj // math.gcd(dj, wj) for dj, wj in zip(diag, w)))
 
 
 def implies_balance_abelian(g: Graph, b: OrientedBasis, queries: Sequence[Circle]) -> UniversalAbelianReport:
@@ -257,18 +242,23 @@ def implies_balance_abelian(g: Graph, b: OrientedBasis, queries: Sequence[Circle
     computed in chord coordinates (see the module docstring).
 
     Order 1: the basis forces the circle balanced over every abelian group.
-    Finite order d > 1: a witness exists over Cyclic(k) for suitable k (see
-    :func:`abelian_witness`).  Infinite: a witness exists over the integers.
+    Order d > 1: a witness exists over Cyclic(k) for suitable k (see
+    :func:`abelian_witness`).  Every order is odd, as every diagonal entry
+    of the Smith form is; an even one, zero included, raises: only an
+    ``OrientedBasis`` built by hand, with walks that do not project to its
+    members, can give one.
     """
     if not is_cycle_basis(b.cycles, g):
         raise GraphError("oriented cycles do not form a basis")
     forest = spanning_tree(g).forest
     chords = tuple(e for e in g.edge_list if e not in forest)
     sf = smith_normal_form([[vec.get(e, 0) for e in chords] for vec in map(walk_int_vector, b.walks)])
+    if any(d % 2 == 0 for d in sf.diagonal):
+        raise GraphError("basis walks do not project to their members: the chord matrix has an even determinant")
     out = [QueryReport(tuple(sorted(z.support)), _image_order(sf.diagonal, _query_coordinates(sf, chords, z)))
            for z in queries]
     factors = tuple(d for d in sf.invariant_factors if d > 1)
-    return UniversalAbelianReport(tuple(g.edge_list), sf.rank, factors, tuple(out), sf, chords, g, b)
+    return UniversalAbelianReport(tuple(g.edge_list), len(chords), factors, tuple(out), sf, chords, g, b)
 
 
 def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAssignment:
@@ -282,18 +272,16 @@ def abelian_witness(report: UniversalAbelianReport, z: Circle, d: int) -> GainAs
     if d <= 1:
         raise GraphError("witness group must be nontrivial")
     sf, chords = report._smith, report._chords
-    y = [0] * len(chords)
-    # the basis is square, so a zero diagonal entry d_j gives gcd d: y_j = 1
+    # the chord gains are column j of ``right`` times y_j, zero elsewhere in y
     for j, (dj, wj) in enumerate(zip(sf.diagonal, _query_coordinates(sf, chords, z))):
         gj = math.gcd(dj, d)
         if wj % gj:
-            y[j] = d // gj
+            yj = d // gj
             break
     else:
         raise GraphError(f"no unbalanced witness over Cyclic({d}) for this query")
-    x = _mat_vec(sf.right, y)
     group = cyclic(d)
-    gains = {e: group.element([x[i] % d]) for i, e in enumerate(chords)}
+    gains = {e: group.element([row[j] * yj % d]) for e, row in zip(chords, sf.right)}
     gg = gain_graph(report._graph, group, gains)
     ident = group.identity()
     balanced_basis = all(walk_gain(gg, w) == ident for w in report._basis.walks)

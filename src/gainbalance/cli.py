@@ -277,7 +277,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, GraphError, FileNotFoundError) as exc:
+    except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or binary file too
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -38,7 +38,6 @@ from .graphcore import (
     Graph,
     RootedForest,
     blocks,
-    components,
     edge_components,
     is_isomorphic,
     spanning_forest,
@@ -104,14 +103,21 @@ MINOR_SEARCH_MAX_EDGES = 10
 MINOR_SEARCH_MAX_NODES = 70_000
 
 
+def _induced_edges(g: Graph, vs: frozenset) -> list[str]:
+    """The edges of ``g`` with both ends in ``vs``, in edge-id order."""
+    return sorted({e for v in vs for e, u in g.incident(v) if u in vs})
+
+
+def _set_forest(g: Graph, vs: frozenset) -> list[str]:
+    """Spanning forest of the subgraph induced on ``vs``, picked greedily in
+    edge-id order as :func:`graphcore.spanning_forest` picks it."""
+    sets = DisjointSets(vs)
+    return [e for e in _induced_edges(g, vs) if sets.union(*g.ends(e))]
+
+
 def branch_forest(g: Graph, branch_sets: Mapping[str, frozenset]) -> frozenset:
     """Deterministic spanning forest of each induced branch set."""
-    picked = set()
-    for t in sorted(branch_sets):
-        vs = branch_sets[t]
-        sub = g.subgraph([e for e in g.edge_list if set(g.ends(e)) <= vs], vs)
-        picked |= spanning_forest(sub)
-    return frozenset(picked)
+    return frozenset(e for vs in branch_sets.values() for e in _set_forest(g, vs))
 
 
 def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
@@ -120,18 +126,19 @@ def verify_minor_witness(g: Graph, target: Graph, w: MinorWitness) -> bool:
     each target edge's ends.  Then deleting the unmapped edges and contracting
     the forest gives the target, t named min(branch set of t), as it must."""
     seen: set = set()
+    forest: set = set()
     for t, vs in w.branch_sets.items():
         if t not in target.vertices or not vs <= g.vertices or seen & vs:
             return False
         seen |= vs
-        sub = g.subgraph([e for e in g.edge_list if set(g.ends(e)) <= vs], vs)
-        if len(components(sub)) != 1:
+        tree = _set_forest(g, vs)
+        if len(tree) != len(vs) - 1:  # the set is not connected
             return False
+        forest.update(tree)
     if set(w.branch_sets) != set(target.vertices):
         return False
     if set(w.edge_map) != set(target.edges) or len(set(w.edge_map.values())) != len(w.edge_map):
         return False
-    forest = branch_forest(g, w.branch_sets)
     if set(w.edge_map.values()) & forest:
         return False
     location = {v: t for t, vs in w.branch_sets.items() for v in vs}
@@ -224,8 +231,7 @@ def has_minor(g: Graph, target: Graph) -> Optional[MinorWitness]:
         vs = assignment[tv]
         # loops need enough cyclomatic slack inside the branch set
         if loops_at_target[tv]:
-            sub = g.subgraph([e for e in g.edge_list if set(g.ends(e)) <= vs], vs)
-            slack = len(sub.edge_list) - (len(vs) - 1)
+            slack = len(_induced_edges(g, vs)) - (len(vs) - 1)
             if slack < loops_at_target[tv]:
                 return False
         where = {v: t for t, vs in assignment.items() for v in vs}

@@ -7,11 +7,20 @@ the whole remaining block for every pivot and for every divisibility check,
 and each query's dense edge vector is multiplied by the |E| x |E| right
 transform.  The order of a query in Z^E modulo the basis lattice is read off
 those coordinates.
+
+It also draws the random bases of the odd-order survey: every diagonal entry
+of a basis's chord-matrix Smith form is odd, and so is every query order.
 """
 
+import functools
 import math
+import operator
+import random
 
-from gainbalance.graphcore import walk_int_vector
+from gainbalance.balancetests import abelian_witness, implies_balance_abelian, smith_normal_form
+from gainbalance.cyclespace import OrientedBasis, cyclic_orientations, enumerate_circles, fundamental_circles
+from gainbalance.errors import GraphError
+from gainbalance.graphcore import spanning_forest, walk_int_vector
 
 
 def smith_normal_form_full_scan(matrix):
@@ -114,3 +123,57 @@ class FullEdgeReport:
             "invariant_factors": [d for d in self.diagonal if d > 1],
             "queries": [{"support": sorted(z.support), "order": self.order(k)} for k, z in enumerate(self.queries)],
         }
+
+
+def random_walk_basis(g, rng):
+    """A random basis of the cycle space of ``g``: each member is a random
+    GF(2) combination of the fundamental circles, kept when independent of
+    the members before it, and is paired with a random one of its
+    ``cyclic_orientations``, so that every walk projects onto its member."""
+    fundamental = [c.support for c in fundamental_circles(g, spanning_forest(g))]
+    dim = len(fundamental)
+    pairs, rows = [], []
+    while len(pairs) < dim:
+        coefficients = reduced = rng.getrandbits(dim)
+        for row in rows:
+            reduced = min(reduced, reduced ^ row)
+        if not reduced:
+            continue
+        rows.append(reduced)
+        rows.sort(reverse=True)
+        member = functools.reduce(operator.xor, (s for i, s in enumerate(fundamental) if coefficients >> i & 1))
+        pairs.append((member, rng.choice(cyclic_orientations(member, g, budget=4))))
+    return OrientedBasis(tuple(pairs), g)
+
+
+def odd_order_survey(graphs, seed, per_graph=4):
+    """Run the abelian analysis on ``per_graph`` random bases of each graph
+    with a circle, every circle a query.  Returns the number of bases, the
+    number of even diagonal entries of the chord matrices' Smith forms, the
+    query orders and invariant factors seen, and the number of queries with
+    an unbalanced witness over Z2, Z4 or Z8."""
+    rng = random.Random(seed)
+    bases = even = witnesses = 0
+    orders, factors = set(), set()
+    for g in graphs:
+        forest = spanning_forest(g)
+        chords = [e for e in g.edge_list if e not in forest]
+        if not chords:
+            continue
+        circles = enumerate_circles(g)
+        for _ in range(per_graph):
+            ob = random_walk_basis(g, rng)
+            rows = [[walk_int_vector(w).get(e, 0) for e in chords] for w in ob.walks]
+            even += sum(1 for d in smith_normal_form(rows).diagonal if d % 2 == 0)
+            rep = implies_balance_abelian(g, ob, circles)
+            bases += 1
+            orders.update(q.order for q in rep.queries)
+            factors.update(rep.invariant_factors)
+            for z in circles:
+                for d in (2, 4, 8):
+                    try:
+                        abelian_witness(rep, z, d)
+                    except GraphError:
+                        continue
+                    witnesses += 1
+    return bases, even, orders, factors, witnesses

@@ -24,12 +24,12 @@ from gainbalance.cyclespace import (
     oriented_basis,
     parse_basis_text,
 )
-from gainbalance.enumeration import inseparable_multigraphs
+from gainbalance.enumeration import connected_multigraphs, inseparable_multigraphs, materialize
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, Switching, gain_graph, is_balanced, switch, walk_gain
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, Graph, grid_faces, spanning_forest, walk_int_vector
 from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
-from abelian_reference import FullEdgeReport, smith_normal_form_full_scan
+from abelian_reference import FullEdgeReport, odd_order_survey, smith_normal_form_full_scan
 from conftest import named
 
 
@@ -98,13 +98,15 @@ def test_smith_transforms_reconstruct():
         n = rng.randrange(1, 5)
         a = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
         sf = smith_normal_form(a)
-        # D == left @ a @ right, exactly
-        la = [[sum(sf.left[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+        diagonal, left, right = smith_normal_form_full_scan(a)
+        assert (sf.diagonal, sf.right) == (diagonal, right)
+        # D == left @ a @ right, exactly, with the reference's left transform
+        la = [[sum(left[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
         lav = [[sum(la[i][k] * sf.right[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
         for i in range(m):
             for j in range(n):
                 assert lav[i][j] == (sf.diagonal[i] if i == j and i < len(sf.diagonal) else 0)
-        assert abs(det([list(r) for r in sf.left])) == 1
+        assert abs(det([list(r) for r in left])) == 1
         assert abs(det([list(r) for r in sf.right])) == 1
         # divisibility chain
         factors = [d for d in sf.diagonal if d]
@@ -478,14 +480,16 @@ def bareiss_det(mat):
 
 def check_smith(a):
     """The Smith form of ``a`` equals the full-scan reference's, reconstructs
-    ``a`` exactly through unimodular transforms and has the divisibility chain."""
+    ``a`` exactly through unimodular transforms (the reference's left one) and
+    has the divisibility chain."""
     sf = smith_normal_form(a)
-    assert (sf.diagonal, sf.left, sf.right) == smith_normal_form_full_scan(a)
+    diagonal, left, right = smith_normal_form_full_scan(a)
+    assert (sf.diagonal, sf.right) == (diagonal, right)
     m, n = len(a), len(a[0])
-    la = [[sum(sf.left[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+    la = [[sum(left[i][k] * a[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
     lar = [[sum(la[i][k] * sf.right[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
     assert lar == [[sf.diagonal[i] if i == j else 0 for j in range(n)] for i in range(m)]
-    assert abs(bareiss_det(sf.left)) == 1 and abs(bareiss_det(sf.right)) == 1
+    assert abs(bareiss_det(left)) == 1 and abs(bareiss_det(sf.right)) == 1
     factors = sf.invariant_factors
     assert all(d > 0 for d in factors) and all(y % x == 0 for x, y in zip(factors, factors[1:]))
     return sf
@@ -536,7 +540,7 @@ def test_smith_mixed_entries_match_full_scan():
 
 def check_against_reference(g, ob, queries):
     """The report equals the full-edge reference, its Smith form is the full
-    scan's on the chord matrix, and each query of finite order n > 1 gets a
+    scan's on the chord matrix, and each query of order n > 1 gets a
     verified witness over Z_n exactly when some map of the quotient to Z_n
     is nonzero on it, else one over the largest invariant factor.  Returns
     the report."""
@@ -548,10 +552,11 @@ def check_against_reference(g, ob, queries):
     chords = [e for e in g.edge_list if e not in forest]
     rows = [[walk_int_vector(w).get(e, 0) for e in chords] for w in ob.walks]
     if rows:
-        assert (rep._smith.diagonal, rep._smith.left, rep._smith.right) == smith_normal_form_full_scan(rows)
+        diagonal, _, right = smith_normal_form_full_scan(rows)
+        assert (rep._smith.diagonal, rep._smith.right) == (diagonal, right)
     for k, z in enumerate(queries):
         n = rep.queries[k].order
-        if n is None or n == 1:
+        if n == 1:
             continue
         if not ref.separated_over(k, n):
             # e.g. 3 in Z_9: no map to Z_3 sees it, one to Z_9 does
@@ -666,5 +671,29 @@ def test_abelian_chords_match_reference_on_walk_line_bases():
             large_entries += any(abs(x) >= 2 for w in ob.walks for x in walk_int_vector(w).values())
             rep = check_against_reference(g, ob, circles)
             torsion += bool(rep.invariant_factors)
-            witnesses += sum(1 for q in rep.queries if q.order not in (None, 1))
+            witnesses += sum(1 for q in rep.queries if q.order != 1)
     assert large_entries > 50 and torsion > 30 and witnesses > 100
+
+
+# -- every order is odd --------------------------------------------------------------
+
+
+def test_every_diagonal_entry_and_order_is_odd_on_random_walk_bases():
+    # a basis is a GF(2) basis, so its chord matrix has an odd determinant:
+    # the lattice form of the classifier's abelian-without-odd-torsion rule
+    graphs = [materialize(c) for level in connected_multigraphs(6) for c in level]
+    graphs += [named(t) for t in ("W4", "W6", "2C4", "K4dd", "C3(3,3,2)", "Grid(3,3)")]
+    bases, even, orders, factors, witnesses = odd_order_survey(graphs, seed=2)
+    assert (bases, even, witnesses) == (1808, 0, 0)
+    assert orders == {1, 3, 5, 9} and factors == {3, 5, 9}
+
+
+def test_a_walk_that_does_not_project_to_its_member_raises():
+    # the same member twice round: an even row, so an even determinant
+    g = named("W4")
+    ob = oriented_basis(g, [c.support for c in fundamental_circles(g, spanning_forest(g))])
+    (member, walk), *rest = ob.pairs
+    doubled = OrientedBasis(((member, repeated(walk, 2)), *rest), g)
+    implies_balance_abelian(g, ob, enumerate_circles(g))
+    with pytest.raises(GraphError, match="even determinant"):
+        implies_balance_abelian(g, doubled, enumerate_circles(g))

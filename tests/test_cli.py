@@ -389,6 +389,26 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["oracle", "2C4", "--group", "Z3", "--budget", "5"]) == 3
 
 
+def test_unreadable_input_files_exit_2(capsys, tmp_path):
+    # a directory, or a file that is not UTF-8, is an input error, not a traceback
+    gains = tmp_path / "z3.gains"
+    gains.write_text("group Z 3\n")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00group Z 3\n")
+    folder = str(tmp_path)
+    for argv in (
+        ["classify", folder, "--class", "all"],
+        ["balance", "W4", folder],
+        ["cycle-test", "W4", str(gains), folder],
+        ["minor", "W4", "--target", f"file:{folder}"],
+        ["balance", "W4", str(binary)],
+        ["cycle-test", "W4", str(gains), str(binary)],
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), argv
+
+
 def test_malformed_group_specs_exit_2(capsys):
     # "\u00b2".isdigit() is True but int() rejects it: taken by pattern, the spec is an input error, not a crash
     assert run(["oracle", "W4", "--group", "Z\u00b2"]) == 2
