@@ -40,9 +40,20 @@ from .groups import parse_class_spec, parse_group_spec
 from .minors import has_minor
 
 
+def _read(path: str | Path) -> str:
+    """The text of an input file; a file that cannot be read or decoded is
+    an input error that names it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+
+
 def _load_graph(arg: str) -> Graph:
     if arg.startswith("file:"):
-        return parse_graph_text(Path(arg[5:]).read_text())
+        return parse_graph_text(_read(arg[5:]))
     if arg == "P2P2":
         from .minors import doubled_path_target
 
@@ -53,7 +64,7 @@ def _load_graph(arg: str) -> Graph:
         pass
     path = Path(arg)
     if path.exists():
-        return parse_graph_text(path.read_text())
+        return parse_graph_text(_read(path))
     raise ParseError(f"{arg!r} is neither a known graph tag nor a file")
 
 
@@ -67,7 +78,7 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def _cmd_balance(args) -> int:
     g = _load_graph(args.graph)
-    gg = parse_gain_text(Path(args.gains).read_text(), g)
+    gg = parse_gain_text(_read(args.gains), g)
     res = is_balanced(gg)
     report = {"balanced": res.balanced}
     lines = [f"balanced: {res.balanced}"]
@@ -81,8 +92,8 @@ def _cmd_balance(args) -> int:
 
 def _cmd_basis_test(args) -> int:
     g = _load_graph(args.graph)
-    gg = parse_gain_text(Path(args.gains).read_text(), g)
-    text = Path(args.basis).read_text()
+    gg = parse_gain_text(_read(args.gains), g)
+    text = _read(args.basis)
     circle = args.command == "circle-test"
     # the circle test walks each member's canonical circle walk; a walk line is still checked
     ob = circle_orientation(g, [s for s, _ in read_basis_text(text, g)]) if circle else parse_basis_text(text, g)
@@ -277,7 +288,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or binary file too
+    except (ParseError, GraphError, OSError) as exc:  # Path.exists raises on an overlong name
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

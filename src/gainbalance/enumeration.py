@@ -28,6 +28,30 @@ rank is invariant under isomorphisms, so that new edge is in the class too.
 Candidates that pass from several parents or pairs still meet in the set of
 canonical forms.
 
+A grown ear candidate is labeled only when its new ear lies in its canonical
+deletion class, by the same argument.  In an inseparable graph other than a
+circle, an ear is a maximal path whose inner vertices have degree 2; its ends
+are distinct vertices of degree at least 3 and every edge lies on exactly
+one ear.  It is removable when deleting its edges and inner vertices leaves
+an inseparable graph, and every such graph has a removable ear: the last ear
+of an open ear decomposition, which exists by Whitney's theorem.  The class
+is the removable ears of highest rank (parallel copy, length, multiplicity
+of the ends' pair, sorted end degrees), read off the cells.  A parallel copy
+(a single edge whose ends another edge joins) is always removable, since
+the other copy keeps every path it served, so a candidate with one is
+decided by ranks alone; on a simple candidate each ear that outranks the
+new one costs one lowpoint DFS.  Every graph is still reached.  Deleting an
+ear of its class leaves an inseparable parent with fewer edges, a circle or,
+by induction on the edge count, an enumerated graph, and that parent is
+grown with ears of every length at the orbit representative of the deleted
+ear's end pair.  The orbits are those of the group generated by the
+automorphisms the labeling search found: a subgroup of the automorphism
+group, which only splits orbits, and any of its elements carries the
+deleted ear's ends to the representative and extends to an isomorphism
+from the graph to the candidate that maps the deleted ear onto the new one.
+Removability and the rank are invariant under isomorphisms, so the new ear
+is in the class too.
+
 Graphs are kept in a compact internal form ``(n, ((i, j, mult), ...))`` with
 ``i <= j`` (loops on the diagonal) and materialized as :class:`Graph` values
 with vertices ``v0..`` and edges ``e0..`` on demand.
@@ -104,6 +128,86 @@ def _is_bridge(cells: dict[tuple[int, int], int], a: int, b: int) -> bool:
         if (i, j) != (a, b):
             parts.union(i, j)
     return parts.find(a) != parts.find(b)
+
+
+def _is_canonical_ear(n: int, cells: dict[tuple[int, int], int], u: int, v: int, length: int) -> bool:
+    """Whether the ear of ``length`` edges just added between ``u`` and
+    ``v`` lies in the canonical deletion class of the inseparable candidate
+    with these cells: its removable ears of highest :func:`_ear_rank`."""
+    deg = [0] * n
+    for (i, j), m in cells.items():
+        deg[i] += m
+        deg[j] += m
+    top = _ear_rank(deg, cells, u, v, length)
+    parallel = [cell for cell, m in cells.items() if m > 1]
+    if parallel:
+        # parallel copies are always removable and outrank every other ear
+        return top[0] and all(_ear_rank(deg, cells, i, j, 1) <= top for i, j in parallel)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in cells:
+        adj[i].append(j)
+        adj[j].append(i)
+    for a, inner, b in _ears(deg, adj):
+        if _ear_rank(deg, cells, a, b, len(inner) + 1) > top and _removable(adj, a, inner, b):
+            return False
+    return True
+
+
+def _ear_rank(deg: list[int], cells: dict[tuple[int, int], int], a: int, b: int, length: int) -> tuple:
+    """(parallel copy, length, multiplicity of the ends' pair, sorted end
+    degrees) of an ear between ``a`` and ``b``; isomorphisms preserve it."""
+    m = cells.get((a, b) if a < b else (b, a), 0)
+    x, y = deg[a], deg[b]
+    return (length == 1 and m > 1, length, m) + ((x, y) if x <= y else (y, x))
+
+
+def _ears(deg: list[int], adj: list[list[int]]) -> Iterator[tuple[int, list[int], int]]:
+    """Each ear of a simple inseparable graph other than a circle once, as
+    (end, inner vertices, end): the maximal paths whose inner vertices have
+    degree 2, between vertices of degree at least 3."""
+    for a, nbrs in enumerate(adj):
+        if deg[a] < 3:
+            continue
+        for w in nbrs:
+            prev, inner = a, []
+            while deg[w] == 2:
+                inner.append(w)
+                x, y = adj[w]
+                prev, w = w, y if x == prev else x
+            if a < w:
+                yield a, inner, w
+
+
+def _removable(adj: list[list[int]], a: int, inner: list[int], b: int) -> bool:
+    """Whether deleting the ear from ``a`` through ``inner`` to ``b`` leaves
+    the simple inseparable graph with adjacency lists ``adj`` inseparable:
+    one lowpoint DFS from ``a`` finds no cut vertex.  What is left is
+    connected and its ends cut nothing, as whatever they cut off would be
+    cut off in the graph too, so the DFS ends with the first child of
+    ``a``."""
+    gone = set(inner)
+    skip = () if inner else ((a, b), (b, a))  # a single edge goes, no vertex
+    order = {a: 0}
+    low = [0] * len(adj)
+    stack = [(a, -1, iter(adj[a]))]
+    while True:
+        x, parent, it = stack[-1]
+        for y in it:
+            if y == parent or y in gone or (x, y) in skip:
+                continue
+            if y in order:
+                low[x] = min(low[x], order[y])
+                continue
+            order[y] = low[y] = len(order)
+            stack.append((y, x, iter(adj[y])))
+            break
+        else:
+            stack.pop()
+            if len(stack) == 1:
+                return True
+            if low[x] >= order[parent]:
+                return False  # parent is a cut vertex
+            low[parent] = min(low[parent], low[x])
 
 
 def materialize(c: Compact) -> Graph:
@@ -212,6 +316,8 @@ def inseparable_multigraphs(max_edges: int) -> tuple[Graph, ...]:
                 for a, b in zip(path, path[1:]):
                     aa, bb = (a, b) if a <= b else (b, a)
                     grown[(aa, bb)] = grown.get((aa, bb), 0) + 1
+                if not _is_canonical_ear(n + fresh, grown, u, v, length):
+                    continue
                 c, found = _compact_canonical(n + fresh, grown)
                 if c not in seen[m + length]:
                     seen[m + length][c] = found

@@ -390,23 +390,26 @@ def test_exit_codes(capsys, tmp_path):
 
 
 def test_unreadable_input_files_exit_2(capsys, tmp_path):
-    # a directory, or a file that is not UTF-8, is an input error, not a traceback
+    # a directory, or a file that is not UTF-8, is an input error that names
+    # the file, not a traceback
     gains = tmp_path / "z3.gains"
     gains.write_text("group Z 3\n")
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00group Z 3\n")
     folder = str(tmp_path)
-    for argv in (
-        ["classify", folder, "--class", "all"],
-        ["balance", "W4", folder],
-        ["cycle-test", "W4", str(gains), folder],
-        ["minor", "W4", "--target", f"file:{folder}"],
-        ["balance", "W4", str(binary)],
-        ["cycle-test", "W4", str(gains), str(binary)],
+    for argv, culprit in (
+        (["classify", folder, "--class", "all"], folder),
+        (["balance", "W4", folder], folder),
+        (["cycle-test", "W4", str(gains), folder], folder),
+        (["minor", "W4", "--target", f"file:{folder}"], folder),
+        (["balance", "W4", str(binary)], str(binary)),
+        (["cycle-test", "W4", str(binary), str(gains)], str(binary)),
+        (["cycle-test", "W4", str(gains), str(binary)], str(binary)),
+        (["circle-test", "W4", str(gains), str(binary)], str(binary)),
     ):
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("input error: "), argv
+        assert captured.out == "" and captured.err.startswith(f"input error: {culprit}: "), (argv, captured.err)
 
 
 def test_malformed_group_specs_exit_2(capsys):

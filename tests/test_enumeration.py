@@ -82,8 +82,40 @@ def test_all_multigraphs_matches_reference_union_builder():
 
 
 def test_inseparable_matches_reference_enumeration():
-    expected = [materialize(c) for level in reference_inseparable_multigraphs(7) for c in level]
-    assert list(inseparable_multigraphs(7)) == expected
+    # the reference labels every ear at every vertex pair, unfiltered
+    reference = reference_inseparable_multigraphs(10)
+    assert [len(level) for level in reference[1:]] == [2, 1, 2, 3, 6, 14, 32, 90, 279, 942]
+    expected = [materialize(c) for level in reference for c in level]
+    assert list(inseparable_multigraphs(10)) == expected
+
+
+def test_inseparable_labels_only_canonical_ear_deletions(monkeypatch):
+    # 342 and 4,779 candidates were labeled up to 8 and 10 edges before the
+    # canonical ear-deletion filter, for 150 and 1,371 graphs
+    calls = []
+    labeling = enumeration._compact_canonical
+
+    def counting(n, cells):
+        calls.append(n)
+        return labeling(n, cells)
+
+    assert callable(connected_multigraphs.cache_clear) and callable(inseparable_multigraphs.cache_clear)
+    monkeypatch.setattr(enumeration, "_compact_canonical", counting)
+    try:
+        counts = []
+        for k in (8, 10, 8):
+            inseparable_multigraphs.cache_clear()
+            del calls[:]
+            graphs = inseparable_multigraphs(k)
+            counts.append((len(graphs), len(calls)))
+    finally:
+        inseparable_multigraphs.cache_clear()
+    (graphs8, labeled8), (graphs10, labeled10), again = counts
+    assert (graphs8, graphs10) == (150, 1371)
+    assert labeled8 <= 160, labeled8
+    assert labeled10 < 2000, labeled10
+    # a cleared cache labels again, as a cold start must
+    assert again == (graphs8, labeled8) and labeled8 > 0
 
 
 def test_levels_have_no_duplicates():
