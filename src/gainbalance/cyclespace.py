@@ -19,7 +19,15 @@ optional following ``walk:`` line attaches a cyclic orientation as signed
 edge identifiers (``walk: e3 -e7 e3``, one leading ``-`` reversing a step);
 a trivial walk is ``walk: @ v``.
 A member line is checked against the host's edges with one set comparison;
-only a line that fails it is scanned for its first unknown identifier.
+only a line that fails it is scanned for its first unknown identifier.  A
+member takes at most one ``walk:`` line.
+
+Circle enumeration is one iterative DFS on vertex indices and 1-based signed
+edge numbers (``_circle_walks``), with the path's vertices as an int bitmask
+and the canonical-direction test as an integer comparison; a first edge that
+no closing edge can exceed is not tried.  ``enumerate_circles`` and
+``least_circle`` build their ``Circle``s from its walks, and the oracle reads
+the walks themselves.
 """
 
 from __future__ import annotations
@@ -241,55 +249,95 @@ def _check_forest(g: Graph, forest: frozenset) -> None:
 # -- circle enumeration -------------------------------------------------------
 
 
-def _dfs_circles(g: Graph, max_length: int) -> list[Circle]:
-    """The circles of g with at most ``max_length`` edges, each once with its
-    canonical walk, by DFS over simple paths from each circle's least vertex.
+def _circle_walks(g: Graph, max_length: int) -> list[tuple[int, ...]]:
+    """The circles of g with at most ``max_length`` edges, each once as its
+    canonical walk, in canonical order: by length, then by sorted edges.
 
-    A circle of two or more edges is met as two paths, one per direction; the
-    one whose first edge is less than its closing edge leaves the least vertex
-    by its lesser edge, which is the canonical walk, and is the one kept.
+    A walk here is a tuple of signed edge numbers: step ``k`` crosses
+    ``g.edge_list[k - 1]`` forward (tail to head), ``-k`` backward, and the
+    walk starts where its first step does.  A loop is its one forward step.
+
+    Longer circles come from one iterative DFS over simple paths from each
+    circle's least vertex, on vertex indices, with the path's vertices as a
+    bitmask.  Such a circle is met as two paths, one per direction; the one
+    whose first edge is less than its closing edge leaves the least vertex by
+    its lesser edge, which is the canonical walk, and is the one kept.
+    ``edge_list`` is sorted, so that test compares edge numbers.  The closing
+    edge joins the root to a higher vertex, so a first edge at or above the
+    root's greatest such edge closes nothing and is not tried.  No recursive
+    closure holds the tables, so they are freed as soon as the call returns,
+    without the cycle collector.
     """
-    found = [Circle(frozenset({e}), ClosedWalk(g.ends(e)[0], (DirectedEdge(e, True),)))
-             for e in g.edge_list if g.is_loop(e)]
-    order = {v: i for i, v in enumerate(g.vertex_list)}
+    index = {v: i for i, v in enumerate(g.vertex_list)}
+    # each vertex's (signed step, other end) pairs in edge order, loops left out
+    adj: list[list[tuple[int, int]]] = [[] for _ in g.vertex_list]
+    walks = []
+    for k, e in enumerate(g.edge_list, 1):
+        t, h = g.edges[e]
+        t, h = index[t], index[h]
+        if t == h:
+            walks.append((k,))
+        else:
+            adj[t].append((k, h))
+            adj[h].append((-k, t))
+    # a circle with a root, its least vertex, has two or more edges
+    for root in range(len(adj) if max_length > 1 else 0):
+        out = [(k, u) for k, u in adj[root] if u > root]
+        top = abs(out[-1][0]) if out else 0
+        for first, u in out:
+            least = abs(first)
+            if least >= top:
+                break
+            path, at, visited = [first], [u], 1 << u
+            frames = [iter(adj[u])]
+            while frames:
+                for k, v in frames[-1]:
+                    if v == root:
+                        if abs(k) > least:
+                            walks.append((*path, k))
+                    elif v > root and not visited >> v & 1 and len(path) + 2 <= max_length:
+                        path.append(k)
+                        at.append(v)
+                        visited |= 1 << v
+                        frames.append(iter(adj[v]))
+                        break
+                else:
+                    frames.pop()
+                    path.pop()
+                    visited ^= 1 << at.pop()
+    walks.sort(key=_walk_order)
+    return walks
 
-    def dfs(root: str, at: str, steps: list[DirectedEdge], visited: set[str]) -> None:
-        for eid, u in g.incident(at):
-            if u == at:
-                continue
-            if u == root and steps and eid > steps[0].edge:
-                walk = ClosedWalk(root, (*steps, DirectedEdge(eid, g.ends(eid)[0] == at)))
-                found.append(Circle(frozenset(s.edge for s in walk.steps), walk))
-                continue
-            if order[u] <= order[root] or u in visited or len(steps) + 2 > max_length:
-                continue
-            visited.add(u)
-            steps.append(DirectedEdge(eid, g.ends(eid)[0] == at))
-            dfs(root, u, steps, visited)
-            steps.pop()
-            visited.discard(u)
 
-    for root in g.vertex_list:
-        dfs(root, root, [], set())
-    return found
+def _walk_order(walk: tuple[int, ...]) -> tuple:
+    return len(walk), sorted(map(abs, walk))
 
 
-def _canonical_order(support: frozenset) -> tuple:
-    return len(support), tuple(sorted(support))
+def _walk_circles(g: Graph, walks: Iterable[tuple[int, ...]]) -> list[Circle]:
+    """The ``Circle`` of each walk of ``_circle_walks``."""
+    steps = {}
+    for k, e in enumerate(g.edge_list, 1):
+        steps[k], steps[-k] = DirectedEdge(e, True), DirectedEdge(e, False)
+    circles = []
+    for walk in walks:
+        path = tuple(map(steps.__getitem__, walk))
+        edge, forward = path[0]
+        start = g.edges[edge][0 if forward else 1]
+        circles.append(Circle(frozenset(s.edge for s in path), ClosedWalk(start, path)))
+    return circles
 
 
 def enumerate_circles(g: Graph) -> list[Circle]:
-    """All circles of g, each once, sorted canonically.
+    """All circles of g, each once, sorted canonically: by length, then by
+    sorted edge identifiers.
 
-    DFS over simple paths from each circle's least vertex, closing back to it
-    in the canonical direction; the edge bound ``CIRCLE_ENUMERATION_MAX_EDGES``
-    keeps the search at desk scale.
+    ``_circle_walks`` finds them as integer walks, each built into a
+    ``Circle`` once; the edge bound ``CIRCLE_ENUMERATION_MAX_EDGES`` keeps
+    the search at desk scale.
     """
     if len(g.edge_list) > CIRCLE_ENUMERATION_MAX_EDGES:
         raise BudgetError(f"circle enumeration bound exceeded ({len(g.edge_list)} > {CIRCLE_ENUMERATION_MAX_EDGES})")
-    circles = _dfs_circles(g, len(g.edge_list))
-    circles.sort(key=lambda c: _canonical_order(c.support))
-    return circles
+    return _walk_circles(g, _circle_walks(g, len(g.edge_list)))
 
 
 def least_circle(g: Graph) -> Optional[frozenset]:
@@ -312,7 +360,7 @@ def least_circle(g: Graph) -> Optional[frozenset]:
             girth = depth + 1
     if girth is None:
         return None
-    return min((c.support for c in _dfs_circles(g, girth)), key=_canonical_order)
+    return frozenset(g.edge_list[abs(k) - 1] for k in _circle_walks(g, girth)[0])
 
 
 # -- cyclic orientations ------------------------------------------------------
@@ -480,7 +528,8 @@ def digon_condition(members: Iterable[Iterable[str]], d: Circle) -> bool:
 
 def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[ClosedWalk]]]:
     """Each member of a basis file with the walk its ``walk:`` line gives, or
-    None; a given walk that does not project to its member raises GraphError."""
+    None; a second ``walk:`` line for one member raises ParseError, and a given
+    walk that does not project to its member raises GraphError."""
     members: list[frozenset] = []
     walks: list[Optional[ClosedWalk]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -490,6 +539,8 @@ def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[Close
         if line.startswith("walk:"):
             if not members:
                 raise ParseError("walk line before any basis member", line=lineno)
+            if walks[-1] is not None:
+                raise ParseError("second walk line for one basis member", line=lineno)
             tokens = line[len("walk:"):].split()
             if tokens and tokens[0] == "@":
                 if len(tokens) != 2:

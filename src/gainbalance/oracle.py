@@ -16,6 +16,12 @@ counterexample gets a GF(2) basis extraction.  The edge bound and the
 assignment budget (|G|^dim times the number of circles) bound the work; the
 group order has no bound of its own.
 
+The circles are read as the integer walks of ``cyclespace._circle_walks``,
+tuples of signed edge numbers in canonical circle order, with the chords as
+edge numbers: a circle's chord row, its walk-kernel steps and its chord
+parity mask come straight from its walk.  Only the balanced circles of an
+assignment the search yields are built as ``Circle``s.
+
 This is the only module that imports numpy.  The classifier proves its
 verdicts without it; the oracle checks them.
 """
@@ -30,10 +36,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classify import CIRCLE_TEST, BadWitness
-from .cyclespace import _edge_index, _mask, cycle_space_dimension, enumerate_circles, gf2_extract_basis, oriented_basis
+from .cyclespace import _circle_walks, _edge_index, _mask, _walk_circles, cycle_space_dimension, gf2_extract_basis, oriented_basis
 from .errors import BudgetError, GraphError
 from .gaingraph import gain_graph
-from .graphcore import Graph, spanning_forest, walk_int_vector
+from .graphcore import Graph, spanning_forest
 from .groups import CyclicProduct, Group, divisors
 
 ORACLE_BLOCK = 1 << 12  # most assignments a kernel block holds
@@ -97,17 +103,23 @@ def _one_block(moduli: tuple[int, ...], dim: int) -> tuple:
     return tuple(_residue_blocks(moduli, dim))
 
 
-def _residue_kernel(grp: CyclicProduct, circles: list, chords: list):
+def _residue_kernel(grp: CyclicProduct, walks: list, chords: list):
     """For each block of ``_residue_blocks``, the indices with at least dim
     balanced circles and their balanced columns.  A circle is balanced when
-    its signed chord counts, dotted with the residues of the chord gains,
+    its signed chord steps, dotted with the residues of the chord gains,
     vanish modulo each modulus.  A block's dot products are one BLAS matmul
     per factor, exact in floating point as every partial sum is an integer
     below the mantissa bound (float32 rows promote to float64 residues)."""
     dim = len(chords)
     key = (grp.moduli, dim)
     blocks = _one_block(*key) if grp.order() ** dim <= ORACLE_BLOCK else _residue_blocks(*key)
-    rows = np.array([[vec.get(e, 0) for e in chords] for vec in (walk_int_vector(c.walk) for c in circles)], dtype=np.float32)
+    # a circle crosses each edge at most once, so a row holds its signed steps
+    column = {k: i for i, k in enumerate(chords)}
+    rows = np.zeros((len(walks), dim), dtype=np.float32)
+    for r, walk in enumerate(walks):
+        for k in walk:
+            if abs(k) in column:
+                rows[r, column[abs(k)]] = 1 if k > 0 else -1
     for js, residues in blocks:
         per_factor = (np.fmod(rows @ res, m) == 0 for res, m in zip(residues, grp.moduli))
         balanced = functools.reduce(np.logical_and, per_factor)
@@ -116,14 +128,14 @@ def _residue_kernel(grp: CyclicProduct, circles: list, chords: list):
             yield js[keep], balanced[:, keep]
 
 
-def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
+def _walk_kernel(grp: Group, walks: list, chords: list, elements: list):
     """Each nonzero assignment index with at least dim balanced circles and
     its balanced column, one assignment at a time, by multiplying the chord
     gains along each circle's walk in order; serves any finite group."""
     ident = grp.identity()
     inverses = [grp.inverse(x) for x in elements]
-    position = {e: i for i, e in enumerate(chords)}
-    steps = [[(position[s.edge], s.forward) for s in c.walk.steps if s.edge in position] for c in circles]
+    column = {k: i for i, k in enumerate(chords)}
+    steps = [[(column[abs(k)], k > 0) for k in walk if abs(k) in column] for walk in walks]
     for j, combo in enumerate(itertools.product(range(len(elements)), repeat=len(chords))):
         if not j:
             continue
@@ -137,50 +149,54 @@ def _walk_kernel(grp: Group, circles: list, chords: list, elements: list):
             yield np.array([j]), np.array(balanced)[:, None]
 
 
-def _parity_matrix(circles: list, chords: list) -> np.ndarray:
+def _parity_matrix(walks: list, chords: list) -> np.ndarray:
     """The circles x (2^dim - 1) matrix of the parity of each circle's chords
     within each nonzero chord set y.  A binary cycle is fixed by its chords,
     so a set of circles spans the cycle space exactly when no nonzero GF(2)
     functional y on the chords vanishes on all of them: when the set's
     indicator row times this matrix is positive everywhere."""
-    position = {e: 1 << i for i, e in enumerate(chords)}
-    masks = np.array([sum(position.get(e, 0) for e in c.support) for c in circles])
+    bit = {k: 1 << i for i, k in enumerate(chords)}
+    masks = np.array([sum(bit.get(abs(k), 0) for k in walk) for walk in walks])
     return _ODD[masks[:, None] & np.arange(1, 1 << len(chords))]
 
 
-def _spanning_assignments(g: Graph, grp: Group, circles: list) -> Iterator[tuple[dict, list]]:
+def _spanning_assignments(g: Graph, grp: Group, walks: list) -> Iterator[tuple[dict, list]]:
     """For each unbalanced switching-reduced assignment whose balanced
     circles span the cycle space, yield (chord gains, balanced circles in the
-    order of ``circles``).
+    order of ``walks``, the circle walks of ``_oracle_circles``).
 
     Assignment j gives chord i the element of index d_i in
     ``grp.elements()``, where d_1 .. d_dim are the base-|G| digits of j,
     first chord most significant; they come in ascending j.  Over a single
     Z_n only the indices of ``_orbit_ranges`` are tried, and the first
-    spanning assignment is the same as over every index.  A kernel yields candidates, the indices with at least dim balanced
-    circles, with their balanced columns: cyclic products go through the
-    residue kernel, other groups through the walk kernel.  The candidates of
-    a batch are tested for spanning by one matmul with ``_parity_matrix``,
-    built at the first batch.  Without circles there is none.
+    spanning assignment is the same as over every index.  A kernel yields
+    candidates, the indices with at least dim balanced circles, with their
+    balanced columns: cyclic products go through the residue kernel, other
+    groups through the walk kernel; both take the chords as edge numbers.
+    The candidates of a batch are tested for spanning by one matmul with
+    ``_parity_matrix``, built at the first batch.  Only the balanced circles
+    of a yielded assignment are built as ``Circle``s.  Without circles there
+    is none.
     """
-    if not circles:
+    if not walks:
         return
     forest = spanning_forest(g)
-    chords = [e for e in g.edge_list if e not in forest]
+    chords = [k for k, e in enumerate(g.edge_list, 1) if e not in forest]
     if isinstance(grp, CyclicProduct):
         element = lambda d: tuple(map(int, np.unravel_index(d, grp.moduli)))
-        found = _residue_kernel(grp, circles, chords)
+        found = _residue_kernel(grp, walks, chords)
     else:
         elements = grp.elements()
         element = elements.__getitem__
-        found = _walk_kernel(grp, circles, chords, elements)
+        found = _walk_kernel(grp, walks, chords, elements)
+    names = [g.edge_list[k - 1] for k in chords]
     odd = None
     for js, balanced in found:
-        odd = _parity_matrix(circles, chords) if odd is None else odd
+        odd = _parity_matrix(walks, chords) if odd is None else odd
         spans = (balanced.T.astype(np.float32) @ odd).min(axis=1) > 0
         digits = np.transpose(np.unravel_index(js[spans], (grp.order(),) * len(chords))).tolist()
         for row, column in zip(digits, balanced.T[spans]):
-            yield dict(zip(chords, map(element, row))), [circles[i] for i in np.flatnonzero(column)]
+            yield dict(zip(names, map(element, row))), _walk_circles(g, [walks[i] for i in np.flatnonzero(column)])
 
 
 def check_oracle_edges(m: int) -> None:
@@ -191,12 +207,13 @@ def check_oracle_edges(m: int) -> None:
 
 
 def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
-    """The circles of ``g`` that the oracle tests, or [] when every
-    switching-reduced assignment is trivial; raises ``BudgetError`` past the
-    edge bound or the assignment budget: |G|^dim times the number of
-    circles, plus, for a group the walk kernel serves, the 2|G| elements and
-    inverses it lists times the length of an element, so that the budget
-    bounds that list too."""
+    """The circles of ``g`` that the oracle tests, as the canonical walks of
+    ``cyclespace._circle_walks`` (tuples of signed edge numbers) in canonical
+    circle order, or [] when every switching-reduced assignment is trivial.
+    Raises ``BudgetError`` past the edge bound or the assignment budget:
+    |G|^dim times the number of circles, plus, for a group the walk kernel
+    serves, the 2|G| elements and inverses it lists times the length of an
+    element, so that the budget bounds that list too."""
     check_oracle_edges(len(g.edge_list))
     order = grp.order()
     if order is None:
@@ -204,13 +221,13 @@ def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     dim = cycle_space_dimension(g)
     if dim == 0 or order == 1:
         return []
-    circles = enumerate_circles(g)
-    cost = order**dim * len(circles)
+    walks = _circle_walks(g, len(g.edge_list))
+    cost = order**dim * len(walks)
     if not isinstance(grp, CyclicProduct):
         cost += 2 * order * len(grp.identity())
     if cost > budget:
         raise BudgetError(f"oracle assignment budget exceeded ({cost} > {budget})")
-    return circles
+    return walks
 
 
 def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> tuple[bool, Optional[BadWitness]]:

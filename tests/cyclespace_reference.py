@@ -15,11 +15,16 @@ Reference for ``gainbalance.cyclespace._euler_walk``, which keeps one cursor
 per vertex into its sorted edge list.  Here each edge choice rescans the
 list from its start.
 
+Reference for ``gainbalance.cyclespace._circle_walks``, the iterative DFS on
+vertex indices and signed edge numbers.  ``reference_dfs_circles`` recurses
+over vertex and edge names, builds each circle's ``Circle`` as it closes and
+tries every first edge.
+
 ``is_circle_basis`` checks a basis of circles member by member.  No library
 code needs it, so it lives with the tests that do.
 """
 
-from gainbalance.cyclespace import _circle_walk, binary_cycle, is_cycle_basis
+from gainbalance.cyclespace import Circle, _circle_walk, binary_cycle, is_cycle_basis
 from gainbalance.graphcore import ClosedWalk, DirectedEdge, RootedForest, edge_components, spanning_forest
 
 
@@ -47,6 +52,44 @@ def reference_circle_walk(g, support):
     # on a 2-regular support the walk closes after one component, so the
     # support is connected exactly when the walk uses all of it
     return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
+
+
+def reference_dfs_circles(g, max_length):
+    """The circles of g with at most ``max_length`` edges, each once with its
+    canonical walk, by DFS over simple paths from each circle's least vertex.
+
+    A circle of two or more edges is met as two paths, one per direction; the
+    one whose first edge is less than its closing edge leaves the least vertex
+    by its lesser edge, which is the canonical walk, and is the one kept.
+    """
+    found = [Circle(frozenset({e}), ClosedWalk(g.ends(e)[0], (DirectedEdge(e, True),)))
+             for e in g.edge_list if g.is_loop(e)]
+    order = {v: i for i, v in enumerate(g.vertex_list)}
+
+    def dfs(root, at, steps, visited):
+        for eid, u in g.incident(at):
+            if u == at:
+                continue
+            if u == root and steps and eid > steps[0].edge:
+                walk = ClosedWalk(root, (*steps, DirectedEdge(eid, g.ends(eid)[0] == at)))
+                found.append(Circle(frozenset(s.edge for s in walk.steps), walk))
+                continue
+            if order[u] <= order[root] or u in visited or len(steps) + 2 > max_length:
+                continue
+            visited.add(u)
+            steps.append(DirectedEdge(eid, g.ends(eid)[0] == at))
+            dfs(root, u, steps, visited)
+            steps.pop()
+            visited.discard(u)
+
+    for root in g.vertex_list:
+        dfs(root, root, [], set())
+    return found
+
+
+def reference_canonical_order(circle):
+    """The canonical circle order: by length, then by sorted edge ids."""
+    return len(circle.support), sorted(circle.support)
 
 
 def reference_euler_walk(g, support, start):

@@ -36,6 +36,7 @@ ENTRY_POINTS = {
     "balancetests.implies_balance_abelian": "the README's universal abelian balance report",
     "balancetests.abelian_witness": "the README's cyclic witnesses",
     "cyclespace.fundamental_circles": "the README's fundamental systems",
+    "cyclespace.enumerate_circles": "the README's cyclespace row",
     "enumeration.all_multigraphs": "the README's exhaustive multigraph enumeration",
     "gaingraph.gains_to_text": "writer of the gain file format",
     "graphcore.grid_faces": "the face basis of the Grid family",

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from gainbalance import classify, minors, oracle
+from gainbalance import classify, cyclespace, minors, oracle
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
@@ -682,7 +682,8 @@ def test_span_matmul_matches_gf2_extraction():
         circles = enumerate_circles(g)
         forest = spanning_forest(g)
         chords = [e for e in g.edge_list if e not in forest]
-        odd = oracle._parity_matrix(circles, chords)
+        walks = cyclespace._circle_walks(g, len(g.edge_list))
+        odd = oracle._parity_matrix(walks, [g.edge_list.index(e) + 1 for e in chords])
         position = {e: i for i, e in enumerate(g.edge_list)}
         masks = [sum(1 << position[e] for e in c.support) for c in circles]
         subsets = [[True] * len(circles), [False] * len(circles)]

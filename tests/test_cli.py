@@ -412,6 +412,25 @@ def test_unreadable_input_files_exit_2(capsys, tmp_path):
         assert captured.out == "" and captured.err.startswith(f"input error: {culprit}: "), (argv, captured.err)
 
 
+def test_second_walk_line_for_a_member_exits_2(capsys, tmp_path):
+    # "walk: e1" does not project to the digon {e1, e2}; a second, valid walk
+    # line must not replace it unchecked
+    graph = tmp_path / "digon.graph"
+    graph.write_text("edge e1 u v\nedge e2 v u\n")
+    gains = tmp_path / "digon.gains"
+    gains.write_text("group Z 3\n")
+    basis = tmp_path / "digon.basis"
+    basis.write_text("e1 e2\nwalk: e1 e2\n")
+    assert run(["cycle-test", str(graph), str(gains), str(basis)]) == 0
+    capsys.readouterr()
+    for text, line in (("e1 e2\nwalk: e1\n", None), ("e1 e2\nwalk: e1\nwalk: e1 e2\n", 3)):
+        basis = tmp_path / "digon.basis"
+        basis.write_text(text)
+        assert run(["cycle-test", str(graph), str(gains), str(basis)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and (line is None or f"line {line}: " in err), err
+
+
 def test_malformed_group_specs_exit_2(capsys):
     # "\u00b2".isdigit() is True but int() rejects it: taken by pattern, the spec is an input error, not a crash
     assert run(["oracle", "W4", "--group", "Z\u00b2"]) == 2

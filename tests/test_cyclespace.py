@@ -1,3 +1,4 @@
+import gc
 import itertools
 import operator
 import random
@@ -31,8 +32,10 @@ from gainbalance.graphcore import Graph, edge_components, grid_faces, spanning_f
 from conftest import named, triangle
 from cyclespace_reference import (
     is_circle_basis,
+    reference_canonical_order,
     reference_circle_walk,
     reference_cyclic_orientations,
+    reference_dfs_circles,
     reference_euler_walk,
     reference_natural_orientation,
 )
@@ -150,11 +153,13 @@ def test_enumerate_agrees_with_subset_filter(tag):
 def test_enumerated_circles_are_canonical_and_complete():
     # each circle is built from its DFS path; it must equal the circle
     # circle_from_support builds from its support, in canonical order, with
-    # every circle of the subset filter present
+    # every circle of the subset filter present, and equal the recursive
+    # reference DFS's circles, walks and order included
     graphs = list(all_multigraphs(6)) + list(inseparable_multigraphs(9))
     assert len(graphs) == 1817
     for g in graphs:
         circles = enumerate_circles(g)
+        assert circles == sorted(reference_dfs_circles(g, len(g.edge_list)), key=reference_canonical_order)
         assert circles == [circle_from_support(g, c.support) for c in circles], sorted(g.edges.items())
         keys = [(len(c), sorted(c.support)) for c in circles]
         assert keys == sorted(keys)
@@ -186,6 +191,25 @@ def test_least_circle_is_first_enumerated_circle():
         g = random_graph(rng, simple=i < 400)
         circles = enumerate_circles(g)
         assert least_circle(g) == (circles[0].support if circles else None), sorted(g.edges.items())
+        # the reference DFS bounded at the girth finds the same least circle
+        girth = min(map(len, circles), default=0)
+        bounded = sorted(reference_dfs_circles(g, girth), key=reference_canonical_order)
+        assert (bounded[0].support if bounded else None) == least_circle(g), sorted(g.edges.items())
+
+
+def test_circle_enumeration_leaves_no_cyclic_garbage():
+    # the DFS keeps its tables in locals and builds no self-referencing
+    # closure, so nothing is left for the cycle collector
+    w6, grid = named("W6"), named("Grid(5,5)")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_circles(w6)) > 0
+        assert gc.collect() == 0
+        assert least_circle(grid) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_least_circle_past_circle_enumeration():
