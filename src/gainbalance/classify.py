@@ -57,7 +57,6 @@ from .graphcore import (
     MULTI_K2,
     WHEEL,
     ClosedWalk,
-    DirectedEdge,
     Graph,
     NamedGraphSpec,
     RootedForest,
@@ -138,7 +137,7 @@ class BadWitness:
             "basis": [
                 {
                     "support": sorted(c),
-                    "walk": [("" if s.forward else "-") + s.edge for s in w.steps],
+                    "walk": [("" if forward else "-") + e for e, forward in w.steps],
                     "start": w.start,
                 }
                 for c, w in self.basis.pairs
@@ -287,7 +286,7 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
         g = build_named(spec)
         grp = cyclic(k)
         gg = gain_graph(g, grp, {"e": grp.element([1])})
-        walk = ClosedWalk("v", (DirectedEdge("e", True),) * k)
+        walk = ClosedWalk("v", (("e", True),) * k)
         ob = OrientedBasis(((frozenset({"e"}), walk),), g)
         w = BadWitness(gg, ob, BINARY_TEST)
     elif fam == CIRCLE_MULTI and p == (3, 3, 2):
@@ -397,7 +396,7 @@ def lift_witness(host: Graph, mw: MinorWitness, w: BadWitness) -> BadWitness:
     tree = RootedForest(host, forest)
     pairs = []
     for _, walk in w.basis.pairs:
-        steps = [DirectedEdge(mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps]
+        steps = [(mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps]
         spliced = splice_tree_paths(tree, steps, min(mw.branch_sets[walk.start]))
         pairs.append((walk_support(spliced), spliced))
     model = Graph({e: host.ends(e) for e in gains}, host.vertices)

@@ -38,7 +38,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import BudgetError, GraphError, ParseError
 from .graphcore import (
     ClosedWalk,
-    DirectedEdge,
     DisjointSets,
     Graph,
     RootedForest,
@@ -112,7 +111,7 @@ def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
         except KeyError:
             raise GraphError(f"unknown edge {e!r}") from None
         if t == h:
-            return ClosedWalk(t, (DirectedEdge(e, True),)) if len(support) == 1 else None
+            return ClosedWalk(t, ((e, True),)) if len(support) == 1 else None
         adj.setdefault(t, []).append(e)
         adj.setdefault(h, []).append(e)
     if set(map(len, adj.values())) != {2}:
@@ -138,8 +137,7 @@ def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
     # support is connected exactly when the walk uses all of it
     if len(steps) != len(support):
         return None
-    # tuple.__new__ makes each step without the named tuple's Python-level constructor
-    return ClosedWalk(start, tuple([tuple.__new__(DirectedEdge, s) for s in steps]))
+    return ClosedWalk(start, tuple(steps))
 
 
 def circle_from_support(g: Graph, edges: Iterable[str]) -> Circle:
@@ -230,7 +228,7 @@ def fundamental_circle(tree: RootedForest, chord: str) -> Circle:
     """The unique circle in the forest of ``tree`` plus ``chord``."""
     g = tree.graph
     t, h = g.ends(chord)
-    return circle_from_support(g, {chord, *(step.edge for step in tree.path(h, t))})
+    return circle_from_support(g, {chord, *(e for e, _ in tree.path(h, t))})
 
 
 def _check_forest(g: Graph, forest: frozenset) -> None:
@@ -317,13 +315,13 @@ def _walk_circles(g: Graph, walks: Iterable[tuple[int, ...]]) -> list[Circle]:
     """The ``Circle`` of each walk of ``_circle_walks``."""
     steps = {}
     for k, e in enumerate(g.edge_list, 1):
-        steps[k], steps[-k] = DirectedEdge(e, True), DirectedEdge(e, False)
+        steps[k], steps[-k] = (e, True), (e, False)
     circles = []
     for walk in walks:
         path = tuple(map(steps.__getitem__, walk))
         edge, forward = path[0]
         start = g.edges[edge][0 if forward else 1]
-        circles.append(Circle(frozenset(s.edge for s in path), ClosedWalk(start, path)))
+        circles.append(Circle(frozenset(e for e, _ in path), ClosedWalk(start, path)))
     return circles
 
 
@@ -366,7 +364,7 @@ def least_circle(g: Graph) -> Optional[frozenset]:
 # -- cyclic orientations ------------------------------------------------------
 
 
-def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
+def _euler_walk(g: Graph, support: frozenset, start: str) -> list[tuple[str, bool]]:
     """Closed Euler walk on a connected even-degree support, Hierholzer with
     least-identifier-first edge choice."""
     remaining: dict[str, list[str]] = {}
@@ -389,7 +387,7 @@ def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
         cursor[v] = k
         return edges[k] if k < len(edges) else None
 
-    def tour(v0: str) -> list[DirectedEdge]:
+    def tour(v0: str) -> list[tuple[str, bool]]:
         walk = []
         at = v0
         while True:
@@ -398,7 +396,7 @@ def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
                 break
             used.add(e)
             t, h = g.ends(e)
-            walk.append(DirectedEdge(e, at == t))
+            walk.append((e, at == t))
             at = h if at == t else t
         return walk
 
@@ -413,9 +411,9 @@ def _euler_walk(g: Graph, support: frozenset, start: str) -> list[DirectedEdge]:
             continue
         if i == len(walk):
             break
-        step = walk[i]
-        t, h = g.ends(step.edge)
-        at = h if step.forward else t
+        e, forward = walk[i]
+        t, h = g.ends(e)
+        at = h if forward else t
         i += 1
     return walk
 
@@ -439,14 +437,14 @@ def cyclic_orientations(b: Iterable[str], g: Graph, budget: int = 4) -> list[Clo
     out = []
     n = len(euler)
     for flips in range(min(budget, 1 << n)):
-        steps: list[DirectedEdge] = []
+        steps: list[tuple[str, bool]] = []
         for i, (go, tour) in enumerate(euler):
             part = list(tour)
             if (flips >> i) & 1:
-                part = [s.reversed() for s in reversed(part)]
+                part = [(e, not forward) for e, forward in reversed(part)]
             steps.extend(go)
             steps.extend(part)
-            steps.extend(s.reversed() for s in reversed(go))
+            steps.extend((e, not forward) for e, forward in reversed(go))
         out.append(ClosedWalk(base, tuple(steps)))
     return out
 
@@ -553,12 +551,12 @@ def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[Close
                 fwd = eid == tok
                 if eid not in g.edges:
                     raise ParseError(f"unknown edge {eid!r} in walk", line=lineno)
-                steps.append(DirectedEdge(eid, fwd))
+                steps.append((eid, fwd))
             if not steps:
                 raise ParseError("empty walk line", line=lineno)
-            first = steps[0]
-            t, h = g.ends(first.edge)
-            walks[-1] = ClosedWalk(t if first.forward else h, tuple(steps))
+            first, forward = steps[0]
+            t, h = g.ends(first)
+            walks[-1] = ClosedWalk(t if forward else h, tuple(steps))
         else:
             eids = line.split()
             support = frozenset(eids)
@@ -586,5 +584,5 @@ def basis_to_text(ob: OrientedBasis) -> str:
         if walk.is_trivial:
             lines.append(f"walk: @ {walk.start}")
         else:
-            lines.append("walk: " + " ".join(("" if s.forward else "-") + s.edge for s in walk.steps))
+            lines.append("walk: " + " ".join(("" if forward else "-") + e for e, forward in walk.steps))
     return "\n".join(lines) + "\n"

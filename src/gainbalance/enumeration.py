@@ -52,6 +52,13 @@ from the graph to the candidate that maps the deleted ear onto the new one.
 Removability and the rank are invariant under isomorphisms, so the new ear
 is in the class too.
 
+Each enumerator keeps one growing table of levels by edge count, each level
+its sorted forms (as graphs for the inseparable ones) and the automorphisms
+found for each form; a call grows a copy past the largest level and
+publishes it in one assignment, and ``cache_clear`` drops the table.
+Inseparable level m is the m-edge circle plus an ear of length m - p on each
+graph of each level p from 2 to m - 1.
+
 Graphs are kept in a compact internal form ``(n, ((i, j, mult), ...))`` with
 ``i <= j`` (loops on the diagonal) and materialized as :class:`Graph` values
 with vertices ``v0..`` and edges ``e0..`` on demand.
@@ -59,7 +66,6 @@ with vertices ``v0..`` and edges ``e0..`` on demand.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from .graphcore import DisjointSets, Graph, _canonical_connected
@@ -225,18 +231,23 @@ def _cells(c: Compact) -> dict[tuple[int, int], int]:
     return {(i, j): m for i, j, m in c[1]}
 
 
-@lru_cache(maxsize=None)
+# the levels built so far by edge count: (sorted forms, automorphisms by form)
+_CONNECTED: list[tuple[tuple[Compact, ...], dict[Compact, list[list[int]]]]] = [(((1, ()),), {(1, ()): []})]
+_INSEPARABLE: list[tuple[tuple[Graph, ...], dict[Compact, list[list[int]]]]] = [((), {})]
+
+
 def connected_multigraphs(max_edges: int) -> tuple[tuple[Compact, ...], ...]:
     """Tuple indexed by edge count: all connected multigraphs with that many
     edges (loops allowed, no isolated vertices), up to isomorphism.
 
-    Index 0 holds the single-vertex graph.
+    Index 0 holds the single-vertex graph.  A call grows only the levels
+    past the largest one built so far.
     """
-    levels: list[tuple[Compact, ...]] = [((1, ()),)]
-    autos: dict[Compact, list[list[int]]] = {(1, ()): []}
-    for m in range(1, max_edges + 1):
+    levels = _CONNECTED[:]
+    for m in range(len(levels), max_edges + 1):
         seen: dict[Compact, list[list[int]]] = {}
-        for base in levels[m - 1]:
+        forms, autos = levels[m - 1]
+        for base in forms:
             n = base[0]
             cells = _cells(base)
             for i, j in _pair_orbits(n, autos[base]):
@@ -251,9 +262,9 @@ def connected_multigraphs(max_edges: int) -> tuple[tuple[Compact, ...], ...]:
                     if _is_canonical_deletion(n + 1, grown, (i, n)):
                         c, found = _compact_canonical(n + 1, grown)
                         seen.setdefault(c, found)
-        levels.append(tuple(sorted(seen)))
-        autos = seen
-    return tuple(levels)
+        levels.append((tuple(sorted(seen)), seen))
+    _CONNECTED[:] = levels  # one assignment: no caller sees a half-built level
+    return tuple(forms for forms, _ in levels[: max(max_edges, 0) + 1])
 
 
 def all_multigraphs(max_edges: int) -> Iterator[Graph]:
@@ -283,47 +294,42 @@ def all_multigraphs(max_edges: int) -> Iterator[Graph]:
         yield Graph(dict(zip(names_e, ends)), names_v[:n])
 
 
-@lru_cache(maxsize=None)
 def inseparable_multigraphs(max_edges: int) -> tuple[Graph, ...]:
     """All inseparable multigraphs with 1..max_edges edges up to isomorphism:
     the loop vertex, the single edge, and every 2-connected loopless
-    multigraph built by open ear decomposition."""
-    seen: dict[int, dict[Compact, list[list[int]]]] = {m: {} for m in range(max_edges + 1)}
-    if max_edges >= 1:  # the loop vertex and the single edge
-        seen[1].update([_compact_canonical(1, {(0, 0): 1}), _compact_canonical(2, {(0, 1): 1})])
-    # seed circles: digon, triangle, ... (cycle with k edges)
-    frontier: list[Compact] = []
-    for k in range(2, max_edges + 1):
-        cells = {}
-        for i in range(k):
-            a, b = sorted((i, (i + 1) % k))
-            cells[(a, b)] = cells.get((a, b), 0) + 1
-        c, found = _compact_canonical(k, cells)
-        seen[k][c] = found
-        frontier.append(c)
-    # grow by open ears, one per orbit of endpoint pairs
-    while frontier:
-        base = frontier.pop()
-        n, items = base
-        m = sum(x[2] for x in items)
-        cells = _cells(base)
-        ends = [(u, v) for u, v in _pair_orbits(n, seen[m][base]) if u < v]
-        for length in range(1, max_edges - m + 1):
-            fresh = length - 1
-            for u, v in ends:
-                grown = dict(cells)
-                path = [u] + [n + t for t in range(fresh)] + [v]
-                for a, b in zip(path, path[1:]):
-                    aa, bb = (a, b) if a <= b else (b, a)
-                    grown[(aa, bb)] = grown.get((aa, bb), 0) + 1
-                if not _is_canonical_ear(n + fresh, grown, u, v, length):
-                    continue
-                c, found = _compact_canonical(n + fresh, grown)
-                if c not in seen[m + length]:
-                    seen[m + length][c] = found
-                    if m + length < max_edges:
-                        frontier.append(c)
-    out = []
-    for m in range(1, max_edges + 1):
-        out.extend(materialize(c) for c in sorted(seen[m]))
-    return tuple(out)
+    multigraph built by open ear decomposition.
+
+    A call grows only the levels past the largest one built so far.
+    """
+    levels = _INSEPARABLE[:]
+    for m in range(len(levels), max_edges + 1):
+        seen: dict[Compact, list[list[int]]] = {}
+        if m == 1:  # the loop vertex and the single edge
+            seen.update([_compact_canonical(1, {(0, 0): 1}), _compact_canonical(2, {(0, 1): 1})])
+        else:  # the circle: digon, triangle, ...
+            cells = {(i, i + 1): 1 for i in range(m - 1)}
+            cells[(0, m - 1)] = cells.get((0, m - 1), 0) + 1
+            seen.update([_compact_canonical(m, cells)])
+        for p in range(2, m):
+            length, fresh = m - p, m - p - 1
+            for base, autos in levels[p][1].items():
+                n = base[0]
+                cells = _cells(base)
+                for u, v in _pair_orbits(n, autos):
+                    if u == v:
+                        continue
+                    grown = dict(cells)
+                    path = [u] + [n + t for t in range(fresh)] + [v]
+                    for a, b in zip(path, path[1:]):
+                        aa, bb = (a, b) if a <= b else (b, a)
+                        grown[(aa, bb)] = grown.get((aa, bb), 0) + 1
+                    if _is_canonical_ear(n + fresh, grown, u, v, length):
+                        c, found = _compact_canonical(n + fresh, grown)
+                        seen.setdefault(c, found)
+        levels.append((tuple(map(materialize, sorted(seen))), seen))
+    _INSEPARABLE[:] = levels  # one assignment: no caller sees a half-built level
+    return tuple(g for graphs, _ in levels[1 : max_edges + 1] for g in graphs)
+
+
+connected_multigraphs.cache_clear = lambda: _CONNECTED.__delitem__(slice(1, None))
+inseparable_multigraphs.cache_clear = lambda: _INSEPARABLE.__delitem__(slice(1, None))

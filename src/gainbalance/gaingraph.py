@@ -142,10 +142,10 @@ def walk_product(gg: GainGraph, w: ClosedWalk) -> tuple:
     sw = gg.forest_switching
     grp, chord_gains = gg.group, sw.chord_gains
     acc = None
-    for step in w.steps:
-        x = chord_gains.get(step.edge)
+    for e, forward in w.steps:
+        x = chord_gains.get(e)
         if x is not None:
-            if not step.forward:
+            if not forward:
                 x = grp.inverse(x)
             acc = x if acc is None else grp.op(acc, x)
     if acc is None:

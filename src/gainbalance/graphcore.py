@@ -2,8 +2,10 @@
 
 Edges carry a fixed reference orientation ``(tail, head)``; loops (tail ==
 head) and parallel edges are allowed.  Vertex and edge identifiers are opaque
-strings.  Named constructors emit documented identifiers so that specific
-edges are addressable in witnesses and tests:
+strings.  A walk step is the plain pair ``(edge, forward)``, where
+``forward`` says whether the step crosses the edge from tail to head.  Named
+constructors emit documented identifiers so that specific edges are
+addressable in witnesses and tests:
 
 * ``Wheel(n)``: hub ``w``, rim vertices ``v1..vn``; spokes ``s1..sn`` oriented
   hub -> rim; rim edges ``r1..rn`` with ``ri: vi -> v(i+1)`` cyclically.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import GraphError, ParseError
 
@@ -178,29 +180,17 @@ def edge_components(g: Graph, edges: Iterable[str], vertices: Iterable[str] = ()
 # -- walks ----------------------------------------------------------------
 
 
-class DirectedEdge(NamedTuple):
-    """An edge together with a traversal direction relative to its reference
-    orientation.
-
-    A named tuple, as walks build many of them; so a step compares and hashes
-    equal to the plain tuple ``(edge, forward)``."""
-
-    edge: str
-    forward: bool = True
-
-    def reversed(self) -> "DirectedEdge":
-        return DirectedEdge(self.edge, not self.forward)
-
-
 @dataclass(frozen=True)
 class ClosedWalk:
-    """A closed walk: start vertex plus directed edge steps returning to it.
+    """A closed walk: start vertex plus steps returning to it.
 
-    Trivial iff ``steps`` is empty.
+    Each step is the plain pair ``(edge, forward)``: ``forward`` is true when
+    the step crosses ``edge`` along its reference orientation.  Trivial iff
+    ``steps`` is empty.
     """
 
     start: str
-    steps: tuple[DirectedEdge, ...] = ()
+    steps: tuple[tuple[str, bool], ...] = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -210,7 +200,7 @@ class ClosedWalk:
         return len(self.steps)
 
     def reversed(self) -> "ClosedWalk":
-        return ClosedWalk(self.start, tuple(s.reversed() for s in reversed(self.steps)))
+        return ClosedWalk(self.start, tuple((e, not forward) for e, forward in reversed(self.steps)))
 
 
 def walk_vertices(g: Graph, w: ClosedWalk) -> list[str]:
@@ -219,11 +209,11 @@ def walk_vertices(g: Graph, w: ClosedWalk) -> list[str]:
         raise GraphError(f"walk start {w.start!r} not in graph")
     seq = [w.start]
     at = w.start
-    for step in w.steps:
-        t, h = g.ends(step.edge)
-        frm, to = (t, h) if step.forward else (h, t)
+    for e, forward in w.steps:
+        t, h = g.ends(e)
+        frm, to = (t, h) if forward else (h, t)
         if frm != at:
-            raise GraphError(f"walk step {step.edge!r} does not continue from {at!r}")
+            raise GraphError(f"walk step {e!r} does not continue from {at!r}")
         at = to
         seq.append(at)
     if at != w.start:
@@ -246,8 +236,8 @@ def walk_int_vector(w: ClosedWalk) -> dict[str, int]:
     """Net signed traversal count per edge; +1 per step in reference
     orientation, -1 per reversed step."""
     vec: dict[str, int] = {}
-    for step in w.steps:
-        vec[step.edge] = vec.get(step.edge, 0) + (1 if step.forward else -1)
+    for e, forward in w.steps:
+        vec[e] = vec.get(e, 0) + (1 if forward else -1)
     return {e: c for e, c in vec.items() if c}
 
 
@@ -536,22 +526,22 @@ class RootedForest:
         self.up = up
         self.depth = depth
 
-    def path(self, a: str, b: str) -> list[DirectedEdge]:
+    def path(self, a: str, b: str) -> list[tuple[str, bool]]:
         """Steps of the forest path from ``a`` to ``b``, found by climbing from
         both ends to the meeting vertex; raises if no such path exists."""
         ends, up, depth = self.graph.edges, self.up, self.depth
-        head: list[DirectedEdge] = []
-        tail: list[DirectedEdge] = []
+        head: list[tuple[str, bool]] = []
+        tail: list[tuple[str, bool]] = []
         while a != b:
             if depth[a] >= depth[b]:
                 if a not in up:
                     raise GraphError(f"{a!r} and {b!r} lie in different forest components")
                 e, a_next = up[a]
-                head.append(DirectedEdge(e, ends[e][0] == a))
+                head.append((e, ends[e][0] == a))
                 a = a_next
             else:
                 e, b_next = up[b]
-                tail.append(DirectedEdge(e, ends[e][0] == b_next))
+                tail.append((e, ends[e][0] == b_next))
                 b = b_next
         return head + tail[::-1]
 

@@ -33,7 +33,6 @@ from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph
 from .graphcore import (
     ClosedWalk,
-    DirectedEdge,
     DisjointSets,
     Graph,
     RootedForest,
@@ -353,18 +352,18 @@ def lift_basis_deletion(
     for e in rest:
         t, h = g.ends(e)
         path = _forest_path(g, forest, h, t)
-        support = frozenset({e} | {st.edge for st in path})
-        walk = ClosedWalk(t, (DirectedEdge(e, True), *path))
+        support = frozenset({e} | {f for f, _ in path})
+        walk = ClosedWalk(t, ((e, True), *path))
         if walk_support(walk) != support:
             raise GraphError("lift produced an inconsistent circle walk")
         # solve gain(e) so the walk product is the identity
         acc = group.identity()
-        for st in path:
-            x = new_gains[st.edge]
-            acc = group.op(acc, x if st.forward else group.inverse(x))
+        for f, forward in path:
+            x = new_gains[f]
+            acc = group.op(acc, x if forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
         pairs.append((support, walk))
-        top = max((st.edge for st in path), default=e)
+        top = max((f for f, _ in path), default=e)
         if top > e:
             a, c = g.ends(top)
             del forest[a][top], forest[c][top]
@@ -373,7 +372,7 @@ def lift_basis_deletion(
     return ob, GainAssignment(group, new_gains)
 
 
-def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: str) -> list[DirectedEdge]:
+def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: str) -> list[tuple[str, bool]]:
     """Steps of the path from ``a`` to ``b`` in a forest of ``g`` given as
     vertex -> {edge: other end}, found by a search from ``a``."""
     back: dict[str, tuple[str, str]] = {a: ("", a)}
@@ -389,12 +388,12 @@ def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: s
     steps = []
     while b != a:
         e, v = back[b]
-        steps.append(DirectedEdge(e, g.ends(e)[0] == v))
+        steps.append((e, g.ends(e)[0] == v))
         b = v
     return steps[::-1]
 
 
-def splice_tree_paths(tree: RootedForest, steps: Sequence[DirectedEdge], start: str) -> ClosedWalk:
+def splice_tree_paths(tree: RootedForest, steps: Sequence[tuple[str, bool]], start: str) -> ClosedWalk:
     """The closed walk of ``tree``'s graph that takes each of ``steps`` in
     turn, each followed by the tree path from its head to the tail of the
     next step (after the last, of the first); with no steps, the empty walk
@@ -402,8 +401,8 @@ def splice_tree_paths(tree: RootedForest, steps: Sequence[DirectedEdge], start: 
     path between them raises.  A repeated pair reuses its path."""
     g = tree.graph
     ends = [g.ends(e) if forward else g.ends(e)[::-1] for e, forward in steps]
-    paths: dict[tuple[str, str], list[DirectedEdge]] = {}
-    out: list[DirectedEdge] = []
+    paths: dict[tuple[str, str], list[tuple[str, bool]]] = {}
+    out: list[tuple[str, bool]] = []
     for i, st in enumerate(steps):
         gap = (ends[i][1], ends[i + 1 - len(ends)][0])  # the first step follows the last
         path = paths.get(gap)
@@ -682,12 +681,12 @@ def _bridge_type(b: Graph, u: str, v: str) -> tuple[str, Optional[str]]:
     block_of = {e: blk for blk in blocks(b) for e in blk.edge_list}
     chain: list[list] = []  # [block, entry, exit], in path order
     x = u
-    for step in RootedForest(b, spanning_forest(b)).path(u, v):
-        y = b.other_end(step.edge, x)
-        if chain and chain[-1][0] is block_of[step.edge]:
+    for e, _ in RootedForest(b, spanning_forest(b)).path(u, v):
+        y = b.other_end(e, x)
+        if chain and chain[-1][0] is block_of[e]:
             chain[-1][2] = y
         else:
-            chain.append([block_of[step.edge], x, y])
+            chain.append([block_of[e], x, y])
         x = y
     thick = [(blk, a, c) for blk, a, c in chain if len(blk.edge_list) > 1]
     inner = (_bridge_type(blk.subgraph(edges), a, c)[0] for blk, a, c in thick for edges in _bridge_edges(blk, a, c)[1])

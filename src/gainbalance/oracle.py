@@ -20,7 +20,8 @@ The circles are read as the integer walks of ``cyclespace._circle_walks``,
 tuples of signed edge numbers in canonical circle order, with the chords as
 edge numbers: a circle's chord row, its walk-kernel steps and its chord
 parity mask come straight from its walk.  Only the balanced circles of an
-assignment the search yields are built as ``Circle``s.
+assignment the search yields are built as ``Circle``s, and the witness basis
+keeps the canonical walks of its circles.
 
 This is the only module that imports numpy.  The classifier proves its
 verdicts without it; the oracle checks them.
@@ -36,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classify import CIRCLE_TEST, BadWitness
-from .cyclespace import _circle_walks, _edge_index, _mask, _walk_circles, cycle_space_dimension, gf2_extract_basis, oriented_basis
+from .cyclespace import OrientedBasis, _circle_walks, _edge_index, _mask, _walk_circles, cycle_space_dimension, gf2_extract_basis
 from .errors import BudgetError, GraphError
 from .gaingraph import gain_graph
 from .graphcore import Graph, spanning_forest
@@ -243,7 +244,8 @@ def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) ->
     for gains, subset in _spanning_assignments(g, grp, _oracle_circles(g, grp, budget)):
         index = _edge_index(g)
         basis = gf2_extract_basis([(_mask(c.support, index), c) for c in subset], len(gains))
-        witness = BadWitness(gain_graph(g, grp, gains), oriented_basis(g, [c.support for c in basis]), CIRCLE_TEST)
+        ob = OrientedBasis(tuple((c.support, c.walk) for c in basis), g)
+        witness = BadWitness(gain_graph(g, grp, gains), ob, CIRCLE_TEST)
         if not witness.verify():
             raise GraphError("oracle witness failed verification")
         return False, witness

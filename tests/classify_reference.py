@@ -54,7 +54,6 @@ from gainbalance.gaingraph import GainAssignment, GainGraph, gain_graph
 from gainbalance.graphcore import (
     LOOP_VERTEX,
     ClosedWalk,
-    DirectedEdge,
     DisjointSets,
     Graph,
     NamedGraphSpec,
@@ -108,11 +107,11 @@ def reference_lift_basis_deletion(g, s, b, gains):
         partial = Graph({x: g.edges[x] for x in present}, g.vertices)
         t, h = g.ends(e)
         path = RootedForest(partial, spanning_forest(partial)).path(h, t)
-        walk = ClosedWalk(t, (DirectedEdge(e, True), *path))
+        walk = ClosedWalk(t, ((e, True), *path))
         acc = group.identity()
-        for st in path:
-            x = new_gains[st.edge]
-            acc = group.op(acc, x if st.forward else group.inverse(x))
+        for f, forward in path:
+            x = new_gains[f]
+            acc = group.op(acc, x if forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
         pairs.append((walk_support(walk), walk))
         present.add(e)
@@ -170,7 +169,7 @@ def reference_lift_witness(host, mw, w):
     gg2 = gain_graph(g2, group, gains_g2)
     pairs = []
     for cyc, walk in w.basis.pairs:
-        steps = tuple(DirectedEdge(mw.edge_map[st.edge], st.forward ^ flip[st.edge]) for st in walk.steps)
+        steps = tuple((mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps)
         pairs.append((frozenset(mw.edge_map[e] for e in cyc), ClosedWalk(tv_to_g2[walk.start], steps)))
     ob1, ga1 = lift_basis_contraction(g1, forest, OrientedBasis(tuple(pairs), g2), gg2.assignment)
     ob0, ga0 = classify.lift_basis_deletion(host, s, ob1, ga1)

@@ -25,7 +25,7 @@ code needs it, so it lives with the tests that do.
 """
 
 from gainbalance.cyclespace import Circle, _circle_walk, binary_cycle, is_cycle_basis
-from gainbalance.graphcore import ClosedWalk, DirectedEdge, RootedForest, edge_components, spanning_forest
+from gainbalance.graphcore import ClosedWalk, RootedForest, edge_components, spanning_forest
 
 
 def reference_circle_walk(g, support):
@@ -35,7 +35,7 @@ def reference_circle_walk(g, support):
     for e in support:
         t, h = g.ends(e)
         if t == h:
-            return ClosedWalk(t, (DirectedEdge(e, True),)) if len(support) == 1 else None
+            return ClosedWalk(t, ((e, True),)) if len(support) == 1 else None
         adj.setdefault(t, []).append((e, h, True))
         adj.setdefault(h, []).append((e, t, False))
     if not adj or any(len(pairs) != 2 for pairs in adj.values()):
@@ -44,11 +44,11 @@ def reference_circle_walk(g, support):
     # least edge sequence: the other direction starts with the greater edge
     start = min(adj)
     e, at, forward = min(adj[start])
-    steps = [DirectedEdge(e, forward)]
+    steps = [(e, forward)]
     while at != start:
         first, second = adj[at]
         e, at, forward = second if first[0] == e else first
-        steps.append(DirectedEdge(e, forward))
+        steps.append((e, forward))
     # on a 2-regular support the walk closes after one component, so the
     # support is connected exactly when the walk uses all of it
     return ClosedWalk(start, tuple(steps)) if len(steps) == len(support) else None
@@ -62,7 +62,7 @@ def reference_dfs_circles(g, max_length):
     one whose first edge is less than its closing edge leaves the least vertex
     by its lesser edge, which is the canonical walk, and is the one kept.
     """
-    found = [Circle(frozenset({e}), ClosedWalk(g.ends(e)[0], (DirectedEdge(e, True),)))
+    found = [Circle(frozenset({e}), ClosedWalk(g.ends(e)[0], ((e, True),)))
              for e in g.edge_list if g.is_loop(e)]
     order = {v: i for i, v in enumerate(g.vertex_list)}
 
@@ -70,14 +70,14 @@ def reference_dfs_circles(g, max_length):
         for eid, u in g.incident(at):
             if u == at:
                 continue
-            if u == root and steps and eid > steps[0].edge:
-                walk = ClosedWalk(root, (*steps, DirectedEdge(eid, g.ends(eid)[0] == at)))
-                found.append(Circle(frozenset(s.edge for s in walk.steps), walk))
+            if u == root and steps and eid > steps[0][0]:
+                walk = ClosedWalk(root, (*steps, (eid, g.ends(eid)[0] == at)))
+                found.append(Circle(frozenset(e for e, _ in walk.steps), walk))
                 continue
             if order[u] <= order[root] or u in visited or len(steps) + 2 > max_length:
                 continue
             visited.add(u)
-            steps.append(DirectedEdge(eid, g.ends(eid)[0] == at))
+            steps.append((eid, g.ends(eid)[0] == at))
             dfs(root, u, steps, visited)
             steps.pop()
             visited.discard(u)
@@ -118,7 +118,7 @@ def reference_euler_walk(g, support, start):
                 break
             used.add(e)
             t, h = g.ends(e)
-            walk.append(DirectedEdge(e, at == t))
+            walk.append((e, at == t))
             at = h if at == t else t
         return walk
 
@@ -132,9 +132,9 @@ def reference_euler_walk(g, support, start):
             continue
         if i == len(walk):
             break
-        step = walk[i]
-        t, h = g.ends(step.edge)
-        at = h if step.forward else t
+        e, forward = walk[i]
+        t, h = g.ends(e)
+        at = h if forward else t
         i += 1
     return walk
 
@@ -158,10 +158,10 @@ def reference_cyclic_orientations(b, g, budget=4):
         for i, (go, tour) in enumerate(euler):
             part = list(tour)
             if (flips >> i) & 1:
-                part = [s.reversed() for s in reversed(part)]
+                part = [(e, not forward) for e, forward in reversed(part)]
             steps.extend(go)
             steps.extend(part)
-            steps.extend(s.reversed() for s in reversed(go))
+            steps.extend((e, not forward) for e, forward in reversed(go))
         out.append(ClosedWalk(base, tuple(steps)))
     return out
 

@@ -17,9 +17,9 @@ def reference_walk_gain(gg, w):
     """The product of the step gains of ``w`` in order."""
     grp, gains = gg.group, gg.assignment.gains
     acc = grp.identity()
-    for step in w.steps:
-        x = gains[step.edge]
-        acc = grp.op(acc, x if step.forward else grp.inverse(x))
+    for e, forward in w.steps:
+        x = gains[e]
+        acc = grp.op(acc, x if forward else grp.inverse(x))
     return acc
 
 

@@ -37,7 +37,7 @@ def _residue_candidates(grp, circles, chords, elements):
 def _walk_candidates(grp, circles, chords, elements):
     ident = grp.identity()
     position = {e: i for i, e in enumerate(chords)}
-    steps = [[(position[s.edge], s.forward) for s in c.walk.steps if s.edge in position] for c in circles]
+    steps = [[(position[e], forward) for e, forward in c.walk.steps if e in position] for c in circles]
     for combo in itertools.product(range(len(elements)), repeat=len(chords)):
         if not any(combo):
             continue

@@ -36,7 +36,6 @@ from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
 from gainbalance.gaingraph import GainGraph, Switching, gain_graph, is_balanced, switch, walk_gain
 from gainbalance.graphcore import (
     ClosedWalk,
-    DirectedEdge,
     Graph,
     build_named,
     parse_graph_spec,

@@ -118,6 +118,38 @@ def test_inseparable_labels_only_canonical_ear_deletions(monkeypatch):
     assert again == (graphs8, labeled8) and labeled8 > 0
 
 
+def test_grown_levels_equal_a_cold_start_and_label_only_new_levels(monkeypatch):
+    calls = []
+    labeling = enumeration._compact_canonical
+
+    def counting(n, cells):
+        calls.append(n)
+        return labeling(n, cells)
+
+    monkeypatch.setattr(enumeration, "_compact_canonical", counting)
+
+    def labeled(enumerate_, k):
+        del calls[:]
+        return enumerate_(k), len(calls)
+
+    try:
+        for enumerate_, small, large in ((inseparable_multigraphs, 8, 10), (connected_multigraphs, 5, 7)):
+            enumerate_.cache_clear()
+            _, cold_small = labeled(enumerate_, small)
+            enumerate_.cache_clear()
+            cold, cold_large = labeled(enumerate_, large)
+            enumerate_.cache_clear()
+            first, _ = labeled(enumerate_, small)
+            grown, grown_large = labeled(enumerate_, large)
+            assert len(grown) == len(cold) and all(a == b for a, b in zip(grown, cold))
+            # the grown call labels the levels past ``small`` and nothing else
+            assert 0 < grown_large == cold_large - cold_small < cold_large
+            assert labeled(enumerate_, small) == (first, 0) and labeled(enumerate_, large) == (grown, 0)
+    finally:
+        inseparable_multigraphs.cache_clear()
+        connected_multigraphs.cache_clear()
+
+
 def test_levels_have_no_duplicates():
     levels = connected_multigraphs(5)
     keys = [canonical_key(materialize(c)) for level in levels[1:] for c in level]

@@ -2,13 +2,19 @@ import random
 
 import pytest
 
-from gainbalance.cyclespace import cycle_space_dimension
+from gainbalance.classify import BAD, bad_witness, circle_goodness
+from gainbalance.cyclespace import (
+    circle_from_support,
+    cycle_space_dimension,
+    enumerate_circles,
+    natural_orientation,
+    read_basis_text,
+)
 from gainbalance.enumeration import inseparable_multigraphs
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.graphcore import (
     CIRCLE_MULTI,
     ClosedWalk,
-    DirectedEdge,
     Graph,
     K4_OPPOSITE,
     MULTI_K2,
@@ -35,6 +41,8 @@ from gainbalance.graphcore import (
     walk_support,
     walk_vertices,
 )
+from gainbalance.groups import parse_class_spec
+from gainbalance.minors import lift_basis_deletion, splice_tree_paths
 from conftest import named, triangle
 
 
@@ -157,11 +165,11 @@ def test_grid_and_faces():
 
 def test_walk_validation():
     g = triangle()
-    w = ClosedWalk("a", (DirectedEdge("e1"), DirectedEdge("e2"), DirectedEdge("e3")))
+    w = ClosedWalk("a", (("e1", True), ("e2", True), ("e3", True)))
     assert walk_vertices(g, w) == ["a", "b", "c", "a"]
     assert walk_support(w) == {"e1", "e2", "e3"}
     assert walk_int_vector(w) == {"e1": 1, "e2": 1, "e3": 1}
-    bad = ClosedWalk("a", (DirectedEdge("e2"),))
+    bad = ClosedWalk("a", (("e2", True),))
     with pytest.raises(GraphError):
         walk_vertices(g, bad)
     rev = w.reversed()
@@ -171,22 +179,41 @@ def test_walk_validation():
 
 def test_walk_out_and_back_cancels():
     g = Graph({"e": ("a", "b")})
-    w = ClosedWalk("a", (DirectedEdge("e"), DirectedEdge("e", False)))
+    w = ClosedWalk("a", (("e", True), ("e", False)))
     assert walk_support(w) == frozenset()
     assert walk_int_vector(w) == {}
 
 
-def test_directed_edge_repr_equality_and_hash():
-    step = DirectedEdge("e1")
-    assert repr(step) == "DirectedEdge(edge='e1', forward=True)"
-    assert repr(step.reversed()) == "DirectedEdge(edge='e1', forward=False)"
-    assert step.reversed().reversed() == step and step.reversed() != step
-    assert step == DirectedEdge("e1", True) and hash(step) == hash(DirectedEdge("e1", True))
-    assert DirectedEdge("e1") != DirectedEdge("e2")
-    assert len({DirectedEdge("e1"), DirectedEdge("e1", True), DirectedEdge("e1", False)}) == 2
-    # a step is a named tuple, so it equals the plain tuple (edge, forward)
-    assert step == ("e1", True) and hash(step) == hash(("e1", True))
-    assert (step.edge, step.forward) == tuple(step)
+def _assert_plain_steps(steps):
+    for step in steps:
+        assert type(step) is tuple and len(step) == 2, step
+        assert type(step[0]) is str and type(step[1]) is bool, step
+
+
+def test_every_built_walk_has_plain_pair_steps():
+    w4 = named("W4")
+    walks = [circle_from_support(w4, {"r1", "r2", "r3", "r4"}).walk]
+    walks += [c.walk for c in enumerate_circles(w4)]
+    # two faces of the 1x3 grid with no common vertex make a split member
+    faces = grid_faces(1, 3)
+    walks.append(natural_orientation(faces[0] ^ faces[2], named("Grid(1,3)")))
+    digon = Graph({"a": ("u", "v"), "b": ("v", "u")})
+    walks += [walk for _, walk in read_basis_text("a b\nwalk: -b -a\n", digon)]
+    tree = RootedForest(w4, spanning_forest(w4))
+    chords = [e for e in w4.edge_list if e not in tree.forest]
+    walks.append(splice_tree_paths(tree, [(e, True) for e in chords], "w"))
+    witness = bad_witness(parse_graph_spec("W4"))
+    host = Graph({**w4.edges, "x": ("v1", "v3")}, w4.vertices)
+    lifted, _ = lift_basis_deletion(host, {"x"}, witness.basis, witness.gain_graph.assignment)
+    walks += [walk for _, walk in lifted.pairs]
+    for tag in ("K1loop", "C3(3,3,2)", "2C4", "K4dd", "W4"):
+        walks += [walk for _, walk in bad_witness(parse_graph_spec(tag)).basis.pairs]
+    verdict = circle_goodness(named("W6"), parse_class_spec("contains-z3"))
+    assert verdict.status == BAD
+    walks += [walk for _, walk in verdict.evidence.basis.pairs]
+    assert len(walks) > 40
+    _assert_plain_steps([s for walk in walks for s in walk.steps] + tree.path("w", "v3"))
+    _assert_plain_steps([s for walk in walks for s in walk.reversed().steps])
 
 
 # -- blocks -------------------------------------------------------------------
@@ -328,7 +355,7 @@ def brute_force_path(g, forest, a, b):
     steps = []
     while b != a:
         e, v = prev[b]
-        steps.append(DirectedEdge(e, g.ends(e)[0] == v))
+        steps.append((e, g.ends(e)[0] == v))
         b = v
     return steps[::-1]
 
