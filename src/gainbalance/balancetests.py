@@ -6,6 +6,11 @@ binary cycle test on the canonical walks of its member circles
 (:func:`circle_orientation`), and :func:`basis_gains` is the one place either
 test evaluates a walk.
 
+An ``OrientedBasis`` pairs each member with a closed walk that projects to
+it, so every member is a binary cycle, which is fixed by its chords of the
+spanning tree: :func:`basis_gains` checks the basis in chord coordinates
+alone (as many members as chords, chord vectors independent over GF(2)).
+
 The abelian analysis works in the integer lattice L spanned by the signed
 traversal vectors of the basis walks (entry +1 when a walk crosses an edge in
 reference orientation), inside the flow lattice C of closed-walk vectors.  C
@@ -37,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cyclespace import Circle, OrientedBasis, circle_from_support, is_cycle_basis
+from .cyclespace import Circle, OrientedBasis, _spans_by_chords, circle_from_support, is_cycle_basis
 from .errors import GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain, walk_product
 from .graphcore import Graph, spanning_tree, walk_int_vector
@@ -49,10 +54,11 @@ def basis_gains(gg: GainGraph, ob: OrientedBasis) -> list:
     cycles are checked to be a basis of ``gg``'s graph.  The walks were
     checked where the oriented basis was built (``read_basis_text``,
     ``oriented_basis``, ``circle_orientation``), so they are not walked
-    through the graph again."""
+    through the graph again, and they make every member a binary cycle, so
+    the basis check reads only the chords (module docstring)."""
     if ob.host.edges != gg.graph.edges:
         raise GraphError("oriented basis belongs to a different graph")
-    if not is_cycle_basis(ob.cycles, gg.graph):
+    if not _spans_by_chords(ob.cycles, gg.graph):
         raise GraphError("oriented cycles do not form a basis")
     return [walk_product(gg, w) for w in ob.walks]
 

@@ -16,6 +16,9 @@ Graph arguments accept named tags (``W4``, ``2C4``, ``K4dd``, ``C3(3,3,2)``,
 Exit codes: 0 completed (verdicts live in the report), 2 input error,
 3 budget exceeded.
 
+A ``--json`` report is byte-identical to ``json.dumps(report, indent=2,
+sort_keys=True)``, written without ``json``'s pure-Python encoder.
+
 The classifier is imported only by the subcommands that use it (classify,
 witness, atlas), and the oracle with its array kernel only by oracle and
 atlas.
@@ -27,6 +30,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Optional
 
@@ -68,9 +72,23 @@ def _load_graph(arg: str) -> Graph:
     raise ParseError(f"{arg!r} is neither a known graph tag nor a file")
 
 
+def _to_json(x, indent: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for dicts with string keys,
+    lists and scalars; ``indent`` would make ``json`` use its Python encoder."""
+    if not isinstance(x, (dict, list, tuple)):
+        return _encode(x) if isinstance(x, str) else json.dumps(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{_encode(k)}: {_encode(v) if type(v) is str else _to_json(v, inner)}" for k, v in sorted(x.items())]
+    else:
+        items = [_encode(v) if type(v) is str else _to_json(v, inner) for v in x]
+    brackets = "{}" if isinstance(x, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1] if items else brackets
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_to_json(report))
     else:
         for line in lines:
             print(line)
@@ -226,58 +244,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gainbalance", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("balance", help="decide balance of a gain graph")
-    p.add_argument("graph")
-    p.add_argument("gains")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_balance)
+    def command(name: str, help: str, func, *positional: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for arg in positional:
+            p.add_argument(arg)
+        return p
 
-    p = sub.add_parser("circle-test", help="evaluate the circle test on a basis")
-    p.add_argument("graph")
-    p.add_argument("gains")
-    p.add_argument("basis")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_basis_test)
-
-    p = sub.add_parser("cycle-test", help="evaluate the binary cycle test on an oriented basis")
-    p.add_argument("graph")
-    p.add_argument("gains")
-    p.add_argument("basis")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_basis_test)
-
-    p = sub.add_parser("classify", help="good/bad verdict per group class")
-    p.add_argument("graph")
+    command("balance", "decide balance of a gain graph", _cmd_balance, "graph", "gains")
+    command("circle-test", "evaluate the circle test on a basis", _cmd_basis_test, "graph", "gains", "basis")
+    command("cycle-test", "evaluate the binary cycle test on an oriented basis", _cmd_basis_test, "graph", "gains", "basis")
+    p = command("classify", "good/bad verdict per group class", _cmd_classify, "graph")
     p.add_argument("--class", dest="group_class", required=True)
     p.add_argument("--test", choices=("circle", "cycle"), default="circle")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("witness", help="emit a verified bad witness for a named family")
+    p = command("witness", "emit a verified bad witness for a named family", _cmd_witness)
     p.add_argument("--family", required=True)
     p.add_argument("--order", type=int, default=None, help="cyclic order for the loop-vertex family")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("minor", help="minor containment with branch-set witness")
-    p.add_argument("graph")
+    p = command("minor", "minor containment with branch-set witness", _cmd_minor, "graph")
     p.add_argument("--target", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_minor)
-
-    p = sub.add_parser("oracle", help="exhaustive circle-test goodness for one finite group")
-    p.add_argument("graph")
+    p = command("oracle", "exhaustive circle-test goodness for one finite group", _cmd_oracle, "graph")
     p.add_argument("--group", required=True)
     p.add_argument("--budget", type=_count, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("atlas", help="survey all inseparable multigraphs up to an edge bound")
+    p = command("atlas", "survey all inseparable multigraphs up to an edge bound", _cmd_atlas)
     p.add_argument("--max-edges", type=_count, required=True)
     p.add_argument("--group", required=True)
     p.add_argument("--budget", type=_count, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_atlas)
+    for p in sub.choices.values():  # every subcommand takes --json, after its own arguments
+        p.add_argument("--json", action="store_true")
     return parser
 
 

@@ -32,6 +32,8 @@ the walks themselves.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -193,25 +195,35 @@ def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional
     return None
 
 
+def _spans_by_chords(members: Sequence[frozenset], g: Graph) -> bool:
+    """True iff binary cycles ``members`` form a basis of Z1(g; GF(2)).  A
+    binary cycle is fixed by its chords of ``spanning_tree(g)``, so they do iff
+    they are as many as the chords and their chord masks are independent.  A
+    member with an edge outside g raises."""
+    forest = spanning_tree(g).forest
+    chords = [e for e in g.edge_list if e not in forest]
+    bits = dict.fromkeys(forest, 0)
+    bits.update((e, 1 << i) for i, e in enumerate(chords))
+    masks = []
+    for m in members:
+        mask = 0
+        for e in m:
+            try:
+                mask |= bits[e]
+            except KeyError:
+                raise GraphError("basis member uses edges outside the host graph") from None
+        masks.append(mask)
+    return len(masks) == len(chords) and gf2_rank(masks) == len(chords)
+
+
 def is_cycle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
     """True iff every member is a binary cycle (a loop meets its vertex twice)
     and the members are independent and span Z1(g; GF(2))."""
+    members = [frozenset(m) for m in members]
     vertex_bit = {v: 1 << i for i, v in enumerate(g.vertex_list)}
-    bits = {e: (1 << i, vertex_bit[t] ^ vertex_bit[h]) for i, (e, (t, h)) in enumerate(g.edges.items())}
-    masks, even = [], True
-    for m in members:
-        mask = odd = 0
-        for e in frozenset(m):
-            try:
-                edge_bit, ends_bits = bits[e]
-            except KeyError:
-                raise GraphError("basis member uses edges outside the host graph") from None
-            mask |= edge_bit
-            odd ^= ends_bits
-        masks.append(mask)
-        even = even and not odd
-    dim = cycle_space_dimension(g)
-    return even and len(masks) == dim and gf2_rank(masks) == dim
+    ends_bits = {e: vertex_bit[t] ^ vertex_bit[h] for e, (t, h) in g.edges.items()}
+    odd = (functools.reduce(operator.xor, map(ends_bits.__getitem__, m), 0) for m in members)
+    return _spans_by_chords(members, g) and not any(odd)
 
 
 # -- fundamental systems ------------------------------------------------------

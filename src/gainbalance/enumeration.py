@@ -55,7 +55,9 @@ is in the class too.
 Each enumerator keeps one growing table of levels by edge count, each level
 its sorted forms (as graphs for the inseparable ones) and the automorphisms
 found for each form; a call grows a copy past the largest level and
-publishes it in one assignment, and ``cache_clear`` drops the table.
+publishes it in one assignment, and ``cache_clear`` drops the table.  The
+connected table frees a level's automorphisms once the level above exists,
+as only the top level grows; the inseparable one grows ears on every level.
 Inseparable level m is the m-edge circle plus an ear of length m - p on each
 graph of each level p from 2 to m - 1.
 
@@ -231,8 +233,8 @@ def _cells(c: Compact) -> dict[tuple[int, int], int]:
     return {(i, j): m for i, j, m in c[1]}
 
 
-# the levels built so far by edge count: (sorted forms, automorphisms by form)
-_CONNECTED: list[tuple[tuple[Compact, ...], dict[Compact, list[list[int]]]]] = [(((1, ()),), {(1, ()): []})]
+# the levels built so far by edge count: (sorted forms, automorphisms by form or None)
+_CONNECTED: list[tuple[tuple[Compact, ...], dict[Compact, list[list[int]]] | None]] = [(((1, ()),), {(1, ()): []})]
 _INSEPARABLE: list[tuple[tuple[Graph, ...], dict[Compact, list[list[int]]]]] = [((), {})]
 
 
@@ -262,6 +264,7 @@ def connected_multigraphs(max_edges: int) -> tuple[tuple[Compact, ...], ...]:
                     if _is_canonical_deletion(n + 1, grown, (i, n)):
                         c, found = _compact_canonical(n + 1, grown)
                         seen.setdefault(c, found)
+        levels[m - 1] = (forms, autos if m == 1 else None)  # cache_clear keeps level 0
         levels.append((tuple(sorted(seen)), seen))
     _CONNECTED[:] = levels  # one assignment: no caller sees a half-built level
     return tuple(forms for forms, _ in levels[: max(max_edges, 0) + 1])

@@ -1,20 +1,38 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gainbalance
 from gainbalance import cli
 from gainbalance.cli import run
-from gainbalance.cyclespace import parse_basis_text
+from gainbalance.cyclespace import (
+    basis_to_text,
+    enumerate_circles,
+    fundamental_circles,
+    is_cycle_basis,
+    oriented_basis,
+    parse_basis_text,
+)
 from gainbalance.balancetests import binary_cycle_test, circle_test
-from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, parse_gain_text
-from gainbalance.graphcore import grid_faces, parse_graph_text
-from gainbalance.groups import Symmetric, parse_group_header, parse_group_spec, symmetric
+from gainbalance.gaingraph import GainGraph, gain_graph, gains_to_text, is_balanced, parse_gain_text
+from gainbalance.graphcore import grid_faces, parse_graph_text, spanning_forest
+from gainbalance.groups import (
+    FreeGroup,
+    Symmetric,
+    abelian_product,
+    cyclic,
+    free_on,
+    parse_group_header,
+    parse_group_spec,
+    symmetric,
+)
 from gainbalance.minors import MINOR_SEARCH_MAX_NODES
 from gainbalance.oracle import oracle_circle_goodness
 from conftest import named
@@ -83,6 +101,64 @@ def test_cycle_test_command(capsys, tmp_path):
     assert run(["cycle-test", str(graph), str(gains), str(basis), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["passes"] is True and data["balanced"] is False
+
+
+# -- the --json writer ------------------------------------------------------------
+
+_json_strings = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), st.characters()))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**80).map(lambda n: n * (-1) ** (n % 2)),
+    _json_strings,
+)
+_json_values = st.recursive(
+    _json_scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4), max_leaves=15
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_json_strings, _json_values, max_size=5) | st.lists(_json_values, max_size=5))
+def test_json_writer_matches_json_dumps(x):
+    assert cli._to_json(x) == json.dumps(x, indent=2, sort_keys=True)
+
+
+def _random_gains(g, group, rng):
+    if isinstance(group, FreeGroup):
+        pick = lambda: group.element([(rng.choice(group.symbols), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))])
+    else:
+        pick = lambda: rng.choice(group.elements())
+    gains = {e: pick() for e in g.edge_list}
+    if rng.random() < 0.5:  # a switching of the identity: balanced
+        values = {v: pick() for v in g.vertex_list}
+        gains = {e: group.op(group.inverse(values[t]), values[h]) for e, (t, h) in g.edges.items()}
+    return gain_graph(g, group, gains)
+
+
+@pytest.mark.parametrize("host", ["Grid(3,3)", "W6", "mK2(5)"])
+def test_basis_test_reports_are_json_dumps_bytes(capsys, tmp_path, host):
+    # every balance, circle-test and cycle-test report, balanced or not,
+    # over four groups and two bases, with and without walk lines
+    g = named(host)
+    rng = random.Random(host)
+    circles = enumerate_circles(g)
+    fundamental = [c.support for c in fundamental_circles(g, spanning_forest(g))]
+    other = [c.support for c in circles if len(c) == min(map(len, circles))][: len(fundamental)]
+    assert is_cycle_basis(other, g)
+    bases = [basis_to_text(oriented_basis(g, fundamental)), "".join(" ".join(sorted(m)) + "\n" for m in other)]
+    outcomes = set()
+    for group in (cyclic(3), abelian_product(2, 3), free_on("a", "b"), symmetric(3)):
+        for _ in range(2):
+            (tmp_path / "g.gains").write_text(gains_to_text(_random_gains(g, group, rng)))
+            argvs = [["balance", host, str(tmp_path / "g.gains")]]
+            for k, text in enumerate(bases):
+                (tmp_path / f"{k}.basis").write_text(text)
+                argvs += [[c, host, str(tmp_path / "g.gains"), str(tmp_path / f"{k}.basis")] for c in ("circle-test", "cycle-test")]
+            for argv in argvs:
+                assert run(argv + ["--json"]) == 0
+                out = capsys.readouterr().out
+                report = json.loads(out)
+                assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+                outcomes.add((argv[0], report["balanced"]))
+    assert len(outcomes) == 6, outcomes
 
 
 # Grid(3,3) inputs for the text reports of circle-test and cycle-test.  The

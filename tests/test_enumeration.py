@@ -150,6 +150,24 @@ def test_grown_levels_equal_a_cold_start_and_label_only_new_levels(monkeypatch):
         connected_multigraphs.cache_clear()
 
 
+def test_connected_table_keeps_only_the_top_levels_automorphisms():
+    # a connected level grows from the one below it alone, so the lower
+    # levels' maps are freed (level 0's is kept for cache_clear); every
+    # inseparable level grows ears on each lower one and keeps its map
+    try:
+        connected_multigraphs.cache_clear()
+        connected_multigraphs(4)
+        connected_multigraphs(6)
+        assert [autos is not None for _, autos in enumeration._CONNECTED] == [True, False, False, False, False, False, True]
+        assert connected_multigraphs(6) == reference_connected_multigraphs(6)
+        connected_multigraphs.cache_clear()
+        assert enumeration._CONNECTED == [(((1, ()),), {(1, ()): []})]
+        inseparable_multigraphs(6)
+        assert all(autos for _, autos in enumeration._INSEPARABLE[1:])
+    finally:
+        connected_multigraphs.cache_clear()
+
+
 def test_levels_have_no_duplicates():
     levels = connected_multigraphs(5)
     keys = [canonical_key(materialize(c)) for level in levels[1:] for c in level]

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import operator
 import random
 
@@ -12,7 +14,9 @@ from gainbalance.cyclespace import (
     cyclic_orientations,
     enumerate_circles,
     fundamental_circles,
+    is_cycle_basis,
 )
+from gainbalance.enumeration import connected_multigraphs, inseparable_multigraphs, materialize
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.gaingraph import (
     GainGraph,
@@ -160,6 +164,74 @@ def test_basis_gains_match_step_by_step_reference():
         walks = [w.reversed() if rng.random() < 0.5 else w for w in walks]
         ob = OrientedBasis(tuple(zip(members, walks)), g)
         assert basis_gains(gg, ob) == [reference_walk_gain(gg, w) for w in walks]
+
+
+def _outcome(check):
+    """("ok", the check's value), or ("raise", the message of its GraphError)."""
+    try:
+        return "ok", check()
+    except GraphError as exc:
+        return "raise", str(exc)
+
+
+def test_basis_gains_checks_the_basis_as_is_cycle_basis_does():
+    # basis_gains checks the basis in chord coordinates and trusts the walks
+    # for evenness; on seeded oriented bases of the enumeration corpus and of
+    # random hosts (several components, isolated vertices, loops, parallel
+    # edges) it must accept or raise as is_cycle_basis does, with the same
+    # messages: a valid basis, one member replaced by the sum of two others,
+    # one missing, one extra, and a hand-built member with an edge outside
+    # the host
+    rng = random.Random(97)
+    hosts = [materialize(c) for level in connected_multigraphs(5) for c in level]
+    hosts += inseparable_multigraphs(6) + tuple(random_multigraph(rng) for _ in range(200))
+    seen = collections.Counter()
+    for trial, g in enumerate(hosts):
+        group = WALK_GROUPS[trial % len(WALK_GROUPS)]
+        gg = gain_graph(g, group, {e: random_element(group, rng) for e in g.edge_list})
+        # a closed walk stays in one component, so members are summed only within one
+        comp = {v: i for i, vs in enumerate(components(g)) for v in vs}
+        basis = [c.support for c in fundamental_circles(g, spanning_forest(g))]
+        where = [comp[g.ends(min(m))[0]] for m in basis]
+        for i in range(len(basis)):
+            for j in range(i):
+                if rng.random() < 0.3 and where[i] == where[j]:
+                    basis[i] ^= basis[j]
+        variants = {"valid": basis}
+        triples = [(i, j, k) for i, j, k in itertools.permutations(range(len(basis)), 3) if where[j] == where[k]]
+        if triples:
+            i, j, k = rng.choice(triples)
+            variants["sum of two others"] = basis[:i] + [basis[j] ^ basis[k]] + basis[i + 1 :]
+        if basis:
+            i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
+            variants["missing"] = basis[:i] + basis[i + 1 :]
+            variants["extra"] = basis + [basis[i] ^ basis[j] if i != j and where[i] == where[j] else basis[i]]
+        for kind, members in variants.items():
+            walks = [rng.choice(cyclic_orientations(m, g)) for m in members]
+            pairs = [(m, w.reversed() if rng.random() < 0.5 else w) for m, w in zip(members, walks)]
+            obs = {kind: OrientedBasis(tuple(pairs), g)}
+            if pairs:
+                i = rng.randrange(len(pairs))
+                pairs[i] = (pairs[i][0] | {"zz"}, pairs[i][1])
+                obs["outside"] = OrientedBasis(tuple(pairs), g)
+            for name, ob in obs.items():
+                want = _outcome(lambda: is_cycle_basis(ob.cycles, g))
+                got = _outcome(lambda: basis_gains(gg, ob))
+                if want == ("ok", True):
+                    assert got == ("ok", [reference_walk_gain(gg, w) for w in ob.walks]), (trial, name)
+                elif want == ("ok", False):
+                    assert got == ("raise", "oriented cycles do not form a basis"), (trial, name)
+                else:
+                    assert got == want, (trial, name)
+                seen[name, want[1]] += 1
+    assert set(seen) == {
+        ("valid", True),
+        ("sum of two others", False),
+        ("missing", False),
+        ("extra", False),
+        ("outside", "basis member uses edges outside the host graph"),
+    }, seen
+    assert min(seen.values()) >= 100, seen
 
 
 class CountingGroup:
