@@ -29,6 +29,13 @@ by one transport, ``lift_witness``: along the minor model edge for edge, with
 branch-forest paths spliced into each walk, the other edges restored by
 ``lift_basis_deletion``, and the result verified.
 
+Decomposition and minimization run on the compact form of ``graphcore``.
+The pass converts its block once and reads its four rules on that form: a
+deletion drops an edge number, a contraction merges the greater end index
+into the lesser (the lesser name, as ``contract`` does).  ``h`` keeps its
+isolated vertices, as ``delete`` does, so the three-vertex rule counts them;
+the returned ``Graph``, the only one built, drops them.
+
 The forbidden-minor target graphs, the edge floor of the minimization and the
 verified witness of each family and order are built once per process, on
 first use, and shared; every witness lifted to a host is verified.
@@ -40,9 +47,8 @@ The exhaustive brute-force oracle that checks these verdicts is
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .balancetests import binary_cycle_test, circle_orientation
 from .cyclespace import OrientedBasis, _checked_walk, cycle_space_dimension, oriented_basis
@@ -60,6 +66,9 @@ from .graphcore import (
     Graph,
     NamedGraphSpec,
     RootedForest,
+    _block_edges,
+    _block_graph,
+    _compact,
     blocks,
     build_named,
     isomorphism,
@@ -71,11 +80,10 @@ from .minors import (
     MinorWitness,
     ReverseStep,
     _loop_vertex_witness,
+    _named_steps,
+    _reduce,
     branch_forest,
-    contract,
-    delete,
     lift_basis_deletion,
-    reverse_extrusion_reduce,
     splice_tree_paths,
     verify_minor_witness,
 )
@@ -187,71 +195,50 @@ class Verdict:
 # -- structural decomposition ---------------------------------------------------
 
 
-def _match_base(h: Graph) -> Optional[NamedGraphSpec]:
-    n = len(h.vertex_list)
-    m = len(h.edge_list)
-    loops = [e for e in h.edge_list if h.is_loop(e)]
-    if loops:
-        return NamedGraphSpec(LOOP_VERTEX) if n == 1 and m == 1 else None
-    if n == 2 and m >= 1:
-        return NamedGraphSpec(MULTI_K2, (m,))
-    if n == 3:
-        v = h.vertex_list
-        mults = sorted(
-            (h.multiplicity(v[0], v[1]), h.multiplicity(v[1], v[2]), h.multiplicity(v[0], v[2])),
-            reverse=True,
-        )
-        if mults[1] == 2 and mults[2] == 2 and mults[0] >= 2:
-            return NamedGraphSpec(CIRCLE_MULTI, (mults[0], 2, 2))
-        return None
-    if n == 4:
-        pairs = list(itertools.combinations(h.vertex_list, 2))
-        mults = {p: h.multiplicity(*p) for p in pairs}
-        if any(c == 0 for c in mults.values()):
-            return None
-        big = [p for p, c in mults.items() if c > 1]
-        if len(big) == 0:
-            return NamedGraphSpec(K4_OPPOSITE, (1, 1))
-        if len(big) == 1:
-            return NamedGraphSpec(K4_OPPOSITE, (mults[big[0]], 1))
-        if len(big) == 2 and not (set(big[0]) & set(big[1])):
-            a, b = sorted((mults[big[0]], mults[big[1]]), reverse=True)
-            return NamedGraphSpec(K4_OPPOSITE, (a, b))
-        return None
+def _block_base(ends: Sequence[tuple[int, int]], part: Sequence[int]) -> Optional[tuple[NamedGraphSpec, list]]:
+    """The base family of the block with edge numbers ``part`` of a compact
+    graph and the ``_reduce`` log reaching it, or None.  A loopless block is
+    reduced along one reverse-extrusion path and decomposes exactly when the
+    irreducible end is a base; a block with a loop is that loop alone."""
+    vertices = sorted({v for e in part for v in ends[e]})
+    if len(vertices) < 3:  # a loop, or a parallel class, which has no reverse step
+        return NamedGraphSpec(LOOP_VERTEX) if len(vertices) == 1 else NamedGraphSpec(MULTI_K2, (len(part),)), []
+    sub = {e: ends[e] for e in part}
+    classes, _, log = _reduce(vertices, sub)
+    pairs = [(v, u, len(c)) for v, near in classes.items() for u, c in near.items() if v < u]
+    mults = sorted(c for _, _, c in pairs)
+    big = [(v, u) for v, u, c in pairs if c > 1]
+    if len(classes) == 2:
+        return NamedGraphSpec(MULTI_K2, (len(sub),)), log
+    if len(classes) == 3 and len(mults) == 3 and mults[:2] == [2, 2]:
+        return NamedGraphSpec(CIRCLE_MULTI, (mults[2], 2, 2)), log
+    if len(classes) == 4 and len(pairs) == 6 and (len(big) < 2 or len(big) == 2 and not set(big[0]) & set(big[1])):
+        return NamedGraphSpec(K4_OPPOSITE, (mults[-1], mults[-2])), log
     return None
 
 
-def _block_decomposition(block: Graph) -> Optional[BlockDecomposition]:
-    """A base family plus an extrusion log reaching ``block``, or None.
-
-    A loopless block is reduced along one reverse-extrusion path and
-    decomposes exactly when the irreducible end is a base (a base has no
-    reverse step, so it ends at itself with an empty log).  A block with a
-    loop is that loop alone and decomposes as the loop vertex."""
-    if block.is_loop(block.edge_list[0]):
-        irreducible, steps = block, ()
-    else:
-        irreducible, steps = reverse_extrusion_reduce(block)
-    base = _match_base(irreducible)
-    return None if base is None else BlockDecomposition(block, base, steps)
+def _decomposes(n: int, ends: Sequence[tuple[int, int]], edges: Sequence[int]) -> bool:
+    """Whether every block of the compact graph on vertex indices below
+    ``n`` with ``edges`` decomposes; one with fewer edges than the smallest
+    forbidden minor always does, so it is not reduced."""
+    return all(len(part) < _edge_floor() or _block_base(ends, part) is not None for part in _block_edges(n, ends, edges))
 
 
 def _decompose(g: Graph) -> Decomposition | Graph:
     """The decomposition of ``g``, or else its first block that has none."""
-    out = []
-    for block in blocks(g):
-        found = _block_decomposition(block)
+    ends, out = _compact(g), []
+    for part in _block_edges(len(g.vertex_list), ends, range(len(ends))):
+        found = _block_base(ends, part)
         if found is None:
-            return block
-        out.append(found)
+            return _block_graph(g, part)
+        out.append(BlockDecomposition(_block_graph(g, part), found[0], _named_steps(g, found[1])))
     return Decomposition(tuple(out))
 
 
 def structural_decomposition(g: Graph) -> Optional[Decomposition]:
     """Per block, a base family plus an extrusion log reaching the block, or
     None when some block admits no such decomposition."""
-    found = _decompose(g)
-    return found if isinstance(found, Decomposition) else None
+    return found if isinstance(found := _decompose(g), Decomposition) else None
 
 
 # -- explicit witness constructions ----------------------------------------------
@@ -449,24 +436,27 @@ def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
       decompose while ``h`` does not.
 
     Every other step decomposes, so minor and projection are those of the
-    pass that tests every step.
+    pass that tests every step.  Each test is ``_decomposes``.
     """
     floor = _edge_floor()
-    h, vmap = block, {v: v for v in block.vertex_list}
-    for e in block.edge_list:
-        if len(h.edge_list) <= floor:
+    names, ends = block.vertex_list, _compact(block)
+    edges, proj = list(range(len(ends))), list(range(len(names)))  # h's edge numbers; block vertex -> h vertex
+    for e in range(len(ends)):
+        if len(edges) <= floor:
             break
-        smaller = delete(h, {e})
-        if structural_decomposition(smaller) is None:
-            h = smaller
+        rest = [f for f in edges if f != e]
+        if not _decomposes(len(names), ends, rest):
+            edges = rest
             continue
-        t, u = h.ends(e)
-        if h.multiplicity(t, u) > 1 or len(h.vertex_list) == 3:
+        t, u = ends[e]
+        if len(set(proj)) == 3 or sum(t in ends[f] and u in ends[f] for f in edges) > 1:
             continue
-        smaller, step = contract(h, {e})
-        if 2 in (h.degree(t), h.degree(u)) or structural_decomposition(smaller) is None:
-            h, vmap = smaller, {v: step[x] for v, x in vmap.items()}
-    return Graph(dict(h.edges)), vmap  # isolated vertices dropped
+        keep, gone = min(t, u), max(t, u)
+        merged = [(keep if x == gone else x, keep if y == gone else y) for x, y in ends]
+        if any(sum(x in ends[f] for f in edges) == 2 for x in (t, u)) or not _decomposes(len(names), merged, rest):
+            ends, edges, proj = merged, rest, [keep if x == gone else x for x in proj]
+    h = Graph({block.edge_list[f]: (names[ends[f][0]], names[ends[f][1]]) for f in edges})
+    return h, {v: names[x] for v, x in zip(names, proj)}
 
 
 # -- classification -----------------------------------------------------------------

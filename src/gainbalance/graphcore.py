@@ -31,6 +31,11 @@ addressable in witnesses and tests:
 All values are immutable after construction and every function here is pure,
 so concurrent use on shared inputs is unrestricted.
 
+Blocks, reverse extrusion and the base match run on a compact form
+(``_compact``): vertex indices and edge numbers in name order, and one
+end-index pair per edge number.  A graph keeps its canonical labeling, key
+and map, once computed, as it keeps its spanning tree.
+
 Text format (one declaration per line, ``#`` comments)::
 
     vertex a          # optional, for isolated vertices
@@ -39,9 +44,10 @@ Text format (one declaration per line, ``#`` comments)::
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GraphError, ParseError
 
@@ -567,68 +573,64 @@ def spanning_tree(g: Graph) -> RootedForest:
     return tree
 
 
+def _compact(g: Graph) -> list[tuple[int, int]]:
+    """The end-index pair of each edge number of ``g``: its compact form."""
+    index = {v: i for i, v in enumerate(g.vertex_list)}
+    return [(index[t], index[h]) for t, h in map(g.edges.__getitem__, g.edge_list)]
+
+
+def _block_edges(n: int, ends: Sequence[tuple[int, int]], edges: Sequence[int]) -> list[list[int]]:
+    """The edge numbers of each block of the compact graph on vertex indices
+    below ``n`` with ``edges``: loops in (vertex, edge) order, then blocks as
+    the Hopcroft-Tarjan DFS closes them, roots and incidence in index order."""
+    inc = [[] for _ in range(n)]
+    for e in edges:
+        t, h = ends[e]
+        if t != h:
+            inc[t].append((e, h))
+            inc[h].append((e, t))
+    out = [[e] for _, e in sorted((ends[e][0], e) for e in edges if ends[e][0] == ends[e][1])]
+    disc, low, stack, order = [-1] * n, [0] * n, [], itertools.count()
+    for root in range(n):
+        if disc[root] >= 0 or not inc[root]:
+            continue
+        disc[root] = low[root] = next(order)
+        frames = [(root, -1, iter(inc[root]), 0)]  # vertex, entering edge, incidence, stack height below that edge
+        while frames:
+            v, fe, it, _ = frames[-1]
+            for e, u in it:
+                if disc[u] < 0:
+                    frames.append((u, e, iter(inc[u]), len(stack)))
+                    stack.append(e)
+                    disc[u] = low[u] = next(order)
+                    break
+                if disc[u] < disc[v] and e != fe:
+                    stack.append(e)
+                    low[v] = min(low[v], disc[u])
+            else:
+                height = frames.pop()[3]
+                if frames:
+                    pv = frames[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] >= disc[pv]:
+                        out.append(stack[height:])
+                        del stack[height:]
+    return out
+
+
+def _block_graph(g: Graph, part: Sequence[int]) -> Graph:
+    """The block of ``g`` with edge numbers ``part``, as ``blocks`` gives it."""
+    if len(part) == len(g.edge_list) and all(g.incident(v) for v in g.vertex_list):
+        return g
+    return g.subgraph(g.edge_list[e] for e in part)
+
+
 def blocks(g: Graph) -> list[Graph]:
     """Maximal inseparable subgraphs; every edge lies in exactly one block,
     isolated vertices are dropped.  Loops form single-edge blocks.  An
     inseparable ``g`` without isolated vertices is its own block and comes
     back as ``g`` itself, not a copy."""
-    whole = all(g.incident(v) for v in g.vertex_list)
-
-    def block(edge_ids: list[str]) -> Graph:
-        return g if whole and len(edge_ids) == len(g.edge_list) else g.subgraph(edge_ids)
-
-    out: list[Graph] = []
-    for v in g.vertex_list:
-        for eid in g.loops_at(v):
-            out.append(block([eid]))
-
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    counter = [0]
-    edge_stack: list[str] = []
-
-    def dfs(root):
-        # iterative DFS; frames are (vertex, entering edge id, incident iterator)
-        stack = [(root, None, iter(g.incident(root)))]
-        disc[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, fe, it = stack[-1]
-            advanced = False
-            for eid, u in it:
-                if u == v or eid == fe:
-                    continue
-                if u not in disc:
-                    edge_stack.append(eid)
-                    disc[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append((u, eid, iter(g.incident(u))))
-                    advanced = True
-                    break
-                if disc[u] < disc[v]:
-                    edge_stack.append(eid)
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pv, pfe, _ = stack[-1]
-                if low[v] < low[pv]:
-                    low[pv] = low[v]
-                if low[v] >= disc[pv]:
-                    blk = []
-                    while edge_stack:
-                        e = edge_stack.pop()
-                        blk.append(e)
-                        if e == fe:
-                            break
-                    out.append(block(blk))
-
-    for root in g.vertex_list:
-        if root not in disc:
-            dfs(root)
-    return out
+    return [_block_graph(g, part) for part in _block_edges(len(g.vertex_list), _compact(g), range(len(g.edge_list)))]
 
 
 def suppress_divalent(g: Graph) -> Graph:
@@ -636,28 +638,20 @@ def suppress_divalent(g: Graph) -> Graph:
     distinct non-loops by a single edge joining its neighbors.  Parallel edges
     or loops may arise; parallel edges are never merged.  Homeomorphic to the
     input and idempotent."""
-    edges = dict(g.edges)
-    vertices = set(g.vertices)
+    edges, vertices = dict(g.edges), set(g.vertices)
     while True:
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
         for eid, (t, h) in edges.items():
             adj[t].append((eid, h))
             if h != t:
                 adj[h].append((eid, t))
-        victim = None
-        for v in sorted(vertices):
-            inc = sorted(adj[v])
-            if len(inc) == 2 and inc[0][1] != v and inc[1][1] != v:
-                victim = (v, inc)
-                break
-        if victim is None:
-            break
-        v, ((e1, a), (e2, b)) = victim
-        del edges[e1]
-        del edges[e2]
+        v = next((x for x in sorted(vertices) if len(adj[x]) == 2 and x not in (adj[x][0][1], adj[x][1][1])), None)
+        if v is None:
+            return Graph(edges, vertices)
+        (e1, a), (e2, b) = sorted(adj[v])
+        del edges[e1], edges[e2]
         edges[f"{e1}~{e2}"] = (a, b)
         vertices.discard(v)
-    return Graph(edges, vertices)
 
 
 # -- isomorphism and canonical forms ----------------------------------------
@@ -742,7 +736,10 @@ def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
     """Canonical key of the unlabeled shape plus one vertex -> position map
     realizing it.  Equal keys imply isomorphism and vice versa.  Components
     are searched with orbit pruning, which leaves key and map as the unpruned
-    search gives them."""
+    search gives them.  The pair is computed on first use and kept with
+    ``g``, like its spanning tree, so it must not be mutated."""
+    if g._canon is not None:
+        return g._canon
     comps = components(g)
     if len(comps) <= 1:
         verts = g.vertex_list
@@ -758,7 +755,8 @@ def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
                 mult[i][j] += 1
                 mult[j][i] += 1
         key, pos, _ = _canonical_connected(n, mult)
-        return (n, key), {v: pos[idx[v]] for v in verts}
+        g._canon = (n, key), {v: pos[idx[v]] for v in verts}
+        return g._canon
     # canonicalize each component, order components by key, offset positions
     pieces = []
     for comp in comps:
@@ -773,13 +771,12 @@ def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
         for v, p in sub_map.items():
             vmap[v] = p + offset
         offset += len(comp)
-    return ("disconnected", tuple(keys)), vmap
+    g._canon = ("disconnected", tuple(keys)), vmap
+    return g._canon
 
 
 def canonical_key(g: Graph) -> tuple:
-    if g._canon is None:
-        g._canon = canonical_labeling(g)[0]
-    return g._canon
+    return (g._canon or canonical_labeling(g))[0]
 
 
 def _degree_invariants(g: Graph) -> tuple[int, list[int]]:

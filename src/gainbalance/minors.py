@@ -19,6 +19,12 @@ classifier's witness transport splices the branch forest of a minor model
 with it too, on the host, without contracting.  Deletion keeps one least
 spanning forest, updated as each edge is restored.  Contraction classes and
 the forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
+
+Reverse extrusion runs on the compact form of ``graphcore`` (``_reduce``),
+its heap keyed on (name now, vertex) as on names, a name now being the index
+of a name; ``reverse_extrusion_reduce`` and ``is_extrusion_irreducible``
+convert to it.  ``verify_reverse_steps`` checks a log rather than producing
+one, and stays on names.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .graphcore import (
     DisjointSets,
     Graph,
     RootedForest,
+    _compact,
     blocks,
     edge_components,
     is_isomorphic,
@@ -455,12 +462,11 @@ class ReverseStep:
     returned_edges: tuple[str, ...]
 
 
-def _neighbour_classes(g: Graph) -> dict[str, dict[str, list[str]]]:
-    """Each vertex's neighbours other than itself, each with the ids of the
-    edges joining the two: one list per pair, shared by both ends."""
-    classes: dict[str, dict[str, list[str]]] = {v: {} for v in g.vertex_list}
-    for e in g.edge_list:
-        t, h = g.ends(e)
+def _neighbour_classes(vertices: Iterable, ends: Mapping) -> dict:
+    """Each vertex's neighbours other than itself, each with the edges (keys
+    of ``ends``) joining the two: one list per pair, shared by both ends."""
+    classes: dict = {v: {} for v in vertices}
+    for e, (t, h) in ends.items():
         if t == h:
             continue
         if h not in classes[t]:
@@ -484,7 +490,7 @@ def _reverse_move(classes: Mapping[str, Sequence[str]], name: Optional[Callable]
     return None
 
 
-def _contract_step(classes: dict, ends: dict, y: str, kept: str, other: str, edge: str) -> None:
+def _contract_step(classes: dict, ends: dict, y, kept, other, edge) -> None:
     """Contract ``edge``, the one edge joining ``y`` to ``kept``, in place on
     neighbour classes and an edge -> ends map: ``y`` merges into ``kept`` and
     its edges to ``other`` join the class of ``kept`` and ``other``."""
@@ -502,35 +508,20 @@ def _contract_step(classes: dict, ends: dict, y: str, kept: str, other: str, edg
 def is_extrusion_irreducible(g: Graph) -> bool:
     """No single reverse-extrusion step applies: every loopless vertex with
     exactly two neighbors is multiply adjacent to both."""
-    classes = _neighbour_classes(g)
-    return not any(_reverse_move(classes[v]) and not g.loops_at(v) for v in g.vertex_list)
+    ends = dict(enumerate(_compact(g)))
+    classes = _neighbour_classes(range(len(g.vertex_list)), ends)
+    return not any(_reverse_move(classes[v]) for v in classes.keys() - {t for t, h in ends.values() if t == h})
 
 
-def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
-    """Take the first reverse-extrusion step until none applies: the step at
-    the least-named vertex that has one, contracting its edge to ``kept``.
-
-    One path suffices for a block: each step contracts an edge and keeps the
-    graph loopless and inseparable, so a block free of the four forbidden
-    minors (the minor characterization) ends at a minor free of them too, and
-    the constructive characterization makes that irreducible end a base.
-
-    The steps run on one adjacency of neighbour classes, keyed by the
-    vertices of ``g`` that survive.  A step merges its vertex into ``kept``,
-    which takes the lesser of the two names as ``contract`` does.  Only the
-    merged vertex and ``other`` change their neighbour classes, so they are
-    the only vertices that can gain or lose a step; a heap of (name, vertex)
-    holds every vertex that may have one.  A step costs two heap pushes and
-    a sort of the edges it returns, so the reduction takes O((E + R) log E)
-    time, where R counts the returned edges of all steps.
-    """
-    if any(g.is_loop(e) for e in g.edge_list):
-        raise GraphError("reverse extrusion operates on loopless graphs")
-    classes = _neighbour_classes(g)
-    name = {v: v for v in g.vertex_list}  # surviving vertex -> its name now
-    ends = dict(g.edges)
-    heap = [(v, v) for v in g.vertex_list]  # sorted, hence a heap
-    steps = []
+def _reduce(vertices: Sequence[int], ends: dict[int, tuple[int, int]]) -> tuple[dict, dict, list]:
+    """Reverse extrusion on a loopless compact graph (vertices in order, an
+    edge -> end-index map contracted in place): the end's neighbour classes,
+    each survivor's name now, and the log of (vertex, kept, other, edge,
+    returned edges).  Only the merged vertex and ``other`` can gain or lose a
+    step, so it takes O((E + R) log E) time, R the returned edges of all steps."""
+    classes = _neighbour_classes(vertices, ends)
+    name = {v: v for v in vertices}  # surviving vertex -> its name now
+    heap, log = [(v, v) for v in vertices], []  # a sorted list is a heap
     while heap:
         label, y = heapq.heappop(heap)
         if name.get(y) != label:
@@ -540,14 +531,36 @@ def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
             continue
         kept, other = move
         [edge] = classes[y][kept]
-        steps.append(ReverseStep(label, name[kept], name[other], edge, tuple(sorted(classes[y][other]))))
+        log.append((label, name[kept], name[other], edge, tuple(sorted(classes[y][other]))))
         _contract_step(classes, ends, y, kept, other, edge)
         name[kept] = min(name[kept], name.pop(y))
         heapq.heappush(heap, (name[kept], kept))
         heapq.heappush(heap, (name[other], other))
-    if not steps:
+    return classes, name, log
+
+
+def _named_steps(g: Graph, log: Sequence[tuple]) -> tuple[ReverseStep, ...]:
+    """A ``_reduce`` log on the compact form of ``g`` as steps of ``g``."""
+    v, e = g.vertex_list, g.edge_list
+    return tuple(ReverseStep(v[y], v[k], v[o], e[f], tuple(e[r] for r in back)) for y, k, o, f, back in log)
+
+
+def reverse_extrusion_reduce(g: Graph) -> tuple[Graph, tuple[ReverseStep, ...]]:
+    """Take the first reverse-extrusion step until none applies: the step at
+    the least-named vertex that has one, contracting its edge to ``kept``.
+    One path suffices for a block: each step contracts an edge and keeps the
+    graph loopless and inseparable, so a block free of the four forbidden
+    minors (the minor characterization) ends at a minor free of them too, and
+    the constructive characterization makes that irreducible end a base."""
+    if any(g.is_loop(e) for e in g.edge_list):
+        raise GraphError("reverse extrusion operates on loopless graphs")
+    ends = dict(enumerate(_compact(g)))
+    _, name, log = _reduce(range(len(g.vertex_list)), ends)
+    if not log:
         return g, ()
-    return Graph({e: (name[t], name[h]) for e, (t, h) in ends.items()}, name.values()), tuple(steps)
+    v, e = g.vertex_list, g.edge_list
+    end = Graph({e[f]: (v[name[t]], v[name[h]]) for f, (t, h) in ends.items()}, (v[x] for x in name.values()))
+    return end, _named_steps(g, log)
 
 
 def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) -> bool:
@@ -560,7 +573,7 @@ def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) ->
     The steps contract in place as in ``reverse_extrusion_reduce``: neighbour
     classes keyed by the vertices of ``g`` that survive, each with its name
     now, so a step costs its returned edges and the end is one ``Graph``."""
-    classes = _neighbour_classes(g)
+    classes = _neighbour_classes(g.vertex_list, g.edges)
     loopy = {t for t, h in g.edges.values() if t == h}  # a valid step makes no loop
     name = {v: v for v in g.vertex_list}  # surviving vertex -> its name now
     vertex = dict(name)  # name now -> surviving vertex

@@ -1,11 +1,12 @@
 """The circle classifier's Bad path without its shortcuts, for reference.
 
 ``reference_minimal_bad_minor`` is the forbidden-minor pass as first
-written: find the first block of the host that ``structural_decomposition``
-rejects, then delete each of its edges in turn, else contract it, testing
-every step by a decomposition.  ``gainbalance.classify._minimal_bad_block``
-skips the steps the theorem decides and must give the same minor and the
-same vertex projection.
+written: find the first block of the host that the string-id decomposition
+of ``decomposition_reference`` rejects, then delete each of its edges in
+turn, else contract it with ``delete`` and ``contract``, testing every step
+by that decomposition.  ``gainbalance.classify._minimal_bad_block`` skips
+the steps the theorem decides, runs the others on the compact kernels, and
+must give the same minor and the same vertex projection.
 
 ``reference_lift_basis_deletion`` restores each deleted edge by building the
 graph of the edges present, its least spanning forest and a rooting of it,
@@ -21,8 +22,9 @@ the model on the host without contracting and must give the same witness.
 It restores edges through ``classify.lift_basis_deletion``, so a patch of
 that name reaches it too.
 
-``reference_circle_goodness`` is ``circle_goodness`` with the three
-references in place of the library's pass, deletion lift and transport.
+``reference_circle_goodness`` is ``circle_goodness`` with the string-id
+decomposition and the three references in place of the library's
+decomposition, pass, deletion lift and transport.
 
 ``reference_binary_cycle_goodness`` is the binary classifier as first
 written: search for a loop-vertex minor, rebuild its witness and transport
@@ -46,7 +48,6 @@ from gainbalance.classify import (
     BadWitness,
     Verdict,
     bad_witness,
-    structural_decomposition,
 )
 from gainbalance.cyclespace import OrientedBasis, cycle_space_dimension
 from gainbalance.errors import GraphError
@@ -58,7 +59,6 @@ from gainbalance.graphcore import (
     Graph,
     NamedGraphSpec,
     RootedForest,
-    blocks,
     build_named,
     components,
     spanning_forest,
@@ -67,22 +67,24 @@ from gainbalance.graphcore import (
 from gainbalance.groups import class_flags
 from gainbalance.minors import branch_forest, contract, delete, has_minor, splice_tree_paths
 
+from decomposition_reference import reference_blocks, reference_decompose, reference_structural_decomposition
+
 
 def reference_minimal_bad_block(block):
     h, vmap = block, {v: v for v in block.vertex_list}
     for e in block.edge_list:
         smaller = delete(h, {e})
-        if structural_decomposition(smaller) is None:
+        if reference_structural_decomposition(smaller) is None:
             h = smaller
             continue
         smaller, step = contract(h, {e})
-        if structural_decomposition(smaller) is None:
+        if reference_structural_decomposition(smaller) is None:
             h, vmap = smaller, {v: step[x] for v, x in vmap.items()}
     return Graph(dict(h.edges)), vmap
 
 
 def reference_minimal_bad_minor(g):
-    block = next(b for b in blocks(g) if structural_decomposition(b) is None)
+    block = next(b for b in reference_blocks(g) if reference_structural_decomposition(b) is None)
     return reference_minimal_bad_block(block)
 
 
@@ -180,9 +182,13 @@ def reference_lift_witness(host, mw, w):
 
 
 def reference_circle_goodness(g, c):
-    with mock.patch.object(classify, "_minimal_bad_block", reference_minimal_bad_block), mock.patch.object(
-        classify, "lift_basis_deletion", reference_lift_basis_deletion
-    ), mock.patch.object(classify, "lift_witness", reference_lift_witness):
+    with mock.patch.multiple(
+        classify,
+        _decompose=reference_decompose,
+        _minimal_bad_block=reference_minimal_bad_block,
+        lift_basis_deletion=reference_lift_basis_deletion,
+        lift_witness=reference_lift_witness,
+    ):
         return classify.circle_goodness(g, c)
 
 

@@ -25,6 +25,8 @@ API = {
     "minors.has_two_separation": "the no-2-separation guarantee in the acceptance tests",
     "minors.is_extrusion_irreducible": "the no-2-separation guarantee in the acceptance tests",
     "minors.verify_reverse_steps": "replays a Good verdict's extrusion log; the benchmark's check",
+    "minors.contract": "the README's minors row; the string-id references contract with it",
+    "minors.reverse_extrusion_reduce": "the README's minors row; the compact reduction on a Graph",
     "graphcore.suppress_divalent": "the README's graphcore row",
     "gaingraph.switch_to_forest": "the README's gaingraph row",
     "balancetests.circle_test": "the README's balancetests row",
@@ -41,6 +43,7 @@ ENTRY_POINTS = {
     "gaingraph.gains_to_text": "writer of the gain file format",
     "graphcore.grid_faces": "the face basis of the Grid family",
     "minors.extrude": "the README's extrusion",
+    "classify.structural_decomposition": "the README's structural decompositions with replayable logs",
 }
 
 

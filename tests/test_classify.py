@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -331,14 +332,42 @@ def test_minimization_matches_the_unpruned_pass():
 
 
 def test_minimization_decomposes_nothing_on_a_forbidden_minor(monkeypatch):
+    # the pass decides every step through the kernel's ``_decomposes``
     calls = []
-    decompose = classify.structural_decomposition
-    monkeypatch.setattr(classify, "structural_decomposition", lambda g: calls.append(g) or decompose(g))
+    decomposes = classify._decomposes
+    monkeypatch.setattr(classify, "_decomposes", lambda *args: calls.append(args) or decomposes(*args))
     for spec in FORBIDDEN_MINORS:
         g = build_named(spec)
         h, vmap = classify._minimal_bad_block(classify._decompose(g))
         assert h == g and vmap == {v: v for v in g.vertex_list}
     assert calls == []
+
+
+def _petersen():
+    outer = {f"o{i}": (f"a{i}", f"a{(i + 1) % 5}") for i in range(5)}
+    spokes = {f"s{i}": (f"a{i}", f"b{i}") for i in range(5)}
+    inner = {f"i{i}": (f"b{i}", f"b{(i + 2) % 5}") for i in range(5)}
+    return Graph({**outer, **spokes, **inner})
+
+
+def test_minimization_builds_no_graph_to_test(monkeypatch):
+    # the pass tests its steps on the compact form: no deletion, contraction
+    # or decomposition of a Graph, under whatever name a module binds it
+    hosts = [named("Grid(2,3)"), _petersen(), named("W8")]
+    expected = [reference_minimal_bad_minor(g) for g in hosts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the minimization builds a Graph to test a step")
+
+    banned = (minors.delete, minors.contract, classify.structural_decomposition)
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "gainbalance"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in banned):
+                monkeypatch.setattr(module, attr, refuse)
+    for g, minor in zip(hosts, expected):
+        h, vmap = classify._minimal_bad_block(classify._decompose(g))
+        assert (h, vmap) == minor
+        assert any(is_isomorphic(h, build_named(spec)) for spec in FORBIDDEN_MINORS)
 
 
 def test_graphs_below_eight_edges_decompose():
@@ -428,7 +457,7 @@ def test_binary_witness_takes_no_minor_search_or_contraction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the binary witness is carried along a short circle")
 
-    for module, name in [(minors, "has_minor"), (classify, "contract")]:
+    for module, name in [(minors, "has_minor"), (minors, "contract")]:
         monkeypatch.setattr(module, name, refuse)
     # the loop-vertex witness of each order is built once per process
     for c in BINARY_CLASSES[:3]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gainbalance import classify, graphcore
 from gainbalance.classify import BAD, bad_witness, circle_goodness
 from gainbalance.cyclespace import (
     circle_from_support,
@@ -25,6 +26,7 @@ from gainbalance.graphcore import (
     blocks,
     build_named,
     canonical_key,
+    canonical_labeling,
     components,
     edge_bijection,
     edge_components,
@@ -498,6 +500,24 @@ def _shuffled_copy(rng, g):
         t, h = g.ends(e)
         edges[f"x{i}"] = (vrename[t], vrename[h]) if rng.random() < 0.5 else (vrename[h], vrename[t])
     return Graph(edges, vrename.values())
+
+
+def test_bad_verdicts_label_the_shared_target_once(monkeypatch):
+    # a Graph keeps its canonical labeling, so the second verdict cut down to
+    # the same forbidden minor labels only its own minimal minor, not the
+    # shared target again
+    labeling = graphcore._canonical_connected
+    calls = []
+    monkeypatch.setattr(graphcore, "_canonical_connected", lambda n, mult: calls.append(n) or labeling(n, mult))
+    classify._target.cache_clear()
+    cz3 = parse_class_spec("contains-z3")
+    first = circle_goodness(named("W6"), cz3)
+    labeled = len(calls)
+    second = circle_goodness(named("W7"), cz3)
+    assert first.status == second.status == BAD
+    assert (labeled, len(calls) - labeled) == (2, 1), calls
+    target = classify._target(classify.FORBIDDEN_MINORS[0])
+    assert canonical_key(target) == canonical_labeling(target)[0] and target._canon is canonical_labeling(target)
 
 
 def test_isomorphism_agrees_with_canonical_keys():

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from gainbalance.balancetests import binary_cycle_test, circle_test
-from gainbalance.classify import BAD, _match_base, circle_goodness, structural_decomposition
+from gainbalance import classify
+from gainbalance.classify import BAD, circle_goodness, structural_decomposition
 from gainbalance.cyclespace import (
     circle_from_support,
     cycle_space_dimension,
@@ -19,7 +20,7 @@ from gainbalance.cyclespace import (
 from gainbalance.enumeration import all_multigraphs, connected_multigraphs, inseparable_multigraphs, materialize
 from gainbalance.errors import GraphError
 from gainbalance.gaingraph import GainGraph, gain_graph, is_balanced, walk_gain
-from gainbalance.graphcore import Graph, build_named, is_isomorphic, spanning_forest
+from gainbalance.graphcore import Graph, blocks, build_named, is_isomorphic, spanning_forest
 from gainbalance.groups import cyclic, parse_class_spec
 from gainbalance.minors import (
     EDGE_BRIDGE,
@@ -43,6 +44,13 @@ from gainbalance.minors import (
 )
 from classify_reference import lift_basis_contraction
 from conftest import named
+from decomposition_reference import (
+    reference_blocks,
+    reference_decompose,
+    reference_match_base,
+    reference_reduce,
+    reference_structural_decomposition,
+)
 from extrusion_reference import (
     first_move_reverse_extrusion_reduce,
     reference_reverse_extrusion_reduce,
@@ -626,8 +634,8 @@ def _reduction_corpus():
 def test_reverse_extrusion_matches_exhaustive_reference():
     for g in _reduction_corpus():
         end, steps = reverse_extrusion_reduce(g)
-        ref_end, ref_steps = reference_reverse_extrusion_reduce(g, accept=_match_base)
-        assert _match_base(end) == _match_base(ref_end)
+        ref_end, ref_steps = reference_reverse_extrusion_reduce(g, accept=reference_match_base)
+        assert reference_match_base(end) == reference_match_base(ref_end)
         assert end.edges == ref_end.edges
         assert steps == ref_steps
 
@@ -705,13 +713,50 @@ def test_reverse_extrusion_matches_first_move_loop():
         assert end.vertex_list == ref_end.vertex_list
 
 
+def _found_blocks(found):
+    """The blocks a ``_decompose`` result carries: its undecomposable block,
+    or the block of each block decomposition."""
+    return [found] if isinstance(found, Graph) else [b.block for b in found.blocks]
+
+
+def test_compact_kernels_match_the_string_id_references():
+    # blocks, the reduction and the decomposition run on the compact form;
+    # the string-id references give the same blocks in the same order (``g``
+    # itself exactly when they do), the same log and end, the same JSON
+    rng = random.Random(27)
+    hosts = [*all_multigraphs(7), *inseparable_multigraphs(9)]
+    hosts += [_ear_host(rng, rng.randrange(8, 30)) for _ in range(40)]
+    for tag in ("K4(1,1)", "W4", "C3(2,2,2)", "2C4"):
+        hosts += [_extrusion_chain(rng, tag, rng.randrange(1, 120)) for _ in range(6)]
+    w4 = named("W4")
+    hosts += [Graph(w4.edges, w4.vertices | {"a", "z"}), Graph({**w4.edges, "x": ("p", "p"), "y": ("w", "p")}, {"q"})]
+    reduced = 0
+    for g in hosts:
+        got, ref = blocks(g), reference_blocks(g)
+        assert [(b, b is g) for b in got] == [(b, b is g) for b in ref], sorted(g.edges.items())
+        if any(g.is_loop(e) for e in g.edge_list):
+            with pytest.raises(GraphError):
+                reverse_extrusion_reduce(g)
+        else:
+            (end, steps), (ref_end, ref_steps) = reverse_extrusion_reduce(g), reference_reduce(g)
+            assert steps == ref_steps and (end is g) == (ref_end is g), sorted(g.edges.items())
+            assert end.edges == ref_end.edges and end.vertex_list == ref_end.vertex_list
+            reduced += bool(steps)
+        got, ref = classify._decompose(g), reference_decompose(g)
+        assert [(b, b is g) for b in _found_blocks(got)] == [(b, b is g) for b in _found_blocks(ref)]
+        assert got == ref, sorted(g.edges.items())
+        found, expected = structural_decomposition(g), reference_structural_decomposition(g)
+        assert (found and found.to_json()) == (expected and expected.to_json())
+    assert len(hosts) == 5151 + 429 + 66 and reduced > 500, (len(hosts), reduced)
+
+
 def test_reverse_extrusion_linear_on_long_chains():
     g = _extrusion_chain(random.Random(2000), "K4(1,1)", 2000)
     start = time.perf_counter()
     end, steps = reverse_extrusion_reduce(g)
     assert time.perf_counter() - start < 1.0
     assert len(steps) == 2000
-    assert _match_base(end) == _match_base(named("K4(1,1)"))
+    assert reference_match_base(end) == reference_match_base(named("K4(1,1)"))
 
 
 def test_extrusion_irreducible_matches_reverse_moves():
