@@ -386,7 +386,7 @@ def lift_witness(host: Graph, mw: MinorWitness, w: BadWitness) -> BadWitness:
         steps = [(mw.edge_map[e], forward ^ flip[e]) for e, forward in walk.steps]
         spliced = splice_tree_paths(tree, steps, min(mw.branch_sets[walk.start]))
         pairs.append((walk_support(spliced), spliced))
-    model = Graph({e: host.ends(e) for e in gains}, host.vertices)
+    model = Graph({e: host.ends(e) for e in gains}, host.vertex_list)
     ob, ga = lift_basis_deletion(
         host, set(host.edge_list) - gains.keys(), OrientedBasis(tuple(pairs), model), GainAssignment(group, gains)
     )

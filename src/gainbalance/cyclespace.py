@@ -43,8 +43,8 @@ from .graphcore import (
     DisjointSets,
     Graph,
     RootedForest,
-    components,
     edge_components,
+    spanning_forest,
     spanning_tree,
     walk_support,
     walk_vertices,
@@ -83,7 +83,7 @@ class OrientedBasis:
 
 
 def cycle_space_dimension(g: Graph) -> int:
-    return len(g.edge_list) - len(g.vertex_list) + len(components(g))
+    return len(g.edge_list) - len(spanning_forest(g))
 
 
 def binary_cycle(g: Graph, edges: Iterable[str]) -> frozenset:
@@ -252,7 +252,7 @@ def _check_forest(g: Graph, forest: frozenset) -> None:
     for e in sorted(forest):
         if not sets.union(*g.ends(e)):
             raise GraphError("forest contains a cycle")
-    if len(forest) != len(g.vertex_list) - len(components(g)):
+    if len(forest) != len(spanning_forest(g)):
         raise GraphError("forest is not maximal")
 
 
@@ -358,13 +358,13 @@ def least_circle(g: Graph) -> Optional[frozenset]:
     shortest path between the edge's ends that avoids the edge (one BFS per
     edge); the DFS then looks only for circles of that length.
     """
-    girth = None
+    girth, adj = None, g._adj or g._adjacency()
     for e in g.edge_list:
         t, h = g.ends(e)
         depth, frontier, seen = 0, {t}, {t}
         while h not in frontier and frontier and (girth is None or depth + 1 < girth):
             depth += 1
-            frontier = {u for v in frontier for f, u in g.incident(v) if f != e and u not in seen}
+            frontier = {u for v in frontier for f, u in adj[v] if f != e and u not in seen}
             seen |= frontier
         if h in frontier:
             girth = depth + 1
@@ -538,8 +538,9 @@ def digon_condition(members: Iterable[Iterable[str]], d: Circle) -> bool:
 
 def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[ClosedWalk]]]:
     """Each member of a basis file with the walk its ``walk:`` line gives, or
-    None; a second ``walk:`` line for one member raises ParseError, and a given
-    walk that does not project to its member raises GraphError."""
+    None; a member line that names an edge twice or a second ``walk:`` line
+    for one member raises ParseError, and a given walk that does not project
+    to its member raises GraphError."""
     members: list[frozenset] = []
     walks: list[Optional[ClosedWalk]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -575,6 +576,9 @@ def read_basis_text(text: str, g: Graph) -> list[tuple[frozenset, Optional[Close
             if not support <= g.edges.keys():
                 unknown = next(eid for eid in eids if eid not in g.edges)
                 raise ParseError(f"unknown edge {unknown!r}", line=lineno)
+            if len(support) != len(eids):
+                twice = next(eid for i, eid in enumerate(eids) if eid in eids[:i])
+                raise ParseError(f"edge {twice!r} named twice in one basis member", line=lineno)
             members.append(support)
             walks.append(None)
     return [(s, w if w is None else _checked_walk(g, i, s, w)) for i, (s, w) in enumerate(zip(members, walks))]

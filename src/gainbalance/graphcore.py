@@ -56,7 +56,9 @@ class Graph:
     """Finite multigraph with a fixed reference orientation per edge.
 
     ``edges`` maps edge identifier -> (tail, head).  Do not mutate a Graph
-    after construction; derived structure (adjacency, degrees) is cached.
+    after construction.  Construction keeps only the edge map and the sorted
+    vertex and edge lists; the adjacency and the vertex set are built on
+    first use and kept, like the spanning tree.
     """
 
     __slots__ = ("_edges", "_vertices", "vertex_list", "edge_list", "_adj", "_canon", "_tree")
@@ -64,28 +66,30 @@ class Graph:
     def __init__(self, edges: Mapping[str, tuple[str, str]], vertices: Iterable[str] = ()):
         edict = dict(edges)
         verts = set(vertices)
-        for eid, (t, h) in edict.items():
-            verts.add(t)
-            verts.add(h)
+        verts.update(itertools.chain.from_iterable(edict.values()))
         self._edges = edict
-        self._vertices = frozenset(verts)
         self.vertex_list = tuple(sorted(verts))
         self.edge_list = tuple(sorted(edict))
+        self._vertices = self._adj = self._canon = self._tree = None
+
+    def _adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Each vertex's (edge id, other end) pairs, built on first use and kept."""
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertex_list}
         for eid in self.edge_list:
-            t, h = edict[eid]
+            t, h = self._edges[eid]
             adj[t].append((eid, h))
             if h != t:
                 adj[h].append((eid, t))
         # entries were appended in edge-id order, so each tuple is sorted
         self._adj = {v: tuple(entries) for v, entries in adj.items()}
-        self._canon = None
-        self._tree = None
+        return self._adj
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def vertices(self) -> frozenset:
+        if self._vertices is None:
+            self._vertices = frozenset(self.vertex_list)
         return self._vertices
 
     @property
@@ -112,35 +116,33 @@ class Graph:
 
     def incident(self, v: str) -> tuple[tuple[str, str], ...]:
         """Sorted (edge id, other endpoint) pairs; a loop appears once."""
-        return self._adj[v]
+        return (self._adj or self._adjacency())[v]
 
     def degree(self, v: str) -> int:
-        d = 0
-        for eid, other in self._adj[v]:
-            d += 2 if other == v else 1
-        return d
+        return sum(2 if other == v else 1 for _, other in self.incident(v))
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted({u for _, u in self._adj[v] if u != v}))
+        return tuple(sorted({u for _, u in self.incident(v) if u != v}))
 
     def edges_between(self, u: str, v: str) -> tuple[str, ...]:
-        return tuple(eid for eid, other in self._adj[u] if other == v and (u != v or self.is_loop(eid)))
+        # only a loop at u has other end u in u's pairs
+        return tuple(eid for eid, other in self.incident(u) if other == v)
 
     def multiplicity(self, u: str, v: str) -> int:
         return len(self.edges_between(u, v))
 
     def loops_at(self, v: str) -> tuple[str, ...]:
-        return tuple(eid for eid, other in self._adj[v] if other == v)
+        return tuple(eid for eid, other in self.incident(v) if other == v)
 
     def subgraph(self, edge_ids: Iterable[str], vertices: Iterable[str] = ()) -> "Graph":
         eids = set(edge_ids)
         return Graph({e: self._edges[e] for e in eids}, vertices)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._edges == other._edges and self._vertices == other._vertices
+        return isinstance(other, Graph) and self._edges == other._edges and self.vertex_list == other.vertex_list
 
     def __hash__(self):
-        return hash((self._vertices, tuple(sorted(self._edges.items()))))
+        return hash((self.vertex_list, tuple(sorted(self._edges.items()))))
 
     def __repr__(self):
         return f"Graph({len(self.vertex_list)} vertices, {len(self.edge_list)} edges)"
@@ -168,7 +170,7 @@ def _components(adj: Mapping[str, Iterable[tuple[str, str]]]) -> list[frozenset]
 
 def components(g: Graph) -> list[frozenset]:
     """Vertex sets of connected components, ordered by least vertex."""
-    return _components(g._adj)
+    return _components(g._adj or g._adjacency())
 
 
 def edge_components(g: Graph, edges: Iterable[str], vertices: Iterable[str] = ()) -> list[frozenset]:
@@ -620,7 +622,7 @@ def _block_edges(n: int, ends: Sequence[tuple[int, int]], edges: Sequence[int]) 
 
 def _block_graph(g: Graph, part: Sequence[int]) -> Graph:
     """The block of ``g`` with edge numbers ``part``, as ``blocks`` gives it."""
-    if len(part) == len(g.edge_list) and all(g.incident(v) for v in g.vertex_list):
+    if len(part) == len(g.edge_list) and len(set(itertools.chain.from_iterable(g.edges.values()))) == len(g.vertex_list):
         return g
     return g.subgraph(g.edge_list[e] for e in part)
 
@@ -638,7 +640,7 @@ def suppress_divalent(g: Graph) -> Graph:
     distinct non-loops by a single edge joining its neighbors.  Parallel edges
     or loops may arise; parallel edges are never merged.  Homeomorphic to the
     input and idempotent."""
-    edges, vertices = dict(g.edges), set(g.vertices)
+    edges, vertices = dict(g.edges), set(g.vertex_list)
     while True:
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
         for eid, (t, h) in edges.items():
@@ -782,7 +784,8 @@ def canonical_key(g: Graph) -> tuple:
 def _degree_invariants(g: Graph) -> tuple[int, list[int]]:
     """The edge count and the sorted degrees: equal on isomorphic graphs and
     far cheaper than a canonical labeling."""
-    return len(g.edge_list), sorted(g.degree(v) for v in g.vertex_list)
+    adj = g._adj or g._adjacency()
+    return len(g.edge_list), sorted(sum(2 if u == v else 1 for _, u in adj[v]) for v in g.vertex_list)
 
 
 def isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
@@ -809,10 +812,11 @@ def edge_bijection(g: Graph, h: Graph, vmap: Mapping[str, str]) -> dict[str, tup
     """
     emap: dict[str, tuple[str, bool]] = {}
     used: set[str] = set()
+    adj = h._adj or h._adjacency()
     for eid in g.edge_list:
         t, h_end = g.ends(eid)
         u, v = vmap[t], vmap[h_end]
-        candidates = [e for e in h.edges_between(u, v) if e not in used]
+        candidates = [e for e, w in adj[u] if w == v and e not in used]
         if not candidates:
             raise GraphError("vertex map is not an isomorphism (multiplicity mismatch)")
         target = candidates[0]

@@ -60,7 +60,7 @@ def delete(g: Graph, s: Iterable[str]) -> Graph:
     drop = set(s)
     for e in drop:
         g.ends(e)
-    return Graph({e: g.edges[e] for e in g.edge_list if e not in drop}, g.vertices)
+    return Graph({e: g.edges[e] for e in g.edge_list if e not in drop}, g.vertex_list)
 
 
 def contract(g: Graph, s: Iterable[str]) -> tuple[Graph, dict[str, str]]:
@@ -111,7 +111,8 @@ MINOR_SEARCH_MAX_NODES = 70_000
 
 def _induced_edges(g: Graph, vs: frozenset) -> list[str]:
     """The edges of ``g`` with both ends in ``vs``, in edge-id order."""
-    return sorted({e for v in vs for e, u in g.incident(v) if u in vs})
+    adj = g._adj or g._adjacency()
+    return sorted({e for v in vs for e, u in adj[v] if u in vs})
 
 
 def _set_forest(g: Graph, vs: frozenset) -> list[str]:
@@ -207,7 +208,7 @@ def has_minor(g: Graph, target: Graph) -> Optional[MinorWitness]:
         return None
 
     order = sorted(target.vertex_list, key=lambda v: -target.degree(v))
-    host_vertices = g.vertex_list
+    host_vertices, adj = g.vertex_list, g._adj or g._adjacency()
 
     def candidate_sets(used: set) -> Iterable[frozenset]:
         """Connected vertex sets avoiding ``used``, each grown from its least
@@ -225,7 +226,7 @@ def has_minor(g: Graph, target: Graph) -> Optional[MinorWitness]:
                 yield cur
                 if len(cur) >= len(host_vertices) - len(used):
                     continue
-                expand = {u for v in cur for _, u in g.incident(v) if u > seed and u not in cur and u not in used}
+                expand = {u for v in cur for _, u in adj[v] if u > seed and u not in cur and u not in used}
                 for u in sorted(expand):
                     frontier.append(cur | {u})
 
@@ -447,7 +448,7 @@ def extrude(g: Graph, v: str, w: str, moved: Iterable[str]) -> Graph:
         t, h = g.ends(e)
         edges[e] = (prime, h) if t == v else (t, prime)
     edges[new_edge] = (v, prime)
-    return Graph(edges, g.vertices | {prime})
+    return Graph(edges, (*g.vertex_list, prime))
 
 
 @dataclass(frozen=True)
@@ -621,7 +622,7 @@ def whitney_twist(gg: GainGraph, u: str, v: str, side: Iterable[str]) -> GainGra
         t, h = g.ends(e)
         edges[e] = (swap.get(t, t), swap.get(h, h))
         gains[e] = gg.group.inverse(gains[e])
-    return GainGraph(Graph(edges, g.vertices), GainAssignment(gg.group, gains))
+    return GainGraph(Graph(edges, g.vertex_list), GainAssignment(gg.group, gains))
 
 
 # -- bridges ---------------------------------------------------------------------

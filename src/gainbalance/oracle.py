@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classify import CIRCLE_TEST, BadWitness
-from .cyclespace import OrientedBasis, _circle_walks, _edge_index, _mask, _walk_circles, cycle_space_dimension, gf2_extract_basis
+from .cyclespace import OrientedBasis, _circle_walks, _edge_index, _mask, _walk_circles, gf2_extract_basis
 from .errors import BudgetError, GraphError
 from .gaingraph import gain_graph
 from .graphcore import Graph, spanning_forest
@@ -161,10 +161,11 @@ def _parity_matrix(walks: list, chords: list) -> np.ndarray:
     return _ODD[masks[:, None] & np.arange(1, 1 << len(chords))]
 
 
-def _spanning_assignments(g: Graph, grp: Group, walks: list) -> Iterator[tuple[dict, list]]:
+def _spanning_assignments(g: Graph, grp: Group, walks: list, chords: list) -> Iterator[tuple[dict, list]]:
     """For each unbalanced switching-reduced assignment whose balanced
     circles span the cycle space, yield (chord gains, balanced circles in the
-    order of ``walks``, the circle walks of ``_oracle_circles``).
+    order of ``walks``); ``walks`` and ``chords`` are as ``_oracle_circles``
+    gives them.
 
     Assignment j gives chord i the element of index d_i in
     ``grp.elements()``, where d_1 .. d_dim are the base-|G| digits of j,
@@ -181,8 +182,6 @@ def _spanning_assignments(g: Graph, grp: Group, walks: list) -> Iterator[tuple[d
     """
     if not walks:
         return
-    forest = spanning_forest(g)
-    chords = [k for k, e in enumerate(g.edge_list, 1) if e not in forest]
     if isinstance(grp, CyclicProduct):
         element = lambda d: tuple(map(int, np.unravel_index(d, grp.moduli)))
         found = _residue_kernel(grp, walks, chords)
@@ -207,10 +206,11 @@ def check_oracle_edges(m: int) -> None:
         raise BudgetError(f"oracle edge bound exceeded ({m} > {ORACLE_MAX_EDGES})")
 
 
-def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
+def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> tuple[list, list]:
     """The circles of ``g`` that the oracle tests, as the canonical walks of
     ``cyclespace._circle_walks`` (tuples of signed edge numbers) in canonical
-    circle order, or [] when every switching-reduced assignment is trivial.
+    circle order, or [] when every switching-reduced assignment is trivial;
+    and the chords, the edge numbers off ``spanning_forest(g)``, ascending.
     Raises ``BudgetError`` past the edge bound or the assignment budget:
     |G|^dim times the number of circles, plus, for a group the walk kernel
     serves, the 2|G| elements and inverses it lists times the length of an
@@ -219,16 +219,17 @@ def _oracle_circles(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> list:
     order = grp.order()
     if order is None:
         raise GraphError("oracle needs a finite gain group")
-    dim = cycle_space_dimension(g)
-    if dim == 0 or order == 1:
-        return []
+    forest = spanning_forest(g)
+    chords = [k for k, e in enumerate(g.edge_list, 1) if e not in forest]
+    if not chords or order == 1:
+        return [], chords
     walks = _circle_walks(g, len(g.edge_list))
-    cost = order**dim * len(walks)
+    cost = order ** len(chords) * len(walks)
     if not isinstance(grp, CyclicProduct):
         cost += 2 * order * len(grp.identity())
     if cost > budget:
         raise BudgetError(f"oracle assignment budget exceeded ({cost} > {budget})")
-    return walks
+    return walks, chords
 
 
 def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) -> tuple[bool, Optional[BadWitness]]:
@@ -241,7 +242,7 @@ def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) ->
     circle order) is returned as a verified witness.
     """
     # the first spanning set in assignment order is the counterexample
-    for gains, subset in _spanning_assignments(g, grp, _oracle_circles(g, grp, budget)):
+    for gains, subset in _spanning_assignments(g, grp, *_oracle_circles(g, grp, budget)):
         index = _edge_index(g)
         basis = gf2_extract_basis([(_mask(c.support, index), c) for c in subset], len(gains))
         ob = OrientedBasis(tuple((c.support, c.walk) for c in basis), g)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gainbalance import classify, cyclespace, minors, oracle
+from gainbalance import classify, cyclespace, graphcore, minors, oracle
 from gainbalance.balancetests import implies_balance_abelian
 from gainbalance.classify import (
     BAD,
@@ -584,6 +584,18 @@ def test_oracle_bounds_raise_before_any_assignment():
         assert time.perf_counter() - start < 1.0
 
 
+def test_oracle_builds_one_spanning_forest_per_call(monkeypatch):
+    # the dimension, the budget and the chords all come from that one forest
+    calls = []
+    for module in (oracle, cyclespace):
+        monkeypatch.setattr(module, "spanning_forest", lambda g: calls.append(g) or graphcore.spanning_forest(g))
+    for tag, grp in (("W4", cyclic(2)), ("W4", cyclic(4)), ("2C3", Z3), ("mK2(1)", Z3)):
+        calls.clear()
+        g = named(tag)
+        assert oracle_circle_goodness(g, grp)[0]
+        assert calls == [g], tag
+
+
 def test_oracle_sym3():
     s3 = symmetric(3)
     assert oracle_circle_goodness(named("C3(2,2,2)"), s3)[0]
@@ -614,7 +626,7 @@ def _compare_with_reference(g, grp) -> int:
         for gains, subset, _ in reference_spanning_assignments(g, grp)
         if tried([elements.index(x) for x in gains.values()])
     ]
-    assert list(oracle._spanning_assignments(g, grp, oracle._oracle_circles(g, grp))) == expected
+    assert list(oracle._spanning_assignments(g, grp, *oracle._oracle_circles(g, grp))) == expected
     good, w = oracle_circle_goodness(g, grp)
     assert good == (not expected)
     assert (None if w is None else w.to_json()) == reference_witness_json(g, grp)

@@ -507,6 +507,24 @@ def test_second_walk_line_for_a_member_exits_2(capsys, tmp_path):
         assert err.startswith("input error: ") and (line is None or f"line {line}: " in err), err
 
 
+def test_basis_member_naming_an_edge_twice_exits_2(capsys, tmp_path):
+    # "e2 e1 e2" must not be read as the digon {e1, e2}
+    graph = tmp_path / "digon.graph"
+    graph.write_text("edge e1 u v\nedge e2 v u\n")
+    gains = tmp_path / "digon.gains"
+    gains.write_text("group Z 3\n")
+    basis = tmp_path / "digon.basis"
+    for command in ("circle-test", "cycle-test"):
+        argv = [command, str(graph), str(gains), str(basis)]
+        basis.write_text("# the digon\ne2 e1\n")
+        assert run(argv) == 0, command
+        capsys.readouterr()
+        basis.write_text("# the digon\ne2 e1 e2\n")
+        assert run(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "line 2: edge 'e2' named twice" in err, err
+
+
 def test_malformed_group_specs_exit_2(capsys):
     # "\u00b2".isdigit() is True but int() rejects it: taken by pattern, the spec is an input error, not a crash
     assert run(["oracle", "W4", "--group", "Z\u00b2"]) == 2

@@ -11,7 +11,7 @@ from gainbalance.cyclespace import (
     natural_orientation,
     read_basis_text,
 )
-from gainbalance.enumeration import inseparable_multigraphs
+from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.graphcore import (
     CIRCLE_MULTI,
@@ -43,8 +43,9 @@ from gainbalance.graphcore import (
     walk_support,
     walk_vertices,
 )
-from gainbalance.groups import parse_class_spec
+from gainbalance.groups import parse_class_spec, parse_group_spec
 from gainbalance.minors import lift_basis_deletion, splice_tree_paths
+from gainbalance.oracle import oracle_circle_goodness
 from conftest import named, triangle
 
 
@@ -439,6 +440,86 @@ def test_spanning_tree_is_built_once_per_graph():
         assert again.up is tree.up and again.depth is tree.depth
         # an equal graph is another object and builds its own
         assert spanning_tree(Graph(g.edges, g.vertices)).up is not tree.up
+
+
+# -- structure built on first use ----------------------------------------------------
+
+
+def _first_use_corpus() -> list[Graph]:
+    """Every multigraph up to 7 edges, plus hosts with loops, parallel edges
+    and isolated vertices, and an edgeless one."""
+    return [
+        *all_multigraphs(7),
+        Graph({"a": ("x", "x"), "b": ("x", "y"), "c": ("y", "x"), "d": ("z", "z")}, ["w", "q"]),
+        Graph({"e9": ("a", "a"), "e10": ("a", "b"), "e2": ("b", "c"), "e1": ("c", "a")}, ["d"]),
+        Graph({}, ["solo"]),
+    ]
+
+
+def _components_from_edges(g: Graph) -> list[frozenset]:
+    comp = {v: frozenset({v}) for v in g.vertex_list}
+    for t, h in g.edges.values():
+        merged = comp[t] | comp[h]
+        for v in merged:
+            comp[v] = merged
+    return sorted(set(comp.values()), key=min)
+
+
+def test_fresh_graph_builds_no_adjacency_or_vertex_set():
+    for g in [named("W4"), named("K1loop"), Graph({"a": ("x", "y")}, ["z"]), Graph({}), *all_multigraphs(4)]:
+        assert g._adj is None and g._vertices is None
+
+
+def test_structure_built_on_first_read_matches_the_edges():
+    for g in _first_use_corpus():
+        adj = {v: [] for v in g.vertex_list}
+        for e, (t, h) in sorted(g.edges.items()):
+            adj[t].append((e, h))
+            if h != t:
+                adj[h].append((e, t))
+        assert g.vertices == frozenset(adj) and g._adj is None
+        assert g.vertices is g.vertices
+        for v in g.vertex_list:
+            assert list(g.incident(v)) == adj[v]
+            assert g.degree(v) == sum((t == v) + (h == v) for t, h in g.edges.values())
+            assert g.neighbors(v) == tuple(sorted({u for _, u in adj[v] if u != v}))
+            assert g.loops_at(v) == tuple(e for e in g.edge_list if g.ends(e) == (v, v))
+        for u in g.vertex_list:
+            for v in g.vertex_list:
+                assert g.edges_between(u, v) == tuple(e for e in g.edge_list if sorted(g.ends(e)) == sorted((u, v)))
+        kept = g._adj
+        assert kept is not None and components(g) == _components_from_edges(g) and g._adj is kept
+
+
+def test_dimension_is_edges_minus_vertices_plus_components():
+    for g in _first_use_corpus():
+        assert cycle_space_dimension(g) == len(g.edge_list) - len(g.vertex_list) + len(components(g))
+
+
+def test_equality_and_hash_read_the_edges_and_the_vertex_set():
+    g = Graph({"a": ("x", "y"), "b": ("y", "y")})
+    same = Graph({"b": ("y", "y"), "a": ("x", "y")}, ["x"])
+    assert g == same and hash(g) == hash(same)
+    assert g != Graph({"a": ("x", "y"), "b": ("y", "y")}, ["z"])
+    assert g != Graph({"a": ("y", "x"), "b": ("y", "y")})
+    assert g != Graph({"a": ("x", "y")}, ["y"])
+    corpus = _first_use_corpus()
+    assert len(set(corpus)) == len(corpus)
+    for g in corpus:
+        copy = Graph(dict(reversed(g.edges.items())), reversed(g.vertex_list))
+        assert copy == g and hash(copy) == hash(g)
+        g.incident(g.vertex_list[0])  # built structure takes no part
+        assert copy == g and hash(copy) == hash(g)
+        assert Graph(g.edges, [*g.vertex_list, "isolated"]) != g
+
+
+def test_survey_pass_builds_no_adjacency():
+    graphs = list(all_multigraphs(7))
+    z3s, z3 = parse_class_spec("groups:Z3"), parse_group_spec("Z3")
+    for g in graphs:
+        circle_goodness(g, z3s)
+        oracle_circle_goodness(g, z3)
+    assert [g for g in graphs if g._adj is not None] == []
 
 
 # -- dimension invariant ----------------------------------------------------------
