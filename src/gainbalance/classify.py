@@ -10,8 +10,9 @@ Verdict logic for the circle test, per subgroup-closed class:
   deletions and contractions that the paper's minor theorem justifies, and
   that decomposes only at the steps the theorem leaves open;
 * otherwise, if the class is abelian without odd torsion: Good;
-* otherwise, if the class has an odd cyclic subgroup Z(2k-1) and some block
-  is an even wheel W(2k) or doubled circle 2C(2k): Bad via the Hamiltonian /
+* otherwise, if a block is an even wheel W(2k) or doubled circle 2C(2k),
+  k >= 3, and the class has Z(2k-1) (``has_order(2k - 1)``, asked for each
+  block's own k in ascending k, wheels first): Bad via the Hamiltonian /
   doubled-circle basis witness;
 * otherwise Unknown - the classifier cites a rule or refuses, never guesses.
 
@@ -494,17 +495,15 @@ def circle_goodness(g: Graph, c: GroupClass) -> Verdict:
         raise GraphError("minimal undecomposable minor is none of the four forbidden minors: theorem violated")
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)
-    if flags.smallest_odd_order is not None and flags.smallest_odd_order >= 5:
-        # only Z3 classes have a forbidden-minor theorem, so only blocks that
-        # are exactly an even wheel or doubled circle of size n count here
-        n = flags.smallest_odd_order + 1
-        for spec in (NamedGraphSpec(WHEEL, (n,)), NamedGraphSpec(DOUBLED_CIRCLE, (n,))):
-            target = _target(spec)
-            for block in blocks(g):
-                mw = _identity_minor_witness(block, target)
-                if mw is not None:
-                    w = lift_witness(g, mw, bad_witness(spec))
-                    return Verdict(BAD, RULE_WHEEL_FAMILY, w)
+    # only Z3 classes have a forbidden-minor theorem, so here a block counts
+    # only as exactly W(2k) or 2C(2k), 4k edges with k >= 3, over Z(2k-1)
+    parts = blocks(g)
+    sizes = {m // 4 for b in parts if (m := len(b.edge_list)) % 4 == 0 and m >= 12}
+    for k in sorted(k for k in sizes if any(grp.has_order(2 * k - 1) for grp in c.groups)):
+        for spec in (NamedGraphSpec(WHEEL, (2 * k,)), NamedGraphSpec(DOUBLED_CIRCLE, (2 * k,))):
+            for block in parts:
+                if len(block.edge_list) == 4 * k and (mw := _identity_minor_witness(block, _target(spec))) is not None:
+                    return Verdict(BAD, RULE_WHEEL_FAMILY, lift_witness(g, mw, bad_witness(spec)))
     return Verdict(UNKNOWN, RULE_UNKNOWN)
 
 

@@ -12,10 +12,11 @@ Three frozen group types:
 
 Each type provides ``identity()``, ``op``, ``inverse``, ``element`` (builds an
 element from its raw form), ``is_element``, ``elements()`` (finite groups
-only, identity first), ``order()`` (None when infinite), ``element_order``
-(None when infinite), ``element_orders()``, ``is_abelian`` and its text
-forms: ``str(group)`` names the group, ``header()`` is its gain-file header,
-and ``format_element`` / ``parse_element`` write and read elements.
+only, identity first), ``order()`` (None when infinite), ``has_order(d)``
+(some element has order d), ``least_odd_order()`` (None when no odd order
+above 1 occurs), ``is_abelian`` and its text forms: ``str(group)`` names the
+group, ``header()`` is its gain-file header, and ``format_element`` /
+``parse_element`` write and read elements.
 Elements carry no group, so a foreign element is caught where gains enter a
 gain graph (``gaingraph.gain_graph``), not by ``op``.
 
@@ -37,13 +38,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import GraphError, ParseError
-
-
-def divisors(n: int) -> list[int]:
-    """The divisors of n >= 1 in ascending order, found in pairs d, n // d
-    by trial division up to the square root."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return sorted({*small, *(n // d for d in small)})
 
 
 @dataclass(frozen=True)
@@ -87,11 +81,15 @@ class CyclicProduct:
     def order(self) -> int:
         return math.prod(self.moduli)
 
-    def element_order(self, x: tuple) -> int:
-        return math.lcm(*(k // math.gcd(r, k) for r, k in zip(x, self.moduli)))
+    def has_order(self, d: int) -> bool:
+        return math.lcm(*self.moduli) % d == 0
 
-    def element_orders(self) -> set:
-        return set(divisors(math.lcm(*self.moduli)))
+    def least_odd_order(self) -> Optional[int]:
+        # the least odd prime factor of the exponent, by trial division up to
+        # the square root of its odd part: every odd order above 1 has one
+        n = math.lcm(*self.moduli)
+        n >>= (n & -n).bit_length() - 1
+        return None if n == 1 else next((p for p in range(3, math.isqrt(n) + 1, 2) if n % p == 0), n)
 
     def __str__(self):
         return "x".join(f"Z{k}" for k in self.moduli)
@@ -162,12 +160,11 @@ class FreeGroup:
     def order(self) -> Optional[int]:
         return None if self.symbols else 1
 
-    def element_order(self, x: tuple) -> Optional[int]:
-        return None if x else 1
+    def has_order(self, d: int) -> bool:
+        return d == 1  # every other element has infinite order
 
-    def element_orders(self) -> set:
-        """All element orders; infinite order is represented as None."""
-        return {1, None} if self.symbols else {1}
+    def least_odd_order(self) -> None:
+        return None
 
     def __str__(self):
         return "free(" + ",".join(self.symbols) + ")"
@@ -229,25 +226,20 @@ class Symmetric:
     def order(self) -> int:
         return math.factorial(self.n)
 
-    def element_order(self, x: tuple) -> int:
-        k, power, ident = 1, x, self.identity()
-        while power != ident:
-            k, power = k + 1, self.op(power, x)
-        return k
+    def has_order(self, d: int) -> bool:
+        # an order is the lcm of a cycle type, so d occurs exactly when its
+        # prime-power parts, one cycle each, sum to at most n; a prime
+        # factor above n leaves d > 1 (a composite p divides no longer)
+        used = 0
+        for p in range(2, min(d, self.n) + 1):
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            used += q if q > 1 else 0
+        return d == 1 and used <= self.n
 
-    def element_orders(self) -> set:
-        # an order is the lcm of a cycle type, so it occurs exactly when its
-        # prime-power factors, one cycle each, sum to at most n
-        orders = {1: 0}  # order -> sum of its prime-power factors
-        for p in range(2, self.n + 1):
-            if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-                continue
-            for order, used in list(orders.items()):
-                q = p
-                while used + q <= self.n:
-                    orders[order * q] = used + q
-                    q *= p
-        return set(orders)
+    def least_odd_order(self) -> Optional[int]:
+        return 3 if self.n >= 3 else None
 
     def __str__(self):
         return f"S{self.n}"
@@ -346,16 +338,13 @@ class ClassFlags:
 
 
 def class_flags(c: GroupClass) -> ClassFlags:
-    """Derived flags, computed over all subgroups of the listed groups."""
+    """Derived flags, computed over all subgroups of the listed groups from
+    their least odd orders; 3 is the least odd prime, so the class contains
+    Z3 exactly when its least odd order is 3."""
     if c.kind in _CLASS_SPECS:
         return ClassFlags(True, True, c.kind != ALL, 3)
-    odd_orders = {d for g in c.groups for d in g.element_orders() if d is not None and d >= 3 and d % 2 == 1}
-    return ClassFlags(
-        contains_z3=3 in odd_orders,
-        has_odd_torsion=bool(odd_orders),
-        abelian_only=all(g.is_abelian for g in c.groups),
-        smallest_odd_order=min(odd_orders, default=None),
-    )
+    least = min((d for g in c.groups if (d := g.least_odd_order()) is not None), default=None)
+    return ClassFlags(least == 3, least is not None, all(g.is_abelian for g in c.groups), least)
 
 
 def parse_class_spec(text: str) -> GroupClass:

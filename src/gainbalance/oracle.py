@@ -41,7 +41,7 @@ from .cyclespace import OrientedBasis, _circle_walks, _edge_index, _mask, _walk_
 from .errors import BudgetError, GraphError
 from .gaingraph import gain_graph
 from .graphcore import Graph, spanning_forest
-from .groups import CyclicProduct, Group, divisors
+from .groups import CyclicProduct, Group
 
 ORACLE_BLOCK = 1 << 12  # most assignments a kernel block holds
 ORACLE_MAX_EDGES = 10  # most host edges the oracle takes
@@ -59,7 +59,8 @@ def _orbit_ranges(n: int, dim: int) -> Iterator[tuple[int, int]]:
     some unit takes a leading digit d to gcd(d, n) without touching the zero
     digits before it; so each unit orbit has its least index here, and the
     first spanning assignment is among these indices."""
-    leading = divisors(n)[:-1]  # a digit is less than n
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    leading = sorted({*small, *(n // d for d in small)})[:-1]  # n's divisors; a digit is less than n
     for e in range(dim):
         for d in leading:
             yield d * n**e, (d + 1) * n**e

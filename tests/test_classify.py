@@ -239,6 +239,69 @@ def test_doubled_circle_6_bad_for_z5():
     assert v.status == BAD and v.evidence.verify()
 
 
+@pytest.mark.parametrize("tag", ["W8", "2C8"])
+@pytest.mark.parametrize("spec", ["groups:Z35", "groups:Z5,Z7"])
+def test_wheel_family_is_found_through_a_subgroup(tag, spec, capsys):
+    # Z7 <= Z35, so each class contains Z7 and decides as groups:Z7 does
+    from gainbalance.cli import run
+
+    v = circle_goodness(named(tag), parse_class_spec(spec))
+    assert (v.status, v.rule) == (BAD, "even-wheel-or-doubled-circle-odd-cyclic")
+    assert v.evidence.verify() and v.evidence.gain_graph.group == cyclic(7)
+    reports = []
+    for c in (spec, "groups:Z7"):
+        assert run(["classify", tag, "--class", c, "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_circle_verdicts_are_monotone_in_the_class():
+    # C' is a superclass of C when every Z_a of C divides some Z_b of C'; a
+    # subgroup-closed C' then contains C, so a Bad verdict under C is Bad
+    # under C' too
+    hosts = [named(t) for t in ("W6", "W8", "W10", "2C6", "2C8", "2C10")] + list(inseparable_multigraphs(8))
+    specs = ["Z5", "Z7", "Z11", "Z25", "Z35", "Z55", "Z5,Z7", "Z7,Z11"]
+    classes = {spec: parse_class_spec("groups:" + spec) for spec in specs}
+    bad = {spec: {i for i, g in enumerate(hosts) if circle_goodness(g, c).status == BAD} for spec, c in classes.items()}
+    pairs = 0
+    for small, big in itertools.permutations(specs, 2):
+        if all(any(b.moduli[0] % a.moduli[0] == 0 for b in classes[big].groups) for a in classes[small].groups):
+            assert bad[small] <= bad[big], (small, big, [sorted(hosts[i].edges.items()) for i in bad[small] - bad[big]])
+            pairs += 1
+    assert pairs == 10
+    assert bad["Z5"] and bad["Z7"] and bad["Z7"] <= bad["Z35"] & bad["Z5,Z7"] & bad["Z7,Z11"]
+
+
+def test_wheel_rule_splits_once_and_builds_only_the_targets_of_admitted_block_sizes(monkeypatch):
+    # W12 (24 edges, k = 6) needs Z11 and 2C8 (16 edges, k = 4) needs Z7,
+    # so under groups:Z5,Z7 only the k = 4 targets are built
+    parts = [named("W12"), named("2C8")]
+    host = Graph({f"{i}{e}": (f"{i}{t}", f"{i}{h}") for i, b in enumerate(parts) for e, (t, h) in b.edges.items()})
+    split, built = [], []
+    monkeypatch.setattr(classify, "blocks", lambda g: split.append(g) or graphcore.blocks(g))
+    monkeypatch.setattr(classify, "_target", lambda spec: built.append(spec) or build_named(spec))
+    v = circle_goodness(host, parse_class_spec("groups:Z5,Z7"))
+    assert (v.status, v.evidence.gain_graph.group) == (BAD, cyclic(7))
+    assert len(split) == 1 and built == [parse_graph_spec("W8"), parse_graph_spec("2C8")]
+
+
+@pytest.mark.parametrize("spec", ["groups:S300", "groups:Z1000003", "groups:Z10000019"])
+def test_circle_verdict_on_a_huge_group_is_quick_and_small(spec):
+    import tracemalloc
+
+    c = parse_class_spec(spec)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        v = circle_goodness(named("W4"), c)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.status == (BAD if spec == "groups:S300" else UNKNOWN)
+    assert elapsed < 1.0 and peak < 20_000_000, (elapsed, peak)
+
+
 def test_unknown_for_uncharacterized():
     # W4 with a nonabelian torsion-free class: no rule applies
     v = circle_goodness(named("W4"), GroupClass(EXPLICIT, (free_on("a", "b"),)))

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from gainbalance.groups import (
     ALL,
     ALL_ABELIAN,
     EXPLICIT,
+    ClassFlags,
     GroupClass,
     abelian_product,
     class_flags,
@@ -60,15 +64,6 @@ def test_non_elements_rejected_by_gain_graph():
             gain_graph(g, group, {"e1": x})
     for group, x in ((cyclic(3), (2,)), (free_on("a", "b"), (("a", 1), ("b", -1))), (symmetric(3), (1, 2, 0))):
         assert gain_graph(g, group, {"e1": x}).assignment.gains["e1"] == x
-
-
-def test_element_order():
-    assert cyclic(3).element_order((1,)) == 3
-    assert abelian_product(2, 3).element_order((1, 0)) == 2
-    assert abelian_product(2, 3).element_order((1, 1)) == 6
-    assert free_on("a").element_order(free_on("a").element([("a", 1)])) is None
-    assert cyclic(6).element_order(cyclic(6).identity()) == 1
-    assert [symmetric(3).element_order(x) for x in ((0, 1, 2), (1, 0, 2), (1, 2, 0))] == [1, 2, 3]
 
 
 def test_enumeration_matches_order():
@@ -188,23 +183,67 @@ def test_group_spec_parsing():
             parse_group_spec(bad)
 
 
-def test_symmetric_element_orders_are_cycle_type_lcms():
-    # against the orders of all n! permutations
-    for n in range(1, 8):
-        s = symmetric(n)
-        assert s.element_orders() == {s.element_order(x) for x in s.elements()}, n
-    # Landau's function: the largest order in S_n; read off the cycle types, not n! permutations
-    assert [max(symmetric(n).element_orders()) for n in (12, 19, 30)] == [60, 420, 4620]
+# -- element orders against brute force ------------------------------------------
+
+FREE_ORDER_CAP = 12  # free groups are checked for d <= 12
+ORDER_POOL = (
+    [cyclic(k) for k in range(1, 61)]
+    + [abelian_product(*m) for m in ((2, 6), (2, 2), (4, 6), (3, 5), (2, 3, 4))]
+    + [symmetric(n) for n in range(1, 8)]
+    + [free_on(), free_on("a"), free_on("a", "b")]
+)
 
 
-def test_cyclic_product_element_orders_are_divisors_of_the_exponent():
-    # against the brute-force divisor set, and against the orders of all elements
-    for k in range(1, 61):
-        assert cyclic(k).element_orders() == {d for d in range(1, k + 1) if k % d == 0}, k
-    for moduli in ((2, 6), (2, 2), (4, 6), (3, 5), (2, 3, 4)):
-        grp = abelian_product(*moduli)
-        assert grp.element_orders() == {grp.element_order(x) for x in grp.elements()}, moduli
-    assert abelian_product(2, 6).element_orders() == {1, 2, 3, 6}
+def _brute_orders(grp) -> set:
+    """The finite element orders of ``grp``, each by repeated ``op``; a free
+    group's reduced words up to length 3 stand for its elements, and a word
+    counts only when a power up to ``FREE_ORDER_CAP`` is the identity."""
+    if grp.order() is not None:
+        elements, cap = grp.elements(), grp.order()
+    else:
+        letters = [(s, e) for s in grp.symbols for e in (1, -1)]
+        elements = {grp.element(w) for n in range(4) for w in itertools.product(letters, repeat=n)}
+        cap = FREE_ORDER_CAP
+    orders = set()
+    for x in elements:
+        power, d = x, 1
+        while power != grp.identity() and d < cap:
+            power, d = grp.op(power, x), d + 1
+        if power == grp.identity():
+            orders.add(d)
+    return orders
+
+
+@functools.cache
+def _brute_pool_orders() -> tuple[set, ...]:
+    return tuple(_brute_orders(grp) for grp in ORDER_POOL)
+
+
+def test_has_order_and_least_odd_order_match_brute_force():
+    for grp, orders in zip(ORDER_POOL, _brute_pool_orders()):
+        top = FREE_ORDER_CAP if grp.order() is None else grp.order() + 1
+        assert [d for d in range(1, top + 1) if grp.has_order(d)] == sorted(orders), grp
+        odd = [d for d in orders if d % 2 and d > 1]
+        assert grp.least_odd_order() == min(odd, default=None), grp
+
+
+def test_has_order_reads_landau_orders_off_cycle_types():
+    # Landau's function: the largest order in S_n, without listing n! permutations
+    assert symmetric(12).has_order(60) and not symmetric(11).has_order(60)
+    assert symmetric(19).has_order(420) and symmetric(30).has_order(4620)
+    assert not symmetric(19).has_order(421) and not symmetric(30).has_order(4620 * 31)
+
+
+def test_class_flags_match_brute_force_on_every_class_of_one_or_two_groups():
+    pool = list(zip(ORDER_POOL, _brute_pool_orders()))
+    for picked in itertools.chain(((x,) for x in pool), itertools.combinations_with_replacement(pool, 2)):
+        groups = tuple(grp for grp, _ in picked)
+        odd = {d for _, orders in picked for d in orders if d % 2 and d > 1}
+        flags = class_flags(GroupClass(EXPLICIT, groups))
+        assert flags.contains_z3 == (3 in odd), groups
+        assert flags.has_odd_torsion == bool(odd), groups
+        assert flags.smallest_odd_order == min(odd, default=None), groups
+        assert flags.abelian_only == all(grp.is_abelian for grp in groups), groups
 
 
 def test_class_flags_of_a_huge_cyclic_group_are_quick():
@@ -214,6 +253,11 @@ def test_class_flags_of_a_huge_cyclic_group_are_quick():
     flags = class_flags(parse_class_spec("groups:Z10000000000"))
     assert time.perf_counter() - start < 1.0
     assert (flags.contains_z3, flags.has_odd_torsion, flags.smallest_odd_order) == (False, True, 5)
+    # S300 has far too many element orders to list; its least odd order is 3
+    start = time.perf_counter()
+    flags = class_flags(parse_class_spec("groups:S300"))
+    assert time.perf_counter() - start < 1.0
+    assert flags == ClassFlags(contains_z3=True, has_odd_torsion=True, abelian_only=False, smallest_odd_order=3)
 
 
 def test_class_spec_parsing():
