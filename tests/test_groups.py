@@ -204,14 +204,38 @@ def _brute_orders(grp) -> set:
         letters = [(s, e) for s in grp.symbols for e in (1, -1)]
         elements = {grp.element(w) for n in range(4) for w in itertools.product(letters, repeat=n)}
         cap = FREE_ORDER_CAP
-    orders = set()
-    for x in elements:
-        power, d = x, 1
-        while power != grp.identity() and d < cap:
-            power, d = grp.op(power, x), d + 1
-        if power == grp.identity():
-            orders.add(d)
-    return orders
+    return {d for d in (_element_order(grp, x, cap) for x in elements) if d is not None}
+
+
+def _element_order(grp, x, cap: int):
+    """The order of ``x`` by repeated ``op``, or None past ``cap``."""
+    power, d = x, 1
+    while power != grp.identity() and d < cap:
+        power, d = grp.op(power, x), d + 1
+    return d if power == grp.identity() else None
+
+
+def test_element_order():
+    assert _element_order(cyclic(3), (1,), 3) == 3
+    assert _element_order(abelian_product(2, 3), (1, 0), 6) == 2
+    assert _element_order(abelian_product(2, 3), (1, 1), 6) == 6
+    assert _element_order(free_on("a"), free_on("a").element([("a", 1)]), FREE_ORDER_CAP) is None
+    assert _element_order(cyclic(6), cyclic(6).identity(), 6) == 1
+    assert [_element_order(symmetric(3), x, 6) for x in ((0, 1, 2), (1, 0, 2), (1, 2, 0))] == [1, 2, 3]
+    # has_order agrees with each of those orders without walking the powers
+    assert cyclic(3).has_order(3) and abelian_product(2, 3).has_order(6) and symmetric(3).has_order(3)
+    assert not free_on("a").has_order(2) and free_on("a").has_order(1)
+
+
+def test_cyclic_product_element_orders_are_divisors_of_the_exponent():
+    # against the brute-force divisor set, and against the orders of all elements
+    for k in range(1, 61):
+        assert {d for d in range(1, k + 1) if cyclic(k).has_order(d)} == {d for d in range(1, k + 1) if k % d == 0}, k
+    for moduli in ((2, 6), (2, 2), (4, 6), (3, 5), (2, 3, 4)):
+        grp = abelian_product(*moduli)
+        orders = {_element_order(grp, x, grp.order()) for x in grp.elements()}
+        assert {d for d in range(1, grp.order() + 1) if grp.has_order(d)} == orders, moduli
+    assert {d for d in range(1, 13) if abelian_product(2, 6).has_order(d)} == {1, 2, 3, 6}
 
 
 @functools.cache
