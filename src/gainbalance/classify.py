@@ -53,7 +53,7 @@ from typing import Optional, Sequence
 
 from .balancetests import binary_cycle_test, circle_orientation
 from .cyclespace import OrientedBasis, _checked_walk, cycle_space_dimension, oriented_basis
-from .errors import GraphError
+from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced
 from .graphcore import (
     CIRCLE_MULTI,
@@ -76,7 +76,7 @@ from .graphcore import (
     edge_bijection,
     walk_support,
 )
-from .groups import GroupClass, class_flags, cyclic
+from .groups import WITNESS_MAX_ORDER, GroupClass, class_flags, cyclic
 from .minors import (
     MinorWitness,
     ReverseStep,
@@ -259,10 +259,11 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
     """The explicit bad witness for a named family, verified before return.
 
     ``cyclic_order`` selects the gain group for the loop vertex (odd, >= 3,
-    default 3); the other families fix their own groups, and giving them an
-    order is an input error.  A witness is built and verified once per
-    process for each argument list and then shared, so it must not be
-    mutated.
+    default 3); its basis walk has that many steps, so an order past
+    ``WITNESS_MAX_ORDER`` raises ``BudgetError``.  The other families fix
+    their own groups, and giving them an order is an input error.  A witness
+    is built and verified once per process for each argument list and then
+    shared, so it must not be mutated.
     """
     fam, p = spec.family, spec.params
     if cyclic_order is not None and fam != LOOP_VERTEX:
@@ -271,6 +272,8 @@ def bad_witness(spec: NamedGraphSpec, cyclic_order: Optional[int] = None) -> Bad
         k = 3 if cyclic_order is None else cyclic_order
         if k < 3 or k % 2 == 0:
             raise GraphError("loop-vertex witness needs an odd cyclic order >= 3")
+        if k > WITNESS_MAX_ORDER:
+            raise BudgetError(f"loop-vertex witness order {k} exceeds the ceiling {WITNESS_MAX_ORDER}")
         g = build_named(spec)
         grp = cyclic(k)
         gg = gain_graph(g, grp, {"e": grp.element([1])})
@@ -465,12 +468,16 @@ def _minimal_bad_block(block: Graph) -> tuple[Graph, dict[str, str]]:
 
 def binary_cycle_goodness(g: Graph, c: GroupClass) -> Verdict:
     """Forests pass for any class; with odd torsion admissible everything
-    else is bad; abelian classes without odd torsion are always good."""
+    else is bad; abelian classes without odd torsion are always good.  The
+    bad witness is over the class's least odd order, so a class whose least
+    odd order is past ``WITNESS_MAX_ORDER`` raises ``BudgetError``."""
     flags = class_flags(c)
     if cycle_space_dimension(g) == 0:
         return Verdict(GOOD, RULE_FOREST)
     if flags.has_odd_torsion:
-        loop = bad_witness(NamedGraphSpec(LOOP_VERTEX), flags.smallest_odd_order or 3)
+        if flags.smallest_odd_order is None:
+            raise BudgetError(f"the least odd order of {c} exceeds the loop-vertex witness ceiling {WITNESS_MAX_ORDER}")
+        loop = bad_witness(NamedGraphSpec(LOOP_VERTEX), flags.smallest_odd_order)
         return Verdict(BAD, RULE_BINARY_ODD, lift_witness(g, _loop_vertex_witness(g), loop))
     if flags.abelian_only and not flags.has_odd_torsion:
         return Verdict(GOOD, RULE_ABELIAN_NO_ODD)

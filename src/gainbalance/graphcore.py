@@ -734,6 +734,19 @@ def _canonical_connected(n: int, mult: list[list[int]]) -> tuple[tuple, list[int
     return best[0], best[1], autos
 
 
+def _multiplicities(g: Graph) -> list[list[int]]:
+    """The edge count between each pair of vertex indices in name order,
+    both ways round, with the loops at a vertex on the diagonal."""
+    idx = {v: i for i, v in enumerate(g.vertex_list)}
+    mult = [[0] * len(idx) for _ in idx]
+    for t, h in g.edges.values():
+        i, j = idx[t], idx[h]
+        mult[i][j] += 1
+        if i != j:
+            mult[j][i] += 1
+    return mult
+
+
 def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
     """Canonical key of the unlabeled shape plus one vertex -> position map
     realizing it.  Equal keys imply isomorphism and vice versa.  Components
@@ -745,19 +758,8 @@ def canonical_labeling(g: Graph) -> tuple[tuple, dict[str, int]]:
     comps = components(g)
     if len(comps) <= 1:
         verts = g.vertex_list
-        n = len(verts)
-        idx = {v: i for i, v in enumerate(verts)}
-        mult = [[0] * n for _ in range(n)]
-        for eid in g.edge_list:
-            t, h = g.ends(eid)
-            i, j = idx[t], idx[h]
-            if i == j:
-                mult[i][i] += 1
-            else:
-                mult[i][j] += 1
-                mult[j][i] += 1
-        key, pos, _ = _canonical_connected(n, mult)
-        g._canon = (n, key), {v: pos[idx[v]] for v in verts}
+        key, pos, _ = _canonical_connected(len(verts), _multiplicities(g))
+        g._canon = (len(verts), key), dict(zip(verts, pos))
         return g._canon
     # canonicalize each component, order components by key, offset positions
     pieces = []
@@ -789,7 +791,8 @@ def _degree_invariants(g: Graph) -> tuple[int, list[int]]:
 
 
 def isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
-    """A vertex bijection g -> h realizing an isomorphism, or None."""
+    """A vertex bijection g -> h realizing an isomorphism, read off the
+    canonical labelings whatever the size, or None."""
     if _degree_invariants(g) != _degree_invariants(h):
         return None
     kg, mg = canonical_labeling(g)
@@ -801,7 +804,19 @@ def isomorphism(g: Graph, h: Graph) -> Optional[dict[str, str]]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return _degree_invariants(g) == _degree_invariants(h) and canonical_key(g) == canonical_key(h)
+    """Whether ``g`` and ``h`` are isomorphic.  Past the degree check, graphs
+    on at most four vertices, as every base family is, are decided by trying
+    the at most 24 vertex bijections on their multiplicity tables, and larger
+    ones by their canonical keys."""
+    if _degree_invariants(g) != _degree_invariants(h):
+        return False
+    n = len(g.vertex_list)
+    if n > 4:
+        return canonical_key(g) == canonical_key(h)
+    a, b = _multiplicities(g), _multiplicities(h)
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    want = [b[i][j] for i, j in cells]
+    return any([a[p[i]][p[j]] for i, j in cells] == want for p in itertools.permutations(range(n)))
 
 
 def edge_bijection(g: Graph, h: Graph, vmap: Mapping[str, str]) -> dict[str, tuple[str, bool]]:

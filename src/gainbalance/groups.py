@@ -13,10 +13,12 @@ Three frozen group types:
 Each type provides ``identity()``, ``op``, ``inverse``, ``element`` (builds an
 element from its raw form), ``is_element``, ``elements()`` (finite groups
 only, identity first), ``order()`` (None when infinite), ``has_order(d)``
-(some element has order d), ``least_odd_order()`` (None when no odd order
-above 1 occurs), ``is_abelian`` and its text forms: ``str(group)`` names the
-group, ``header()`` is its gain-file header, and ``format_element`` /
-``parse_element`` write and read elements.
+(some element has order d), ``has_odd_torsion()`` (some element has odd
+order above 1), ``least_odd_order()`` (the least such order, searched up to
+``WITNESS_MAX_ORDER``; None when there is none up to it), ``is_abelian`` and
+its text forms: ``str(group)`` names the group, ``header()`` is its
+gain-file header, and ``format_element`` / ``parse_element`` write and read
+elements.
 Elements carry no group, so a foreign element is caught where gains enter a
 gain graph (``gaingraph.gain_graph``), not by ``op``.
 
@@ -38,6 +40,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import GraphError, ParseError
+
+# The greatest least odd order a class is searched for, and so the greatest
+# cyclic order of the binary test's loop-vertex witness, a walk of that many
+# steps (``classify.bad_witness``).  At this order the witness is built,
+# verified and written with ``--json`` in well under a second.
+WITNESS_MAX_ORDER = 100_000
 
 
 @dataclass(frozen=True)
@@ -84,12 +92,18 @@ class CyclicProduct:
     def has_order(self, d: int) -> bool:
         return math.lcm(*self.moduli) % d == 0
 
+    def has_odd_torsion(self) -> bool:
+        return any(k & (k - 1) for k in self.moduli)  # some modulus is not a power of two
+
     def least_odd_order(self) -> Optional[int]:
-        # the least odd prime factor of the exponent, by trial division up to
-        # the square root of its odd part: every odd order above 1 has one
+        # the least odd prime factor of the exponent (every odd order above 1
+        # has one), by trial division up to the square root of its odd part
+        # or the ceiling, whichever is less; when none divides, the odd part
+        # is prime or its least factor is past the ceiling
         n = math.lcm(*self.moduli)
         n >>= (n & -n).bit_length() - 1
-        return None if n == 1 else next((p for p in range(3, math.isqrt(n) + 1, 2) if n % p == 0), n)
+        least = next((p for p in range(3, min(math.isqrt(n), WITNESS_MAX_ORDER) + 1, 2) if n % p == 0), n)
+        return least if 1 < least <= WITNESS_MAX_ORDER else None
 
     def __str__(self):
         return "x".join(f"Z{k}" for k in self.moduli)
@@ -162,6 +176,9 @@ class FreeGroup:
 
     def has_order(self, d: int) -> bool:
         return d == 1  # every other element has infinite order
+
+    def has_odd_torsion(self) -> bool:
+        return False
 
     def least_odd_order(self) -> None:
         return None
@@ -237,6 +254,9 @@ class Symmetric:
                 d, q = d // p, q * p
             used += q if q > 1 else 0
         return d == 1 and used <= self.n
+
+    def has_odd_torsion(self) -> bool:
+        return self.n >= 3
 
     def least_odd_order(self) -> Optional[int]:
         return 3 if self.n >= 3 else None
@@ -334,17 +354,22 @@ class ClassFlags:
     contains_z3: bool
     has_odd_torsion: bool
     abelian_only: bool
-    smallest_odd_order: Optional[int] = None
+    smallest_odd_order: Optional[int] = None  # None without odd torsion, or past WITNESS_MAX_ORDER
 
 
 def class_flags(c: GroupClass) -> ClassFlags:
-    """Derived flags, computed over all subgroups of the listed groups from
-    their least odd orders; 3 is the least odd prime, so the class contains
-    Z3 exactly when its least odd order is 3."""
+    """Derived flags, computed over all subgroups of the listed groups: Z3
+    and odd torsion are asked of each group directly, and only the least odd
+    order is searched for, up to ``WITNESS_MAX_ORDER``."""
     if c.kind in _CLASS_SPECS:
         return ClassFlags(True, True, c.kind != ALL, 3)
     least = min((d for g in c.groups if (d := g.least_odd_order()) is not None), default=None)
-    return ClassFlags(least == 3, least is not None, all(g.is_abelian for g in c.groups), least)
+    return ClassFlags(
+        any(g.has_order(3) for g in c.groups),
+        any(g.has_odd_torsion() for g in c.groups),
+        all(g.is_abelian for g in c.groups),
+        least,
+    )
 
 
 def parse_class_spec(text: str) -> GroupClass:

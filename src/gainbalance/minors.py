@@ -569,11 +569,21 @@ def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) ->
     is loopless with exactly the two neighbours ``kept`` != ``other``, its one
     edge to ``kept`` is ``edge`` and its edges to ``other`` are the returned
     edges, so the step undoes an extrusion.  The end must be isomorphic to
-    ``base``.
+    ``base``; a base family has at most four vertices, so a log that reaches
+    one is decided without a canonical labeling (``is_isomorphic``)."""
+    end = _replay(g, steps)
+    return end is not None and is_isomorphic(end, base)
+
+
+def _replay(g: Graph, steps: Sequence[ReverseStep]) -> Optional[Graph]:
+    """The graph that the checked steps of ``verify_reverse_steps`` contract
+    ``g`` to, or None at the first step that fails its check.
 
     The steps contract in place as in ``reverse_extrusion_reduce``: neighbour
     classes keyed by the vertices of ``g`` that survive, each with its name
     now, so a step costs its returned edges and the end is one ``Graph``."""
+    if not steps:
+        return g
     classes = _neighbour_classes(g.vertex_list, g.edges)
     loopy = {t for t, h in g.edges.values() if t == h}  # a valid step makes no loop
     name = {v: v for v in g.vertex_list}  # surviving vertex -> its name now
@@ -582,19 +592,18 @@ def verify_reverse_steps(g: Graph, base: Graph, steps: Sequence[ReverseStep]) ->
     for step in steps:
         y = vertex.get(step.vertex)
         if y is None or y in loopy or step.kept == step.other:
-            return False
+            return None
         kept, other = vertex.get(step.kept), vertex.get(step.other)
         near = classes[y]
         if near.keys() != {kept, other} or near[kept] != [step.edge]:
-            return False
+            return None
         if sorted(near[other]) != sorted(step.returned_edges):
-            return False
+            return None
         _contract_step(classes, ends, y, kept, other, step.edge)
         del name[y], vertex[step.vertex], vertex[step.kept]
         name[kept] = min(step.vertex, step.kept)
         vertex[name[kept]] = kept
-    end = Graph({e: (name[t], name[h]) for e, (t, h) in ends.items()}, name.values())
-    return is_isomorphic(end, base)
+    return Graph({e: (name[t], name[h]) for e, (t, h) in ends.items()}, name.values())
 
 
 # -- Whitney twist ---------------------------------------------------------------

@@ -50,7 +50,7 @@ from gainbalance.classify import (
     bad_witness,
 )
 from gainbalance.cyclespace import OrientedBasis, cycle_space_dimension
-from gainbalance.errors import GraphError
+from gainbalance.errors import BudgetError, GraphError
 from gainbalance.gaingraph import GainAssignment, GainGraph, gain_graph
 from gainbalance.graphcore import (
     LOOP_VERTEX,
@@ -197,7 +197,9 @@ def reference_binary_cycle_goodness(g, c):
     if cycle_space_dimension(g) == 0:
         return Verdict(GOOD, RULE_FOREST)
     if flags.has_odd_torsion:
-        k = flags.smallest_odd_order or 3
+        k = flags.smallest_odd_order
+        if k is None:
+            raise BudgetError("least odd order past the loop-vertex witness ceiling")
         mw = has_minor(g, build_named(NamedGraphSpec(LOOP_VERTEX)))
         if mw is None:
             raise GraphError("graph with cycles lacks a loop-vertex minor")

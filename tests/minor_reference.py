@@ -14,12 +14,15 @@ ended with: keep the mapped edges and the branch forest, contract the
 forest, and test the result for isomorphism with the target.
 ``extruded_reverse_steps`` is the reduction-log check that undid each step
 by extrusion and compared the graphs by canonical labeling.
+``keyed_verify_reverse_steps`` is ``verify_reverse_steps`` with the end
+compared with the base by canonical key, as it was before ``is_isomorphic``
+decided graphs of at most four vertices by vertex bijections.
 """
 
 from typing import Iterable, Mapping, Optional
 
 from gainbalance.errors import GraphError
-from gainbalance.graphcore import Graph, edge_components, is_isomorphic
+from gainbalance.graphcore import Graph, canonical_key, edge_components, is_isomorphic
 from gainbalance.minors import (
     EDGE_BRIDGE,
     MINOR_SEARCH_MAX_EDGES,
@@ -31,6 +34,7 @@ from gainbalance.minors import (
     MinorWitness,
     _bridge_edges,
     _loop_vertex_witness,
+    _replay,
     branch_forest,
     contract,
     delete,
@@ -217,7 +221,14 @@ def extruded_reverse_steps(g: Graph, base: Graph, steps) -> bool:
     for step in steps:
         reduced, vmap = contract(h, {step.edge})
         rebuilt = extrude(reduced, vmap[step.vertex], vmap[step.other], step.returned_edges)
-        if not is_isomorphic(rebuilt, h):
+        if canonical_key(rebuilt) != canonical_key(h):
             return False
         h = reduced
-    return is_isomorphic(h, base)
+    return canonical_key(h) == canonical_key(base)
+
+
+def keyed_verify_reverse_steps(g: Graph, base: Graph, steps) -> bool:
+    """The checked replay of ``verify_reverse_steps``, its end compared with
+    ``base`` by canonical key."""
+    end = _replay(g, steps)
+    return end is not None and canonical_key(end) == canonical_key(base)

@@ -46,7 +46,7 @@ from gainbalance.graphcore import (
     spanning_forest,
     walk_vertices,
 )
-from gainbalance.groups import ALL, EXPLICIT, CyclicProduct, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
+from gainbalance.groups import ALL, EXPLICIT, WITNESS_MAX_ORDER, CyclicProduct, GroupClass, abelian_product, cyclic, free_on, parse_class_spec, symmetric
 from gainbalance.minors import extrude, has_minor, verify_reverse_steps
 from gainbalance.oracle import ORACLE_BLOCK, oracle_circle_goodness
 from conftest import named, triangle
@@ -285,7 +285,7 @@ def test_wheel_rule_splits_once_and_builds_only_the_targets_of_admitted_block_si
     assert len(split) == 1 and built == [parse_graph_spec("W8"), parse_graph_spec("2C8")]
 
 
-@pytest.mark.parametrize("spec", ["groups:S300", "groups:Z1000003", "groups:Z10000019"])
+@pytest.mark.parametrize("spec", ["groups:S300", "groups:Z1000003", "groups:Z10000019", "groups:Z2305843009213693951"])
 def test_circle_verdict_on_a_huge_group_is_quick_and_small(spec):
     import tracemalloc
 
@@ -472,6 +472,26 @@ def test_binary_uses_smallest_odd_order():
     v = binary_cycle_goodness(triangle(), parse_class_spec("groups:Z10"))
     assert v.status == BAD
     assert v.evidence.gain_graph.group == cyclic(5)
+
+
+def test_binary_witness_order_is_capped_by_the_ceiling():
+    # the largest odd order at the ceiling still gets its witness; past it,
+    # or where the bounded search leaves the least odd order unknown, the
+    # verdict is a BudgetError and never falls back to Z3
+    loop = parse_graph_spec("K1loop")
+    top = WITNESS_MAX_ORDER - 1 + WITNESS_MAX_ORDER % 2
+    assert [len(w.steps) for w in bad_witness(loop, top).basis.walks] == [top]
+    with pytest.raises(BudgetError):
+        bad_witness(loop, top + 2)
+    v = binary_cycle_goodness(triangle(), parse_class_spec("groups:Z99991"))
+    assert (v.status, v.evidence.gain_graph.group) == (BAD, cyclic(99991))
+    v = binary_cycle_goodness(triangle(), parse_class_spec("groups:Z100003,Z5"))
+    assert (v.status, v.evidence.gain_graph.group) == (BAD, cyclic(5))
+    for spec in ("groups:Z100003", "groups:Z2xZ1000003", "groups:Z2305843009213693951"):
+        c = parse_class_spec(spec)
+        with pytest.raises(BudgetError, match="ceiling"):
+            binary_cycle_goodness(named("W4"), c)
+        assert binary_cycle_goodness(Graph({"e": ("a", "b")}), c).status == GOOD  # a forest needs no witness
 
 
 def test_binary_two_groups_good():

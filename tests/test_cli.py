@@ -457,6 +457,21 @@ def test_atlas_command(capsys):
     assert all(row["agree"] for row in data["graphs"])
 
 
+def test_loop_witness_past_its_ceiling_exits_3(capsys):
+    # the binary witness over Z_k is a walk of k steps, so k is capped; the
+    # circle verdict does not need the least odd order and still answers
+    for argv in (["witness", "--family", "K1loop", "--order", "100001"],
+                 ["classify", "W4", "--class", "groups:Z100003", "--test", "cycle"],
+                 ["classify", "W4", "--class", "groups:Z2305843009213693951", "--test", "cycle"]):
+        start = time.perf_counter()
+        assert run([*argv, "--json"]) == 3, argv
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ceiling 100000" in captured.err, captured.err
+    assert run(["classify", "W4", "--class", "groups:Z2305843009213693951", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "Unknown"
+
+
 def test_exit_codes(capsys, tmp_path):
     assert run(["balance", "NOPE", "alsonope"]) == 2
     gains = tmp_path / "bad.gains"

@@ -616,6 +616,31 @@ def test_isomorphism_agrees_with_canonical_keys():
                 _assert_edge_bijection(g, h, vmap)
 
 
+def test_small_graphs_are_decided_by_bijections_as_by_canonical_keys():
+    # every multigraph on at most four vertices with at most 8 edges (loops,
+    # parallel edges, then isolated vertices added), and the edgeless ones,
+    # against a shuffled copy of every graph with its degree invariants
+    rng = random.Random(4)
+    small = [g for g in all_multigraphs(8) if len(g.vertex_list) <= 4]
+    small += [Graph(g.edges, [*g.vertex_list, *(f"x{i}" for i in range(k))])
+              for g in small for k in range(1, 5 - len(g.vertex_list))]
+    small += [Graph({}, [f"x{i}" for i in range(n)]) for n in range(5)]
+    alike: dict = {}
+    for g in small:
+        alike.setdefault(repr(graphcore._degree_invariants(g)), []).append(g)
+    pairs = same = 0
+    for graphs in alike.values():
+        copies = [_shuffled_copy(rng, h) for h in graphs]
+        for g in graphs:
+            for h in copies:
+                expected = canonical_key(g) == canonical_key(h)
+                assert is_isomorphic(g, h) == expected == (isomorphism(g, h) is not None), (g.edges, h.edges)
+                pairs += 1
+                same += expected
+    assert (len(small), same) == (3022, 3022), (len(small), same)
+    assert pairs > 60_000, pairs
+
+
 def test_non_isomorphic_pairs():
     assert not is_isomorphic(named("W4"), named("W5"))
     assert not is_isomorphic(named("2C4"), named("C3(3,3,2)"))

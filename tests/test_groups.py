@@ -11,6 +11,7 @@ from gainbalance.groups import (
     ALL_ABELIAN,
     EXPLICIT,
     ClassFlags,
+    WITNESS_MAX_ORDER,
     GroupClass,
     abelian_product,
     class_flags,
@@ -282,6 +283,28 @@ def test_class_flags_of_a_huge_cyclic_group_are_quick():
     flags = class_flags(parse_class_spec("groups:S300"))
     assert time.perf_counter() - start < 1.0
     assert flags == ClassFlags(contains_z3=True, has_odd_torsion=True, abelian_only=False, smallest_odd_order=3)
+
+
+def test_least_odd_order_is_searched_up_to_the_ceiling():
+    # Z3 and odd torsion are read off the moduli without factoring; the
+    # least odd order is searched for up to the ceiling and is None past it
+    import time
+
+    below, above = 99991, 100003  # the primes on either side of the ceiling
+    assert below <= WITNESS_MAX_ORDER < above
+    assert cyclic(below).least_odd_order() == below
+    assert cyclic(below * above).least_odd_order() == below
+    assert abelian_product(2**40, above, below).least_odd_order() == below
+    for n in (above, above * above, 2**61 - 1, 2**40 * above):
+        start = time.perf_counter()
+        assert cyclic(n).least_odd_order() is None and cyclic(n).has_odd_torsion(), n
+        assert time.perf_counter() - start < 1.0
+    assert cyclic(2**60).least_odd_order() is None and not cyclic(2**60).has_odd_torsion()
+    start = time.perf_counter()
+    assert class_flags(parse_class_spec("groups:Z2305843009213693951")) == ClassFlags(False, True, True, None)
+    assert class_flags(parse_class_spec(f"groups:Z{3 * (2**61 - 1)}")) == ClassFlags(True, True, True, 3)
+    assert class_flags(parse_class_spec(f"groups:Z{above},Z{below}")) == ClassFlags(False, True, True, below)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_class_spec_parsing():

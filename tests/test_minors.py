@@ -7,8 +7,8 @@ import time
 import pytest
 
 from gainbalance.balancetests import binary_cycle_test, circle_test
-from gainbalance import classify
-from gainbalance.classify import BAD, circle_goodness, structural_decomposition
+from gainbalance import classify, graphcore
+from gainbalance.classify import BAD, GOOD, circle_goodness, structural_decomposition
 from gainbalance.cyclespace import (
     circle_from_support,
     cycle_space_dimension,
@@ -56,7 +56,7 @@ from extrusion_reference import (
     reference_reverse_extrusion_reduce,
     reverse_moves,
 )
-from minor_reference import extruded_reverse_steps, rooted_bridges_of_pair, rooted_has_minor
+from minor_reference import extruded_reverse_steps, keyed_verify_reverse_steps, rooted_bridges_of_pair, rooted_has_minor
 
 
 # every witness that verify_minor_witness accepts here must also realize its target
@@ -695,6 +695,52 @@ def test_reduction_log_verifies_in_linear_time():
     assert not verify_reverse_steps(g, named("W4"), steps)
     assert not verify_reverse_steps(g, named("K4(1,1)"), steps[:-1])
     assert time.perf_counter() - start < 0.5
+
+
+def test_replay_rejects_a_neighbouring_base_family():
+    # a log reaching a base family, and the empty log of the base itself,
+    # checked against the family's neighbours; 2C4 has the degrees of
+    # K4(2,2), so only the vertex bijections tell them apart
+    two_loops = Graph({"e": ("v", "v"), "f": ("v", "v")})
+    neighbours = {
+        "K4(2,1)": ("K4(1,1)", "K4(2,2)"),
+        "K4(2,2)": ("K4(2,1)", "2C4"),
+        "C3(3,2,2)": ("C3(2,2,2)",),
+        "mK2(2)": ("mK2(1)", "mK2(3)"),
+        "mK2(3)": ("mK2(2)", "mK2(4)"),
+        "mK2(4)": ("mK2(3)", "mK2(5)"),
+        "K1loop": ("mK2(1)", two_loops),
+    }
+    rng = random.Random(30)
+    for tag, others in neighbours.items():
+        logs = [(named(tag), ())]
+        if tag != "K1loop":
+            logs += [(g, reverse_extrusion_reduce(g)[1]) for g in (_extrusion_chain(rng, tag, n) for n in (1, 5, 12))]
+        for g, steps in logs:
+            assert verify_reverse_steps(g, named(tag), steps), (tag, len(steps))
+            for other in others:
+                base = named(other) if isinstance(other, str) else other
+                assert not verify_reverse_steps(g, base, steps), (tag, other, len(steps))
+                assert not keyed_verify_reverse_steps(g, base, steps), (tag, other, len(steps))
+
+
+def test_good_logs_replay_without_canonical_labeling(monkeypatch):
+    # every log of a Good verdict ends in a base family of at most four
+    # vertices, so its end is matched by vertex bijections, never labeled
+    cz3 = parse_class_spec("contains-z3")
+    graphs = [materialize(c) for level in connected_multigraphs(7)[1:] for c in level]
+    logs = [(b.block, build_named(b.base), b.steps)
+            for v in (circle_goodness(g, cz3) for g in graphs) if v.status == GOOD for b in v.evidence.blocks]
+    labeling = graphcore._canonical_connected
+    calls = []
+    monkeypatch.setattr(graphcore, "_canonical_connected", lambda n, mult: calls.append(n) or labeling(n, mult))
+    assert all(verify_reverse_steps(*log) for log in logs)
+    assert (len(graphs), len(logs), calls) == (1681, 7792, [])
+    monkeypatch.undo()
+    # against its own base and another log's, as the canonical-key end check decides
+    for (block, base, steps), (_, other, _) in zip(logs, logs[97:] + logs[:97]):
+        for b in (base, other):
+            assert verify_reverse_steps(block, b, steps) == keyed_verify_reverse_steps(block, b, steps), (block.edges, b.edges)
 
 
 def test_reverse_extrusion_matches_first_move_loop():
