@@ -191,7 +191,8 @@ def switch_to_forest(gg: GainGraph, forest: frozenset) -> tuple[GainGraph, Switc
 def _solve_switching(tree: RootedForest, group: Group, gains: Mapping[str, tuple]) -> tuple[dict, dict]:
     """f and f^-1 at every vertex, with f the identity at each root of
     ``tree`` and f(tail)^-1 g(e) f(head) the identity on every forest edge,
-    solved from parent to child."""
+    solved from parent to child.  It reads ``tree.up`` in order, so it needs
+    a tree that no swap has touched, where a parent precedes its children."""
     g = tree.graph
     op, inverse, ends = group.op, group.inverse, g.edges
     values = dict.fromkeys(g.vertex_list, group.identity())

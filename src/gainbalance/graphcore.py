@@ -31,6 +31,10 @@ addressable in witnesses and tests:
 All values are immutable after construction and every function here is pure,
 so concurrent use on shared inputs is unrestricted.
 
+Every tree path comes from one primitive, :class:`RootedForest`, a parent
+table climbed from both ends.  Its in-place swap breaks the parent-before-child
+order that switching reads, so switching reads only unswapped trees.
+
 Blocks, reverse extrusion and the base match run on a compact form
 (``_compact``): vertex indices and edge numbers in name order, and one
 end-index pair per edge number.  A graph keeps its canonical labeling, key
@@ -500,16 +504,15 @@ class DisjointSets:
 class RootedForest:
     """A forest of ``g`` rooted at the least vertex of each of its components.
 
-    ``forest`` is its edge set.  ``up`` maps every non-root vertex to its
-    parent edge and parent vertex, in breadth-first order, so a parent always
-    precedes its children; ``depth`` counts the edges from each vertex to its
-    root.
+    ``forest`` is its edge set.  ``up``, the only table kept, maps every
+    non-root vertex to its parent edge and vertex, a parent before its
+    children until a :meth:`swap`, which keeps the roots.
     """
 
-    __slots__ = ("graph", "forest", "up", "depth")
+    __slots__ = ("graph", "forest", "up")
 
     def __init__(self, g: Graph, forest: Iterable[str]):
-        forest = frozenset(forest)
+        forest = set(forest)
         adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertex_list}
         ends = g.edges
         for e in forest:
@@ -517,41 +520,60 @@ class RootedForest:
             adj[t].append((e, h))
             adj[h].append((e, t))
         up: dict[str, tuple[str, str]] = {}
-        depth: dict[str, int] = {}
         for root in g.vertex_list:
-            if root in depth:
+            if root in up:
                 continue
-            depth[root] = 0
             queue = [root]
             for v in queue:
                 for e, u in adj[v]:
-                    if u not in depth:
-                        depth[u] = depth[v] + 1
+                    if u not in up and u != root:
                         up[u] = (e, v)
                         queue.append(u)
         self.graph = g
         self.forest = forest
         self.up = up
-        self.depth = depth
 
     def path(self, a: str, b: str) -> list[tuple[str, bool]]:
         """Steps of the forest path from ``a`` to ``b``, found by climbing from
-        both ends to the meeting vertex; raises if no such path exists."""
-        ends, up, depth = self.graph.edges, self.up, self.depth
-        head: list[tuple[str, bool]] = []
-        tail: list[tuple[str, bool]] = []
-        while a != b:
-            if depth[a] >= depth[b]:
-                if a not in up:
-                    raise GraphError(f"{a!r} and {b!r} lie in different forest components")
-                e, a_next = up[a]
-                head.append((e, ends[e][0] == a))
-                a = a_next
-            else:
-                e, b_next = up[b]
-                tail.append((e, ends[e][0] == b_next))
-                b = b_next
-        return head + tail[::-1]
+        both ends in turn until one side reaches a vertex that the other has
+        passed: a path costs its own length.  Raises if there is none."""
+        ends, up = self.graph.edges, self.up
+        x, y = a, b
+        head, tail = [], []  # the steps climbed from a, and from b (reversed at the end)
+        from_a, from_b = {a: 0}, {b: 0}  # vertex passed -> steps taken to reach it
+        while x not in from_b:
+            if x in up:
+                e, x = up[x]
+                head.append((e, ends[e][1] == x))
+                if x in from_b:
+                    break
+                from_a[x] = len(head)
+            elif y not in up:
+                raise GraphError(f"{a!r} and {b!r} lie in different forest components")
+            if y in up:
+                e, y = up[y]
+                tail.append((e, ends[e][0] == y))
+                if y in from_a:
+                    return head[: from_a[y]] + tail[::-1]
+                from_b[y] = len(tail)
+        return head + tail[: from_b[x]][::-1]
+
+    def swap(self, f: str, e: str) -> None:
+        """Put ``e`` in the forest in place of ``f``, a forest edge on the path
+        between the ends of ``e``, in place: the end of ``e`` below ``f`` hangs
+        on ``e``, and the parent pointers from it up to ``f`` are reversed.  A
+        swap costs the length of that path; the roots stay."""
+        ends, up = self.graph.edges, self.up
+        low, high = ends[e]
+        crossings = [forward for step, forward in self.path(low, high) if step == f]
+        if not crossings:
+            raise GraphError(f"{f!r} is not on the forest path between the ends of {e!r}")
+        if up.get(ends[f][not crossings[0]], (None,))[0] != f:  # the path leaves f's upper end
+            low, high = high, low
+        hang = (e, high)  # the new parent pointer of ``low``
+        while hang[0] != f:
+            hang, up[low], low = (up[low][0], low), hang, up[low][1]
+        self.forest ^= {f, e}
 
 
 def spanning_forest(g: Graph) -> frozenset:
@@ -564,14 +586,15 @@ def spanning_tree(g: Graph) -> RootedForest:
     """``RootedForest(g, spanning_forest(g))``, built on first use and kept
     with ``g``.  The graph keeps the tree's fields rather than the tree, which
     refers back to it, so that no graph sits in a reference cycle and each
-    is freed as soon as it is dropped."""
+    is freed as soon as it is dropped.  Its fields are shared, so nothing
+    swaps it."""
     if g._tree is None:
         tree = RootedForest(g, spanning_forest(g))
-        g._tree = (tree.forest, tree.up, tree.depth)
+        g._tree = (tree.forest, tree.up)
         return tree
     tree = RootedForest.__new__(RootedForest)
     tree.graph = g
-    tree.forest, tree.up, tree.depth = g._tree
+    tree.forest, tree.up = g._tree
     return tree
 
 

@@ -16,9 +16,10 @@ solved to keep the circle balanced; lifting along a forest contraction
 splices tree paths (with identity gains) into each walk.  The splicing is
 ``splice_tree_paths``, on the paths of :class:`graphcore.RootedForest`; the
 classifier's witness transport splices the branch forest of a minor model
-with it too, on the host, without contracting.  Deletion keeps one least
-spanning forest, updated as each edge is restored.  Contraction classes and
-the forest grown inside a deleted set come from :class:`graphcore.DisjointSets`.
+with it too, on the host, without contracting.  Deletion roots one least
+spanning forest and swaps each restored edge into it in place when the
+least forest changes.  Contraction classes and the forest grown inside a
+deleted set come from :class:`graphcore.DisjointSets`.
 
 Reverse extrusion runs on the compact form of ``graphcore`` (``_reduce``),
 its heap keyed on (name now, vertex) as on names, a name now being the index
@@ -327,20 +328,20 @@ def lift_basis_deletion(
 
     The circle closes e with the path between its ends in the least spanning
     forest in edge-id order (``spanning_forest``) of the edges present before
-    e, and one such forest is kept throughout.  Edge ids are distinct
-    weights, so by the cycle property of minimum spanning forests the
-    greatest edge f of the circle is the one outside the least forest of the
-    edges present with e: that forest is the old one with e swapped in for f
-    when f, the greatest edge on the path, is greater than e, and the old one
-    otherwise.  A restored edge costs one search of the forest.
+    e, and one such forest is rooted once and kept throughout.  Edge ids are
+    distinct weights, so by the cycle property of minimum spanning forests
+    the greatest edge f of the circle is the one outside the least forest of
+    the edges present with e: that forest is the old one with e swapped in
+    for f (``RootedForest.swap``) when f, the greatest edge on the path, is
+    greater than e, and the old one otherwise.  A restored edge costs the
+    length of its circle.
     """
     s = set(s)
     reduced = delete(g, s)
     if b.host.edges != reduced.edges:
         raise GraphError("basis does not live on g minus s")
     sets = DisjointSets(g.vertex_list)
-    for e in reduced.edge_list:
-        sets.union(*reduced.ends(e))
+    forest = [e for e in reduced.edge_list if sets.union(*reduced.ends(e))]
     bridge_like: list[str] = []  # the forest T inside s
     rest: list[str] = []
     for e in sorted(s):
@@ -351,15 +352,10 @@ def lift_basis_deletion(
     for e in bridge_like:
         new_gains[e] = group.identity()
     pairs = list(b.pairs)
-    forest: dict[str, dict[str, str]] = {v: {} for v in g.vertex_list}  # vertex -> {edge: other end}
-    sets = DisjointSets(g.vertex_list)
-    for e in sorted((*reduced.edge_list, *bridge_like)):
-        t, h = g.ends(e)
-        if sets.union(t, h):
-            forest[t][e], forest[h][e] = h, t
+    tree = RootedForest(g, forest + bridge_like)  # bridges join the least forest of g - s
     for e in rest:
         t, h = g.ends(e)
-        path = _forest_path(g, forest, h, t)
+        path = tree.path(h, t)
         support = frozenset({e} | {f for f, _ in path})
         walk = ClosedWalk(t, ((e, True), *path))
         if walk_support(walk) != support:
@@ -371,34 +367,10 @@ def lift_basis_deletion(
             acc = group.op(acc, x if forward else group.inverse(x))
         new_gains[e] = group.inverse(acc)
         pairs.append((support, walk))
-        top = max((f for f, _ in path), default=e)
-        if top > e:
-            a, c = g.ends(top)
-            del forest[a][top], forest[c][top]
-            forest[t][e], forest[h][e] = h, t
-    ob = OrientedBasis(tuple(pairs), g)
-    return ob, GainAssignment(group, new_gains)
-
-
-def _forest_path(g: Graph, forest: Mapping[str, Mapping[str, str]], a: str, b: str) -> list[tuple[str, bool]]:
-    """Steps of the path from ``a`` to ``b`` in a forest of ``g`` given as
-    vertex -> {edge: other end}, found by a search from ``a``."""
-    back: dict[str, tuple[str, str]] = {a: ("", a)}
-    stack = [a]
-    while b not in back:
-        if not stack:
-            raise GraphError(f"{a!r} and {b!r} lie in different forest components")
-        v = stack.pop()
-        for e, u in forest[v].items():
-            if u not in back:
-                back[u] = (e, v)
-                stack.append(u)
-    steps = []
-    while b != a:
-        e, v = back[b]
-        steps.append((e, g.ends(e)[0] == v))
-        b = v
-    return steps[::-1]
+        top = max(support)
+        if top != e:
+            tree.swap(top, e)
+    return OrientedBasis(tuple(pairs), g), GainAssignment(group, new_gains)
 
 
 def splice_tree_paths(tree: RootedForest, steps: Sequence[tuple[str, bool]], start: str) -> ClosedWalk:

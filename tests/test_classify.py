@@ -571,6 +571,34 @@ def test_lift_witness_matches_the_contracting_reference_on_searched_models():
     assert widest >= 2 and reversed_edges > 0
 
 
+def test_lifts_swap_neither_the_shared_nor_a_switching_forest(monkeypatch):
+    # the lift roots a forest of its own and swaps only that one; the host's
+    # spanning tree, which switching reads parent before child, stays as built
+    swapped = []
+    swap = graphcore.RootedForest.swap
+
+    def recording(tree, f, e):
+        swapped.append(tree.up)
+        swap(tree, f, e)
+
+    monkeypatch.setattr(graphcore.RootedForest, "swap", recording)
+    cz3 = parse_class_spec("contains-z3")
+    theta = Graph({"e0": ("v0", "v1"), "e1": ("v0", "v2"), "e2": ("v1", "v2"), "e3": ("v1", "v2")})
+    for host, verdict in ((theta, binary_cycle_goodness), (named("Grid(4,4)"), circle_goodness)):
+        shared = graphcore.spanning_tree(host)
+        before = len(swapped)
+        assert verdict(host, cz3).status == BAD
+        assert len(swapped) > before
+        fresh = graphcore.RootedForest(host, spanning_forest(host))
+        again = graphcore.spanning_tree(host)
+        assert again.up is shared.up and (again.forest, again.up) == (fresh.forest, fresh.up)
+        assert all(up is not shared.up for up in swapped)
+        passed = set(host.vertex_list) - set(again.up)
+        for u, (_, v) in again.up.items():
+            assert v in passed
+            passed.add(u)
+
+
 def test_bad_witness_is_built_once_and_stays_verified():
     for spec, order in [*((spec, None) for spec in FORBIDDEN_MINORS), (parse_graph_spec("W6"), None), (parse_graph_spec("K1loop"), 5)]:
         first = bad_witness(spec, order)

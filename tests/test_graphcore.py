@@ -377,30 +377,83 @@ def random_forest(rng):
     return g, frozenset(e for e in edges if e.startswith("t"))
 
 
+def _check_paths(tree, g, forest):
+    disconnected = 0
+    for a in g.vertex_list:
+        assert tree.path(a, a) == []
+        for b in g.vertex_list:
+            want = brute_force_path(g, forest, a, b)
+            if want is None:
+                disconnected += 1
+                with pytest.raises(GraphError):
+                    tree.path(a, b)
+            else:
+                assert tree.path(a, b) == want
+        for pair in ((a, "outside"), ("outside", a)):
+            with pytest.raises(GraphError):
+                tree.path(*pair)
+    return disconnected
+
+
+def _check_fields(tree, g, forest, roots):
+    """Every field of ``tree`` describes ``forest`` rooted at ``roots``."""
+    assert tree.graph is g and tree.forest == forest
+    assert set(g.vertex_list) - set(tree.up) == roots
+    assert sorted(e for e, _ in tree.up.values()) == sorted(forest)
+    for v, (e, parent) in tree.up.items():
+        assert g.other_end(e, v) == parent
+        seen = {v}
+        while v in tree.up:  # the climb from every vertex ends at a root
+            v = tree.up[v][1]
+            assert v not in seen
+            seen.add(v)
+        assert v in roots
+
+
 def test_rooted_forest_paths_match_brute_force():
     rng = random.Random(17)
-    disconnected = 0
+    disconnected = swaps = 0
     for _ in range(150):
         g, forest = random_forest(rng)
+        # more chords, so that most forests take a few swaps
+        edges = {**g.edges, **{f"d{k}": (rng.choice(g.vertex_list), rng.choice(g.vertex_list)) for k in range(4)}}
+        g = Graph(edges, g.vertex_list)
         tree = RootedForest(g, forest)
-        for a in g.vertex_list:
-            assert tree.path(a, a) == []
-            for b in g.vertex_list:
-                want = brute_force_path(g, forest, a, b)
-                if want is None:
-                    disconnected += 1
-                    with pytest.raises(GraphError):
-                        tree.path(a, b)
-                else:
-                    assert tree.path(a, b) == want
-    assert disconnected > 0
+        roots = set(g.vertex_list) - set(tree.up)
+        fields = (tree.forest, tree.up)
+        disconnected += _check_paths(tree, g, forest)
+        for _ in range(rng.randrange(6)):
+            chords = [e for e in g.edge_list if e not in forest and brute_force_path(g, forest, *g.ends(e))]
+            if not chords:
+                break
+            e = rng.choice(chords)
+            f = rng.choice(brute_force_path(g, forest, *g.ends(e)))[0]
+            tree.swap(f, e)
+            forest = forest - {f} | {e}
+            swaps += 1
+            # swapped in place: the same objects, no copy
+            assert (tree.forest, tree.up) == fields and tree.forest is fields[0] and tree.up is fields[1]
+            _check_fields(tree, g, forest, roots)
+            disconnected += _check_paths(tree, g, forest)
+    assert disconnected > 0 and swaps > 200
+
+
+def test_rooted_forest_swap_needs_an_edge_on_the_path():
+    g = Graph({"x": ("a", "b"), "y": ("b", "c"), "w": ("b", "d"), "z": ("e", "f"), "c1": ("c", "d"), "c2": ("a", "e")})
+    forest = {"x", "y", "w", "z"}
+    tree = RootedForest(g, forest)
+    # x lies above the meeting vertex b of c1's ends, z and c2 on no such path
+    for f, e in (("x", "c1"), ("c2", "c1"), ("z", "c2"), ("x", "c2")):
+        with pytest.raises(GraphError):
+            tree.swap(f, e)
+    assert (tree.forest, tree.up) == (forest, RootedForest(g, forest).up)
 
 
 def test_rooted_forest_roots_are_least_vertices():
     g = Graph({"x": ("b", "a"), "y": ("c", "b"), "z": ("e", "d")})
     tree = RootedForest(g, {"x", "y", "z"})
     assert set(g.vertex_list) - set(tree.up) == {"a", "d"}
-    assert tree.up["c"] == ("y", "b") and tree.depth["c"] == 2
+    assert tree.up["c"] == ("y", "b")
 
 
 def test_edge_components_match_subgraph_components():
@@ -434,10 +487,10 @@ def test_spanning_tree_is_built_once_per_graph():
         g, _ = random_forest(rng)
         tree = spanning_tree(g)
         fresh = RootedForest(g, spanning_forest(g))
-        assert (tree.graph, tree.forest, tree.up, tree.depth) == (g, fresh.forest, fresh.up, fresh.depth)
+        assert (tree.graph, tree.forest, tree.up) == (g, fresh.forest, fresh.up)
         again = spanning_tree(g)
-        assert again.graph is g and (again.forest, again.up, again.depth) == (tree.forest, tree.up, tree.depth)
-        assert again.up is tree.up and again.depth is tree.depth
+        assert again.graph is g and (again.forest, again.up) == (tree.forest, tree.up)
+        assert again.up is tree.up
         # an equal graph is another object and builds its own
         assert spanning_tree(Graph(g.edges, g.vertices)).up is not tree.up
 

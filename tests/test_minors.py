@@ -477,6 +477,64 @@ def test_lift_deletion_matches_the_per_edge_rebuild():
         assert len(got[0].pairs) == cycle_space_dimension(g)
 
 
+def _zigzag_path(n):
+    """A path on ``v000``..``v{n}`` whose edges take descending ids from both
+    ends inwards, and chords from ``v000`` to its far vertices, alternately
+    the deepest and the shallowest left, in the order of their ids.  Each
+    restored chord swaps out the greatest path edge left, at the other end of
+    the chain from its deep end, so every swap reverses a long parent chain."""
+    inward = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    edges = {f"p{n - rank:03d}": (f"v{i:03d}", f"v{i + 1:03d}") for rank, i in enumerate(inward)}
+    far = [n - j // 2 if j % 2 == 0 else 1 + j // 2 for j in range(n - 1)]
+    chords = {f"c{j:03d}": ("v000", f"v{k:03d}") for j, k in enumerate(far)}
+    return Graph({**edges, **chords}), set(chords)
+
+
+def test_lift_deletion_matches_the_per_edge_rebuild_on_deep_reroots(monkeypatch):
+    from classify_reference import reference_lift_basis_deletion
+    from gainbalance.classify import binary_cycle_goodness
+    from gainbalance.graphcore import RootedForest
+    from gainbalance.groups import free_on
+    from test_gaingraph import random_element
+
+    calls = []
+    lift = classify.lift_basis_deletion
+
+    def recording(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(classify, "lift_basis_deletion", recording)
+    cz3 = parse_class_spec("contains-z3")
+    for tag in ("Grid(12,12)", "W50"):
+        assert binary_cycle_goodness(named(tag), cz3).status == BAD
+    assert circle_goodness(named("W50"), cz3).status == BAD
+
+    rng = random.Random(61)
+    grp = free_on("a", "b")
+    n = 60
+    g, s = _zigzag_path(n)
+    reduced = delete(g, s)
+    gains = gain_graph(reduced, grp, {e: random_element(grp, rng) for e in reduced.edge_list}).assignment
+    calls.append((g, s, oriented_basis(reduced, []), gains))
+
+    reversed_pointers = []
+    swap = RootedForest.swap
+
+    def counting(tree, f, e):
+        before = dict(tree.up)
+        swap(tree, f, e)
+        reversed_pointers.append(sum(before.get(v) != p for v, p in tree.up.items()))
+
+    monkeypatch.setattr(RootedForest, "swap", counting)
+    for args in calls:
+        got, ref = lift(*args), reference_lift_basis_deletion(*args)
+        assert got[0].pairs == ref[0].pairs and got[1] == ref[1], sorted(args[0].edges.items())
+    assert len(calls) == 4, len(calls)
+    # the path's swaps come last: n - 1 of them, the k-th reversing n - k + 1 pointers
+    assert reversed_pointers[-(n - 1) :] == list(range(n, 1, -1))
+
+
 # -- extrusion ----------------------------------------------------------------------
 
 
