@@ -1,15 +1,27 @@
 """Binary Cycle Test, Circle Test, and the exact abelian balance analysis.
 
 Both tests ask whether every basis member's walk has identity gain.  The
-binary cycle test takes the oriented cycles as given; the circle test is the
-binary cycle test on the canonical walks of its member circles
-(:func:`circle_orientation`), and :func:`basis_gains` is the one place either
-test evaluates a walk.
+binary cycle test takes each member's given walk, or its natural orientation
+where none is given; the circle test is the binary cycle test on the
+canonical walks of its member circles.  One evaluation, :func:`_gains`,
+serves both (:func:`cycle_gains`, :func:`circle_gains`, :func:`basis_gains`
+for an ``OrientedBasis``).  It checks each member, then the basis, then
+reads the gains.
 
-An ``OrientedBasis`` pairs each member with a closed walk that projects to
-it, so every member is a binary cycle, which is fixed by its chords of the
-spanning tree: :func:`basis_gains` checks the basis in chord coordinates
-alone (as many members as chords, chord vectors independent over GF(2)).
+A member's walk projects to it, so every member is a binary cycle, which is
+fixed by its chords of the spanning tree: the basis is checked in chord
+coordinates alone (as many members as chords, chord vectors independent over
+GF(2)).
+
+A walk's gain is the product of the switched gains of its chord steps in the
+gain graph's forest switching, conjugated by the switching value at its
+start (``gaingraph.walk_product``).  A natural orientation, and so a
+canonical circle walk, steps only on its member's edges and on links along
+the same spanning tree, whose edges are not chords.  So a member without a
+given walk whose support meets no chord of non-identity switched gain has
+identity gain, and its walk is never built.  A given walk is always
+multiplied: it may cross a chord outside its member, an even number of
+times.
 
 The abelian analysis works in the integer lattice L spanned by the signed
 traversal vectors of the basis walks (entry +1 when a walk crosses an edge in
@@ -40,27 +52,70 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cyclespace import Circle, OrientedBasis, _spans_by_chords, circle_from_support, is_cycle_basis
+from .cyclespace import (
+    Circle,
+    OrientedBasis,
+    _spans_by_chords,
+    binary_cycle,
+    circle_from_support,
+    circle_support,
+    is_cycle_basis,
+    natural_orientation,
+)
 from .errors import GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced, walk_gain, walk_product
-from .graphcore import Graph, spanning_tree, walk_int_vector
+from .graphcore import ClosedWalk, Graph, spanning_tree, walk_int_vector
 from .groups import cyclic
+
+
+def _gains(gg: GainGraph, pairs: Sequence[tuple[frozenset, Optional[ClosedWalk]]], check, orient) -> list:
+    """The gain of each member's walk, in basis order: its given walk, or
+    else ``orient(g, member)``, built only when the member meets a chord of
+    non-identity switched gain (module docstring).  In basis order, each
+    member given without a walk is checked by ``check(g, member)``, or by
+    ``orient``, which raises as ``check`` does, when its walk is built; the
+    basis is checked after them.  The given walks were checked where they
+    were read (``read_basis_text``, ``oriented_basis``,
+    ``circle_orientation``)."""
+    g = gg.graph
+    gained = gg.forest_switching.chord_gains.keys()
+    walks = []
+    for s, w in pairs:
+        if w is None:
+            if gained.isdisjoint(s):
+                check(g, s)
+            else:
+                w = orient(g, s)
+        walks.append(w)
+    if not _spans_by_chords([s for s, _ in pairs], g):
+        raise GraphError("oriented cycles do not form a basis")
+    ident = gg.group.identity()
+    return [ident if w is None else walk_product(gg, w) for w in walks]
+
+
+def cycle_gains(gg: GainGraph, pairs: Sequence[tuple[frozenset, Optional[ClosedWalk]]]) -> list:
+    """The binary cycle test's gain of each member, paired with its walk or
+    None as :func:`cyclespace.read_basis_text` gives it.  A member without a
+    walk must have a natural orientation, and raises as
+    :func:`cyclespace.natural_orientation` would: on a connected graph every
+    binary cycle has one, elsewhere it is built to be checked."""
+    g = gg.graph
+
+    def orient(g, s):
+        return natural_orientation(s, g)
+
+    connected = len(spanning_tree(g).up) == len(g.vertex_list) - 1
+    return _gains(gg, pairs, binary_cycle if connected else orient, orient)
 
 
 def basis_gains(gg: GainGraph, ob: OrientedBasis) -> list:
     """The gain of each attached walk, in basis order, once the oriented
-    cycles are checked to be a basis of ``gg``'s graph.  The walks were
-    checked where the oriented basis was built (``read_basis_text``,
-    ``oriented_basis``, ``circle_orientation``), so they are not walked
-    through the graph again, and they make every member a binary cycle, so
-    the basis check reads only the chords (module docstring)."""
+    cycles are checked to be a basis of ``gg``'s graph."""
     if ob.host.edges != gg.graph.edges:
         raise GraphError("oriented basis belongs to a different graph")
-    if not _spans_by_chords(ob.cycles, gg.graph):
-        raise GraphError("oriented cycles do not form a basis")
-    return [walk_product(gg, w) for w in ob.walks]
+    return cycle_gains(gg, ob.pairs)
 
 
 def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:
@@ -80,9 +135,17 @@ def circle_orientation(g: Graph, members: Iterable[Iterable[str]]) -> OrientedBa
     return OrientedBasis(tuple((c.support, c.walk) for c in circles), g)
 
 
+def circle_gains(gg: GainGraph, members: Iterable[Iterable[str]]) -> list:
+    """The circle test's gain of each member's canonical circle walk, in basis
+    order; a member that is not a circle raises."""
+    pairs = [(frozenset(m), None) for m in members]
+    return _gains(gg, pairs, circle_support, lambda g, s: circle_from_support(g, s).walk)
+
+
 def circle_test(gg: GainGraph, members: Iterable[Iterable[str]]) -> bool:
     """True iff every member circle's canonical walk has identity gain."""
-    return binary_cycle_test(gg, circle_orientation(gg.graph, members))
+    ident = gg.group.identity()
+    return all(x == ident for x in circle_gains(gg, members))
 
 
 # -- Smith normal form ---------------------------------------------------------

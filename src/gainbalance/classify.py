@@ -51,7 +51,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .balancetests import binary_cycle_test, circle_orientation
+from .balancetests import binary_cycle_test, circle_test
 from .cyclespace import OrientedBasis, _checked_walk, cycle_space_dimension, oriented_basis
 from .errors import BudgetError, GraphError
 from .gaingraph import GainAssignment, GainGraph, gain_graph, is_balanced
@@ -131,8 +131,8 @@ class BadWitness:
                 _checked_walk(gg.graph, i, c, w)
         except GraphError:
             return False
-        ob = circle_orientation(gg.graph, self.basis.cycles) if self.test == CIRCLE_TEST else self.basis
-        return binary_cycle_test(gg, ob) and not is_balanced(gg).balanced
+        passes = circle_test(gg, self.basis.cycles) if self.test == CIRCLE_TEST else binary_cycle_test(gg, self.basis)
+        return passes and not is_balanced(gg).balanced
 
     def to_json(self) -> dict:
         gg = self.gain_graph

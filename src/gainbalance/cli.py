@@ -34,8 +34,8 @@ from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 from typing import Optional
 
-from .balancetests import basis_gains, circle_orientation
-from .cyclespace import parse_basis_text, read_basis_text
+from .balancetests import circle_gains, cycle_gains
+from .cyclespace import read_basis_text
 from .enumeration import inseparable_multigraphs
 from .errors import BudgetError, GraphError, ParseError
 from .gaingraph import is_balanced, parse_gain_text
@@ -111,18 +111,16 @@ def _cmd_balance(args) -> int:
 def _cmd_basis_test(args) -> int:
     g = _load_graph(args.graph)
     gg = parse_gain_text(_read(args.gains), g)
-    text = _read(args.basis)
+    pairs = read_basis_text(_read(args.basis), g)
     circle = args.command == "circle-test"
     # the circle test walks each member's canonical circle walk; a walk line is still checked
-    ob = circle_orientation(g, [s for s, _ in read_basis_text(text, g)]) if circle else parse_basis_text(text, g)
-    gains = basis_gains(gg, ob)
+    gains = circle_gains(gg, [s for s, _ in pairs]) if circle else cycle_gains(gg, pairs)
     passes = all(x == gg.group.identity() for x in gains)
     balanced = is_balanced(gg).balanced
-    report = {
-        "passes": passes,
-        "balanced": balanced,
-        "members": [{"support": sorted(c), "gain": gg.group.format_element(x)} for c, x in zip(ob.cycles, gains)],
-    }
+    report = {"passes": passes, "balanced": balanced}
+    if args.json:
+        fmt = gg.group.format_element
+        report["members"] = [{"support": sorted(s), "gain": fmt(x)} for (s, _), x in zip(pairs, gains)]
     test, oriented = ("circle test", "basis") if circle else ("binary cycle test", "basis orientation")
     lines = [f"{test}: {'pass' if passes else 'fail'}", f"balanced: {balanced}"]
     if passes and not balanced:
@@ -140,11 +138,10 @@ def _cmd_classify(args) -> int:
         verdict = cls.circle_goodness(g, c)
     else:
         verdict = cls.binary_cycle_goodness(g, c)
-    report = verdict.to_json()
     lines = [f"status: {verdict.status}", f"rule: {verdict.rule}"]
     if isinstance(verdict.evidence, cls.BadWitness):
         lines.append(f"witness group: {verdict.evidence.gain_graph.group}")
-    _emit(report, args.json, lines)
+    _emit(verdict.to_json() if args.json else {}, args.json, lines)
     return 0
 
 

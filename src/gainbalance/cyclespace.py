@@ -102,22 +102,32 @@ def binary_cycle(g: Graph, edges: Iterable[str]) -> frozenset:
     return support
 
 
-def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
-    """The canonical walk of ``support`` when it is a circle (a single loop,
-    or connected and 2-regular), else None."""
+def _circle_adjacency(g: Graph, support: frozenset) -> Optional[dict[str, list[str]]]:
+    """The edges of ``support`` at each of its vertices, a loop listed twice
+    at its own, when every vertex has two, else None.  A loop with two
+    entries is its vertex's only edge, so a single loop is a 2-regular
+    support and a loop beside other edges leaves a second component.  Every
+    edge is looked up, so an edge outside g raises, naming the least one,
+    whatever the order of the set."""
     ends = g.edges
     adj: dict[str, list[str]] = {}
     for e in support:
         try:
             t, h = ends[e]
         except KeyError:
-            raise GraphError(f"unknown edge {e!r}") from None
-        if t == h:
-            return ClosedWalk(t, ((e, True),)) if len(support) == 1 else None
+            raise GraphError(f"unknown edge {min(e for e in support if e not in ends)!r}") from None
         adj.setdefault(t, []).append(e)
         adj.setdefault(h, []).append(e)
-    if set(map(len, adj.values())) != {2}:
+    return adj if set(map(len, adj.values())) == {2} else None
+
+
+def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
+    """The canonical walk of ``support`` when it is a circle (a single loop,
+    or connected and 2-regular), else None."""
+    adj = _circle_adjacency(g, support)
+    if adj is None:
         return None
+    ends = g.edges
     # leaving the least vertex by its lesser edge gives the lexicographically
     # least edge sequence: the other direction starts with the greater edge
     start = min(adj)
@@ -135,11 +145,34 @@ def _circle_walk(g: Graph, support: frozenset) -> Optional[ClosedWalk]:
             break
         first, second = adj[at]
         e = second if first == e else first
-    # on a 2-regular support the walk closes after one component, so the
-    # support is connected exactly when the walk uses all of it
+    # the walk closes after one component, as circle_support's tour does
     if len(steps) != len(support):
         return None
     return ClosedWalk(start, tuple(steps))
+
+
+def circle_support(g: Graph, edges: Iterable[str]) -> frozenset:
+    """The edge set, checked to be a circle as :func:`circle_from_support`
+    checks it, by a tour that builds no step: on a 2-regular support the
+    tour from any edge closes after one component, so the support is
+    connected exactly when the tour uses all of it."""
+    support = frozenset(edges)
+    adj = _circle_adjacency(g, support)
+    if adj is not None:
+        ends = g.edges
+        start = at = next(iter(adj))
+        e, n = adj[at][0], 0
+        while True:
+            t, h = ends[e]
+            at = h if t == at else t
+            n += 1
+            if at == start:
+                break
+            first, second = adj[at]
+            e = second if first == e else first
+        if n == len(support):
+            return support
+    raise GraphError(f"{sorted(support)} is not a circle")
 
 
 def circle_from_support(g: Graph, edges: Iterable[str]) -> Circle:

@@ -19,6 +19,7 @@ API = {
     "cyclespace.improper_edges": "the README's cyclespace row",
     "cyclespace.digon_condition": "the README's cyclespace row",
     "cyclespace.basis_to_text": "writer of the basis file format",
+    "cyclespace.parse_basis_text": "reader of the basis file format with every member oriented, for the abelian analysis",
     "graphcore.graph_to_text": "writer of the graph file format",
     "minors.whitney_twist": "the README's minors row; switching/twist invariance in the acceptance tests",
     "minors.bridges_of_pair": "the README's minors row; the bridge CI step",
@@ -29,7 +30,7 @@ API = {
     "minors.reverse_extrusion_reduce": "the README's minors row; the compact reduction on a Graph",
     "graphcore.suppress_divalent": "the README's graphcore row",
     "gaingraph.switch_to_forest": "the README's gaingraph row",
-    "balancetests.circle_test": "the README's balancetests row",
+    "balancetests.circle_orientation": "the README's balancetests row: a basis's canonical circle walks, for callers that need walks",
 }
 
 # Entry points that no library code calls either: what a user of the library

@@ -16,13 +16,23 @@ from gainbalance.cyclespace import (
     basis_to_text,
     enumerate_circles,
     fundamental_circles,
+    gf2_extract_basis,
     is_cycle_basis,
     oriented_basis,
     parse_basis_text,
 )
 from gainbalance.balancetests import binary_cycle_test, circle_test
 from gainbalance.gaingraph import GainGraph, gain_graph, gains_to_text, is_balanced, parse_gain_text
-from gainbalance.graphcore import grid_faces, parse_graph_text, spanning_forest
+from gainbalance.errors import GraphError
+from gainbalance.graphcore import (
+    Graph,
+    components,
+    graph_to_text,
+    grid_faces,
+    parse_graph_text,
+    spanning_forest,
+    spanning_tree,
+)
 from gainbalance.groups import (
     FreeGroup,
     Symmetric,
@@ -35,6 +45,7 @@ from gainbalance.groups import (
 )
 from gainbalance.minors import MINOR_SEARCH_MAX_NODES
 from gainbalance.oracle import oracle_circle_goodness
+from basis_test_reference import reference_run
 from conftest import named
 from oracle_reference import reference_witness_json
 
@@ -212,8 +223,10 @@ def test_basis_test_text_reports(capsys, tmp_path, command, gains, basis, expect
 @pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
 @pytest.mark.parametrize("gains, certificates", [("group Z 3\n", 0), ("group Z 3\ngain h1_1 1\n", 1)])
 def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, command, gains, certificates):
-    # one walk product per basis member, plus one for the certificate of an
-    # unbalanced gain graph; the count covers every module that binds it
+    # one walk product per basis member that meets a chord of non-identity
+    # switched gain (every other member has identity gain), plus one for the
+    # certificate of an unbalanced gain graph; the count covers every module
+    # that binds it
     import gainbalance.gaingraph
 
     original = gainbalance.gaingraph.walk_product
@@ -231,13 +244,18 @@ def test_basis_test_walks_each_member_once(monkeypatch, capsys, tmp_path, comman
     assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis"), "--json"]) == 0
     members = json.loads(capsys.readouterr().out)["members"]
     assert len(members) == 9
-    assert len(calls) == len(members) + certificates
+    gained = parse_gain_text(gains, named("Grid(3,3)")).forest_switching.chord_gains.keys()
+    meeting = [m for m in members if not gained.isdisjoint(m["support"])]
+    assert len(meeting) == 4 * certificates  # h1_1 is a forest edge: its switching gains four chords
+    assert len(calls) == len(meeting) + certificates
 
 
 @pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
 def test_basis_test_builds_each_canonical_walk_once(monkeypatch, capsys, tmp_path, command):
     # one canonical circle walk per face: the circle test's orientation, or
-    # the cycle test's natural orientation of a member given without a walk
+    # the cycle test's natural orientation of a member given without a walk.
+    # Every chord has gain 1 and the forest the identity, so every chord has
+    # that switched gain, and each face holds a chord: every walk is built
     import gainbalance.cyclespace
 
     original = gainbalance.cyclespace._circle_walk
@@ -248,11 +266,182 @@ def test_basis_test_builds_each_canonical_walk_once(monkeypatch, capsys, tmp_pat
         return original(g, support)
 
     monkeypatch.setattr(gainbalance.cyclespace, "_circle_walk", counted)
-    (tmp_path / "grid.gains").write_text("group Z 3\n")
+    g = named("Grid(3,3)")
+    forest = spanning_forest(g)
+    (tmp_path / "grid.gains").write_text("group Z 3\n" + "".join(f"gain {e} 1\n" for e in g.edge_list if e not in forest))
     (tmp_path / "grid.basis").write_text(GRID_FACES)
     assert run([command, "Grid(3,3)", str(tmp_path / "grid.gains"), str(tmp_path / "grid.basis"), "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["members"]) == 9
-    assert len(calls) == 9
+    # and one for the certificate of the unbalanced gain graph
+    assert sorted(calls[:9], key=sorted) == sorted(grid_faces(3, 3), key=sorted) and len(calls) == 10
+
+
+def _element(group, rng, nontrivial=False):
+    if isinstance(group, FreeGroup):
+        return group.element([(rng.choice(group.symbols), rng.choice((1, -1))) for _ in range(rng.randint(nontrivial, 2))])
+    return rng.choice([x for x in group.elements() if not nontrivial or x != group.identity()])
+
+
+def _gain_texts(g, group, rng, members):
+    """Balanced gains (a switching of the identity), the same with an edge of
+    a member multiplied by a non-identity element, and random gains."""
+    values = {v: _element(group, rng) for v in g.vertex_list}
+    balanced = {e: group.op(group.inverse(values[t]), values[h]) for e, (t, h) in g.edges.items()}
+    planted = dict(balanced)
+    e = rng.choice(sorted(frozenset().union(*members)))
+    planted[e] = group.op(planted[e], _element(group, rng, nontrivial=True))
+    random_gains = {e: _element(group, rng) for e in g.edge_list}
+    return {k: gains_to_text(gain_graph(g, group, x)) for k, x in (("balanced", balanced), ("planted", planted), ("random", random_gains))}
+
+
+def _basis_text(members):
+    return "".join(" ".join(sorted(m)) + "\n" for m in members)
+
+
+def _walk_lines(g, gg, members):
+    """``members`` with their natural orientations as walk lines.  The walk of
+    the first member that meets no chord of non-identity switched gain first
+    crosses a chord twice, forward both times, back along the spanning tree
+    in between: a chord of non-identity switched gain when there is one in
+    its component."""
+    tree = spanning_tree(g)
+    gained = gg.forest_switching.chord_gains
+    chords = list(gained) + [e for e in g.edge_list if e not in tree.forest]
+    lines, detoured = [], False
+    for m, w in oriented_basis(g, members).pairs:
+        steps = list(w.steps)
+        for c in chords if not detoured and gained.keys().isdisjoint(m) else ():
+            t, h = g.ends(c)
+            try:
+                there = tree.path(w.start, t)
+            except GraphError:  # c lies in another component
+                continue
+            steps = there + [(c, True)] + tree.path(h, t) + [(c, True)] + tree.path(h, w.start) + steps
+            detoured = True
+            break
+        lines += [" ".join(sorted(m)), "walk: " + " ".join(("" if forward else "-") + e for e, forward in steps)]
+    return "\n".join(lines) + "\n"
+
+
+def _basis_texts(g, gg, short):
+    """The fundamental basis, ``short`` (faces or shortest circles), the
+    fundamental basis with walk lines, and three variants of it: one member
+    replaced by the sum of two vertex-disjoint members (in two components of
+    g when it has two), one made odd, and one listed in place of another."""
+    fundamental = [c.support for c in fundamental_circles(g, spanning_forest(g))]
+    texts = {"fundamental": _basis_text(fundamental), "short": _basis_text(short), "walks": _walk_lines(g, gg, fundamental)}
+    where = {v: i for i, vs in enumerate(components(g)) for v in vs}
+    ends = [{v for e in m for v in g.ends(e)} for m in fundamental]
+    disjoint = [(i, j) for i in range(len(fundamental)) for j in range(len(fundamental)) if i != j and not ends[i] & ends[j]]
+    disjoint.sort(key=lambda ij: where[min(ends[ij[0]])] == where[min(ends[ij[1]])])
+    if disjoint:
+        i, j = disjoint[0]
+        texts["two circles"] = _basis_text(fundamental[:i] + [fundamental[i] | fundamental[j]] + fundamental[i + 1 :])
+    e = next(e for e in g.edge_list if not g.is_loop(e))
+    texts["odd"] = _basis_text([fundamental[0] ^ {e}] + fundamental[1:])
+    texts["repeated"] = _basis_text(fundamental[:-1] + fundamental[:1])
+    return texts
+
+
+def _random_host(rng):
+    """A multigraph with loops and parallel edges, often of several
+    components, whose cycle space has dimension at least 2."""
+    while True:
+        vertices = [f"v{i}" for i in range(rng.randint(2, 6))]
+        g = Graph({f"e{k:02d}": (rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(4, 12))}, vertices)
+        if len(g.edge_list) - len(spanning_forest(g)) >= 2 and any(not g.is_loop(e) for e in g.edge_list):
+            return g
+
+
+def _shortest_circles(g):
+    circles = enumerate_circles(g)
+    masks = [(sum(1 << i for i, e in enumerate(g.edge_list) if e in c.support), c.support) for c in circles]
+    return gf2_extract_basis(masks, len(g.edge_list) - len(spanning_forest(g)))
+
+
+def test_basis_tests_match_the_reference_that_walks_every_member(capsys, tmp_path):
+    # exit code, stdout and stderr of cycle-test and circle-test, in text and
+    # --json mode, against the evaluation that orients and multiplies every
+    # member, over grids, wheels and random multigraphs, four groups, balanced,
+    # planted and random gains, and valid and invalid bases
+    rng = random.Random(32)
+    hosts = [("Grid(4,4)", named("Grid(4,4)"), grid_faces(4, 4)), ("W6", named("W6"), None)]
+    for k in range(6):
+        g = _random_host(rng)
+        (tmp_path / f"{k}.graph").write_text(graph_to_text(g))
+        hosts.append((f"file:{tmp_path / f'{k}.graph'}", g, None))
+    seen = set()
+    for arg, g, short in hosts:
+        short = short or _shortest_circles(g)
+        for group in (cyclic(3), abelian_product(2, 3), free_on("a", "b"), symmetric(3)):
+            for kind, gains in _gain_texts(g, group, rng, short).items():
+                (tmp_path / "g.gains").write_text(gains)
+                for name, text in _basis_texts(g, parse_gain_text(gains, g), short).items():
+                    (tmp_path / "g.basis").write_text(text)
+                    for command in ("cycle-test", "circle-test"):
+                        for mode in ([], ["--json"]):
+                            argv = [command, arg, str(tmp_path / "g.gains"), str(tmp_path / "g.basis"), *mode]
+                            code = run(argv)
+                            ours = capsys.readouterr()
+                            assert (code, ours.out, ours.err) == (reference_run(argv), *capsys.readouterr()), (argv, gains, text)
+                            seen.add((command, name, code, ours.out.split("\n")[0] if mode else ""))
+    # every variant reached both tests, and both outcomes and input errors occurred
+    assert {(c, n) for c, n, *_ in seen} == {(c, n) for c in ("cycle-test", "circle-test") for n in (
+        "fundamental", "short", "walks", "two circles", "odd", "repeated")}, seen
+    assert {code for _, _, code, _ in seen} == {0, 2}
+    assert {first for *_, first in seen} >= {"", "{"}
+
+
+@pytest.mark.parametrize("command", ["circle-test", "cycle-test"])
+def test_basis_test_builds_walks_only_for_members_meeting_a_gained_chord(monkeypatch, capsys, tmp_path, command):
+    # on balanced gains no natural orientation or canonical circle walk is
+    # built; on planted gains only those of the members that meet a chord of
+    # non-identity switched gain, each once, in basis order, and the
+    # certificate's fundamental circle; the circle test builds its walks
+    # without a natural orientation
+    import gainbalance.balancetests
+    import gainbalance.cyclespace
+
+    natural, circle_walks = [], []
+    orient, circle_walk = gainbalance.cyclespace.natural_orientation, gainbalance.cyclespace._circle_walk
+    monkeypatch.setattr(gainbalance.balancetests, "natural_orientation", lambda b, g: natural.append(b) or orient(b, g))
+    monkeypatch.setattr(gainbalance.cyclespace, "_circle_walk", lambda g, s: circle_walks.append(s) or circle_walk(g, s))
+    rng = random.Random(command)
+    proper = 0
+    for host, short in (("Grid(6,6)", grid_faces(6, 6)), ("W8", None)):
+        g = named(host)
+        fundamental = [c.support for c in fundamental_circles(g, spanning_forest(g))]
+        for members in (fundamental, short or _shortest_circles(g)):
+            (tmp_path / "g.basis").write_text(_basis_text(members))
+            for group in (cyclic(3), symmetric(3)):
+                for kind, gains in _gain_texts(g, group, rng, members).items():
+                    if kind == "random":
+                        continue
+                    (tmp_path / "g.gains").write_text(gains)
+                    gg = parse_gain_text(gains, g)
+                    meeting = [m for m in members if not gg.forest_switching.chord_gains.keys().isdisjoint(m)]
+                    del natural[:], circle_walks[:]
+                    assert run([command, host, str(tmp_path / "g.gains"), str(tmp_path / "g.basis"), "--json"]) == 0
+                    balanced = json.loads(capsys.readouterr().out)["balanced"]
+                    assert balanced == (kind == "balanced") == (meeting == [])
+                    assert natural == (meeting if command == "cycle-test" else [])
+                    assert circle_walks[: len(meeting)] == meeting
+                    assert len(circle_walks) == len(meeting) + (not balanced)
+                    proper += 0 < len(meeting) < len(members)
+    assert proper >= 4, proper
+
+
+def test_text_mode_classify_builds_no_json_report(monkeypatch, capsys):
+    from gainbalance import classify
+
+    def unused(self):
+        raise AssertionError("a text report built the --json report")
+
+    monkeypatch.setattr(classify.Verdict, "to_json", unused)
+    assert run(["classify", "W4", "--class", "contains-z3"]) == 0
+    assert capsys.readouterr().out == "status: Bad\nrule: forbidden-minor-with-z3\nwitness group: Z3\n"
+    with pytest.raises(AssertionError, match="built the --json report"):
+        run(["classify", "W4", "--class", "contains-z3", "--json"])
 
 
 def test_parser_keeps_no_state_between_runs(capsys, tmp_path):

@@ -1,8 +1,12 @@
 import gc
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from gainbalance.cyclespace import (
     binary_cycle,
     basis_to_text,
     circle_from_support,
+    circle_support,
     cycle_space_dimension,
     cyclic_orientations,
     digon_condition,
@@ -89,9 +94,18 @@ def test_circle_from_support_rejects_disconnected_and_figure_eight():
         circle_from_support(named("2C4"), {"e1", "f1", "e3", "f3"})
 
 
+def _is_circle_support(g, support):
+    try:
+        return circle_support(g, support) == support
+    except GraphError as exc:
+        assert str(exc) == f"{sorted(support)} is not a circle"
+        return False
+
+
 def test_circle_walk_matches_reference_on_every_small_support():
     # every edge subset of every connected multigraph up to 6 edges, loops and
-    # parallel edges included: the same walk, or None for a non-circle
+    # parallel edges included: the same walk, or None for a non-circle, which
+    # circle_support's tour rejects
     supports = circles = 0
     for g in (materialize(c) for level in connected_multigraphs(6) for c in level):
         for r in range(len(g.edge_list) + 1):
@@ -99,6 +113,7 @@ def test_circle_walk_matches_reference_on_every_small_support():
                 support = frozenset(sub)
                 walk = cyclespace._circle_walk(g, support)
                 assert walk == reference_circle_walk(g, support), (sorted(g.edges.items()), sorted(support))
+                assert _is_circle_support(g, support) == (walk is not None), (sorted(g.edges.items()), sorted(support))
                 supports += 1
                 circles += walk is not None
     assert (supports, circles) == (24621, 1324)
@@ -123,8 +138,30 @@ def test_circle_walk_matches_reference_on_large_bases():
         assert walks == [reference_circle_walk(g, s) for s in supports] and None not in walks
     assert [cyclespace._circle_walk(grid, s) for s in not_circles] == [None] * 4
     assert [reference_circle_walk(grid, s) for s in not_circles] == [None] * 4
+    assert [_is_circle_support(g, s) for g, s in [(grid, f) for f in faces + fundamental] + [(w100, h) for h in hamiltonian]] == [True] * 1900
+    assert [_is_circle_support(grid, s) for s in not_circles] == [False] * 4
     with pytest.raises(GraphError, match="^unknown edge 'nope'$"):
         circle_from_support(grid, {"h0_0", "nope"})
+
+
+def test_unknown_edge_beside_a_loop_is_named_under_every_hash_seed():
+    # every edge is looked up before a loop decides the support, and the
+    # least unknown edge is named, whatever order the set iterates in
+    code = (
+        "from gainbalance.cyclespace import circle_from_support, circle_support\n"
+        "from gainbalance.graphcore import Graph\n"
+        "g = Graph({'a': ('u', 'u'), 'b': ('u', 'v'), 'c': ('v', 'u')})\n"
+        "for check, edges in ((circle_from_support, ['a', 'zz']), (circle_support, ['a', 'zz']), (circle_from_support, ['b', 'zz', 'yy', 'a'])):\n"
+        "    try:\n"
+        "        check(g, edges)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(cyclespace.__file__).resolve().parent.parent)
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "unknown edge 'zz'\nunknown edge 'zz'\nunknown edge 'yy'\n", (seed, done.stdout)
 
 
 @pytest.mark.parametrize(
