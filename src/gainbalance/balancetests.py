@@ -77,8 +77,7 @@ def _gains(gg: GainGraph, pairs: Sequence[tuple[frozenset, Optional[ClosedWalk]]
     member given without a walk is checked by ``check(g, member)``, or by
     ``orient``, which raises as ``check`` does, when its walk is built; the
     basis is checked after them.  The given walks were checked where they
-    were read (``read_basis_text``, ``oriented_basis``,
-    ``circle_orientation``)."""
+    were read (``read_basis_text``, ``oriented_basis``)."""
     g = gg.graph
     gained = gg.forest_switching.chord_gains.keys()
     walks = []
@@ -126,13 +125,6 @@ def binary_cycle_test(gg: GainGraph, ob: OrientedBasis) -> bool:
     """
     ident = gg.group.identity()
     return all(x == ident for x in basis_gains(gg, ob))
-
-
-def circle_orientation(g: Graph, members: Iterable[Iterable[str]]) -> OrientedBasis:
-    """Each member, a set of edge ids, paired with its canonical circle walk
-    by :func:`circle_from_support`, so a member that is not a circle raises."""
-    circles = [circle_from_support(g, m) for m in members]
-    return OrientedBasis(tuple((c.support, c.walk) for c in circles), g)
 
 
 def circle_gains(gg: GainGraph, members: Iterable[Iterable[str]]) -> list:

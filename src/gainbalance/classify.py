@@ -122,16 +122,19 @@ class BadWitness:
     test: str  # BINARY_TEST or CIRCLE_TEST
 
     def verify(self) -> bool:
-        """True iff every basis walk is a closed walk of the graph projecting
-        to its member, the basis passes the stated test, and the gain graph
-        is unbalanced."""
+        """True iff the basis belongs to the graph, every basis walk is a
+        closed walk of the graph projecting to its member, the basis passes
+        the stated test, and the gain graph is unbalanced.  A failed check, a
+        test's own raise included, gives False."""
         gg = self.gain_graph
+        if self.basis.host.edges != gg.graph.edges:
+            return False
         try:
             for i, (c, w) in enumerate(self.basis.pairs):
                 _checked_walk(gg.graph, i, c, w)
+            passes = circle_test(gg, self.basis.cycles) if self.test == CIRCLE_TEST else binary_cycle_test(gg, self.basis)
         except GraphError:
             return False
-        passes = circle_test(gg, self.basis.cycles) if self.test == CIRCLE_TEST else binary_cycle_test(gg, self.basis)
         return passes and not is_balanced(gg).balanced
 
     def to_json(self) -> dict:

@@ -4,12 +4,14 @@ A binary cycle is an edge set meeting every vertex in even degree; a circle
 is the edge set of a nontrivial simple closed walk.  A basis is an ordered
 sequence of members, and a member is the frozenset of its edge identifiers:
 functions here take any iterable of edge ids per member and freeze it once,
-and a caller holding circles passes their supports.  All GF(2) linear
-algebra pivots in edge-identifier order so results are deterministic.
+and a caller holding circles passes their supports.  A binary cycle is fixed
+by its chords of the graph's spanning tree, so its GF(2) coordinates are its
+chord mask (``_chord_masks``), and all GF(2) linear algebra runs on chord
+masks, pivoting in edge-identifier order so results are deterministic.
 
 A 2-regular support is a circle exactly when its canonical walk uses every
 edge, so no separate connectivity search is made.  Fundamental circles and the
-links between the components of a cyclic orientation follow the paths of
+links between the components of a natural orientation follow the paths of
 :class:`graphcore.RootedForest`; the links use the graph's one spanning tree
 (:func:`graphcore.spanning_tree`), so orienting a basis builds it at most
 once.
@@ -43,7 +45,6 @@ from .graphcore import (
     DisjointSets,
     Graph,
     RootedForest,
-    edge_components,
     spanning_forest,
     spanning_tree,
     walk_support,
@@ -188,16 +189,6 @@ def circle_from_support(g: Graph, edges: Iterable[str]) -> Circle:
 # -- GF(2) helpers -----------------------------------------------------------
 
 
-def _edge_index(g: Graph) -> dict[str, int]:
-    return {e: i for i, e in enumerate(g.edge_list)}
-
-def _mask(support: Iterable[str], index: dict[str, int]) -> int:
-    m = 0
-    for e in support:
-        m |= 1 << index[e]
-    return m
-
-
 def _gf2_insert(lead: dict[int, int], m: int) -> bool:
     """Reduce ``m`` by the rows of ``lead`` (keyed by leading bit); keep the
     remainder as a new row and return True when it is nonzero."""
@@ -228,11 +219,11 @@ def gf2_extract_basis(items: Sequence[tuple[int, object]], dim: int) -> Optional
     return None
 
 
-def _spans_by_chords(members: Sequence[frozenset], g: Graph) -> bool:
-    """True iff binary cycles ``members`` form a basis of Z1(g; GF(2)).  A
-    binary cycle is fixed by its chords of ``spanning_tree(g)``, so they do iff
-    they are as many as the chords and their chord masks are independent.  A
-    member with an edge outside g raises."""
+def _chord_masks(g: Graph, members: Iterable[Iterable[str]]) -> tuple[int, list[int]]:
+    """The number of chords of ``spanning_tree(g)`` and each member's chords
+    as a bitmask, the i-th chord in edge order at bit i.  A binary cycle is
+    fixed by its chords, so on binary cycles the masks are their GF(2)
+    coordinates.  A member with an edge outside g raises."""
     forest = spanning_tree(g).forest
     chords = [e for e in g.edge_list if e not in forest]
     bits = dict.fromkeys(forest, 0)
@@ -246,7 +237,15 @@ def _spans_by_chords(members: Sequence[frozenset], g: Graph) -> bool:
             except KeyError:
                 raise GraphError("basis member uses edges outside the host graph") from None
         masks.append(mask)
-    return len(masks) == len(chords) and gf2_rank(masks) == len(chords)
+    return len(chords), masks
+
+
+def _spans_by_chords(members: Iterable[Iterable[str]], g: Graph) -> bool:
+    """True iff binary cycles ``members`` form a basis of Z1(g; GF(2)): they
+    are as many as the chords and their chord masks are independent.  Every
+    mask is built first, so a member with an edge outside g raises."""
+    dim, masks = _chord_masks(g, members)
+    return len(masks) == dim and gf2_rank(masks) == dim
 
 
 def is_cycle_basis(members: Iterable[Iterable[str]], g: Graph) -> bool:
@@ -406,102 +405,90 @@ def least_circle(g: Graph) -> Optional[frozenset]:
     return frozenset(g.edge_list[abs(k) - 1] for k in _circle_walks(g, girth)[0])
 
 
-# -- cyclic orientations ------------------------------------------------------
+# -- natural orientations ----------------------------------------------------
 
 
-def _euler_walk(g: Graph, support: frozenset, start: str) -> list[tuple[str, bool]]:
-    """Closed Euler walk on a connected even-degree support, Hierholzer with
-    least-identifier-first edge choice."""
+def _euler_tours(g: Graph, support: frozenset) -> list[tuple[str, list[tuple[str, bool]]]]:
+    """A closed Euler walk of each component of an even-degree support, from
+    its least vertex, in the order of those vertices: Hierholzer with
+    least-identifier-first edge choice on one sorted adjacency of the whole
+    support.  A tour uses up its component, so the least vertex still holding
+    an unused edge starts the next one."""
+    ends = g.edges
     remaining: dict[str, list[str]] = {}
     for e in sorted(support):
-        t, h = g.ends(e)
+        t, h = ends[e]
         remaining.setdefault(t, []).append(e)
         if h != t:
             remaining.setdefault(h, []).append(e)
     used: set[str] = set()
     # edges only ever become used, so each vertex's least unused edge moves
-    # forward through its sorted list: one cursor per vertex keeps the walk
+    # forward through its sorted list: one cursor per vertex keeps the tours
     # linear in the support
-    cursor: dict[str, int] = {}
+    cursor = dict.fromkeys(remaining, 0)
 
     def pick(v: str) -> Optional[str]:
-        edges = remaining.get(v, ())
-        k = cursor.get(v, 0)
+        edges = remaining[v]
+        k = cursor[v]
         while k < len(edges) and edges[k] in used:
             k += 1
         cursor[v] = k
         return edges[k] if k < len(edges) else None
 
-    def tour(v0: str) -> list[tuple[str, bool]]:
+    def tour(at: str) -> list[tuple[str, bool]]:
         walk = []
-        at = v0
-        while True:
-            e = pick(at)
-            if e is None:
-                break
+        while (e := pick(at)) is not None:
             used.add(e)
-            t, h = g.ends(e)
+            t, h = ends[e]
             walk.append((e, at == t))
             at = h if at == t else t
         return walk
 
-    walk = tour(start)
-    # splice in detours at vertices with unused edges
-    i = 0
-    at = start
-    while i <= len(walk):
-        if pick(at) is not None:
-            detour = tour(at)
-            walk[i:i] = detour
+    tours = []
+    for start in sorted(remaining):
+        if pick(start) is None:
             continue
-        if i == len(walk):
-            break
-        e, forward = walk[i]
-        t, h = g.ends(e)
-        at = h if forward else t
-        i += 1
-    return walk
-
-
-def cyclic_orientations(b: Iterable[str], g: Graph, budget: int = 4) -> list[ClosedWalk]:
-    """Closed walks projecting to the binary cycle ``b``: the canonical one
-    first (per-component Euler walks linked by out-and-back paths of the
-    graph's spanning tree), then alternate direction choices, up to
-    ``budget`` walks."""
-    support = frozenset(b)
-    if not support:
-        return [ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())]
-    comp_sets = [
-        (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in edge_components(g, support)
-    ]
-    base = comp_sets[0][0]
-    # one component needs no link, so only a split member reads the tree
-    links = [[]] if len(comp_sets) == 1 else [spanning_tree(g).path(base, anchor) for anchor, _ in comp_sets]
-    euler = [(go, _euler_walk(g, comp, anchor)) for go, (anchor, comp) in zip(links, comp_sets)]
-
-    out = []
-    n = len(euler)
-    for flips in range(min(budget, 1 << n)):
-        steps: list[tuple[str, bool]] = []
-        for i, (go, tour) in enumerate(euler):
-            part = list(tour)
-            if (flips >> i) & 1:
-                part = [(e, not forward) for e, forward in reversed(part)]
-            steps.extend(go)
-            steps.extend(part)
-            steps.extend((e, not forward) for e, forward in reversed(go))
-        out.append(ClosedWalk(base, tuple(steps)))
-    return out
+        walk = tour(start)
+        # splice in detours at vertices with unused edges
+        i, at = 0, start
+        while i <= len(walk):
+            if pick(at) is not None:
+                walk[i:i] = tour(at)
+                continue
+            if i == len(walk):
+                break
+            e, forward = walk[i]
+            at = ends[e][forward]
+            i += 1
+        tours.append((start, walk))
+    return tours
 
 
 def natural_orientation(b: Iterable[str], g: Graph) -> ClosedWalk:
-    """Canonical walk for a circle member, else the canonical linked Euler
-    walk; a member that is not a binary cycle raises."""
+    """The canonical walk of a circle member; else the Euler tours of
+    :func:`_euler_tours`, each but the first reached from the first tour's
+    start by an out-and-back path of the graph's spanning tree.  The empty
+    member is the trivial walk at the least vertex; a member that is not a
+    binary cycle raises."""
     support = frozenset(b)
     walk = _circle_walk(g, support)
     if walk is not None:
         return walk
-    return cyclic_orientations(binary_cycle(g, support), g, budget=1)[0]
+    tours = _euler_tours(g, binary_cycle(g, support))
+    if not tours:
+        return ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())
+    base = tours[0][0]
+    if len(tours) == 1:
+        return ClosedWalk(base, tuple(tours[0][1]))
+    # one component needs no link, so only a split member reads the tree
+    tree = spanning_tree(g)
+    steps: list[tuple[str, bool]] = []
+    for anchor, part in tours:
+        go = tree.path(base, anchor)
+        steps += go
+        steps += part
+        steps += ((e, not forward) for e, forward in reversed(go))
+    return ClosedWalk(base, tuple(steps))
 
 
 def _checked_walk(g: Graph, i: int, support: frozenset, w: ClosedWalk) -> ClosedWalk:

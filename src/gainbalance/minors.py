@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cyclespace import OrientedBasis, fundamental_circle, least_circle
 from .errors import BudgetError, GraphError
-from .gaingraph import GainAssignment, GainGraph
+from .gaingraph import GainAssignment, GainGraph, _solve_switching
 from .graphcore import (
     ClosedWalk,
     DisjointSets,
@@ -335,6 +335,13 @@ def lift_basis_deletion(
     for f (``RootedForest.swap``) when f, the greatest edge on the path, is
     greater than e, and the old one otherwise.  A restored edge costs the
     length of its circle.
+
+    The restored gains come from one switching p to the identity on the
+    freshly rooted forest, solved before any swap
+    (``gaingraph._solve_switching``).  The forest path from h to t then has
+    gain p(h) p(t)^-1, so e: t -> h gets p(t) p(h)^-1, one group product,
+    which balances its circle.  That gain also switches e itself to the
+    identity under p, so p stays valid on every forest the swaps give.
     """
     s = set(s)
     reduced = delete(g, s)
@@ -353,6 +360,7 @@ def lift_basis_deletion(
         new_gains[e] = group.identity()
     pairs = list(b.pairs)
     tree = RootedForest(g, forest + bridge_like)  # bridges join the least forest of g - s
+    values, inverses = _solve_switching(tree, group, new_gains)
     for e in rest:
         t, h = g.ends(e)
         path = tree.path(h, t)
@@ -360,12 +368,7 @@ def lift_basis_deletion(
         walk = ClosedWalk(t, ((e, True), *path))
         if walk_support(walk) != support:
             raise GraphError("lift produced an inconsistent circle walk")
-        # solve gain(e) so the walk product is the identity
-        acc = group.identity()
-        for f, forward in path:
-            x = new_gains[f]
-            acc = group.op(acc, x if forward else group.inverse(x))
-        new_gains[e] = group.inverse(acc)
+        new_gains[e] = group.op(values[t], inverses[h])
         pairs.append((support, walk))
         top = max(support)
         if top != e:

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .classify import CIRCLE_TEST, BadWitness
-from .cyclespace import OrientedBasis, _circle_walks, _edge_index, _mask, _walk_circles, gf2_extract_basis
+from .cyclespace import OrientedBasis, _chord_masks, _circle_walks, _walk_circles, gf2_extract_basis
 from .errors import BudgetError, GraphError
 from .gaingraph import gain_graph
 from .graphcore import Graph, spanning_forest
@@ -240,12 +240,14 @@ def oracle_circle_goodness(g: Graph, grp: Group, budget: int = ORACLE_BUDGET) ->
     one per unit orbit; the graph is bad iff some unbalanced assignment
     balances a spanning set of circles.  The first counterexample
     (lexicographic assignment order, greedy basis extraction in canonical
-    circle order) is returned as a verified witness.
+    circle order, in chord coordinates: projecting onto the chords is
+    injective on the cycle space, so it picks what edge coordinates would)
+    is returned as a verified witness.
     """
     # the first spanning set in assignment order is the counterexample
     for gains, subset in _spanning_assignments(g, grp, *_oracle_circles(g, grp, budget)):
-        index = _edge_index(g)
-        basis = gf2_extract_basis([(_mask(c.support, index), c) for c in subset], len(gains))
+        _, masks = _chord_masks(g, (c.support for c in subset))
+        basis = gf2_extract_basis(list(zip(masks, subset)), len(gains))
         ob = OrientedBasis(tuple((c.support, c.walk) for c in basis), g)
         witness = BadWitness(gain_graph(g, grp, gains), ob, CIRCLE_TEST)
         if not witness.verify():

@@ -18,9 +18,10 @@ import operator
 import random
 
 from gainbalance.balancetests import abelian_witness, implies_balance_abelian, smith_normal_form
-from gainbalance.cyclespace import OrientedBasis, cyclic_orientations, enumerate_circles, fundamental_circles
+from gainbalance.cyclespace import OrientedBasis, enumerate_circles, fundamental_circles
 from gainbalance.errors import GraphError
 from gainbalance.graphcore import spanning_forest, walk_int_vector
+from cyclespace_reference import reference_cyclic_orientations
 
 
 def smith_normal_form_full_scan(matrix):
@@ -129,7 +130,8 @@ def random_walk_basis(g, rng):
     """A random basis of the cycle space of ``g``: each member is a random
     GF(2) combination of the fundamental circles, kept when independent of
     the members before it, and is paired with a random one of its
-    ``cyclic_orientations``, so that every walk projects onto its member."""
+    ``reference_cyclic_orientations``, so that every walk projects onto its
+    member."""
     fundamental = [c.support for c in fundamental_circles(g, spanning_forest(g))]
     dim = len(fundamental)
     pairs, rows = [], []
@@ -142,7 +144,7 @@ def random_walk_basis(g, rng):
         rows.append(reduced)
         rows.sort(reverse=True)
         member = functools.reduce(operator.xor, (s for i, s in enumerate(fundamental) if coefficients >> i & 1))
-        pairs.append((member, rng.choice(cyclic_orientations(member, g, budget=4))))
+        pairs.append((member, rng.choice(reference_cyclic_orientations(member, g, budget=4))))
     return OrientedBasis(tuple(pairs), g)
 
 

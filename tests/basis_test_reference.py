@@ -6,25 +6,53 @@ Reference for ``gainbalance.balancetests`` (``cycle_gains``,
 ``circle-test`` commands, which build a member's natural orientation or
 canonical circle walk only when its support meets a chord of non-identity
 switched gain, and give every other member the identity.  Here every member
-is oriented first, by ``parse_basis_text`` or ``circle_orientation``, and
-every walk is multiplied by ``walk_product``.
+is oriented first, by ``parse_basis_text`` or ``circle_from_support``, and
+every walk is multiplied by ``walk_product``.  The basis is checked in edge
+coordinates by an elimination of its own, not in the library's chord
+coordinates.
 """
 
 import sys
 
 from gainbalance import cli
-from gainbalance.balancetests import circle_orientation
-from gainbalance.cyclespace import _spans_by_chords, parse_basis_text, read_basis_text
+from gainbalance.cyclespace import (
+    OrientedBasis,
+    circle_from_support,
+    cycle_space_dimension,
+    parse_basis_text,
+    read_basis_text,
+)
 from gainbalance.errors import GraphError, ParseError
 from gainbalance.gaingraph import is_balanced, parse_gain_text, walk_product
 
 
+def reference_spans(members, g):
+    """True iff binary cycles ``members`` form a basis of Z1(g; GF(2)): as many
+    as the cycle-space dimension and independent, each member's edge mask
+    reduced by the rows kept before it, one per leading bit.  A member with
+    an edge outside g raises, whatever the count."""
+    bit = {e: 1 << i for i, e in enumerate(g.edge_list)}
+    masks = []
+    for m in members:
+        if not set(m) <= bit.keys():
+            raise GraphError("basis member uses edges outside the host graph")
+        masks.append(sum(map(bit.__getitem__, m)))
+    rows = {}  # leading bit -> row
+    for m in masks:
+        while m and m.bit_length() in rows:
+            m ^= rows[m.bit_length()]
+        if not m:
+            return False
+        rows[m.bit_length()] = m
+    return len(rows) == cycle_space_dimension(g)
+
+
 def reference_basis_gains(gg, ob):
     """The gain of every walk of ``ob``, once its cycles are checked to be a
-    basis of ``gg``'s graph in chord coordinates."""
+    basis of ``gg``'s graph in edge coordinates."""
     if ob.host.edges != gg.graph.edges:
         raise GraphError("oriented basis belongs to a different graph")
-    if not _spans_by_chords(ob.cycles, gg.graph):
+    if not reference_spans(ob.cycles, gg.graph):
         raise GraphError("oriented cycles do not form a basis")
     return [walk_product(gg, w) for w in ob.walks]
 
@@ -34,7 +62,11 @@ def _reference_basis_test(args) -> int:
     gg = parse_gain_text(cli._read(args.gains), g)
     text = cli._read(args.basis)
     circle = args.command == "circle-test"
-    ob = circle_orientation(g, [s for s, _ in read_basis_text(text, g)]) if circle else parse_basis_text(text, g)
+    if circle:
+        circles = [circle_from_support(g, s) for s, _ in read_basis_text(text, g)]
+        ob = OrientedBasis(tuple((c.support, c.walk) for c in circles), g)
+    else:
+        ob = parse_basis_text(text, g)
     gains = reference_basis_gains(gg, ob)
     passes = all(x == gg.group.identity() for x in gains)
     balanced = is_balanced(gg).balanced

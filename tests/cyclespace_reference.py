@@ -6,14 +6,17 @@ identifiers alone and builds the steps once the walk has closed.  Here each
 support edge is looked up through ``Graph.ends`` and each step is built as
 the walk reaches it.
 
-Reference for ``cyclic_orientations`` and ``natural_orientation``, which
-link the components of a member along the graph's one spanning tree, built
-once per graph and only for a member of more than one component.  Here
-every member builds that tree afresh.
+Reference for ``natural_orientation``, which tours every component of a
+member on one sorted adjacency (``_euler_tours``) and links the tours along
+the graph's one spanning tree, built once per graph and only for a member of
+more than one component.  Here each component is found by
+``edge_components`` and toured on its own, and every member builds that tree
+afresh.  ``reference_cyclic_orientations`` also gives the walks with some
+tours reversed; the tests draw random orientations from it.
 
-Reference for ``gainbalance.cyclespace._euler_walk``, which keeps one cursor
-per vertex into its sorted edge list.  Here each edge choice rescans the
-list from its start.
+Reference for the tours of ``gainbalance.cyclespace._euler_tours``, which
+keep one cursor per vertex into its sorted edge list.  Here each edge choice
+rescans the list from its start.
 
 Reference for ``gainbalance.cyclespace._circle_walks``, the iterative DFS on
 vertex indices and signed edge numbers.  ``reference_dfs_circles`` recurses

@@ -30,7 +30,6 @@ API = {
     "minors.reverse_extrusion_reduce": "the README's minors row; the compact reduction on a Graph",
     "graphcore.suppress_divalent": "the README's graphcore row",
     "gaingraph.switch_to_forest": "the README's gaingraph row",
-    "balancetests.circle_orientation": "the README's balancetests row: a basis's canonical circle walks, for callers that need walks",
 }
 
 # Entry points that no library code calls either: what a user of the library

@@ -8,7 +8,6 @@ from gainbalance.balancetests import (
     QueryReport,
     abelian_witness,
     binary_cycle_test,
-    circle_orientation,
     circle_test,
     implies_balance_abelian,
     smith_normal_form,
@@ -31,6 +30,7 @@ from gainbalance.graphcore import ClosedWalk, Graph, grid_faces, spanning_forest
 from gainbalance.groups import FreeGroup, abelian_product, cyclic, free_on, symmetric
 from abelian_reference import FullEdgeReport, odd_order_survey, smith_normal_form_full_scan
 from conftest import named
+from cyclespace_reference import reference_circle_walk
 
 
 Z3 = cyclic(3)
@@ -299,13 +299,19 @@ def test_circle_test_equals_per_circle_walk_gains():
 
 
 def test_circle_orientation_pairs_canonical_walks():
+    # a basis's canonical circle walks come from circle_from_support, which
+    # leaves each circle's least vertex by its lesser edge
     g = named("2C4")
     members = [c.support for c in fundamental_circles(g, spanning_forest(g))]
-    ob = circle_orientation(g, members)
-    assert list(ob.cycles) == members
-    assert list(ob.walks) == [circle_from_support(g, m).walk for m in members]
-    with pytest.raises(GraphError):
-        circle_orientation(g, [{"e1", "f1", "e2", "f2"}])  # two digons, not a circle
+    circles = [circle_from_support(g, m) for m in members]
+    assert [c.support for c in circles] == members
+    assert [c.walk for c in circles] == [reference_circle_walk(g, m) for m in members]
+    for c in circles:
+        first = c.walk.steps[0][0]
+        assert c.walk.start == min(v for e in c.support for v in g.ends(e))
+        assert first == min(e for e in c.support if c.walk.start in g.ends(e))
+    with pytest.raises(GraphError, match="is not a circle"):
+        circle_from_support(g, {"e1", "f1", "e2", "f2"})  # two digons, not a circle
 
 
 # -- abelian analysis ----------------------------------------------------------------

@@ -30,6 +30,7 @@ from gainbalance.cyclespace import (
     cycle_space_dimension,
     enumerate_circles,
     gf2_extract_basis,
+    is_cycle_basis,
     oriented_basis,
 )
 from gainbalance.enumeration import all_multigraphs, inseparable_multigraphs
@@ -616,6 +617,41 @@ def test_bad_witness_verify_walks_its_basis():
         walk_vertices(w.gain_graph.graph, tampered)
     assert w.verify()
     assert not BadWitness(w.gain_graph, OrientedBasis(((cycle, tampered), *rest), w.basis.host), w.test).verify()
+
+
+def test_bad_witness_verify_is_false_on_tampered_witnesses():
+    # every failed check gives False, the tests' own raises included
+    circle = bad_witness(parse_graph_spec("W4"))
+    binary = binary_cycle_goodness(named("W4"), CZ3).evidence
+    loop = bad_witness(parse_graph_spec("K1loop"), 3)
+    assert (circle.test, binary.test, loop.test) == (CIRCLE_TEST, BINARY_TEST, BINARY_TEST)
+    assert circle.verify() and binary.verify() and loop.verify()
+    gg, g = circle.gain_graph, circle.gain_graph.graph
+    pairs = circle.basis.pairs
+
+    def tampered(w, pairs, host=None, gg=None):
+        return BadWitness(gg or w.gain_graph, OrientedBasis(tuple(pairs), host or w.basis.host), w.test)
+
+    # a binary cycle that is not a circle, the two triangles at the hub on s1
+    # and s3, in place of a member it keeps the basis spanning with
+    eight = frozenset({"s1", "r1", "s2", "s3", "r3", "s4"})
+    cycles = circle.basis.cycles
+    i = next(i for i in range(len(pairs)) if is_cycle_basis([*cycles[:i], eight, *cycles[i + 1 :]], g))
+    not_circle = [*pairs[:i], (eight, oriented_basis(g, [eight]).walks[0]), *pairs[i + 1 :]]
+    # one gain changed on an edge of the first member, which each canonical
+    # circle walk crosses once
+    e = min(pairs[0][0])
+    changed = gain_graph(g, gg.group, {**gg.assignment.gains, e: gg.group.op(gg.assignment.gains[e], (1,))})
+    cases = {
+        "missing member": tampered(circle, pairs[1:]),
+        "binary missing member": tampered(binary, binary.basis.pairs[1:]),
+        "empty loop basis": tampered(loop, ()),
+        "not a circle": tampered(circle, not_circle),
+        "foreign host": tampered(binary, binary.basis.pairs, host=named("W6")),
+        "circle foreign host": tampered(circle, pairs, host=named("W6")),
+        "changed gain": tampered(circle, pairs, gg=changed),
+    }
+    assert {kind: w.verify() for kind, w in cases.items()} == dict.fromkeys(cases, False)
 
 
 def test_forbidden_minor_constants_are_built_once(monkeypatch):

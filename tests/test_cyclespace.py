@@ -18,7 +18,6 @@ from gainbalance.cyclespace import (
     circle_from_support,
     circle_support,
     cycle_space_dimension,
-    cyclic_orientations,
     digon_condition,
     enumerate_circles,
     fundamental_circles,
@@ -39,7 +38,6 @@ from cyclespace_reference import (
     is_circle_basis,
     reference_canonical_order,
     reference_circle_walk,
-    reference_cyclic_orientations,
     reference_dfs_circles,
     reference_euler_walk,
     reference_natural_orientation,
@@ -386,7 +384,7 @@ def test_fundamental_circles_invalid_forest(w4):
         fundamental_circles(w4, frozenset({"r1"}))  # not maximal
 
 
-# -- cyclic orientations ------------------------------------------------------------
+# -- natural orientations -----------------------------------------------------------
 
 
 def test_orientation_of_circle_is_simple(w4):
@@ -409,17 +407,15 @@ def test_orientation_disconnected_support_uses_connectors():
         }
     )
     b = binary_cycle(g, {"a1", "a2", "a3", "b1", "b2", "b3"})
-    walks = cyclic_orientations(b, g, budget=4)
-    assert len(walks) == 4
-    for w in walks:
-        walk_vertices(g, w)
-        assert walk_support(w) == b
-        assert sum(1 for e, _ in w.steps if e == "c") == 2
+    w = natural_orientation(b, g)
+    walk_vertices(g, w)
+    assert walk_support(w) == b
+    assert sum(1 for e, _ in w.steps if e == "c") == 2
 
 
 def test_orientation_trivial_cycle(w4):
-    walks = cyclic_orientations(binary_cycle(w4, set()), w4)
-    assert walks[0].is_trivial
+    w = natural_orientation(binary_cycle(w4, set()), w4)
+    assert w.is_trivial and w.start == min(w4.vertex_list)
 
 
 def test_oriented_basis_validates(w4):
@@ -445,32 +441,32 @@ def test_natural_orientations_match_reference_on_small_cumulative_bases():
         assert list(oriented_basis(g, basis).walks) == expected, sorted(g.edges.items())
         fresh = Graph(g.edges, g.vertices)
         assert list(parse_basis_text(basis_text(basis), fresh).walks) == expected, sorted(g.edges.items())
-        for m in basis:
-            assert cyclic_orientations(m, g, budget=4) == reference_cyclic_orientations(m, g, budget=4)
-            split += len(edge_components(g, m)) > 1
+        split += sum(len(edge_components(g, m)) > 1 for m in basis)
         members += len(basis)
     assert (members, split) == (1110, 207)
 
 
 def test_euler_walks_match_reference_on_every_even_edge_set():
-    # from every vertex of every component of every even-degree edge set of
-    # every connected multigraph up to 6 edges
-    walks = 0
+    # one tour per component of every even-degree edge set of every connected
+    # multigraph up to 6 edges, each from the component's least vertex, in
+    # the order of those vertices
+    sets = split = 0
     for g in (materialize(c) for level in connected_multigraphs(6) for c in level):
         for mask in range(1, 1 << len(g.edge_list)):
-            support = [e for i, e in enumerate(g.edge_list) if mask >> i & 1]
+            support = frozenset(e for i, e in enumerate(g.edge_list) if mask >> i & 1)
             odd = set()
             for e in support:
                 odd ^= set(g.ends(e))
             if odd:
                 continue
+            expected = []
             for comp in edge_components(g, support):
                 part = frozenset(e for e in support if g.ends(e)[0] in comp)
-                for v in sorted(comp):
-                    assert cyclespace._euler_walk(g, part, v) == reference_euler_walk(g, part, v), (
-                        sorted(g.edges.items()), sorted(part), v)
-                    walks += 1
-    assert walks == 3464, walks
+                expected.append((min(comp), reference_euler_walk(g, part, min(comp))))
+            assert cyclespace._euler_tours(g, support) == expected, (sorted(g.edges.items()), sorted(support))
+            sets += 1
+            split += len(expected) > 1
+    assert (sets, split) == (1543, 38), (sets, split)
 
 
 def test_euler_walk_is_linear_in_vertex_degree():

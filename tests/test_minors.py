@@ -535,6 +535,38 @@ def test_lift_deletion_matches_the_per_edge_rebuild_on_deep_reroots(monkeypatch)
     assert reversed_pointers[-(n - 1) :] == list(range(n, 1, -1))
 
 
+def test_lift_deletion_solves_each_restored_gain_by_one_product(monkeypatch):
+    # the switching solved once on the least forest takes two products and
+    # one inverse per non-root vertex; each restored gain is then one more
+    # product, where multiplying along its circle took 1,887 products and
+    # 1,047 inverses on this path
+    from classify_reference import reference_lift_basis_deletion
+    from gainbalance.groups import FreeGroup, free_on
+    from test_gaingraph import random_element
+
+    rng = random.Random(61)
+    grp = free_on("a", "b")
+    g, s = _zigzag_path(60)
+    reduced = delete(g, s)
+    gains = gain_graph(reduced, grp, {e: random_element(grp, rng) for e in reduced.edge_list}).assignment
+    args = (g, s, oriented_basis(reduced, []), gains)
+    expected = reference_lift_basis_deletion(*args)
+    calls = {"op": 0, "inverse": 0}
+    for name in calls:
+        method = getattr(FreeGroup, name)
+
+        def counting(self, *xs, name=name, method=method):
+            calls[name] += 1
+            return method(self, *xs)
+
+        monkeypatch.setattr(FreeGroup, name, counting)
+    got = lift_basis_deletion(*args)
+    monkeypatch.undo()
+    assert got[0].pairs == expected[0].pairs and got[1] == expected[1]
+    n, restored = len(g.vertex_list), len(s)
+    assert calls["op"] <= 2 * (n - 1) + restored and calls["inverse"] <= n, calls
+
+
 # -- extrusion ----------------------------------------------------------------------
 
 
