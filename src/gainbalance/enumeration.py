@@ -40,17 +40,17 @@ of the ends' pair, sorted end degrees), read off the cells.  A parallel copy
 (a single edge whose ends another edge joins) is always removable, since
 the other copy keeps every path it served, so a candidate with one is
 decided by ranks alone; on a simple candidate each ear that outranks the
-new one costs one lowpoint DFS.  Every graph is still reached.  Deleting an
-ear of its class leaves an inseparable parent with fewer edges, a circle or,
-by induction on the edge count, an enumerated graph, and that parent is
-grown with ears of every length at the orbit representative of the deleted
-ear's end pair.  The orbits are those of the group generated by the
-automorphisms the labeling search found: a subgroup of the automorphism
-group, which only splits orbits, and any of its elements carries the
-deleted ear's ends to the representative and extends to an isomorphism
-from the graph to the candidate that maps the deleted ear onto the new one.
-Removability and the rank are invariant under isomorphisms, so the new ear
-is in the class too.
+new one costs one block decomposition (``graphcore._block_edges``).  Every
+graph is still reached.  Deleting an ear of its class leaves an inseparable
+parent with fewer edges, a circle or, by induction on the edge count, an
+enumerated graph, and that parent is grown with ears of every length at the
+orbit representative of the deleted ear's end pair.  The orbits are those
+of the group generated by the automorphisms the labeling search found: a
+subgroup of the automorphism group, which only splits orbits, and any of
+its elements carries the deleted ear's ends to the representative and
+extends to an isomorphism from the graph to the candidate that maps the
+deleted ear onto the new one.  Removability and the rank are invariant under
+isomorphisms, so the new ear is in the class too.
 
 Each enumerator keeps one growing table of levels by edge count, each level
 its sorted forms (as graphs for the inseparable ones) and the automorphisms
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphcore import DisjointSets, Graph, _canonical_connected
+from .graphcore import DisjointSets, Graph, _block_edges, _canonical_connected
 
 Compact = tuple[int, tuple[tuple[int, int, int], ...]]
 
@@ -105,16 +105,27 @@ def _is_canonical_deletion(n: int, cells: dict[tuple[int, int], int], new: tuple
     """Whether the edge just added at cell ``new`` lies in the canonical
     deletion class of the connected multigraph with these cells: its
     deletable edges of highest :func:`_deletion_rank`.  Every edge is
-    deletable except a simple bridge with no degree-1 end."""
+    deletable except a simple bridge with no degree-1 end.  The bridges are
+    read off one block decomposition (``graphcore._block_edges``) of the
+    cells, one edge per cell, built only when an outranking simple
+    non-pendant edge asks: such an edge is a bridge exactly when it is a
+    block on its own, and multiplicities do not change connectivity."""
     deg = [0] * n
     for (i, j), m in cells.items():
         deg[i] += m
         deg[j] += m
     top = _deletion_rank(deg, new, cells[new])
+    bridges = None
     for cell, m in cells.items():
         rank = _deletion_rank(deg, cell, m)
-        # loops, parallel copies and pendants are always deletable
-        if rank > top and (rank[0] or not _is_bridge(cells, *cell)):
+        if rank <= top:
+            continue
+        if rank[0]:  # loops, parallel copies and pendants are always deletable
+            return False
+        if bridges is None:
+            ends = list(cells)
+            bridges = {ends[part[0]] for part in _block_edges(n, ends, range(len(ends))) if len(part) == 1}
+        if cell not in bridges:
             return False
     return True
 
@@ -129,19 +140,14 @@ def _deletion_rank(deg: list[int], cell: tuple[int, int], m: int) -> tuple:
     return (kind, m, a, b) if a <= b else (kind, m, b, a)
 
 
-def _is_bridge(cells: dict[tuple[int, int], int], a: int, b: int) -> bool:
-    """Whether deleting the single edge ``a``-``b`` separates its ends."""
-    parts = DisjointSets({v for cell in cells for v in cell})
-    for i, j in cells:
-        if (i, j) != (a, b):
-            parts.union(i, j)
-    return parts.find(a) != parts.find(b)
-
-
 def _is_canonical_ear(n: int, cells: dict[tuple[int, int], int], u: int, v: int, length: int) -> bool:
     """Whether the ear of ``length`` edges just added between ``u`` and
     ``v`` lies in the canonical deletion class of the inseparable candidate
-    with these cells: its removable ears of highest :func:`_ear_rank`."""
+    with these cells: its removable ears of highest :func:`_ear_rank`.  On
+    a simple candidate an outranking ear costs one block decomposition
+    (``graphcore._block_edges``) of the cells off its path: it is removable
+    exactly when they form one block, its inner vertices, left without
+    edges, dropping out."""
     deg = [0] * n
     for (i, j), m in cells.items():
         deg[i] += m
@@ -156,8 +162,12 @@ def _is_canonical_ear(n: int, cells: dict[tuple[int, int], int], u: int, v: int,
         adj[i].append(j)
         adj[j].append(i)
     for a, inner, b in _ears(deg, adj):
-        if _ear_rank(deg, cells, a, b, len(inner) + 1) > top and _removable(adj, a, inner, b):
-            return False
+        if _ear_rank(deg, cells, a, b, len(inner) + 1) > top:
+            path = [a, *inner, b]
+            ear = {(x, y) if x < y else (y, x) for x, y in zip(path, path[1:])}
+            rest = [cell for cell in cells if cell not in ear]
+            if len(_block_edges(n, rest, range(len(rest)))) == 1:
+                return False  # the ear is removable
     return True
 
 
@@ -184,38 +194,6 @@ def _ears(deg: list[int], adj: list[list[int]]) -> Iterator[tuple[int, list[int]
                 prev, w = w, y if x == prev else x
             if a < w:
                 yield a, inner, w
-
-
-def _removable(adj: list[list[int]], a: int, inner: list[int], b: int) -> bool:
-    """Whether deleting the ear from ``a`` through ``inner`` to ``b`` leaves
-    the simple inseparable graph with adjacency lists ``adj`` inseparable:
-    one lowpoint DFS from ``a`` finds no cut vertex.  What is left is
-    connected and its ends cut nothing, as whatever they cut off would be
-    cut off in the graph too, so the DFS ends with the first child of
-    ``a``."""
-    gone = set(inner)
-    skip = () if inner else ((a, b), (b, a))  # a single edge goes, no vertex
-    order = {a: 0}
-    low = [0] * len(adj)
-    stack = [(a, -1, iter(adj[a]))]
-    while True:
-        x, parent, it = stack[-1]
-        for y in it:
-            if y == parent or y in gone or (x, y) in skip:
-                continue
-            if y in order:
-                low[x] = min(low[x], order[y])
-                continue
-            order[y] = low[y] = len(order)
-            stack.append((y, x, iter(adj[y])))
-            break
-        else:
-            stack.pop()
-            if len(stack) == 1:
-                return True
-            if low[x] >= order[parent]:
-                return False  # parent is a cut vertex
-            low[parent] = min(low[parent], low[x])
 
 
 def materialize(c: Compact) -> Graph:

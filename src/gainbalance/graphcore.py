@@ -152,41 +152,24 @@ class Graph:
         return f"Graph({len(self.vertex_list)} vertices, {len(self.edge_list)} edges)"
 
 
-def _components(adj: Mapping[str, Iterable[tuple[str, str]]]) -> list[frozenset]:
-    """Vertex sets of the connected components of an (edge, other end)
-    adjacency, ordered by least vertex."""
-    seen: set[str] = set()
-    out = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            for _, u in adj[stack.pop()]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
 def components(g: Graph) -> list[frozenset]:
     """Vertex sets of connected components, ordered by least vertex."""
-    return _components(g._adj or g._adjacency())
+    return edge_components(g, g.edge_list, g.vertex_list)
 
 
 def edge_components(g: Graph, edges: Iterable[str], vertices: Iterable[str] = ()) -> list[frozenset]:
     """Vertex sets of the connected components of the subgraph of ``g``
     formed by ``edges``, their ends and the extra ``vertices``, ordered by
-    least vertex."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
-    for e in edges:
-        t, h = g.ends(e)
-        adj.setdefault(t, []).append((e, h))
-        adj.setdefault(h, []).append((e, t))
-    return _components(adj)
+    least vertex: the classes of a :class:`DisjointSets` over the ends."""
+    ends = list(map(g.ends, edges))
+    verts = sorted(set(vertices).union(*ends))
+    sets = DisjointSets(verts)
+    for t, h in ends:
+        sets.union(t, h)
+    parts: dict = {}
+    for v in verts:
+        parts.setdefault(sets.find(v), []).append(v)
+    return list(map(frozenset, parts.values()))
 
 
 # -- walks ----------------------------------------------------------------

@@ -47,7 +47,6 @@ from .graphcore import (
     blocks,
     edge_components,
     is_isomorphic,
-    spanning_forest,
     spanning_tree,
     walk_support,
 )
@@ -679,7 +678,7 @@ def _bridge_type(b: Graph, u: str, v: str) -> tuple[str, Optional[str]]:
     block_of = {e: blk for blk in blocks(b) for e in blk.edge_list}
     chain: list[list] = []  # [block, entry, exit], in path order
     x = u
-    for e, _ in RootedForest(b, spanning_forest(b)).path(u, v):
+    for e, _ in spanning_tree(b).path(u, v):
         y = b.other_end(e, x)
         if chain and chain[-1][0] is block_of[e]:
             chain[-1][2] = y

@@ -8,10 +8,37 @@ candidate, once per vertex pair, and canonicalizes it through
 
 ``is_connected`` and ``is_inseparable`` are the definitions the enumerators'
 tests check ``connected_multigraphs`` and ``inseparable_multigraphs``
-against: one component, and one block covering every edge.
+against: one component, and one block covering every edge.  Components come
+from ``reference_components``, which merges the vertex sets at the ends of
+each edge in turn, and blocks from the string-id Hopcroft-Tarjan DFS
+``decomposition_reference.reference_blocks``, so neither shares code with
+``graphcore.components``, ``edge_components`` or ``blocks``.
+
+``reference_is_canonical_deletion`` and ``reference_is_canonical_ear`` apply
+the enumerators' rank rules to a :class:`Graph` of the candidate's cells and
+decide deletability and removability from those definitions: connectivity
+after the deletion, and ``is_inseparable`` after the ear is taken out.
 """
 
-from gainbalance.graphcore import Graph, blocks, components
+from gainbalance.graphcore import Graph
+
+from decomposition_reference import reference_blocks
+
+
+def reference_components(g, edges, vertices=()):
+    """Vertex sets of the components of the subgraph of ``g`` formed by
+    ``edges``, their ends and the extra ``vertices``, ordered by least
+    vertex: the sets at the two ends of each edge are merged in turn."""
+    edges = list(edges)
+    parts = [{v} for v in set(vertices).union(*map(g.ends, edges))]
+    for e in edges:
+        t, h = g.ends(e)
+        pt = next(p for p in parts if t in p)
+        ph = next(p for p in parts if h in p)
+        if pt is not ph:
+            parts.remove(ph)
+            pt |= ph
+    return sorted(map(frozenset, parts), key=min)
 
 
 def reference_canonical_connected(n, mult):
@@ -75,7 +102,7 @@ def reference_canonical_connected(n, mult):
 
 def reference_canonical_labeling(g):
     """(key, vertex -> position) as ``canonical_labeling`` defines them."""
-    comps = components(g)
+    comps = reference_components(g, g.edge_list, g.vertex_list)
     if len(comps) <= 1:
         verts = g.vertex_list
         n = len(verts)
@@ -105,12 +132,18 @@ def reference_canonical_labeling(g):
     return ("disconnected", tuple(keys)), vmap
 
 
-def _compact_canonical(n, cells):
+def _graph(n, cells):
+    """The multigraph on ``v0``.. with ``cells[i, j]`` edges between ``vi``
+    and ``vj``, named ``e0``.. in cell order."""
     edges = {}
     for (i, j), mult in cells.items():
         for _ in range(mult):
             edges[f"e{len(edges)}"] = (f"v{i}", f"v{j}")
-    _, vmap = reference_canonical_labeling(Graph(edges, {f"v{i}" for i in range(n)}))
+    return Graph(edges, {f"v{i}" for i in range(n)})
+
+
+def _compact_canonical(n, cells):
+    _, vmap = reference_canonical_labeling(_graph(n, cells))
     pos = {int(v[1:]): p for v, p in vmap.items()}
     out = {}
     for (i, j), mult in cells.items():
@@ -206,14 +239,67 @@ def reference_all_multigraphs(levels):
 
 
 def is_connected(g):
-    return len(components(g)) <= 1
+    return len(reference_components(g, g.edge_list, g.vertex_list)) <= 1
 
 
 def is_inseparable(g):
     """True iff g has at least one edge and exactly one block covering it all."""
-    if not g.edge_list:
-        return False
-    if not is_connected(g):
-        return False
-    b = blocks(g)
-    return len(b) == 1
+    return bool(g.edge_list) and is_connected(g) and len(reference_blocks(g)) == 1
+
+
+def _without(g, edges):
+    """``g`` minus ``edges`` and the vertices this leaves without an edge."""
+    return g.subgraph(e for e in g.edge_list if e not in edges)
+
+
+def _edge_rank(g, e):
+    t, h = g.ends(e)
+    m, degrees = g.multiplicity(t, h), sorted((g.degree(t), g.degree(h)))
+    kind = 3 if t == h else 2 if m > 1 else 1 if degrees[0] == 1 else 0
+    return (kind, m, *degrees)
+
+
+def reference_is_canonical_deletion(n, cells, new):
+    """Whether no deletable edge of the connected multigraph with these cells
+    outranks the edge just added at cell ``new`` by (kind, multiplicity,
+    sorted end degrees), kind being loop 3 > parallel copy 2 > pendant 1 >
+    other 0.  An edge is deletable when the graph minus it, and minus the
+    vertices it leaves without an edge, is connected."""
+    g = _graph(n, cells)
+    top = _edge_rank(g, g.edges_between(*(f"v{i}" for i in new))[0])
+    return all(_edge_rank(g, e) <= top or not is_connected(_without(g, {e})) for e in g.edge_list)
+
+
+def _ears(g):
+    """Each ear of an inseparable multigraph other than a circle, as its edge
+    set mapped to its ends: the maximal paths whose inner vertices have
+    degree 2."""
+    ears = {}
+    for a in g.vertex_list:
+        if g.degree(a) < 3:
+            continue
+        for e, x in g.incident(a):
+            path = [e]
+            while g.degree(x) == 2:
+                e = next(f for f, _ in g.incident(x) if f != e)
+                path.append(e)
+                x = g.other_end(e, x)
+            ears.setdefault(frozenset(path), (a, x))
+    return ears
+
+
+def _ear_rank(g, a, b, length):
+    m = g.multiplicity(a, b)
+    return (length == 1 and m > 1, length, m, *sorted((g.degree(a), g.degree(b))))
+
+
+def reference_is_canonical_ear(n, cells, u, v, length):
+    """Whether no removable ear of the inseparable multigraph with these
+    cells outranks the ear of ``length`` edges just added between ``u`` and
+    ``v`` by (parallel copy, length, multiplicity of the ends' pair, sorted
+    end degrees).  An ear is removable when the graph minus its edges and
+    inner vertices is inseparable."""
+    g = _graph(n, cells)
+    top = _ear_rank(g, f"v{u}", f"v{v}", length)
+    ears = _ears(g).items()
+    return all(_ear_rank(g, a, b, len(path)) <= top or not is_inseparable(_without(g, path)) for path, (a, b) in ears)

@@ -60,13 +60,13 @@ from gainbalance.graphcore import (
     NamedGraphSpec,
     RootedForest,
     build_named,
-    components,
     spanning_forest,
     walk_support,
 )
 from gainbalance.groups import class_flags
 from gainbalance.minors import branch_forest, contract, delete, has_minor, splice_tree_paths
 
+from canonical_reference import reference_components
 from decomposition_reference import reference_blocks, reference_decompose, reference_structural_decomposition
 
 
@@ -138,7 +138,7 @@ def lift_basis_contraction(g, t, b, gains):
     # contract() tolerates cycles in t; the lift needs a forest, since a
     # contracted circle would collapse a dimension
     tsub = g.subgraph(t, set())
-    if len(tsub.edge_list) != len(tsub.vertices) - len(components(tsub)):
+    if len(tsub.edge_list) != len(tsub.vertices) - len(reference_components(tsub, t)):
         raise GraphError("contraction set contains a circle")
 
     tree = RootedForest(g, t)

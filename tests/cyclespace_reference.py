@@ -10,9 +10,10 @@ Reference for ``natural_orientation``, which tours every component of a
 member on one sorted adjacency (``_euler_tours``) and links the tours along
 the graph's one spanning tree, built once per graph and only for a member of
 more than one component.  Here each component is found by
-``edge_components`` and toured on its own, and every member builds that tree
-afresh.  ``reference_cyclic_orientations`` also gives the walks with some
-tours reversed; the tests draw random orientations from it.
+``canonical_reference.reference_components`` and toured on its own, and
+every member builds that tree afresh.  ``reference_cyclic_orientations``
+also gives the walks with some tours reversed; the tests draw random
+orientations from it.
 
 Reference for the tours of ``gainbalance.cyclespace._euler_tours``, which
 keep one cursor per vertex into its sorted edge list.  Here each edge choice
@@ -28,7 +29,9 @@ code needs it, so it lives with the tests that do.
 """
 
 from gainbalance.cyclespace import Circle, _circle_walk, binary_cycle, is_cycle_basis
-from gainbalance.graphcore import ClosedWalk, RootedForest, edge_components, spanning_forest
+from gainbalance.graphcore import ClosedWalk, RootedForest, spanning_forest
+
+from canonical_reference import reference_components
 
 
 def reference_circle_walk(g, support):
@@ -150,7 +153,7 @@ def reference_cyclic_orientations(b, g, budget=4):
     if not support:
         return [ClosedWalk(g.vertex_list[0] if g.vertex_list else "", ())]
     comp_sets = [
-        (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in edge_components(g, support)
+        (min(vs), frozenset(e for e in support if g.ends(e)[0] in vs)) for vs in reference_components(g, support)
     ]
     tree = RootedForest(g, spanning_forest(g))
     base = comp_sets[0][0]

@@ -22,7 +22,7 @@ decided graphs of at most four vertices by vertex bijections.
 from typing import Iterable, Mapping, Optional
 
 from gainbalance.errors import GraphError
-from gainbalance.graphcore import Graph, canonical_key, edge_components, is_isomorphic
+from gainbalance.graphcore import Graph, canonical_key, is_isomorphic
 from gainbalance.minors import (
     EDGE_BRIDGE,
     MINOR_SEARCH_MAX_EDGES,
@@ -42,6 +42,8 @@ from gainbalance.minors import (
     extrude,
     verify_minor_witness,
 )
+
+from canonical_reference import reference_components
 
 
 def rooted_has_minor(
@@ -177,7 +179,7 @@ def _separating_vertex(sub: Graph, u: str, v: str) -> Optional[str]:
     for w in inner:
         remaining = [e for e in sub.edge_list if w not in sub.ends(e)]
         # u disconnected from v without w?
-        if not any(u in vs and v in vs for vs in edge_components(sub, remaining, (u, v))):
+        if not any(u in vs and v in vs for vs in reference_components(sub, remaining, (u, v))):
             return w
     return None
 

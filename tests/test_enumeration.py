@@ -14,6 +14,8 @@ from canonical_reference import (
     reference_all_multigraphs,
     reference_connected_multigraphs,
     reference_inseparable_multigraphs,
+    reference_is_canonical_deletion,
+    reference_is_canonical_ear,
 )
 
 
@@ -69,7 +71,7 @@ def test_connected_labels_only_canonical_deletions(monkeypatch):
     finally:
         connected_multigraphs.cache_clear()
     assert sum(map(len, levels)) == 1682
-    assert len(calls) < 2000, len(calls)
+    assert len(calls) == 1724, len(calls)
 
 
 def test_all_multigraphs_matches_reference_union_builder():
@@ -112,10 +114,50 @@ def test_inseparable_labels_only_canonical_ear_deletions(monkeypatch):
         inseparable_multigraphs.cache_clear()
     (graphs8, labeled8), (graphs10, labeled10), again = counts
     assert (graphs8, graphs10) == (150, 1371)
-    assert labeled8 <= 160, labeled8
-    assert labeled10 < 2000, labeled10
+    assert labeled8 == 152, labeled8
+    assert labeled10 == 1445, labeled10
     # a cleared cache labels again, as a cold start must
     assert again == (graphs8, labeled8) and labeled8 > 0
+
+
+def test_enumerator_decisions_match_the_rank_rules_on_connectivity(monkeypatch):
+    # every canonical-deletion and canonical-ear decision of a cold growth,
+    # connected up to 7 edges and inseparable up to 10, against the rank
+    # rules on bridges found by connectivity after the deletion and on
+    # removability found by is_inseparable after the ear is taken out
+    references = {
+        "_is_canonical_deletion": reference_is_canonical_deletion,
+        "_is_canonical_ear": reference_is_canonical_ear,
+    }
+    decisions = []
+    for name in references:
+
+        def recording(*args, decide=getattr(enumeration, name), name=name):
+            decisions.append((name, args, decide(*args)))
+            return decisions[-1][2]
+
+        monkeypatch.setattr(enumeration, name, recording)
+    connected_multigraphs.cache_clear()
+    inseparable_multigraphs.cache_clear()
+    try:
+        connected_multigraphs(7)
+        inseparable_multigraphs(10)
+    finally:
+        connected_multigraphs.cache_clear()
+        inseparable_multigraphs.cache_clear()
+    for name, args, decided in decisions:
+        assert references[name](*args) == decided, (name, args)
+    tally = {}
+    for name, _, decided in decisions:
+        tally[name, decided] = tally.get((name, decided), 0) + 1
+    # the accepted ones are the 1,724 connected labelings and all but the 11
+    # circles and single-edge graphs of the 1,445 inseparable ones
+    assert tally == {
+        ("_is_canonical_deletion", True): 1724,
+        ("_is_canonical_deletion", False): 4061,
+        ("_is_canonical_ear", True): 1434,
+        ("_is_canonical_ear", False): 3334,
+    }, tally
 
 
 def test_grown_levels_equal_a_cold_start_and_label_only_new_levels(monkeypatch):

@@ -46,6 +46,7 @@ from gainbalance.graphcore import (
 from gainbalance.groups import parse_class_spec, parse_group_spec
 from gainbalance.minors import lift_basis_deletion, splice_tree_paths
 from gainbalance.oracle import oracle_circle_goodness
+from canonical_reference import reference_components
 from conftest import named, triangle
 
 
@@ -464,16 +465,14 @@ def test_edge_components_match_subgraph_components():
         extra = [v for v in g.vertex_list if rng.random() < 0.3]
         sub = g.subgraph(edges, extra)
         # the reference merges the vertex sets at the two ends of each edge
-        parts = [{v} for v in sub.vertex_list]
-        for e in edges:
-            t, h = g.ends(e)
-            pt = next(p for p in parts if t in p)
-            ph = next(p for p in parts if h in p)
-            if pt is not ph:
-                parts.remove(ph)
-                pt |= ph
-        assert edge_components(g, edges, extra) == sorted(map(frozenset, parts), key=min)
+        assert edge_components(g, edges, extra) == reference_components(g, edges, extra)
         assert components(sub) == edge_components(g, edges, extra)
+    g = Graph({"e1": ("c", "d"), "e2": ("d", "f"), "e3": ("f", "f")})
+    with pytest.raises(GraphError) as raised:
+        edge_components(g, ["e1", "zz"])
+    assert str(raised.value) == "unknown edge 'zz'"
+    # an extra vertex that no edge touches is a singleton, in least-vertex order
+    assert edge_components(g, ["e3", "e1"], ["e", "a", "c"]) == [{"a"}, {"c", "d"}, {"e"}, {"f"}]
 
 
 def test_spanning_forest_skips_loops():
@@ -509,15 +508,6 @@ def _first_use_corpus() -> list[Graph]:
     ]
 
 
-def _components_from_edges(g: Graph) -> list[frozenset]:
-    comp = {v: frozenset({v}) for v in g.vertex_list}
-    for t, h in g.edges.values():
-        merged = comp[t] | comp[h]
-        for v in merged:
-            comp[v] = merged
-    return sorted(set(comp.values()), key=min)
-
-
 def test_fresh_graph_builds_no_adjacency_or_vertex_set():
     for g in [named("W4"), named("K1loop"), Graph({"a": ("x", "y")}, ["z"]), Graph({}), *all_multigraphs(4)]:
         assert g._adj is None and g._vertices is None
@@ -541,7 +531,8 @@ def test_structure_built_on_first_read_matches_the_edges():
             for v in g.vertex_list:
                 assert g.edges_between(u, v) == tuple(e for e in g.edge_list if sorted(g.ends(e)) == sorted((u, v)))
         kept = g._adj
-        assert kept is not None and components(g) == _components_from_edges(g) and g._adj is kept
+        assert kept is not None
+        assert components(g) == reference_components(g, g.edge_list, g.vertex_list) and g._adj is kept
 
 
 def test_dimension_is_edges_minus_vertices_plus_components():
